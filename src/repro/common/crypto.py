@@ -135,6 +135,36 @@ def _scalar_mult(k: int, point: Tuple[int, int]) -> Tuple[int, int]:
     return _from_jacobian(result)
 
 
+def _double_a3(x: int, y: int, z: int) -> Tuple[int, int, int]:
+    """Jacobian doubling specialised to ``a = -3``:
+    ``3x^2 + a z^4 = 3(x - z^2)(x + z^2)``.  A zero ``z`` stays zero."""
+    zz = z * z % P
+    yy = y * y % P
+    t = 4 * x * yy % P
+    m = 3 * (x - zz) * (x + zz) % P
+    nx = (m * m - 2 * t) % P
+    return nx, (m * (t - nx) - 8 * yy * yy) % P, 2 * y * z % P
+
+
+def _add_affine(x: int, y: int, z: int, ax: int, ay: int
+                ) -> Tuple[int, int, int]:
+    """Mixed addition: Jacobian ``(x, y, z)`` plus affine ``(ax, ay)``."""
+    if z == 0:
+        return ax, ay, 1
+    zz = z * z % P
+    h = (ax * zz - x) % P
+    r = (ay * z * zz - y) % P
+    if h == 0 and r == 0:
+        return _double_a3(x, y, z)
+    # h == 0 with r != 0 adds a point to its negative: z * h == 0 below
+    # is the point at infinity.
+    hh = h * h % P
+    hhh = h * hh % P
+    v = x * hh % P
+    nx = (r * r - hhh - 2 * v) % P
+    return nx, (r * (v - nx) - y * hhh) % P, z * h % P
+
+
 def _is_on_curve(point: Tuple[int, int]) -> bool:
     x, y = point
     return (y * y - (x * x * x + A * x + B)) % P == 0
@@ -172,21 +202,37 @@ class PublicKey:
 
     def verify(self, message: Bytes, signature: "Signature") -> None:
         """Verify ``signature`` over ``message``; raise
-        :class:`InvalidSignature` on failure."""
-        if not (1 <= signature.r < N and 1 <= signature.s < N):
+        :class:`InvalidSignature` on failure.
+
+        ``u1*G + u2*Q`` is one interleaved double-and-add over the
+        per-call table ``{G, Q, G+Q}`` (Shamir's trick), and the result
+        is compared projectively, so the only inversions are ``s`` mod N
+        and the one that makes ``G+Q`` affine.  Stateless: nothing is
+        cached between calls (docs/crypto.md)."""
+        r, s = signature.r, signature.s
+        if not (1 <= r < N and 1 <= s < N):
             raise InvalidSignature("signature components out of range")
         e = int.from_bytes(sha256(message), "big") % N
-        w = _inv_mod(signature.s, N)
-        u1 = (e * w) % N
-        u2 = (signature.r * w) % N
-        jac = _jacobian_add(
-            _to_jacobian(_scalar_mult(u1, (GX, GY))) if u1 else _INFINITY,
-            _to_jacobian(_scalar_mult(u2, (self.x, self.y))) if u2 else _INFINITY,
-        )
-        if jac[2] == 0:
+        w = _inv_mod(s, N)
+        g, q = (GX, GY), (self.x, self.y)
+        # G+Q is a doubling when Q == G and infinity when Q == -G.
+        both = _jacobian_add(_to_jacobian(g), _to_jacobian(q))
+        table = {"00": None, "10": g, "01": q,
+                 "11": _from_jacobian(both) if both[2] else None}
+        x = y = z = 0   # Jacobian accumulator, starting at infinity
+        for bits in map(str.__add__, format(e * w % N, "0256b"),
+                        format(r * w % N, "0256b")):
+            if z:
+                x, y, z = _double_a3(x, y, z)
+            addend = table[bits]
+            if addend is not None:
+                x, y, z = _add_affine(x, y, z, *addend)
+        if z == 0:
             raise InvalidSignature("verification produced point at infinity")
-        x, _ = _from_jacobian(jac)
-        if x % N != signature.r:
+        # x/z^2 mod N == r without the inversion: the affine x is r or,
+        # when that still fits below P, r + N.
+        zz = z * z % P
+        if (x - r * zz) % P and (r + N >= P or (x - (r + N) * zz) % P):
             raise InvalidSignature("signature mismatch")
 
 

@@ -72,6 +72,10 @@ class BlockAssembler:
         self.prev_hash = genesis.block_hash
         self.next_block_number = 1
 
+    def has_seen(self, tx_id: str) -> bool:
+        """Has a transaction with this id already been fed?"""
+        return tx_id in self._seen_tx_ids
+
     def feed(self, entry: LogEntry) -> Optional[Block]:
         """Consume one ordered entry; returns a sealed block if one cut."""
         if entry.kind == LogEntry.TX:

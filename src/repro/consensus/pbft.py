@@ -70,6 +70,8 @@ class _PBFTReplica:
             service.config, metadata_fn=self._block_metadata)
         self.assembler.start_with_genesis(service.genesis)
         self._cut_timer: Optional[int] = None
+        # Digests assigned or executed above the low-water mark; below
+        # it the assembler's own tx-id set answers (see _seen).
         self._seen_digests: Set[str] = set()
 
     # ------------------------------------------------------------------
@@ -106,9 +108,16 @@ class _PBFTReplica:
     # Client requests
     # ------------------------------------------------------------------
 
+    def _seen(self, entry: LogEntry, digest: str) -> bool:
+        """Was ``entry`` already assigned a sequence number here, or
+        executed?"""
+        return digest in self._seen_digests or (
+            entry.kind == LogEntry.TX
+            and self.assembler.has_seen(entry.payload.tx_id))
+
     def on_request(self, entry: LogEntry) -> None:
         digest = _entry_digest(entry)
-        if entry.kind == LogEntry.TX and digest in self._seen_digests:
+        if entry.kind == LogEntry.TX and self._seen(entry, digest):
             return
         if self.is_primary:
             self._seen_digests.add(digest)
@@ -133,7 +142,7 @@ class _PBFTReplica:
 
     def on_request_echo(self, entry: LogEntry) -> None:
         digest = _entry_digest(entry)
-        if digest in self._seen_digests:
+        if self._seen(entry, digest):
             return
         if self.is_primary:
             self.on_request(entry)
@@ -238,6 +247,22 @@ class _PBFTReplica:
                 self.service._replica_deliver(block, self.name)
                 if self.is_primary and self.assembler.pending:
                     self._arm_cut_timer(force=True)
+        self.service.advance_stable()
+
+    def truncate(self, after: int, upto: int) -> None:
+        """Garbage-collect instances ``after + 1 .. upto``, which every
+        replica has executed.  The repair loop only re-sends instances
+        its own replica has not executed and a view change only
+        re-proposes from ``executed_upto + 1``, so nothing at or below
+        the low-water mark is ever asked for again; late copies of its
+        messages are dropped on arrival (``on_message``)."""
+        for seq in range(after + 1, upto + 1):
+            self._seen_digests.discard(self.pre_prepares.pop(seq)[0])
+            self.prepared.discard(seq)
+            self.committed.discard(seq)
+        for votes in (self.prepares, self.commits):
+            for key in [key for key in votes if key[0] <= upto]:
+                del votes[key]
 
     # ------------------------------------------------------------------
     # Block cutting
@@ -344,6 +369,9 @@ class _PBFTReplica:
 
     def on_message(self, sender: str, message) -> None:
         kind, data = message
+        if kind in ("pre_prepare", "prepare", "commit") and \
+                data["seq"] <= self.service.stable_seq:
+            return  # executed everywhere and truncated: a late copy
         if kind == "request":
             self.on_request(data)
         elif kind == "request_echo":
@@ -376,6 +404,9 @@ class PBFTOrderingService(OrderingService):
             network.register(name, replica.on_message)
         self._delivered_blocks: Dict[int, Any] = {}
         self._metadata_by_number: Dict[int, Dict] = {}
+        # Low-water mark: every replica has executed up to here, and the
+        # replicas' three-phase logs hold nothing at or below it.
+        self.stable_seq = 0
 
     def _metadata_for(self, number: int) -> Dict:
         """Block metadata, frozen by whichever replica cuts first."""
@@ -384,6 +415,16 @@ class PBFTOrderingService(OrderingService):
             cached = self._metadata_by_number[number] = \
                 self._block_metadata()
         return dict(cached)
+
+    def advance_stable(self) -> None:
+        """Move the low-water mark to the lowest sequence number every
+        replica has executed (the simulator reads it off the replicas
+        where a deployment would exchange checkpoint messages)."""
+        stable = min(r.executed_upto for r in self.replicas.values())
+        if stable > self.stable_seq:
+            for replica in self.replicas.values():
+                replica.truncate(self.stable_seq, stable)
+            self.stable_seq = stable
 
     def start(self) -> None:
         """PBFT ordering is reactive, but each replica runs a periodic

@@ -141,7 +141,9 @@ class Database:
             "REPRO_SLOW_QUERY_MS", "0"))
         self.slow_queries: List[Dict] = []
         self.max_slow_queries = 128
-        # all transactions ever started on this node, by xid
+        # Transactions above the retirement horizon, by xid: everything
+        # still running plus the finished ones that SSI or recovery may
+        # still ask for (see retire_finished).
         self.transactions: Dict[int, TransactionContext] = {}
         # still-interesting transactions for SSI conflict checks
         self._active: Dict[int, TransactionContext] = {}
@@ -350,7 +352,7 @@ class Database:
         for other in self._active.values():
             if other.xid != tx.xid:
                 out.append(other)
-        # ``_recently_committed`` is appended at commit time and pruned
+        # ``_recently_committed`` is appended at commit time and retired
         # from the front only, so commit_seq is monotone in list position:
         # the entries committed after ``tx`` began are exactly a tail
         # slice, found by binary search instead of a full scan.
@@ -376,10 +378,44 @@ class Database:
         seq = self.statuses.commit_seq(a.xid)
         return seq is not None and seq <= b.begin_seq
 
-    def prune_committed(self, keep_last: int = 512) -> None:
-        """Bound the recently-committed list used for conflict detection."""
-        if len(self._recently_committed) > keep_last:
-            self._recently_committed = self._recently_committed[-keep_last:]
+    def retire_finished(self, height: int) -> None:
+        """Retirement horizon, run at the end of block ``height``: forget
+        every finished transaction nothing can ask for any more.
+
+        A context goes when it is finished, does not belong to block
+        ``height`` (recovery re-examines the last recorded block's
+        contexts by tx id and may roll its commits back) and no running
+        transaction can be concurrent with it: it aborted, or it
+        committed at or before the ``begin_seq`` of every active
+        transaction — the complement of what :meth:`concurrent_with`
+        returns.  A chain transaction that finished before its block
+        arrived (an execute-order victim aborted ahead of ordering) waits
+        for that block.  Retired commits also drop their heaps'
+        created-by-xid lists, which only abort cleanup and the
+        last-block rollback read."""
+        horizon = min((tx.begin_seq for tx in self._active.values()),
+                      default=self.statuses.current_commit_seq)
+        commit_seq = self.statuses.commit_seq
+
+        def retired(tx: TransactionContext) -> bool:
+            if tx.block_number is None:
+                if tx.tx_id:
+                    return False
+            elif tx.block_number >= height:
+                return False
+            return tx.is_aborted or (
+                tx.is_committed and commit_seq(tx.xid) <= horizon)
+
+        # Commit order is list order, so the retired commits are a prefix.
+        recent = self._recently_committed
+        keep = next((i for i, tx in enumerate(recent) if not retired(tx)),
+                    len(recent))
+        del recent[:keep]
+        for tx in [tx for tx in self.transactions.values() if retired(tx)]:
+            del self.transactions[tx.xid]
+            for table in tx.tables_written:
+                if self.catalog.has_table(table):
+                    self.catalog.heap_of(table).forget_creator(tx.xid)
 
     # ------------------------------------------------------------------
 

@@ -41,8 +41,9 @@ execution, fenced by a barrier in ``Database.begin``.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.chain.block import Block
 from repro.errors import (
@@ -87,6 +88,10 @@ class BlockMetrics:
     tx_execution_times: List[float] = field(default_factory=list)  # tet
 
 
+#: Per-block micro metrics kept on ``BlockProcessor.metrics``.
+METRICS_BLOCKS = 64
+
+
 class BlockProcessor:
     """Commits blocks against one node's database."""
 
@@ -94,7 +99,7 @@ class BlockProcessor:
         self.node = node
         self.oe_validator = AbortDuringCommitSSI(node.db)
         self.eo_validator = BlockAwareSSI(node.db)
-        self.metrics: List[BlockMetrics] = []
+        self.metrics: Deque[BlockMetrics] = deque(maxlen=METRICS_BLOCKS)
         self.scheduler = CommitScheduler(node)
         # Pipelining fence: transactions beginning on this node wait out
         # any in-flight background block finalization, so reads at height
@@ -386,7 +391,7 @@ class BlockProcessor:
                 reason=reason, block=block.number)
         node.notifications.notify(CHANNEL_BLOCKS, block=block.number,
                                   txs=len(block.transactions))
-        node.db.prune_committed()
+        node.db.retire_finished(block.number)
 
         if deferred is None:
             # Columnar replica ingest: append this block's committed

@@ -8,13 +8,17 @@ convenience used by the client API's ``wait_for``.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 CHANNEL_TX_STATUS = "tx_status"
 CHANNEL_BLOCKS = "blocks"
 CHANNEL_CHECKPOINTS = "checkpoints"
+
+#: Events kept for late readers (``tx_status``); subscribers see every
+#: event as it is published, whatever the history holds.
+HISTORY_EVENTS = 256
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,7 @@ class NotificationHub:
     def __init__(self):
         self._subscribers: Dict[str, List[Callable[[Notification], None]]] \
             = defaultdict(list)
-        self.history: List[Notification] = []
+        self.history: Deque[Notification] = deque(maxlen=HISTORY_EVENTS)
 
     def listen(self, channel: str,
                callback: Callable[[Notification], None]) -> Callable[[], None]:
@@ -54,7 +58,9 @@ class NotificationHub:
     # -- convenience -------------------------------------------------------
 
     def tx_status(self, tx_id: str) -> Optional[Dict[str, Any]]:
-        """Most recent status event for ``tx_id`` (None if not yet seen)."""
+        """Most recent status event for ``tx_id`` still in the history
+        (None if not yet seen, or seen more than ``HISTORY_EVENTS``
+        events ago — the ledger is the durable record)."""
         for event in reversed(self.history):
             if event.channel == CHANNEL_TX_STATUS and \
                     event.payload.get("tx_id") == tx_id:

@@ -112,7 +112,9 @@ class RecoveryManager:
 
     def _contexts_for(self, block: Block
                       ) -> Dict[str, Optional[TransactionContext]]:
-        """Latest transaction context per tx id of the block."""
+        """Latest transaction context per tx id of the block.  Only the
+        last recorded block is ever asked for, and its contexts are the
+        ones ``Database.retire_finished`` keeps."""
         by_tx_id: Dict[str, TransactionContext] = {}
         for context in self.node.db.transactions.values():
             if context.tx_id:
@@ -174,6 +176,7 @@ class RecoveryManager:
         for tx in block.transactions:
             node.executing.pop(tx.tx_id, None)
             node.pending_outcomes.pop(tx.tx_id, None)
+        node.db.retire_finished(block.number)
 
     def _rollback_and_reexecute(self, block: Block) -> None:
         """Case (b): roll back the block's committed transactions and

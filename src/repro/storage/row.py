@@ -14,11 +14,13 @@ xmax candidates* and the serial commit step lets exactly one win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Set, Union
+
+#: Shared by every version nobody has tried to delete, i.e. almost all
+#: of them: an empty ``set()`` per version would cost 216 bytes each.
+_NO_CANDIDATES: FrozenSet[int] = frozenset()
 
 
-@dataclass
 class RowVersion:
     """One immutable version of a logical row.
 
@@ -38,27 +40,54 @@ class RowVersion:
     xmax_candidates:
         The paper's xmax array: ids of concurrent transactions that have
         marked this version for deletion but not yet won the serial commit.
+        Read-only to callers — it is a shared empty frozenset until the
+        first candidate arrives; change it through the methods below.
     creator_block / deleter_block:
         Block heights stamped at commit time; drive block-height snapshots
         (execute-order-in-parallel) and provenance queries.
     """
 
-    version_id: int
-    row_id: int
-    values: Dict[str, Any]
-    xmin: int
-    xmax_winner: Optional[int] = None
-    xmax_candidates: Set[int] = field(default_factory=set)
-    creator_block: Optional[int] = None
-    deleter_block: Optional[int] = None
+    # Hand-written slots (one instance per row version ever written; CI
+    # still runs Python 3.9, which has no ``dataclass(slots=True)``).
+    __slots__ = ("version_id", "row_id", "values", "xmin", "xmax_winner",
+                 "xmax_candidates", "creator_block", "deleter_block")
+
+    def __init__(self, version_id: int, row_id: int,
+                 values: Dict[str, Any], xmin: int,
+                 xmax_winner: Optional[int] = None,
+                 creator_block: Optional[int] = None,
+                 deleter_block: Optional[int] = None):
+        self.version_id = version_id
+        self.row_id = row_id
+        self.values = values
+        self.xmin = xmin
+        self.xmax_winner = xmax_winner
+        self.xmax_candidates: Union[Set[int], FrozenSet[int]] = \
+            _NO_CANDIDATES
+        self.creator_block = creator_block
+        self.deleter_block = deleter_block
+
+    def __repr__(self) -> str:
+        return (f"RowVersion(version_id={self.version_id}, "
+                f"row_id={self.row_id}, values={self.values!r}, "
+                f"xmin={self.xmin}, xmax_winner={self.xmax_winner}, "
+                f"xmax_candidates={set(self.xmax_candidates)}, "
+                f"creator_block={self.creator_block}, "
+                f"deleter_block={self.deleter_block})")
 
     def mark_delete_candidate(self, xid: int) -> None:
         """Record ``xid`` in the xmax array (no lock taken — section 4.3)."""
-        self.xmax_candidates.add(xid)
+        if self.xmax_candidates:
+            self.xmax_candidates.add(xid)
+        else:
+            self.xmax_candidates = {xid}
 
     def clear_delete_candidate(self, xid: int) -> None:
-        """Remove ``xid`` from the xmax array (on abort)."""
-        self.xmax_candidates.discard(xid)
+        """Remove ``xid`` from the xmax array (on abort or rollback)."""
+        if xid in self.xmax_candidates:
+            self.xmax_candidates.discard(xid)
+            if not self.xmax_candidates:
+                self.xmax_candidates = _NO_CANDIDATES
         if self.xmax_winner == xid:
             self.xmax_winner = None
 

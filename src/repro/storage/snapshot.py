@@ -29,14 +29,25 @@ class TxStatus(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
 class TxRecord:
-    """Status entry for one transaction id."""
+    """Status entry for one transaction id (one per xid ever started,
+    hence the hand-written slots)."""
 
-    xid: int
-    status: TxStatus = TxStatus.IN_PROGRESS
-    commit_seq: Optional[int] = None   # global serial commit order
-    commit_block: Optional[int] = None  # block height at commit
+    __slots__ = ("xid", "status", "commit_seq", "commit_block")
+
+    def __init__(self, xid: int,
+                 status: TxStatus = TxStatus.IN_PROGRESS,
+                 commit_seq: Optional[int] = None,
+                 commit_block: Optional[int] = None):
+        self.xid = xid
+        self.status = status
+        self.commit_seq = commit_seq      # global serial commit order
+        self.commit_block = commit_block  # block height at commit
+
+    def __repr__(self) -> str:
+        return (f"TxRecord(xid={self.xid}, status={self.status}, "
+                f"commit_seq={self.commit_seq}, "
+                f"commit_block={self.commit_block})")
 
 
 class TxStatusTable:

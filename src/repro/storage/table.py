@@ -27,7 +27,8 @@ class HeapTable:
         self._version_counter = itertools.count(1)
         self._row_counter = itertools.count(1)
         self._indexes: Dict[str, Index] = {}
-        # xid -> version ids created by that xid (for abort cleanup)
+        # xid -> version ids created by that xid, for abort cleanup and
+        # recovery rollback; dropped at the retirement horizon
         self._created_by_xid: Dict[int, List[int]] = {}
         # Planner statistics, maintained incrementally: logical rows
         # currently live (fresh inserts count immediately; committed
@@ -168,6 +169,11 @@ class HeapTable:
         # Note: index entries for removed versions are left behind and
         # filtered at scan time (version id no longer resolves).
 
+    def forget_creator(self, xid: int) -> None:
+        """``xid`` passed the retirement horizon: it can no longer abort
+        or be rolled back, so its created-version list is dead weight."""
+        self._created_by_xid.pop(xid, None)
+
     def rollback_committed(self, xid: int) -> None:
         """Recovery (section 3.6): undo a *committed* transaction so its
         block can be re-executed.  Removes created versions and reverses
@@ -176,9 +182,8 @@ class HeapTable:
             self._versions.pop(version_id, None)
         for version in self._versions.values():
             if version.xmax_winner == xid:
-                version.xmax_winner = None
                 version.deleter_block = None
-            version.xmax_candidates.discard(xid)
+            version.clear_delete_candidate(xid)
 
     # ------------------------------------------------------------------
     # Scan helpers

@@ -23,7 +23,6 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..obs.metrics import MetricsScope, private_scope
@@ -39,23 +38,30 @@ WAL_BLOCK_END = "block_end"
 WAL_CHECKPOINT = "checkpoint"
 
 
-@dataclass
 class WALRecord:
     """One log record.  Serialization is lazy and cached: the commit hot
     path only allocates the record object; JSON is rendered on the first
     ``to_json`` call (typically the group-commit flush) and reused after."""
 
-    lsn: int
-    kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("lsn", "kind", "payload", "_json")
+
+    def __init__(self, lsn: int, kind: str,
+                 payload: Optional[Dict[str, Any]] = None):
+        self.lsn = lsn
+        self.kind = kind
+        self.payload = payload if payload is not None else {}
+        self._json: Optional[str] = None
+
+    def __repr__(self) -> str:
+        return (f"WALRecord(lsn={self.lsn}, kind={self.kind!r}, "
+                f"payload={self.payload!r})")
 
     def to_json(self) -> str:
-        cached = self.__dict__.get("_json")
-        if cached is None:
-            cached = json.dumps({"lsn": self.lsn, "kind": self.kind,
-                                 "payload": self.payload}, sort_keys=True)
-            self.__dict__["_json"] = cached
-        return cached
+        if self._json is None:
+            self._json = json.dumps(
+                {"lsn": self.lsn, "kind": self.kind,
+                 "payload": self.payload}, sort_keys=True)
+        return self._json
 
     @classmethod
     def from_json(cls, line: str) -> "WALRecord":

@@ -218,16 +218,51 @@ class TestPBFTService:
                            orderer_name=service.orderer_names[i % 4])
         scheduler.run(until=5.0)
         # Every replica executes the same sequence (5 txs plus any
-        # time-to-cut entries).
-        sequences = set()
-        tx_counts = set()
-        for replica in service.replicas.values():
-            entries = [replica.pre_prepares[s][0]
-                       for s in range(1, replica.executed_upto + 1)]
-            sequences.add(tuple(entries))
-            tx_counts.add(sum(1 for d in entries if d.startswith("tx:")))
-        assert len(sequences) == 1
-        assert tx_counts == {5}
+        # time-to-cut entries): same length, and the same hash chain of
+        # cut blocks, which covers every transaction in order.
+        replicas = list(service.replicas.values())
+        assert len({r.executed_upto for r in replicas}) == 1
+        assert len({r.assembler.prev_hash for r in replicas}) == 1
+        assert not any(r.assembler.pending for r in replicas)
+        assert sum(len(b) for b in service.blocks_cut) == 5
+        # Executed everywhere, so the low-water mark caught up and the
+        # three-phase logs hold nothing.
+        for r in replicas:
+            assert service.stable_seq == r.executed_upto >= 5
+            assert not (r.pre_prepares or r.prepares or r.commits
+                        or r.prepared or r.committed or r._seen_digests)
+        # A resubmission through a backup (request + echoes) is still
+        # recognised, now by the assemblers' own tx-id sets.
+        upto = replicas[0].executed_upto
+        service.submit(make_tx(0, signer),
+                       orderer_name=service.orderer_names[1])
+        scheduler.run(until=8.0)
+        assert {r.executed_upto for r in replicas} == {upto}
+        assert {r.next_seq for r in replicas if r.is_primary} == {upto + 1}
+
+    def test_log_truncation_waits_for_the_slowest_replica(self, signer):
+        scheduler = EventScheduler()
+        network = SimNetwork(scheduler, default_latency=INSTANT)
+        service = make_service(PBFTOrderingService, 4, scheduler, network)
+        service.start()
+        laggard = service.orderer_names[-1]
+        network.take_down(laggard)
+        txs = [make_tx(i, signer) for i in range(6)]
+        for tx in txs:
+            service.submit(tx)
+        scheduler.run(until=3.0)
+        live = [r for name, r in service.replicas.items()
+                if name != laggard]
+        # Quorum of three executes; nothing is truncated while the
+        # fourth has executed nothing.
+        assert all(r.executed_upto >= 6 for r in live)
+        assert service.stable_seq == 0
+        assert all(len(r.pre_prepares) >= 6 for r in live)
+        # A resubmission is still recognised.
+        before = live[0].next_seq
+        service.submit(txs[0])
+        scheduler.run(until=4.0)
+        assert live[0].next_seq == before
 
     def test_view_change_on_primary_failure(self, signer):
         scheduler = EventScheduler()

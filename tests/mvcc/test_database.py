@@ -93,13 +93,38 @@ class TestConcurrencyWindows:
         assert a not in db.concurrent_with(b)
         assert db.committed_before_began(a, b) is True
 
-    def test_prune_bounds_history(self, db):
-        for i in range(20):
+    def test_retirement_keeps_what_an_active_reader_is_concurrent_with(
+            self, db):
+        def bump(block):
             tx = db.begin(allow_nondeterministic=True)
             run_sql(db, tx, "UPDATE t SET v = v + 1 WHERE id = 1")
-            db.apply_commit(tx, block_number=2 + i)
-        db.prune_committed(keep_last=5)
-        assert len(db._recently_committed) == 5
+            db.apply_commit(tx, block_number=block)
+            return tx
+
+        before = [bump(2 + i) for i in range(5)]
+        reader = db.begin(allow_nondeterministic=True)
+        after = [bump(7 + i) for i in range(5)]
+        query = db.begin(read_only=True)
+        db.apply_abort(query, reason="read-only")
+        heap = db.catalog.heap_of("t")
+
+        db.retire_finished(11)
+        # Committed before the reader began, or aborted: gone.  Committed
+        # after it began: still concurrent with it.  Last block: kept.
+        assert [tx.xid for tx in db._recently_committed] == \
+            [tx.xid for tx in after]
+        assert set(db.transactions) == \
+            {reader.xid} | {tx.xid for tx in after}
+        assert set(db.concurrent_with(reader)) == set(after)
+        assert all(tx.xid not in heap._created_by_xid for tx in before)
+        assert all(tx.xid in heap._created_by_xid for tx in after)
+
+        db.apply_abort(reader, reason="done")
+        db.retire_finished(11)
+        assert set(db.transactions) == {after[-1].xid}
+        db.retire_finished(12)
+        assert not db.transactions and not db._recently_committed
+        assert not heap._created_by_xid
 
 
 class TestRecoveryRollback:
