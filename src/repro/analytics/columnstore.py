@@ -36,6 +36,8 @@ the executor enforces.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, \
     Tuple
 
@@ -359,12 +361,20 @@ class TableColumns:
         self.encode = encode
         self.counters = counters
         self.chunks: List[ColumnChunk] = []
-        # version_id -> (chunk, offset): late deleter stamps land on rows
-        # ingested blocks (or chunks) earlier.
-        self._locator: Dict[int, Tuple[ColumnChunk, int]] = {}
+        # The version locator — late deleter stamps land on rows ingested
+        # blocks (or chunks) earlier.  A heap numbers its versions
+        # densely from 1, so the locator is an array indexed by version
+        # id (8 bytes a version, where a dict of (chunk, offset) tuples
+        # cost ~130) holding the row's *ordinal* in the table's chunk
+        # sequence, -1 for a version never ingested; compaction merges
+        # neighbouring chunks in place and so moves no ordinal.
+        # ``_chunk_starts[i]`` is the ordinal of ``chunks[i]``'s row 0.
+        self._ordinals = array("q")
+        self._chunk_starts: List[int] = []
+        self._rows = 0
 
     def __len__(self) -> int:
-        return sum(len(chunk) for chunk in self.chunks)
+        return self._rows
 
     # -- ingest ------------------------------------------------------------
 
@@ -377,15 +387,31 @@ class TableColumns:
             return self.chunks[-1]
         chunk = self._new_chunk()
         self.chunks.append(chunk)
+        self._chunk_starts.append(self._rows)
         return chunk
 
     def append_version(self, values: Dict[str, Any], row_id: int,
                        version_id: int, xmin: int, creator: int) -> None:
         chunk = self._open_chunk()
-        offset = chunk.append(values, row_id, version_id, xmin, creator)
-        self._locator[version_id] = (chunk, offset)
+        chunk.append(values, row_id, version_id, xmin, creator)
+        ordinals = self._ordinals
+        if version_id >= len(ordinals):
+            ordinals.extend([-1] * (version_id + 1 - len(ordinals)))
+        ordinals[version_id] = self._rows
+        self._rows += 1
         if len(chunk) >= self.target_chunk_rows:
             chunk.seal()
+
+    def locate(self, version_id: int
+               ) -> Optional[Tuple[ColumnChunk, int]]:
+        """The chunk and offset holding ``version_id``, if ingested."""
+        if not 0 <= version_id < len(self._ordinals):
+            return None
+        ordinal = self._ordinals[version_id]
+        if ordinal < 0:
+            return None
+        index = bisect_right(self._chunk_starts, ordinal) - 1
+        return self.chunks[index], ordinal - self._chunk_starts[index]
 
     def seal_open(self) -> None:
         """Seal the open tail chunk (block boundary): sealed chunks get
@@ -398,7 +424,7 @@ class TableColumns:
 
     def mark_deleted(self, version_id: int, deleter: int,
                      xmax: Optional[int]) -> bool:
-        entry = self._locator.get(version_id)
+        entry = self.locate(version_id)
         if entry is None:
             return False
         chunk, offset = entry
@@ -409,8 +435,9 @@ class TableColumns:
 
     def compact(self) -> int:
         """Merge runs of small sealed chunks into full-size ones; returns
-        the number of chunks eliminated.  Zone maps and the locator are
-        rebuilt for merged chunks; the open tail chunk is untouched."""
+        the number of chunks eliminated.  Zone maps are rebuilt for
+        merged chunks and row order is kept, so the locator only needs
+        the new chunk boundaries; the open tail chunk is untouched."""
         small = self.target_chunk_rows // 2
         out: List[ColumnChunk] = []
         run: List[ColumnChunk] = []
@@ -431,8 +458,6 @@ class TableColumns:
                     if deleter is not None:
                         merged.mark_deleted(new_offset, deleter,
                                             chunk.xmaxs[offset])
-                    self._locator[chunk.version_ids[offset]] = \
-                        (merged, new_offset)
                     if len(merged) >= self.target_chunk_rows:
                         merged.seal()
                         out.append(merged)
@@ -451,6 +476,10 @@ class TableColumns:
         flush_run()
         eliminated = max(0, len(self.chunks) - len(out))
         self.chunks = out
+        self._chunk_starts, rows = [], 0
+        for chunk in out:
+            self._chunk_starts.append(rows)
+            rows += len(chunk)
         return eliminated
 
 

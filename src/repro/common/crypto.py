@@ -19,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
+import threading
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CryptoError, InvalidSignature
 
@@ -55,84 +56,17 @@ def hash_chain(prev_hash: bytes, payload: Bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Elliptic-curve arithmetic (Jacobian coordinates for speed)
+# Elliptic-curve arithmetic
 # ---------------------------------------------------------------------------
-
-_INFINITY = (0, 0, 0)  # Jacobian point at infinity
-
+#
+# A Jacobian point is ``(x, y, z)`` standing for the affine
+# ``(x / z^2, y / z^3)``; ``z == 0`` is the point at infinity.  Every
+# multiplication in this module is table driven (docs/crypto.md): the
+# plain double-and-add it replaced lives on in tests/common/test_crypto.py
+# as the oracle.
 
 def _inv_mod(x: int, m: int) -> int:
     return pow(x, -1, m)
-
-
-def _to_jacobian(point: Tuple[int, int]) -> Tuple[int, int, int]:
-    return (point[0], point[1], 1)
-
-
-def _from_jacobian(point: Tuple[int, int, int]) -> Tuple[int, int]:
-    x, y, z = point
-    if z == 0:
-        raise CryptoError("point at infinity has no affine form")
-    zinv = _inv_mod(z, P)
-    zinv2 = (zinv * zinv) % P
-    return ((x * zinv2) % P, (y * zinv2 % P) * zinv % P)
-
-
-def _jacobian_double(pt: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    x, y, z = pt
-    if y == 0 or z == 0:
-        return _INFINITY
-    ysq = (y * y) % P
-    s = (4 * x * ysq) % P
-    m = (3 * x * x + A * z ** 4) % P
-    nx = (m * m - 2 * s) % P
-    ny = (m * (s - nx) - 8 * ysq * ysq) % P
-    nz = (2 * y * z) % P
-    return (nx, ny, nz)
-
-
-def _jacobian_add(p1: Tuple[int, int, int],
-                  p2: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    if p1[2] == 0:
-        return p2
-    if p2[2] == 0:
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    z1z1 = (z1 * z1) % P
-    z2z2 = (z2 * z2) % P
-    u1 = (x1 * z2z2) % P
-    u2 = (x2 * z1z1) % P
-    s1 = (y1 * z2 * z2z2) % P
-    s2 = (y2 * z1 * z1z1) % P
-    if u1 == u2:
-        if s1 != s2:
-            return _INFINITY
-        return _jacobian_double(p1)
-    h = (u2 - u1) % P
-    i = (2 * h) ** 2 % P
-    j = (h * i) % P
-    r = (2 * (s2 - s1)) % P
-    v = (u1 * i) % P
-    nx = (r * r - j - 2 * v) % P
-    ny = (r * (v - nx) - 2 * s1 * j) % P
-    nz = (((z1 + z2) ** 2 - z1z1 - z2z2) * h) % P
-    return (nx, ny, nz)
-
-
-def _scalar_mult(k: int, point: Tuple[int, int]) -> Tuple[int, int]:
-    """Multiply an affine point by scalar ``k`` (double-and-add)."""
-    if k % N == 0:
-        raise CryptoError("scalar is zero modulo curve order")
-    k %= N
-    result = _INFINITY
-    addend = _to_jacobian(point)
-    while k:
-        if k & 1:
-            result = _jacobian_add(result, addend)
-        addend = _jacobian_double(addend)
-        k >>= 1
-    return _from_jacobian(result)
 
 
 def _double_a3(x: int, y: int, z: int) -> Tuple[int, int, int]:
@@ -163,6 +97,133 @@ def _add_affine(x: int, y: int, z: int, ax: int, ay: int
     v = x * hh % P
     nx = (r * r - hhh - 2 * v) % P
     return nx, (r * (v - nx) - y * hhh) % P, z * h % P
+
+
+def _batch_affine(points: Sequence[Tuple[int, int, int]]
+                  ) -> List[Tuple[int, int]]:
+    """Affine forms of finite Jacobian points with one field inversion
+    for all of them (Montgomery's trick)."""
+    prefix, product = [], 1
+    for _x, _y, z in points:
+        prefix.append(product)
+        product = product * z % P
+    inverse = _inv_mod(product, P)
+    out: List[Tuple[int, int]] = []
+    for (x, y, z), before in zip(reversed(points), reversed(prefix)):
+        zinv = inverse * before % P
+        inverse = inverse * z % P
+        zz = zinv * zinv % P
+        out.append((x * zz % P, y * zz % P * zinv % P))
+    out.reverse()
+    return out
+
+
+# -- Lim-Lee combs ----------------------------------------------------------
+#
+# A comb with ``h`` teeth for a point ``T`` cuts a 256-bit scalar into
+# ``h`` blocks of ``256 / h`` bits and stores, for every non-empty set
+# ``S`` of blocks, the affine point ``sum(2^(i * 256/h) * T for i in S)``
+# at index ``sum(2^i for i in S)`` (index 0 is ``None``).  One column of
+# the scalar — the same bit position of every block — then costs one
+# doubling and at most one mixed addition, so ``k * T`` takes ``256 / h``
+# of each instead of 256 doublings and ~128 additions.
+
+Comb = Tuple[Optional[Tuple[int, int]], ...]
+
+#: Teeth of the one comb for the generator ``G``: 255 points, ~45 KB,
+#: ~5 ms to build on first use; 32 columns per multiplication.
+_G_TEETH = 8
+#: Teeth of a cached per-public-key comb.  Not a knob: the largest of
+#: {2, 4, 8} the end-to-end memory budget pays for, see "Choosing the
+#: comb height" in docs/crypto.md.
+_KEY_TEETH = 4
+#: Public keys with a cached comb; the oldest goes first beyond it.
+KEY_TABLES_MAX = 128
+
+
+def _build_comb(px: int, py: int, teeth: int) -> Comb:
+    spacing = 256 // teeth
+    bases = [(px, py, 1)]
+    for _ in range(teeth - 1):
+        x, y, z = bases[-1]
+        for _ in range(spacing):
+            x, y, z = _double_a3(x, y, z)
+        bases.append((x, y, z))
+    # No subset sum below is a doubling or the point at infinity: the
+    # scalars involved are distinct, non-zero and smaller than N.
+    sums: List[Tuple[int, int, int]] = [(0, 0, 0)] * (1 << teeth)
+    for i, (bx, by) in enumerate(_batch_affine(bases)):
+        bit = 1 << i
+        sums[bit] = (bx, by, 1)
+        for low in range(1, bit):
+            sums[bit | low] = _add_affine(*sums[low], bx, by)
+    return (None, *_batch_affine(sums[1:]))
+
+
+def _comb_addends(k: int, comb: Comb) -> List[Optional[Tuple[int, int]]]:
+    """The comb entry to add in each column of ``0 <= k < 2^256``, most
+    significant column first (``None`` where the column is all zero)."""
+    spacing = 256 // (len(comb).bit_length() - 1)
+    bits = format(k, "0256b")
+    return [comb[int(bits[j::spacing], 2)] for j in range(spacing)]
+
+
+def _sum_columns(columns: Iterable[Sequence[Optional[Tuple[int, int]]]]
+                 ) -> Tuple[int, int, int]:
+    """Horner evaluation over comb columns: double, then add every entry
+    of the column.  Starts at, and may pass through, infinity."""
+    x = y = z = 0
+    for addends in columns:
+        if z:
+            x, y, z = _double_a3(x, y, z)
+        for point in addends:
+            if point is not None:
+                x, y, z = _add_affine(x, y, z, *point)
+    return x, y, z
+
+
+_g_comb_cache: Optional[Comb] = None
+
+
+def _g_comb() -> Comb:
+    """The process-wide comb for ``G``, built on first use.  Racing
+    builders compute the same table; the last assignment wins."""
+    global _g_comb_cache
+    comb = _g_comb_cache
+    if comb is None:
+        comb = _g_comb_cache = _build_comb(GX, GY, _G_TEETH)
+    return comb
+
+
+def _g_times(k: int) -> Tuple[int, int]:
+    """The affine ``k * G`` for ``0 < k < N``."""
+    return _batch_affine(
+        [_sum_columns(zip(_comb_addends(k, _g_comb())))])[0]
+
+
+_key_combs: Dict[Tuple[int, int], Comb] = {}
+_key_combs_lock = threading.Lock()
+
+
+def _key_comb(x: int, y: int) -> Comb:
+    """The comb of public key ``(x, y)``, from the bounded cache.  A miss
+    builds outside the lock and publishes with one dict assignment, so
+    concurrent verifications of a fresh key at worst build it twice and
+    readers never wait."""
+    comb = _key_combs.get((x, y))
+    if comb is None:
+        comb = _build_comb(x, y, _KEY_TEETH)
+        with _key_combs_lock:
+            if (x, y) not in _key_combs and \
+                    len(_key_combs) >= KEY_TABLES_MAX:
+                del _key_combs[next(iter(_key_combs))]
+            _key_combs[(x, y)] = comb
+    return comb
+
+
+def key_tables_cached() -> int:
+    """Public keys with a cached comb (the ``crypto.key_tables`` gauge)."""
+    return len(_key_combs)
 
 
 def _is_on_curve(point: Tuple[int, int]) -> bool:
@@ -204,29 +265,20 @@ class PublicKey:
         """Verify ``signature`` over ``message``; raise
         :class:`InvalidSignature` on failure.
 
-        ``u1*G + u2*Q`` is one interleaved double-and-add over the
-        per-call table ``{G, Q, G+Q}`` (Shamir's trick), and the result
-        is compared projectively, so the only inversions are ``s`` mod N
-        and the one that makes ``G+Q`` affine.  Stateless: nothing is
-        cached between calls (docs/crypto.md)."""
+        ``u1*G + u2*Q`` is one joint pass over the columns of this
+        key's cached comb, with the columns of ``G``'s taller comb
+        joining for the last 32, and the result is compared
+        projectively, so the only inversion is ``s`` mod N
+        (docs/crypto.md)."""
         r, s = signature.r, signature.s
         if not (1 <= r < N and 1 <= s < N):
             raise InvalidSignature("signature components out of range")
         e = int.from_bytes(sha256(message), "big") % N
         w = _inv_mod(s, N)
-        g, q = (GX, GY), (self.x, self.y)
-        # G+Q is a doubling when Q == G and infinity when Q == -G.
-        both = _jacobian_add(_to_jacobian(g), _to_jacobian(q))
-        table = {"00": None, "10": g, "01": q,
-                 "11": _from_jacobian(both) if both[2] else None}
-        x = y = z = 0   # Jacobian accumulator, starting at infinity
-        for bits in map(str.__add__, format(e * w % N, "0256b"),
-                        format(r * w % N, "0256b")):
-            if z:
-                x, y, z = _double_a3(x, y, z)
-            addend = table[bits]
-            if addend is not None:
-                x, y, z = _add_affine(x, y, z, *addend)
+        g_addends = _comb_addends(e * w % N, _g_comb())
+        q_addends = _comb_addends(r * w % N, _key_comb(self.x, self.y))
+        lead = [None] * (len(q_addends) - len(g_addends))
+        x, _y, z = _sum_columns(zip(lead + g_addends, q_addends))
         if z == 0:
             raise InvalidSignature("verification produced point at infinity")
         # x/z^2 mod N == r without the inversion: the affine x is r or,
@@ -266,7 +318,7 @@ class PrivateKey:
         if not 1 <= d < N:
             raise CryptoError("private scalar out of range")
         self._d = d
-        self.public_key = PublicKey(*_scalar_mult(d, (GX, GY)))
+        self.public_key = PublicKey(*_g_times(d))
 
     @classmethod
     def generate(cls, seed: bytes = None) -> "PrivateKey":
@@ -308,8 +360,7 @@ class PrivateKey:
         e = int.from_bytes(digest, "big") % N
         while True:
             k = self._rfc6979_k(digest)
-            x, _ = _scalar_mult(k, (GX, GY))
-            r = x % N
+            r = _g_times(k)[0] % N
             if r == 0:
                 digest = sha256(digest)
                 continue

@@ -15,6 +15,7 @@ import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.chain.block import make_genesis
+from repro.common.crypto import key_tables_cached
 from repro.common.events import EventScheduler
 from repro.common.identity import (
     Certificate,
@@ -61,6 +62,8 @@ class BlockchainNetwork:
         # the top level, each node's subsystems register under a
         # ``node=<name>`` label scope (obs/metrics.py).
         self.metrics = MetricsRegistry()
+        # The comb cache is the process's, not a node's: no label.
+        self.metrics.gauge("crypto.key_tables", fn=key_tables_cached)
         self.network = SimNetwork(self.scheduler, default_latency=latency,
                                   seed=seed,
                                   metrics=self.metrics.scope())

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.analytics.columnstore import ColumnStore
 from repro.errors import SerializationFailure
@@ -26,6 +27,7 @@ from repro.mvcc.transaction import (
 from repro.sql.catalog import Catalog
 from repro.sql.plancache import PlanCache
 from repro.sql.stats import StatisticsManager
+from repro.storage.row import RowVersion
 from repro.storage.snapshot import BlockSnapshot, SeqSnapshot, TxStatusTable
 from repro.storage.wal import (
     WAL_ABORT,
@@ -148,6 +150,11 @@ class Database:
         # still-interesting transactions for SSI conflict checks
         self._active: Dict[int, TransactionContext] = {}
         self._recently_committed: List[TransactionContext] = []
+        # Dead versions awaiting the retirement horizon, in commit order:
+        # (block, commit seq of the superseding commit, table, versions)
+        # — see reclaim_at_horizon.
+        self._reclaimable: Deque[
+            Tuple[int, int, str, List[RowVersion]]] = deque()
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
@@ -173,7 +180,8 @@ class Database:
         self.statuses.begin(xid)
         self.transactions[xid] = tx
         self._active[xid] = tx
-        self.wal.append(WAL_BEGIN, xid=xid, tx_id=tx.tx_id)
+        tx.begin_lsn = self.wal.append(
+            WAL_BEGIN, xid=xid, tx_id=tx.tx_id).lsn
         return tx
 
     def begin_at_height(self, height: int, **kwargs) -> TransactionContext:
@@ -392,7 +400,14 @@ class Database:
         arrived (an execute-order victim aborted ahead of ordering) waits
         for that block.  Retired commits also drop their heaps'
         created-by-xid lists, which only abort cleanup and the
-        last-block rollback read."""
+        last-block rollback read.
+
+        The same horizon reclaims storage: the dead versions queued by
+        :meth:`reclaim_at_horizon` for blocks below ``height`` once no
+        active snapshot predates the commit that superseded them, and
+        the WAL records below the oldest transaction still kept (a
+        transaction's records all follow its begin record, and recovery
+        asks the log only about the contexts it finds here)."""
         horizon = min((tx.begin_seq for tx in self._active.values()),
                       default=self.statuses.current_commit_seq)
         commit_seq = self.statuses.commit_seq
@@ -416,6 +431,36 @@ class Database:
             for table in tx.tables_written:
                 if self.catalog.has_table(table):
                     self.catalog.heap_of(table).forget_creator(tx.xid)
+        reclaimable = self._reclaimable
+        while reclaimable and reclaimable[0][0] < height \
+                and reclaimable[0][1] <= horizon:
+            _block, _seq, table, versions = reclaimable.popleft()
+            self.reclaim_versions(table, versions)
+        # Begin order is xid order is dict order: the first is the oldest.
+        oldest = next(iter(self.transactions.values()), None)
+        self.wal.recycle(self.wal.mark() if oldest is None
+                         else oldest.begin_lsn - 1)
+
+    def reclaim_at_horizon(self, table: str, block_number: int,
+                           versions: List[RowVersion]) -> None:
+        """Queue ``versions`` of ``table`` — superseded by the commit that
+        just happened, within one block height, so no block snapshot ever
+        sees them — for physical removal by :meth:`retire_finished` after
+        block ``block_number``.  pgLedger's ``pending`` rows (paper
+        section 4.2's two-step write) are the case: the paper's own
+        answer to them is a vacuum on creator/deleter (section 7)."""
+        if versions:
+            self._reclaimable.append(
+                (block_number, self.statuses.current_commit_seq, table,
+                 versions))
+
+    def reclaim_versions(self, table: str,
+                         versions: List[RowVersion]) -> None:
+        """Physically remove dead ``versions`` and their index entries."""
+        if self.catalog.has_table(table):
+            heap = self.catalog.heap_of(table)
+            for version in versions:
+                heap.remove_version(version.version_id)
 
     # ------------------------------------------------------------------
 

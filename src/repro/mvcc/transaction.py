@@ -116,6 +116,9 @@ class TransactionContext:
         self.tx_id = tx_id
         self.username = username
         self.begin_seq = begin_seq
+        # lsn of the WAL begin record: every record of this transaction
+        # is at or above it (``Database.begin`` stamps it).
+        self.begin_lsn = 0
         self.block_number = block_number     # block this tx commits in
         self.block_position: Optional[int] = None  # index within the block
         self.state = TxState.ACTIVE

@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.chain.block import Block
 from repro.mvcc.database import Database
-from repro.mvcc.transaction import WriteSetEntry
+from repro.mvcc.transaction import TransactionContext, WriteSetEntry
 from repro.sql.catalog import ColumnDef, TableSchema, coerce_value
 from repro.sql.executor import Executor
 from repro.sql.parser import parse_one
@@ -89,7 +89,7 @@ class Ledger:
     # is what lets block N+1's ledger record overlap block N's pipelined
     # finalization.
 
-    def _run(self, fn) -> None:
+    def _run(self, fn) -> TransactionContext:
         """Run ``fn(executor)`` in one system transaction (SQL path)."""
         tx = self.db.begin(allow_nondeterministic=True, username="@system",
                            _barrier=False)
@@ -100,8 +100,9 @@ class Ledger:
             self.db.apply_abort(tx, reason="ledger write failed")
             raise
         self.db.apply_commit(tx, block_number=self.db.committed_height)
+        return tx
 
-    def _run_bulk(self, fn) -> None:
+    def _run_bulk(self, fn) -> TransactionContext:
         """Run ``fn(tx)`` in one system transaction (direct heap path)."""
         tx = self.db.begin(allow_nondeterministic=True, username="@system",
                            _barrier=False)
@@ -111,6 +112,7 @@ class Ledger:
             self.db.apply_abort(tx, reason="ledger write failed")
             raise
         self.db.apply_commit(tx, block_number=self.db.committed_height)
+        return tx
 
     # -- direct heap access (shared by the bulk writes and all reads) --------
 
@@ -204,12 +206,24 @@ class Ledger:
     def record_statuses(self, block: Block,
                         outcomes: Dict[str, Any]) -> None:
         """Atomically set the status of every transaction of ``block``.
-        ``outcomes[tx_id] = (status, reason, local_xid)``."""
+        ``outcomes[tx_id] = (status, reason, local_xid)``.
+
+        The ``pending`` versions this supersedes were created and deleted
+        at one block height, so no ``AS OF`` read can see them; they are
+        handed to the retirement horizon for reclaim."""
         now = self._clock()
         if self.db.batched_apply:
-            self._record_statuses_bulk(block, outcomes, now)
-            return
+            tx = self._record_statuses_bulk(block, outcomes, now)
+        else:
+            tx = self._record_statuses_sql(block, outcomes, now)
+        self.db.reclaim_at_horizon(LEDGER_TABLE, block.number, [
+            entry.old_version for entry in tx.writes
+            if entry.old_version is not None
+            and entry.old_version.values["status"] == STATUS_PENDING])
 
+    def _record_statuses_sql(self, block: Block, outcomes: Dict[str, Any],
+                             now: float) -> TransactionContext:
+        """Step 2 through the SQL engine: one UPDATE per transaction."""
         def _write(executor: Executor) -> None:
             for tx in block.transactions:
                 status, reason, local_xid = outcomes[tx.tx_id]
@@ -218,10 +232,10 @@ class Ledger:
                     f"txid = $4, committime = $5 WHERE tx_id = $1")
                 executor.execute(stmt, params=(
                     tx.tx_id, status, reason, local_xid, now))
-        self._run(_write)
+        return self._run(_write)
 
     def _record_statuses_bulk(self, block: Block, outcomes: Dict[str, Any],
-                              now: float) -> None:
+                              now: float) -> TransactionContext:
         """Bulk step 2: one system transaction, one point lookup + one
         versioned update per transaction of the block.
 
@@ -262,7 +276,7 @@ class Ledger:
                 tx.record_write(WriteSetEntry(
                     table=LEDGER_TABLE, kind="update",
                     old_version=old, new_version=new_version))
-        self._run_bulk(_write)
+        return self._run_bulk(_write)
 
     # -- queries (transaction-free committed-snapshot reads) ------------------
 

@@ -194,6 +194,11 @@ class RecoveryManager:
             if not context.is_aborted:
                 node.db.apply_abort(context,
                                     reason="recovery rollback (section 3.6)")
+            # An execute-order context that ran ahead of ordering has no
+            # block yet; this was its block, and the re-execution below
+            # begins afresh.  Without the stamp it would wait for "its
+            # block" forever and pin the retirement horizon.
+            context.block_number = block.number
             node.executing.pop(tx.tx_id, None)
             node.pending_outcomes.pop(tx.tx_id, None)
         node.db.wal.flush()

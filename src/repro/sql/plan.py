@@ -64,7 +64,12 @@ from repro.sql.expressions import (
     evaluate_predicate,
     expr_fingerprint,
 )
-from repro.storage.index import Index, normalize_key, normalize_key_part
+from repro.storage.index import (
+    Index,
+    key_depth,
+    normalize_key,
+    normalize_key_part,
+)
 from repro.storage.row import RowVersion
 from repro.storage.snapshot import BlockSnapshot
 from repro.storage.visibility import (
@@ -436,7 +441,7 @@ def execute_scan(rt: Runtime, table_name: str, alias: str,
 
     if choice is not None:
         index, eq_prefix, low_key, high_key, low_incl, high_incl = choice
-        depth = max(len(low_key or ()), len(high_key or ()), 1)
+        depth = max(key_depth(low_key), key_depth(high_key), 1)
         candidate_ids = index._scan(low_key, high_key, low_incl,
                                     high_incl, depth)
         candidates = heap.resolve(candidate_ids)

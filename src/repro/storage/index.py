@@ -7,7 +7,12 @@ indexes here point at *row versions* (every version gets an entry; dead
 versions are filtered by visibility at scan time).
 
 Keys are normalized so heterogeneous values order deterministically across
-nodes (None < booleans < numbers < strings).
+nodes (None < booleans < numbers < strings).  A key is one flat tuple,
+``(rank, value, rank, value, ...)`` — two slots per indexed column, the
+value itself rather than a float copy of it (Python compares ``int`` with
+``float`` exactly) — and equal keys of a non-unique index share one
+tuple object: a ``blocknumber`` or ``org`` index repeats the same key for
+every row of a block, so an entry costs two list slots, not a tuple.
 
 Storage layout: two parallel sorted arrays (``_keys`` / ``_ids``) hold the
 settled entries, plus a small sorted *pending* tail absorbing new inserts.
@@ -41,7 +46,8 @@ _RANK_BOOL = 1
 _RANK_NUM = 2
 _RANK_STR = 3
 
-_NEG_INF = (-1,)
+#: Sorts above every rank: ``key + _POS_INF`` is the exclusive upper
+#: probe of "every key starting with ``key``".
 _POS_INF = (4,)
 
 #: Pending entries auto-merge past this size so the tail stays cheap to
@@ -50,12 +56,15 @@ AUTO_MERGE_THRESHOLD = 1024
 
 
 def normalize_key_part(value: Any) -> Tuple:
-    """Map a single value to a tuple that compares deterministically."""
+    """Map a single value to a ``(rank, value)`` pair that compares
+    deterministically."""
     if value is None:
-        return (_RANK_NONE,)
+        return (_RANK_NONE, None)
     if isinstance(value, bool):
         return (_RANK_BOOL, int(value))
-    if isinstance(value, (int, float, Decimal)):
+    if isinstance(value, (int, float)):
+        return (_RANK_NUM, value)
+    if isinstance(value, Decimal):
         return (_RANK_NUM, float(value))
     if isinstance(value, str):
         return (_RANK_STR, value)
@@ -63,15 +72,30 @@ def normalize_key_part(value: Any) -> Tuple:
 
 
 def normalize_key(values: Sequence[Any]) -> Tuple:
-    return tuple(normalize_key_part(v) for v in values)
+    """The flat key of ``values``: their ``(rank, value)`` pairs
+    concatenated."""
+    key: Tuple = ()
+    for value in values:
+        key += normalize_key_part(value)
+    return key
+
+
+def key_depth(key: Optional[Tuple]) -> int:
+    """Number of columns a normalized key (or key prefix) binds."""
+    return len(key) // 2 if key else 0
 
 
 class Index:
     """A sorted (key, version_id) multimap supporting point and range scans.
 
-    Entries are append-only: versions are never physically removed (the
-    blockchain database keeps all history); deletions are logical via
-    MVCC visibility.
+    Deletions are logical via MVCC visibility (the blockchain database
+    keeps all history); an entry goes only when its version is physically
+    reclaimed (:meth:`remove`).
+
+    Invariant: within a run of equal keys, version ids ascend in each
+    region — a new version has the highest id of its table and lands at
+    the end of its run (``bisect_right``), and merges keep settled
+    entries ahead of pending ones.
     """
 
     def __init__(self, name: str, table_name: str, columns: Sequence[str],
@@ -109,10 +133,36 @@ class Index:
     def insert(self, values: dict, version_id: int) -> None:
         key = self.key_for(values)
         pos = bisect.bisect_right(self._pending_keys, key)
+        if not self.unique:
+            # Share the tuple of an equal neighbour, pending or settled.
+            if pos and self._pending_keys[pos - 1] == key:
+                key = self._pending_keys[pos - 1]
+            else:
+                keys = self._keys
+                settled = bisect.bisect_right(keys, key)
+                if settled and keys[settled - 1] == key:
+                    key = keys[settled - 1]
         self._pending_keys.insert(pos, key)
         self._pending_ids.insert(pos, version_id)
         if len(self._pending_ids) >= AUTO_MERGE_THRESHOLD:
             self.merge_pending()
+
+    def remove(self, values: dict, version_id: int) -> bool:
+        """Drop the entry of a physically reclaimed version; returns True
+        when it existed.  Foreground only, like :meth:`insert`: the run
+        of equal keys is bisected for the id (see the class invariant)
+        and the entry deleted in place."""
+        key = self.key_for(values)
+        for keys, ids in ((self._keys, self._ids),
+                          (self._pending_keys, self._pending_ids)):
+            lo = bisect.bisect_left(keys, key)
+            hi = bisect.bisect_right(keys, key, lo)
+            pos = bisect.bisect_left(ids, version_id, lo, hi)
+            if pos < hi and ids[pos] == version_id:
+                del keys[pos]
+                del ids[pos]
+                return True
+        return False
 
     def merge_pending(self) -> int:
         """Bulk maintenance: fold the sorted pending tail into the settled
@@ -181,7 +231,7 @@ class Index:
         prefix of the index columns).  Unordered across storage regions —
         entries still in the pending tail follow settled entries."""
         prefix = normalize_key(key_values)
-        return self._scan(prefix, prefix, True, True, len(prefix))
+        return self._scan(prefix, prefix, True, True, key_depth(prefix))
 
     def scan_range(self, low: Optional[Sequence[Any]],
                    high: Optional[Sequence[Any]],
@@ -191,8 +241,7 @@ class Index:
         Unordered across storage regions (see :meth:`scan_eq`)."""
         low_key = normalize_key(low) if low is not None else None
         high_key = normalize_key(high) if high is not None else None
-        depth = max(len(low_key) if low_key else 0,
-                    len(high_key) if high_key else 0) or 1
+        depth = max(key_depth(low_key), key_depth(high_key), 1)
         return self._scan(low_key, high_key, low_inclusive, high_inclusive,
                           depth)
 
@@ -200,15 +249,15 @@ class Index:
     def _probes(low_key: Optional[Tuple], high_key: Optional[Tuple],
                 low_inclusive: bool, high_inclusive: bool
                 ) -> Tuple[Optional[Tuple], Optional[Tuple]]:
-        """Bisect probes implementing prefix-bound semantics: real key
-        parts never contain the ``_POS_INF`` sentinel, so appending it
-        turns an inclusive prefix bound into a plain tuple comparison."""
+        """Bisect probes implementing prefix-bound semantics: no rank
+        reaches the ``_POS_INF`` sentinel, so appending it turns an
+        inclusive prefix bound into a plain tuple comparison."""
         low_probe = None
         if low_key is not None:
-            low_probe = low_key if low_inclusive else low_key + (_POS_INF,)
+            low_probe = low_key if low_inclusive else low_key + _POS_INF
         high_probe = None
         if high_key is not None:
-            high_probe = high_key + (_POS_INF,) if high_inclusive \
+            high_probe = high_key + _POS_INF if high_inclusive \
                 else high_key
         return low_probe, high_probe
 

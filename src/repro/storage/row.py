@@ -41,7 +41,9 @@ class RowVersion:
         The paper's xmax array: ids of concurrent transactions that have
         marked this version for deletion but not yet won the serial commit.
         Read-only to callers — it is a shared empty frozenset until the
-        first candidate arrives; change it through the methods below.
+        first candidate arrives and again once a winner is set; change it
+        through the methods below and ask :meth:`deleted_by`, which also
+        knows the winner.
     creator_block / deleter_block:
         Block heights stamped at commit time; drive block-height snapshots
         (execute-order-in-parallel) and provenance queries.
@@ -91,12 +93,19 @@ class RowVersion:
         if self.xmax_winner == xid:
             self.xmax_winner = None
 
+    def deleted_by(self, xid: int) -> bool:
+        """True when ``xid`` marked this version for deletion, as a
+        candidate still or as the winner."""
+        return xid in self.xmax_candidates or xid == self.xmax_winner
+
     def set_delete_winner(self, xid: int, block_number: Optional[int]) -> None:
         """Commit-time resolution: ``xid`` wins the write; everyone else in
-        the array will be aborted by the SSI layer."""
+        the array will be aborted by the SSI layer.  The winner is
+        recorded in ``xmax_winner`` alone: a one-element set per
+        superseded version would outlive every reader of the array."""
         self.xmax_winner = xid
         self.deleter_block = block_number
-        self.xmax_candidates = {xid}
+        self.xmax_candidates = _NO_CANDIDATES
 
     @property
     def is_dead(self) -> bool:

@@ -16,9 +16,10 @@ Two snapshot flavours exist in the system:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Optional
 
 
 class TxStatus(Enum):
@@ -30,8 +31,8 @@ class TxStatus(Enum):
 
 
 class TxRecord:
-    """Status entry for one transaction id (one per xid ever started,
-    hence the hand-written slots)."""
+    """Status of one transaction id, as :class:`TxStatusTable` reports
+    it: a value, not the stored form."""
 
     __slots__ = ("xid", "status", "commit_seq", "commit_block")
 
@@ -50,54 +51,90 @@ class TxRecord:
                 f"commit_block={self.commit_block})")
 
 
+# ``TxStatusTable._seqs`` values that are not a commit sequence number.
+_NEVER_BEGUN = 0
+_IN_PROGRESS = -1
+_ABORTED = -2
+
+
 class TxStatusTable:
-    """The analogue of PostgreSQL's CLOG: xid -> status/commit position."""
+    """The analogue of PostgreSQL's CLOG: xid -> status/commit position.
+
+    Like the CLOG it is an array, not a map: a database numbers its
+    transactions densely from 1 and every one of them keeps its status
+    for as long as a row version names it, so the table is two 8-byte
+    slots per xid — ``_seqs[xid]`` is the commit sequence number (> 0)
+    or one of the markers above, ``_blocks[xid]`` the commit block —
+    where a record object in a dict cost ~200 bytes.  The visibility
+    predicates read ``_seqs`` directly: committed is ``_seqs[xid] > 0``,
+    and an xid beyond the array was never begun."""
 
     def __init__(self):
-        self._records: Dict[int, TxRecord] = {}
+        self._seqs = array("q")
+        self._blocks = array("q")
         self._next_commit_seq = 1
 
+    def _seq(self, xid: int) -> int:
+        return self._seqs[xid] if 0 <= xid < len(self._seqs) \
+            else _NEVER_BEGUN
+
+    def _require_in_progress(self, xid: int) -> None:
+        state = self._seq(xid)
+        if state == _NEVER_BEGUN:
+            raise KeyError(xid)
+        if state != _IN_PROGRESS:
+            raise ValueError(f"xid {xid} is {self.status_of(xid).value}, "
+                             f"not in progress")
+
     def begin(self, xid: int) -> TxRecord:
-        if xid in self._records:
+        if self._seq(xid) != _NEVER_BEGUN:
             raise ValueError(f"xid {xid} already exists")
-        record = TxRecord(xid=xid)
-        self._records[xid] = record
-        return record
+        grow = xid + 1 - len(self._seqs)
+        if grow > 0:
+            self._seqs.extend([_NEVER_BEGUN] * grow)
+            self._blocks.extend([-1] * grow)
+        self._seqs[xid] = _IN_PROGRESS
+        return TxRecord(xid=xid)
 
     def commit(self, xid: int, block_number: Optional[int] = None) -> TxRecord:
-        record = self._records[xid]
-        if record.status is not TxStatus.IN_PROGRESS:
-            raise ValueError(f"xid {xid} is {record.status.value}, not in progress")
-        record.status = TxStatus.COMMITTED
-        record.commit_seq = self._next_commit_seq
-        record.commit_block = block_number
+        self._require_in_progress(xid)
+        self._seqs[xid] = self._next_commit_seq
+        self._blocks[xid] = -1 if block_number is None else block_number
         self._next_commit_seq += 1
-        return record
+        return self.get(xid)
 
     def abort(self, xid: int) -> TxRecord:
-        record = self._records[xid]
-        if record.status is not TxStatus.IN_PROGRESS:
-            raise ValueError(f"xid {xid} is {record.status.value}, not in progress")
-        record.status = TxStatus.ABORTED
-        return record
+        self._require_in_progress(xid)
+        self._seqs[xid] = _ABORTED
+        return self.get(xid)
 
     def get(self, xid: int) -> TxRecord:
-        return self._records[xid]
+        state = self._seq(xid)
+        if state == _NEVER_BEGUN:
+            raise KeyError(xid)
+        if state > 0:
+            block = self._blocks[xid]
+            return TxRecord(xid, TxStatus.COMMITTED, state,
+                            None if block < 0 else block)
+        return TxRecord(xid, TxStatus.IN_PROGRESS if state == _IN_PROGRESS
+                        else TxStatus.ABORTED)
 
     def status_of(self, xid: int) -> TxStatus:
-        record = self._records.get(xid)
-        return record.status if record else TxStatus.ABORTED
+        state = self._seq(xid)
+        if state > 0:
+            return TxStatus.COMMITTED
+        return TxStatus.IN_PROGRESS if state == _IN_PROGRESS \
+            else TxStatus.ABORTED
 
     def is_committed(self, xid: int) -> bool:
-        return self.status_of(xid) is TxStatus.COMMITTED
+        return self._seq(xid) > 0
 
     def is_aborted(self, xid: int) -> bool:
-        record = self._records.get(xid)
-        return record is None or record.status is TxStatus.ABORTED
+        return self._seq(xid) in (_ABORTED, _NEVER_BEGUN)
 
     def commit_seq(self, xid: int) -> Optional[int]:
-        record = self._records.get(xid)
-        return record.commit_seq if record else None
+        state = self._seq(xid)
+        return state if state > 0 else None
 
     @property
     def current_commit_seq(self) -> int:
@@ -108,10 +145,10 @@ class TxStatusTable:
     def rollback_commit(self, xid: int) -> None:
         """Recovery support (section 3.6): demote a committed transaction
         back to in-progress so the block can be re-executed."""
-        record = self._records[xid]
-        record.status = TxStatus.IN_PROGRESS
-        record.commit_seq = None
-        record.commit_block = None
+        if self._seq(xid) == _NEVER_BEGUN:
+            raise KeyError(xid)
+        self._seqs[xid] = _IN_PROGRESS
+        self._blocks[xid] = -1
 
 
 @dataclass(frozen=True)

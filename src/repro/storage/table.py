@@ -5,7 +5,9 @@ version) plus an insert of the new version — exactly PostgreSQL's
 behaviour, which the paper calls "ideal for our goal of building a
 blockchain that maintains all versions of data" (section 4.1).  Nothing is
 ever physically removed except when an *aborted* transaction's versions are
-cleaned up or during explicit recovery rollback.
+cleaned up, during explicit recovery rollback, or when a dead version is
+reclaimed (:meth:`HeapTable.remove_version`: the section 7 vacuum, and
+the superseded ledger versions the retirement horizon drops).
 """
 
 from __future__ import annotations
@@ -148,12 +150,15 @@ class HeapTable:
         self.live_rows += 1
 
     def remove_version(self, version_id: int) -> bool:
-        """Physically reclaim one version (vacuum); returns True when the
-        version existed."""
-        if self._versions.pop(version_id, None) is not None:
-            self.vacuumed_versions += 1
-            return True
-        return False
+        """Physically reclaim one version together with its index
+        entries; returns True when the version existed."""
+        version = self._versions.pop(version_id, None)
+        if version is None:
+            return False
+        for index in self._indexes.values():
+            index.remove(version.values, version_id)
+        self.vacuumed_versions += 1
+        return True
 
     # ------------------------------------------------------------------
     # Abort / recovery cleanup

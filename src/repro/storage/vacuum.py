@@ -50,9 +50,8 @@ def vacuum_table(heap: HeapTable, statuses: TxStatusTable,
     A version is reclaimable when its delete winner *committed* and the
     deletion block is at or below the horizon — the same predicate the
     paper's creator/deleter-aware vacuum would use, and the exact
-    complement of block-height visibility at any retained height.  Index
-    entries for removed versions resolve to nothing and are skipped at
-    scan time.
+    complement of block-height visibility at any retained height.  The
+    heap drops a removed version's index entries with it.
     """
     removable: List[int] = []
     for version in heap.all_versions():

@@ -17,11 +17,14 @@ from repro.storage.row import RowVersion
 from repro.storage.snapshot import (
     BlockSnapshot,
     SeqSnapshot,
-    TxStatus,
     TxStatusTable,
 )
 
 Snapshot = Union[SeqSnapshot, BlockSnapshot]
+
+# The predicates below read the status table's array directly:
+# ``statuses._seqs[xid]`` is a commit sequence number exactly when it is
+# positive, and an xid past the end was never begun (see TxStatusTable).
 
 
 def version_visible(version: RowVersion, snapshot: Snapshot,
@@ -42,27 +45,29 @@ def version_visible(version: RowVersion, snapshot: Snapshot,
     """
     if own_xid is not None and version.xmin == own_xid:
         # Own insert: invisible only if we deleted it ourselves.
-        return own_xid not in version.xmax_candidates
-    creator = statuses._records.get(version.xmin)
-    if creator is None or creator.status is not TxStatus.COMMITTED:
+        return not version.deleted_by(own_xid)
+    seqs = statuses._seqs
+    xmin = version.xmin
+    creator_seq = seqs[xmin] if xmin < len(seqs) else 0
+    if creator_seq <= 0:
         return False
     if isinstance(snapshot, SeqSnapshot):
-        if not snapshot.includes_commit(creator.commit_seq):
+        if not snapshot.includes_commit(creator_seq):
             return False
     else:
         if not snapshot.includes_block(version.creator_block):
             return False
     # Deletion check: our own pending delete hides the row from ourselves.
-    if own_xid is not None and own_xid in version.xmax_candidates:
+    if own_xid is not None and version.deleted_by(own_xid):
         return False
     winner = version.xmax_winner
     if winner is None:
         return True
-    deleter = statuses._records.get(winner)
-    if deleter is None or deleter.status is not TxStatus.COMMITTED:
+    deleter_seq = seqs[winner] if winner < len(seqs) else 0
+    if deleter_seq <= 0:
         return True
     if isinstance(snapshot, SeqSnapshot):
-        return not snapshot.includes_commit(deleter.commit_seq)
+        return not snapshot.includes_commit(deleter_seq)
     return not snapshot.includes_block(version.deleter_block)
 
 
@@ -73,8 +78,8 @@ def version_committed_in_window(version: RowVersion, statuses: TxStatusTable,
     inspect (section 3.4.1 rule 1)."""
     if version.creator_block is None:
         return False
-    creator = statuses._records.get(version.xmin)
-    if creator is None or creator.status is not TxStatus.COMMITTED:
+    seqs, xmin = statuses._seqs, version.xmin
+    if xmin >= len(seqs) or seqs[xmin] <= 0:
         return False
     return low_height < version.creator_block <= high_height
 
@@ -86,8 +91,8 @@ def version_deleted_in_window(version: RowVersion, statuses: TxStatusTable,
     rule 2)."""
     if version.deleter_block is None or version.xmax_winner is None:
         return False
-    deleter = statuses._records.get(version.xmax_winner)
-    if deleter is None or deleter.status is not TxStatus.COMMITTED:
+    seqs, winner = statuses._seqs, version.xmax_winner
+    if winner >= len(seqs) or seqs[winner] <= 0:
         return False
     return low_height < version.deleter_block <= high_height
 
@@ -96,11 +101,8 @@ def latest_committed_visible(version: RowVersion,
                              statuses: TxStatusTable) -> bool:
     """Visibility against the *latest* committed state (used by the commit
     validator and by provenance's "currently active" checks)."""
-    creator = statuses._records.get(version.xmin)
-    if creator is None or creator.status is not TxStatus.COMMITTED:
+    seqs, xmin = statuses._seqs, version.xmin
+    if xmin >= len(seqs) or seqs[xmin] <= 0:
         return False
     winner = version.xmax_winner
-    if winner is None:
-        return True
-    deleter = statuses._records.get(winner)
-    return deleter is None or deleter.status is not TxStatus.COMMITTED
+    return winner is None or winner >= len(seqs) or seqs[winner] <= 0

@@ -15,6 +15,11 @@ caches its result, so a record is never serialized twice (a re-flush, a
 recovery scan, and an observability dump all reuse the first rendering).
 The record *sequence* is identical to the per-transaction pipeline's:
 group commit changes when bytes reach the file, never which bytes.
+
+Recycling: recovery only ever asks for the records of transactions above
+the database's retirement horizon, so :meth:`WriteAheadLog.recycle`
+drops the persisted records at or below it from memory (the file, when
+there is one, keeps them).  What remains starts at ``_base_lsn + 1``.
 """
 
 from __future__ import annotations
@@ -82,13 +87,16 @@ class WriteAheadLog:
 
     def __init__(self, path: Optional[str] = None,
                  metrics: Optional[MetricsScope] = None):
+        # ``_records[i].lsn == _base_lsn + i + 1`` — true from birth
+        # through crash, load and recycling.
         self._records: List[WALRecord] = []
+        self._base_lsn = 0
         self._next_lsn = 1
         self._flushed_lsn = 0
         self._path = path
-        # How many leading records are already in the file; everything
-        # past this index is serialized + appended by the next flush.
-        self._persisted_count = 0
+        # Records up to this lsn are already in the file; everything
+        # past it is serialized + appended by the next flush.
+        self._persisted_lsn = 0
         # Observability: group-commit batch sizes, on the unified
         # registry (a standalone WAL gets a private scope so counters
         # start at zero; a node-owned WAL shares the node's scope and so
@@ -96,6 +104,7 @@ class WriteAheadLog:
         self.metrics = metrics if metrics is not None else private_scope()
         self._flush_count = self.metrics.counter("wal.flush_count")
         self._records_flushed = self.metrics.counter("wal.records_flushed")
+        self.metrics.gauge("wal.records_retained", fn=self.__len__)
         # Pipelined commit: the background finalize stage flushes block
         # N's records while the foreground appends block N+1's.  The lock
         # covers flush bookkeeping; appends stay foreground-only (the
@@ -115,8 +124,7 @@ class WriteAheadLog:
                     record = WALRecord.from_json(line)
                     self._records.append(record)
                     self._next_lsn = record.lsn + 1
-        self._flushed_lsn = self._next_lsn - 1
-        self._persisted_count = len(self._records)
+        self._flushed_lsn = self._persisted_lsn = self._next_lsn - 1
 
     def append(self, kind: str, **payload: Any) -> WALRecord:
         record = WALRecord(lsn=self._next_lsn, kind=kind, payload=payload)
@@ -146,10 +154,10 @@ class WriteAheadLog:
 
     def _flush_file(self) -> None:
         """Serialize + append the durable-but-unpersisted prefix (callers
-        hold ``_flush_lock``).  ``_records[i].lsn == i + 1`` — true from
-        birth through crash/load — so the prefix is a plain slice."""
+        hold ``_flush_lock``): a plain slice, lsns being contiguous."""
         end = self._flushed_lsn
-        batch = self._records[self._persisted_count:end]
+        base = self._base_lsn
+        batch = self._records[self._persisted_lsn - base:end - base]
         if not batch:
             return
         self._flush_count.inc()
@@ -158,7 +166,20 @@ class WriteAheadLog:
             with open(self._path, "a", encoding="utf-8") as handle:
                 handle.write("".join(record.to_json() + "\n"
                                      for record in batch))
-        self._persisted_count = end
+        self._persisted_lsn = end
+
+    def recycle(self, upto_lsn: int) -> int:
+        """Forget the records at or below ``upto_lsn`` that are already
+        persisted; returns how many went.  The caller (the retirement
+        horizon, ``Database.retire_finished``) guarantees that recovery
+        no longer asks for them."""
+        with self._flush_lock:
+            dropped = min(upto_lsn, self._persisted_lsn) - self._base_lsn
+            if dropped <= 0:
+                return 0
+            del self._records[:dropped]
+            self._base_lsn += dropped
+            return dropped
 
     def mark(self) -> int:
         """Last allocated lsn — the bound a pipelined ``flush`` must not
@@ -198,7 +219,6 @@ class WriteAheadLog:
         """Simulate a crash: drop unflushed records."""
         self._records = [r for r in self._records if r.lsn <= self._flushed_lsn]
         self._next_lsn = self._flushed_lsn + 1
-        self._persisted_count = min(self._persisted_count, len(self._records))
 
     def records(self, kind: Optional[str] = None) -> Iterator[WALRecord]:
         for record in self._records:
@@ -208,8 +228,10 @@ class WriteAheadLog:
                 yield record
 
     def committed_xids(self) -> List[int]:
-        """All xids with a durable commit record (recovery step 3)."""
+        """All retained xids with a durable commit record (recovery
+        step 3)."""
         return [r.payload["xid"] for r in self.records(WAL_COMMIT)]
 
     def __len__(self) -> int:
+        """Records retained in memory."""
         return len(self._records)

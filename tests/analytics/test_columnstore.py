@@ -152,14 +152,25 @@ class TestTableColumns:
         assert all(c.sealed for c in tcols.chunks)
         # Content survives: 12 rows, the deleter stamp included.
         assert len(tcols) == 12
-        chunk, offset = tcols._locator[0]
+        chunk, offset = tcols.locate(0)
         assert chunk in tcols.chunks
         assert chunk.deleters[offset] == 4
         assert chunk.xmaxs[offset] == 7
         # Locator still resolves every version id.
         for vid in range(12):
-            chunk, offset = tcols._locator[vid]
+            chunk, offset = tcols.locate(vid)
             assert chunk.version_ids[offset] == vid
+        assert tcols.locate(12) is None and tcols.locate(-1) is None
+        # ... and keeps doing so for what arrives after a compaction.
+        for vid in (12, 14):              # 13 is never ingested
+            tcols.append_version({"id": vid}, vid, vid, 1, creator=7)
+        tcols.seal_open()
+        tcols.append_version({"id": 15}, 15, 15, 1, creator=8)
+        for vid in (0, 11, 12, 14, 15):
+            chunk, offset = tcols.locate(vid)
+            assert chunk.version_ids[offset] == vid
+        assert tcols.locate(13) is None
+        assert len(tcols) == 15
 
 
 class TestColumnStore:

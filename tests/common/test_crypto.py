@@ -1,8 +1,12 @@
 """ECDSA / hashing primitives."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common import crypto
 from repro.common.crypto import (
     A,
     B,
@@ -17,12 +21,7 @@ from repro.common.crypto import (
     hash_chain,
     sha256,
     sha256_hex,
-    _INFINITY,
-    _from_jacobian,
     _inv_mod,
-    _jacobian_add,
-    _scalar_mult,
-    _to_jacobian,
 )
 from repro.errors import CryptoError, InvalidSignature
 
@@ -130,15 +129,87 @@ class TestSignatures:
 
 
 # ---------------------------------------------------------------------------
-# One-pass verify (Shamir's trick): known answers, and agreement with the
-# two-multiplication verify it replaced.
+# The oracle: the plain double-and-add arithmetic and the
+# two-multiplication verify that src/ used before the comb tables, kept
+# verbatim.  Everything table driven is compared against these.
 # ---------------------------------------------------------------------------
+
+_INFINITY = (0, 0, 0)  # Jacobian point at infinity
+
+
+def _to_jacobian(point):
+    return (point[0], point[1], 1)
+
+
+def _from_jacobian(point):
+    x, y, z = point
+    if z == 0:
+        raise CryptoError("point at infinity has no affine form")
+    zinv = _inv_mod(z, P)
+    zinv2 = (zinv * zinv) % P
+    return ((x * zinv2) % P, (y * zinv2 % P) * zinv % P)
+
+
+def _jacobian_double(pt):
+    x, y, z = pt
+    if y == 0 or z == 0:
+        return _INFINITY
+    ysq = (y * y) % P
+    s = (4 * x * ysq) % P
+    m = (3 * x * x + A * z ** 4) % P
+    nx = (m * m - 2 * s) % P
+    ny = (m * (s - nx) - 8 * ysq * ysq) % P
+    nz = (2 * y * z) % P
+    return (nx, ny, nz)
+
+
+def _jacobian_add(p1, p2):
+    if p1[2] == 0:
+        return p2
+    if p2[2] == 0:
+        return p1
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    z1z1 = (z1 * z1) % P
+    z2z2 = (z2 * z2) % P
+    u1 = (x1 * z2z2) % P
+    u2 = (x2 * z1z1) % P
+    s1 = (y1 * z2 * z2z2) % P
+    s2 = (y2 * z1 * z1z1) % P
+    if u1 == u2:
+        if s1 != s2:
+            return _INFINITY
+        return _jacobian_double(p1)
+    h = (u2 - u1) % P
+    i = (2 * h) ** 2 % P
+    j = (h * i) % P
+    r = (2 * (s2 - s1)) % P
+    v = (u1 * i) % P
+    nx = (r * r - j - 2 * v) % P
+    ny = (r * (v - nx) - 2 * s1 * j) % P
+    nz = (((z1 + z2) ** 2 - z1z1 - z2z2) * h) % P
+    return (nx, ny, nz)
+
+
+def _scalar_mult(k, point):
+    """Multiply an affine point by scalar ``k`` (double-and-add)."""
+    if k % N == 0:
+        raise CryptoError("scalar is zero modulo curve order")
+    k %= N
+    result = _INFINITY
+    addend = _to_jacobian(point)
+    while k:
+        if k & 1:
+            result = _jacobian_add(result, addend)
+        addend = _jacobian_double(addend)
+        k >>= 1
+    return _from_jacobian(result)
+
 
 def reference_verify(key: PublicKey, message: bytes,
                      signature: Signature) -> None:
-    """The previous ``PublicKey.verify``, verbatim: two independent
-    double-and-add multiplications and an affine comparison.  Kept here
-    as the oracle for the one-pass verify."""
+    """``PublicKey.verify`` as it first was: two independent
+    double-and-add multiplications and an affine comparison."""
     if not (1 <= signature.r < N and 1 <= signature.s < N):
         raise InvalidSignature("signature components out of range")
     e = int.from_bytes(sha256(message), "big") % N
@@ -300,3 +371,188 @@ class TestVerifyAgreement:
            s=st.integers(min_value=1, max_value=N - 1))
     def test_arbitrary_signatures(self, d, message, r, s):
         _agree(PrivateKey(d).public_key, message, Signature(r, s))
+
+
+# ---------------------------------------------------------------------------
+# Comb tables: fixed-base G, cached per-key combs
+# ---------------------------------------------------------------------------
+
+#: Scalars whose comb columns are mostly zero, or all ones: one tooth,
+#: one column, the top bit, the ends of the range.
+EDGE_SCALARS = ([1, 2, 3, N - 1, N - 2, 2 ** 255, 2 ** 256 - 1]
+                + [2 ** k for k in (31, 32, 63, 64, 127, 128, 224, 255)]
+                + [2 ** k - 1 for k in (32, 64, 128, 255)]
+                + [sum(2 ** (32 * i) for i in range(8)),        # column 0
+                   sum(2 ** (32 * i + 31) for i in range(8))])  # column 31
+
+scalars = st.one_of(
+    st.sampled_from(EDGE_SCALARS),
+    st.integers(min_value=1, max_value=N - 1),
+    # A few set bits: most columns of every comb are empty.
+    st.sets(st.integers(min_value=0, max_value=255), min_size=1,
+            max_size=4).map(lambda bits: sum(2 ** b for b in bits)))
+
+
+def _comb_times(k, comb):
+    """``k * T`` through the comb of ``T``, affine."""
+    jacobian = crypto._sum_columns(zip(crypto._comb_addends(k, comb)))
+    return crypto._batch_affine([jacobian])[0]
+
+
+class TestCombs:
+    def test_g_comb_layout(self):
+        comb = crypto._g_comb()
+        assert comb is crypto._g_comb()
+        assert len(comb) == 2 ** 8 and comb[0] is None
+        assert comb[1] == (GX, GY)
+        assert comb[2] == _scalar_mult(2 ** 32, (GX, GY))
+        assert comb[0b10000001] == _scalar_mult(2 ** 224 + 1, (GX, GY))
+        assert comb[255] == _scalar_mult(
+            sum(2 ** (32 * i) for i in range(8)), (GX, GY))
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS)
+    def test_g_times_edges(self, k):
+        assert crypto._g_times(k % N) == _scalar_mult(k, (GX, GY))
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=scalars)
+    def test_g_times_equals_double_and_add(self, k):
+        assert crypto._g_times(k % N) == _scalar_mult(k, (GX, GY))
+
+    @pytest.mark.parametrize("teeth", [2, 4, 8])
+    def test_key_combs_of_every_height(self, teeth):
+        point = _scalar_mult(0xC0FFEE, (GX, GY))
+        comb = crypto._build_comb(*point, teeth)
+        assert len(comb) == 2 ** teeth and comb[1] == point
+        assert comb[-1] == _scalar_mult(
+            sum(2 ** (256 // teeth * i) for i in range(teeth)), point)
+        for k in EDGE_SCALARS + [0xDEADBEEF * 2 ** 100 + 12345]:
+            assert _comb_times(k, comb) == _scalar_mult(k, point), hex(k)
+
+    @pytest.mark.parametrize("d", [1, N - 1], ids=["Q=G", "Q=-G"])
+    def test_comb_of_plus_and_minus_g(self, d):
+        point = _scalar_mult(d, (GX, GY))
+        comb = crypto._build_comb(*point, crypto._KEY_TEETH)
+        for k in (1, 5, N - 1, 2 ** 128):
+            assert _comb_times(k, comb) == _scalar_mult(k * d, (GX, GY))
+
+    def test_zero_scalar_is_infinity(self):
+        zero = crypto._comb_addends(0, crypto._g_comb())
+        assert zero == [None] * 32
+        assert crypto._sum_columns(zip(zero))[2] == 0
+
+    def test_batch_affine_matches_one_by_one(self):
+        points = [(GX, GY, 1)]
+        for _ in range(5):
+            points.append(crypto._double_a3(*points[-1]))
+        assert crypto._batch_affine(points) == \
+            [_from_jacobian(point) for point in points]
+        assert crypto._batch_affine([]) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=scalars.filter(lambda k: k < N), k=scalars)
+    def test_public_key_and_nonce_point(self, d, k):
+        """Key generation and the signing nonce point go through the
+        comb of G."""
+        assert PrivateKey(d).public_key == \
+            PublicKey(*_scalar_mult(d, (GX, GY)))
+        assert crypto._g_times(k % N)[0] == _scalar_mult(k, (GX, GY))[0]
+
+
+class TestKeyCombCache:
+    def test_verify_caches_one_comb_per_key(self, key_combs):
+        sk = PrivateKey.generate(b"cache")
+        sig = sk.sign(b"m")
+        sk.public_key.verify(b"m", sig)
+        comb = key_combs[(sk.public_key.x, sk.public_key.y)]
+        PublicKey.from_bytes(sk.public_key.to_bytes()).verify(b"m", sig)
+        assert key_combs[(sk.public_key.x, sk.public_key.y)] is comb
+        assert crypto.key_tables_cached() == 1
+        assert len(comb) == 2 ** crypto._KEY_TEETH
+
+    def test_oldest_key_is_evicted_at_the_bound(self, key_combs):
+        keys = [PrivateKey(d) for d in range(2, crypto.KEY_TABLES_MAX + 3)]
+        signed = [(sk.public_key, sk.sign(b"m")) for sk in keys]
+        for key, sig in signed[:-1]:
+            key.verify(b"m", sig)
+        assert crypto.key_tables_cached() == crypto.KEY_TABLES_MAX
+        key, sig = signed[-1]
+        key.verify(b"m", sig)                    # one past the bound
+        assert crypto.key_tables_cached() == crypto.KEY_TABLES_MAX
+        first, second = signed[0][0], signed[1][0]
+        assert (first.x, first.y) not in key_combs
+        assert (second.x, second.y) in key_combs
+        # An evicted key still verifies; it is rebuilt and the next
+        # oldest goes.
+        first.verify(b"m", signed[0][1])
+        assert (first.x, first.y) in key_combs
+        assert (second.x, second.y) not in key_combs
+        with pytest.raises(InvalidSignature):
+            first.verify(b"other", signed[0][1])
+
+    def test_two_threads_verify_the_same_fresh_key(self, key_combs,
+                                                   monkeypatch):
+        """Both miss, both build (outside the lock), both publish; each
+        gets a right answer and one comb stays."""
+        sk = PrivateKey.generate(b"fresh key, two threads")
+        key, sig = sk.public_key, sk.sign(b"m")
+        both_building = threading.Barrier(2, timeout=30)
+        build = crypto._build_comb
+
+        def build_together(px, py, teeth):
+            both_building.wait()
+            return build(px, py, teeth)
+
+        monkeypatch.setattr(crypto, "_build_comb", build_together)
+        verdicts = []
+
+        def work(message):
+            verdicts.append((message, _accepts(PublicKey.verify, key,
+                                               message, sig)))
+
+        threads = [threading.Thread(target=work, args=(message,))
+                   for message in (b"m", b"tampered")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(verdicts) == [(b"m", True), (b"tampered", False)]
+        assert list(key_combs) == [(key.x, key.y)]
+
+    def test_many_threads_many_keys_stay_within_the_bound(self, key_combs):
+        """More workers than cores, more keys than the cache holds: every
+        verdict is right and the cache never exceeds its bound."""
+        signed = []
+        for d in range(2, crypto.KEY_TABLES_MAX + 10):
+            sk = PrivateKey(d)
+            signed.append((sk.public_key, sk.sign(b"m")))
+        wrong, sizes = [], []
+
+        def work(offset):
+            for i in range(len(signed)):
+                key, sig = signed[(i * 7 + offset) % len(signed)]
+                if not _accepts(PublicKey.verify, key, b"m", sig) or \
+                        _accepts(PublicKey.verify, key, b"x", sig):
+                    wrong.append(key)
+                sizes.append(crypto.key_tables_cached())
+
+        threads = [threading.Thread(target=work, args=(offset,))
+                   for offset in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert max(sizes) <= crypto.KEY_TABLES_MAX

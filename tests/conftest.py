@@ -7,6 +7,7 @@ from repro.bench.contracts_appendix_a import (
     SCHEMA_SQL,
     SEED_ACCOUNTS_CONTRACT,
 )
+from repro.common import crypto
 from repro.core.network import BlockchainNetwork
 
 KV_SCHEMA = "CREATE TABLE kv (k TEXT PRIMARY KEY, v INT);"
@@ -34,6 +35,17 @@ KV_CONTRACTS = [
         INSERT INTO kv (k, v) VALUES (dst, cur);
     END $$ LANGUAGE plpgsql""",
 ]
+
+
+@pytest.fixture
+def key_combs():
+    """The process-wide per-key comb cache, emptied for the test and
+    restored after (it is shared by every test in the run)."""
+    saved = dict(crypto._key_combs)
+    crypto._key_combs.clear()
+    yield crypto._key_combs
+    crypto._key_combs.clear()
+    crypto._key_combs.update(saved)
 
 
 def make_kv_network(flow: str, consensus: str = "kafka", orgs=None,

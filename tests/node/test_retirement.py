@@ -1,7 +1,9 @@
 """Retirement horizon: equivalence with never retiring, and boundedness.
 
 ``Database.retire_finished`` forgets finished transactions at the end of
-every block.  Two properties pin it:
+every block, reclaims the superseded ``pending`` pgLedger versions of
+earlier blocks and recycles the WAL records nothing can ask for any
+more.  Three properties pin it:
 
 1. **Equivalence** — a seeded chain of conflicting transfers (ww
    conflicts, write skew, SSI aborts; in the execute-order flow two
@@ -9,12 +11,19 @@ every block.  Two properties pin it:
    later — one whose window spans a commit that would otherwise retire,
    one aborted before its own block arrives), crashed at a seeded
    pipeline stage and restarted after every block,
-   leaves the same WAL records, ledger statuses and abort reasons, table
-   contents and checkpoint digests as the same engine with retirement
-   monkeypatched to a no-op — the old keep-everything behaviour, which
-   survives only here.
+   leaves the same WAL records (the retained tail of them), ledger
+   statuses and abort reasons, table contents and checkpoint digests as
+   the same engine with retirement monkeypatched to a no-op — the old
+   keep-everything behaviour, which survives only here.
 
-2. **Boundedness** — over a chain long enough to overflow every bounded
+2. **Reclaim and recycling answer the same** — the same chain, its last
+   block crashed at every pipeline stage and before every commit record
+   (section 3.6 cases (a) and (b)), against the same engine with
+   ``Database.reclaim_versions`` and ``WriteAheadLog.recycle``
+   monkeypatched to no-ops: every ledger read, the Table 3 provenance
+   join, table contents and checkpoint digests are identical.
+
+3. **Boundedness** — over a chain long enough to overflow every bounded
    structure, the per-transaction and per-block collections stay under
    constants that do not depend on chain length.
 """
@@ -29,6 +38,7 @@ from repro.core.network import BlockchainNetwork
 from repro.mvcc.database import Database
 from repro.node.block_processor import METRICS_BLOCKS, SimulatedCrash
 from repro.node.notifications import HISTORY_EVENTS
+from repro.storage.wal import WriteAheadLog
 from tests.conftest import make_kv_network
 from tests.node.test_commit_pipeline import (
     ledger_dump,
@@ -79,10 +89,11 @@ CRASH_POINTS = (None, "after_ledger_record", "mid_commit:3",
                 "before_status_record")
 
 
-def _run_chain(flow, seed, parallel_min_txs):
+def _run_chain(flow, seed, parallel_min_txs, last_crash_point=None):
     """One seeded chain on a single node, driven block by block.
     Returns the node and the tx ids of the scripted execute-order
-    transactions (empty in the order-execute flow)."""
+    transactions (empty in the order-execute flow).  The last block
+    crashes at ``last_crash_point``; the others at seeded points."""
     rng = random.Random(seed)
     net = BlockchainNetwork(organizations=["org1"], flow=flow,
                             schema_sql=SCHEMA, contracts=CONTRACTS)
@@ -137,6 +148,8 @@ def _run_chain(flow, seed, parallel_min_txs):
                     scripted["pivot"]]
             # A re-executed block would restart early's window.
             crash_point = None
+        if number == BLOCKS:
+            crash_point = last_crash_point
         block = Block(number=number, transactions=txs,
                       prev_hash=node.blockstore.tip().block_hash).seal()
         node.blockstore.append(block)
@@ -145,8 +158,9 @@ def _run_chain(flow, seed, parallel_min_txs):
         except SimulatedCrash:
             pass
         node.crash()
-        node.restart()
+        report = node.restart()
     node.db.drain_commits()
+    node.last_recovery = report   # of the last block, for the tests
     return node, {name: tx.tx_id for name, tx in scripted.items()}
 
 
@@ -175,6 +189,11 @@ def test_retirement_changes_no_byte(flow, parallel_min_txs, monkeypatch):
     keeping, _ = _run_chain(flow, 11, parallel_min_txs)
     want = _artifacts(keeping)
 
+    # Recycling keeps the tail of the log: the same records, lsns
+    # included, as the end of the log that kept everything.
+    kept = got.pop("wal")
+    assert 0 < len(kept) < len(want["wal"]) / 3
+    assert kept == want.pop("wal")[-len(kept):]
     for name in want:
         assert got[name] == want[name], name
     assert got["height"] == BLOCKS
@@ -198,6 +217,92 @@ def test_retirement_changes_no_byte(flow, parallel_min_txs, monkeypatch):
         assert entry["victim"]["status"] == "aborted"
         assert entry["victim"]["blocknumber"] == EARLY_ORDERED
         assert f"not in block {MIDDLE}" in entry["victim"]["reason"]
+
+
+# ----------------------------------------------------------------------
+# Reclaim and WAL recycling
+# ----------------------------------------------------------------------
+
+#: Every stage of the last block's pipeline, and the boundary before each
+#: of its commit records.  ``before_status_record`` is section 3.6 case
+#: (a) — the WAL covers the block, recovery finalizes from it; the others
+#: are case (b) — roll back and re-execute.
+LAST_BLOCK_CRASHES = (
+    [None, "after_ledger_record", "before_status_record"]
+    + [f"mid_commit:{k}" for k in range(TXS_PER_BLOCK)])
+
+PROVENANCE_JOIN = (
+    "SELECT a.acc_id, a.balance, a.creator, a.deleter, l.tx_id, "
+    "l.blocknumber, l.username FROM accounts a, pgledger l "
+    "WHERE a.xmax = l.txid ORDER BY l.blocknumber, l.tx_id, a.acc_id")
+
+
+def _answers(node):
+    """Everything a client, an auditor or recovery can ask the ledger
+    and the tables."""
+    ledger = node.ledger
+    tx_ids = [tx.tx_id for number in range(1, BLOCKS + 1)
+              for tx in node.blockstore.get(number).transactions]
+    return {
+        "entries": [ledger.entry(tx_id) for tx_id in tx_ids],
+        "block_statuses": [ledger.block_statuses(number)
+                           for number in range(1, BLOCKS + 1)],
+        "last_recorded_block": ledger.last_recorded_block(),
+        "prior_blocks": ledger.prior_block_numbers(tx_ids),
+        "provenance_join": node.query(PROVENANCE_JOIN,
+                                      provenance=True).rows,
+        "ledger": ledger_dump(node),
+        "accounts": table_dump(node, "accounts"),
+        "payments": table_dump(node, "payments"),
+        "digests": [node.checkpoints.local_digest(h)
+                    for h in range(1, BLOCKS + 1)],
+        "height": node.db.committed_height,
+    }
+
+
+def _ledger_versions(node):
+    return len(node.db.catalog.heap_of("pgledger"))
+
+
+@pytest.mark.parametrize("last_crash_point", LAST_BLOCK_CRASHES)
+@pytest.mark.parametrize("flow", ["order-execute", "execute-order"])
+def test_reclaim_and_recycling_change_no_answer(flow, last_crash_point,
+                                                monkeypatch):
+    reclaiming, _ = _run_chain(flow, 23, 0, last_crash_point)
+    got = _answers(reclaiming)
+
+    monkeypatch.setattr(Database, "reclaim_versions",
+                        lambda self, table, versions: None)
+    monkeypatch.setattr(WriteAheadLog, "recycle",
+                        lambda self, upto_lsn: 0)
+    keeping, _ = _run_chain(flow, 23, 0, last_crash_point)
+    want = _answers(keeping)
+
+    for name in want:
+        assert got[name] == want[name], name
+    assert got["height"] == got["last_recorded_block"] == BLOCKS
+    assert got["provenance_join"]
+    # The last block's recovery took the branch the crash point is for.
+    assert (reclaiming.last_recovery["finalized_blocks"],
+            reclaiming.last_recovery["reexecuted_blocks"]) == (
+        (0, 0) if last_crash_point is None
+        else (1, 0) if last_crash_point == "before_status_record"
+        else (0, 1))
+
+    # It did reclaim: one pgLedger version per transaction, plus the
+    # last block's superseded pending ones — which recovery could have
+    # been asked about — against two per transaction.
+    total = len(got["entries"])
+    last = len(reclaiming.blockstore.get(BLOCKS).transactions)
+    assert _ledger_versions(reclaiming) == total + last
+    assert _ledger_versions(keeping) == 2 * total
+    for index in reclaiming.db.catalog.heap_of("pgledger") \
+            .indexes.values():
+        assert len(index) == total + last, index.name
+    # ... and recycle: the log holds the last block or two, not the chain.
+    assert len(reclaiming.db.wal) < len(keeping.db.wal) / 3
+    kept = wal_dump(reclaiming.db)
+    assert kept == wal_dump(keeping.db)[-len(kept):]
 
 
 # ----------------------------------------------------------------------

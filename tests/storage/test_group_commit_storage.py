@@ -1,11 +1,18 @@
-"""WAL group commit and bulk index maintenance unit tests."""
+"""WAL group commit, WAL recycling and bulk index maintenance unit
+tests."""
 
+import json
 import os
 
 import pytest
 
 from repro.storage.index import AUTO_MERGE_THRESHOLD, Index, normalize_key
-from repro.storage.wal import WAL_COMMIT, WALRecord, WriteAheadLog
+from repro.storage.wal import (
+    WAL_BEGIN,
+    WAL_COMMIT,
+    WALRecord,
+    WriteAheadLog,
+)
 
 
 class TestWALGroupCommit:
@@ -132,6 +139,63 @@ class TestWALGroupCommit:
 
 def make_index(**kwargs):
     return Index(name="idx", table_name="t", columns=["a"], **kwargs)
+
+
+class TestWALRecycling:
+    def test_recycle_drops_a_persisted_prefix(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
+        for xid in range(1, 7):
+            wal.append(WAL_COMMIT, xid=xid)
+        wal.flush()
+        assert wal.recycle(4) == 4
+        assert len(wal) == 2
+        assert [r.lsn for r in wal.records()] == [5, 6]
+        assert wal.committed_xids() == [5, 6]
+        assert wal.recycle(4) == 0 and wal.recycle(2) == 0
+        # Lsns go on where they were, and the file keeps everything.
+        assert wal.append(WAL_COMMIT, xid=7).lsn == 7
+        wal.flush()
+        assert wal.records_flushed == 7
+        assert [r.lsn for r in WriteAheadLog(path).records()] == \
+            list(range(1, 8))
+
+    def test_recycle_stops_at_the_persisted_horizon(self):
+        wal = WriteAheadLog()
+        wal.append(WAL_COMMIT, xid=1)
+        wal.append(WAL_COMMIT, xid=2)
+        wal.flush(upto_lsn=1)
+        wal.append(WAL_COMMIT, xid=3)
+        assert wal.recycle(3) == 1          # lsn 2, 3 are not durable yet
+        wal.crash()                          # ... and the crash takes them
+        assert [r.lsn for r in wal.records()] == []
+        assert wal.append(WAL_COMMIT, xid=4).lsn == 2
+        wal.flush()
+        assert wal.committed_xids() == [4]
+
+    def test_recycle_waits_for_a_group_to_persist(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
+        with wal.group():
+            wal.append(WAL_COMMIT, xid=1)
+            wal.append(WAL_COMMIT, xid=2)
+            wal.flush()
+            assert wal.recycle(2) == 0      # durable, but not in the file
+        assert wal.recycle(2) == 2
+        assert [r.lsn for r in WriteAheadLog(path).records()] == [1, 2]
+
+    def test_flush_after_recycle_writes_only_the_new_batch(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
+        wal.append(WAL_BEGIN, xid=1)
+        wal.append(WAL_COMMIT, xid=1)
+        wal.flush()
+        wal.recycle(1)
+        wal.append(WAL_BEGIN, xid=2)
+        wal.flush()
+        with open(path, encoding="utf-8") as handle:
+            assert [json.loads(line)["lsn"] for line in handle] == [1, 2, 3]
+        assert wal.metrics.snapshot()["gauges"]["wal.records_retained"] == 2
 
 
 class TestBulkIndexMaintenance:

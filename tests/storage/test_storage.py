@@ -5,7 +5,7 @@ import pytest
 from repro.errors import BlockValidationError, TypeMismatchError
 from repro.chain.block import Block, make_genesis
 from repro.storage.blockstore import BlockStore
-from repro.storage.index import Index, normalize_key
+from repro.storage.index import Index, key_depth, normalize_key
 from repro.storage.snapshot import (
     BlockSnapshot,
     SeqSnapshot,
@@ -82,6 +82,100 @@ class TestIndex:
         with pytest.raises(TypeMismatchError):
             normalize_key([object()])
 
+    def test_keys_are_flat_and_keep_the_value(self):
+        big = 2 ** 53 + 1   # float(big) == float(big - 1): no boxing
+        assert normalize_key([big, None, True, "s"]) == (
+            2, big, 0, None, 1, 1, 3, "s")
+        assert normalize_key([big]) > normalize_key([big - 1])
+        assert normalize_key([1]) == normalize_key([1.0])
+        assert key_depth(normalize_key([1, "a"])) == 2
+        assert key_depth(None) == 0
+
+    def test_nulls_compare_in_any_column(self):
+        idx = Index("idx2", "t", ["a", "b"])
+        idx.insert({"a": None, "b": 2}, 1)
+        idx.insert({"a": None, "b": None}, 2)
+        idx.insert({"a": None, "b": "x"}, 3)
+        assert idx.scan_all() == [2, 1, 3]
+        assert idx.scan_eq([None]) == [2, 1, 3]
+
+    def test_equal_keys_share_one_tuple(self):
+        idx = self.make()
+        for version_id in range(1, 5):
+            idx.insert({"a": "org1"}, version_id)
+        idx.merge_pending()
+        idx.insert({"a": "org1"}, 5)       # equal settled neighbour
+        idx.insert({"a": "org0"}, 6)
+        assert len({id(key) for key in
+                    idx._keys + idx._pending_keys}) == 2
+        assert idx.scan_eq(["org1"]) == [1, 2, 3, 4, 5]
+
+    def test_unique_index_keeps_its_own_keys(self):
+        idx = Index("pk", "t", ["a"], unique=True)
+        idx.insert({"a": 1000}, 1)
+        idx.insert({"a": 1000}, 2)   # a superseding version of the row
+        assert idx._pending_keys[0] is not idx._pending_keys[1]
+
+
+class TestIndexRemove:
+    """``Index.remove`` — the entry of a physically reclaimed version."""
+
+    def make(self, settled, pending):
+        idx = Index("idx", "t", ["a"])
+        for key, version_id in settled:
+            idx.insert({"a": key}, version_id)
+        idx.merge_pending()
+        for key, version_id in pending:
+            idx.insert({"a": key}, version_id)
+        return idx
+
+    def test_remove_from_settled_region(self):
+        idx = self.make([(1, 1), (2, 2), (3, 3)], [])
+        assert idx.remove({"a": 2}, 2)
+        assert idx.scan_all() == [1, 3]
+        assert len(idx) == 2 and idx.scan_eq([2]) == []
+
+    def test_remove_from_pending_region(self):
+        idx = self.make([(1, 1)], [(2, 2), (3, 3)])
+        assert idx.remove({"a": 3}, 3)
+        assert idx.pending_count == 1
+        assert idx.scan_range([1], [3]) == [1, 2]
+
+    def test_remove_one_of_duplicate_keys(self):
+        """A run of equal keys spans both regions; only the entry with
+        the given version id goes, wherever it sits."""
+        idx = self.make([("u", 1), ("u", 2), ("u", 3), ("v", 4)],
+                        [("u", 5), ("u", 6)])
+        assert idx.remove({"a": "u"}, 2)
+        assert idx.remove({"a": "u"}, 6)
+        assert idx.scan_eq(["u"]) == [1, 3, 5]
+        assert idx.remove({"a": "u"}, 1) and idx.remove({"a": "u"}, 5)
+        assert idx.scan_eq(["u"]) == [3]
+        assert idx.scan_all() == [3, 4]
+
+    def test_remove_absent_entry(self):
+        idx = self.make([("u", 1), ("u", 3)], [("u", 5)])
+        assert not idx.remove({"a": "u"}, 2)    # inside the run, no such id
+        assert not idx.remove({"a": "u"}, 9)    # past the run
+        assert not idx.remove({"a": "t"}, 1)    # no such key
+        assert not Index("e", "t", ["a"]).remove({"a": 1}, 1)
+        assert idx.scan_eq(["u"]) == [1, 3, 5]
+
+    def test_remove_then_insert_and_merge(self):
+        idx = self.make([(i, i) for i in range(1, 40)], [(5, 40)])
+        assert idx.remove({"a": 5}, 5)
+        idx.insert({"a": 5}, 41)
+        idx.merge_pending()
+        assert idx.scan_eq([5]) == [40, 41]
+        assert len(idx) == 40
+
+    def test_multi_column_entry(self):
+        idx = Index("idx2", "t", ["a", "b"])
+        idx.insert({"a": 1, "b": None}, 1)
+        idx.insert({"a": 1, "b": 2}, 2)
+        assert idx.remove({"a": 1, "b": None}, 1)
+        assert idx.scan_eq([1]) == [2]
+
 
 class TestHeapTable:
     def test_insert_assigns_distinct_ids(self):
@@ -115,6 +209,50 @@ class TestHeapTable:
         heap.rollback_committed(2)
         assert v1.xmax_winner is None
         assert v1.deleter_block is None
+
+    def test_delete_winner_leaves_no_candidate_set(self):
+        """The winner lives in ``xmax_winner`` alone; the shared empty
+        array comes back, and ``deleted_by`` knows both."""
+        heap = HeapTable("t")
+        v1 = heap.insert_version({"x": 1}, xid=1)
+        fresh = heap.insert_version({"x": 2}, xid=1)
+        heap.delete_version(v1, xid=2)
+        heap.delete_version(v1, xid=3)
+        assert v1.deleted_by(2) and v1.deleted_by(3)
+        v1.set_delete_winner(2, block_number=5)
+        assert v1.xmax_candidates is fresh.xmax_candidates
+        assert v1.deleted_by(2) and not v1.deleted_by(3)
+        assert v1.is_dead
+        # The loser's abort cleanup finds nothing of its own left.
+        heap.cleanup_aborted(3)
+        assert v1.xmax_winner == 2 and v1.deleter_block == 5
+
+    def test_own_committed_delete_stays_invisible_to_its_deleter(self):
+        statuses = TxStatusTable()
+        heap = HeapTable("t")
+        statuses.begin(1)
+        v1 = heap.insert_version({"x": 1}, xid=1)
+        statuses.commit(1, block_number=1)
+        statuses.begin(2)
+        snapshot = SeqSnapshot(statuses.current_commit_seq)
+        heap.delete_version(v1, xid=2)
+        assert not version_visible(v1, snapshot, statuses, own_xid=2)
+        v1.set_delete_winner(2, block_number=2)
+        assert not version_visible(v1, snapshot, statuses, own_xid=2)
+        assert version_visible(v1, snapshot, statuses, own_xid=None)
+
+    def test_remove_version_takes_its_index_entries(self):
+        heap = HeapTable("t")
+        heap.add_index(Index("i", "t", ["x"]))
+        heap.add_index(Index("j", "t", ["y"]))
+        gone = heap.insert_version({"x": 1, "y": "a"}, xid=1)
+        kept = heap.insert_version({"x": 1, "y": "b"}, xid=1)
+        heap.merge_pending_indexes()
+        assert heap.remove_version(gone.version_id)
+        assert not heap.remove_version(gone.version_id)
+        assert heap.indexes["i"].scan_eq([1]) == [kept.version_id]
+        assert heap.indexes["j"].scan_all() == [kept.version_id]
+        assert len(heap) == 1 and heap.vacuumed_versions == 1
 
     def test_indexes_cover_new_versions(self):
         heap = HeapTable("t")
@@ -244,6 +382,37 @@ class TestTxStatusTable:
     def test_unknown_xid_is_aborted(self):
         table = TxStatusTable()
         assert table.is_aborted(404)
+
+    def test_every_state_of_sparse_xids(self):
+        """The table is an array indexed by xid; ids it was never told
+        about — below, between and beyond the ones begun — read as
+        aborted and cannot be finished."""
+        table = TxStatusTable()
+        for xid in (7, 3, 12):
+            assert table.begin(xid).status is TxStatus.IN_PROGRESS
+        table.commit(3, block_number=5)
+        table.abort(12)
+        assert table.get(3).commit_block == 5 and table.get(3).commit_seq == 1
+        assert [table.status_of(xid) for xid in (3, 7, 12)] == [
+            TxStatus.COMMITTED, TxStatus.IN_PROGRESS, TxStatus.ABORTED]
+        assert table.is_committed(3) and not table.is_committed(7)
+        assert table.is_aborted(12) and not table.is_aborted(7)
+        assert table.commit(7).commit_block is None
+        assert table.current_commit_seq == 2
+        for never in (0, 5, 13, 10 ** 6, -1):
+            assert table.status_of(never) is TxStatus.ABORTED
+            assert table.is_aborted(never) and not table.is_committed(never)
+            assert table.commit_seq(never) is None
+            for finish in (table.get, table.commit, table.abort,
+                           table.rollback_commit):
+                with pytest.raises(KeyError):
+                    finish(never)
+        with pytest.raises(ValueError):
+            table.begin(7)
+        with pytest.raises(ValueError):
+            table.abort(3)
+        with pytest.raises(ValueError):
+            table.commit(12)
 
 
 class TestBlockStore:
