@@ -8,8 +8,9 @@ history, executed twice on the real engine —
   column chunks (vectorized predicate + fold, zone-map pruning, no
   per-row dict environments, no content sort);
 * **row store** — the same statements with the columnar replica
-  disabled: heap scan with BlockSnapshot visibility, per-version dict
-  copies, content sort, and the interpreted aggregate pipeline.
+  disabled: heap scan with BlockSnapshot visibility, a content sort
+  where row order is observable (here: the two statements with a FLOAT
+  min/max), and the one-pass row aggregate pipeline.
 
 Acceptance gate: the columnar path must be at least 2x faster.  The
 measured ratio is recorded into ``BENCH_analytics_scan.json`` (committed
@@ -32,7 +33,7 @@ from repro.sql.executor import run_sql
 ROWS = 3000
 BLOCKS = 6          # update history: ~ROWS * (1 + BLOCKS/ROWS slice) versions
 UPDATES_PER_BLOCK = 400
-ITERATIONS = 3
+ITERATIONS = 5
 
 QUERIES = [
     ("wide aggregate",
@@ -95,16 +96,16 @@ def build_db(encode: bool = True) -> Database:
     return db
 
 
-def run_workload(db: Database, heights) -> float:
+def run_pass(db: Database, heights) -> float:
+    """Wall time of one pass over every (height, query) pair."""
     started = time.perf_counter()
-    for _ in range(ITERATIONS):
-        for height in heights:
-            for _, sql in QUERIES:
-                tx = db.begin(allow_nondeterministic=True, read_only=True)
-                try:
-                    run_sql(db, tx, sql, params=(height,))
-                finally:
-                    db.apply_abort(tx, reason="bench")
+    for height in heights:
+        for _, sql in QUERIES:
+            tx = db.begin(allow_nondeterministic=True, read_only=True)
+            try:
+                run_sql(db, tx, sql, params=(height,))
+            finally:
+                db.apply_abort(tx, reason="bench")
     return time.perf_counter() - started
 
 
@@ -128,15 +129,22 @@ def test_analytics_scan_speedup(benchmark):
             assert columnar == rowstore
 
     def measure():
-        run_workload(db, heights[:1])          # warm both caches
-        columnar_wall = run_workload(db, heights)
-        db.columnstore.set_enabled(False)
-        try:
-            run_workload(db, heights[:1])
-            rowstore_wall = run_workload(db, heights)
-        finally:
-            db.columnstore.set_enabled(True)
-        return columnar_wall, rowstore_wall
+        """The two legs alternate pass by pass and each reports its
+        fastest pass x ITERATIONS.  Host noise only adds time, in bursts
+        of seconds: run back to back, a burst can cover one whole leg
+        and miss the other, and since the row-store leg stopped sorting
+        the ratio no longer has the margin to absorb that."""
+        columnar, rowstore = [], []
+        for warm in (True,) + (False,) * ITERATIONS:
+            for enabled, walls in ((True, columnar), (False, rowstore)):
+                db.columnstore.set_enabled(enabled)
+                try:
+                    wall = run_pass(db, heights[:1] if warm else heights)
+                finally:
+                    db.columnstore.set_enabled(True)
+                if not warm:
+                    walls.append(wall)
+        return min(columnar) * ITERATIONS, min(rowstore) * ITERATIONS
 
     columnar_wall, rowstore_wall = benchmark.pedantic(
         measure, rounds=1, iterations=1)

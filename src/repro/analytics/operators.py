@@ -40,14 +40,23 @@ from repro.sql.expressions import (
     compare_values,
 )
 from repro.sql.plan import (
+    EMPTY,
+    FOLD_BUFFER,
+    FOLD_COUNT,
+    FOLD_MAX,
+    FOLD_MIN,
     PlanNode,
     Runtime,
     ScanRow,
     SeqScan,
+    _order_note,
     _scan_target,
+    bucket_key,
     expr_sql,
     extract_bounds,
-    fold_sum,
+    finish_fold,
+    fold_mode,
+    new_fold_state,
     row_content_key,
 )
 
@@ -104,7 +113,8 @@ class ColumnarScan(SeqScan):
                     version=None))
         # Same content order as the heap scan: results must not depend
         # on which replica (or which store) served the read.
-        rows.sort(key=lambda r: row_content_key(r.values))
+        if self.ordered or rt.content_order:
+            rows.sort(key=lambda r: row_content_key(r.values))
         return rows
 
     def recost(self, db) -> None:
@@ -114,7 +124,8 @@ class ColumnarScan(SeqScan):
         self.est_cost = rows
 
     def describe(self) -> str:
-        return f"ColumnarScan {_scan_target(self.table, self.alias)}"
+        return (f"ColumnarScan {_scan_target(self.table, self.alias)}"
+                f"{_order_note(self.ordered)}")
 
 
 @dataclass
@@ -158,40 +169,6 @@ class AggSpec:
     name: str
     column: Optional[str]          # None for count(*)
     star: bool = False
-
-
-# Per-aggregate accumulation modes: counters fold incrementally, min/max
-# keep one running value, sum/avg buffer (the shared order-independent
-# ``fold_sum`` needs the full value list for float fsum).
-_MODE_COUNTER = 0    # count(*) / count(col): int state
-_MODE_BUFFER = 1     # sum / avg: list state
-_MODE_MIN = 2        # running compare_values fold
-_MODE_MAX = 3
-
-_EMPTY = object()    # running-fold sentinel: no non-null value seen yet
-
-
-def _agg_mode(spec: AggSpec) -> int:
-    if spec.star or spec.name == "count":
-        return _MODE_COUNTER
-    if spec.name in ("sum", "avg"):
-        return _MODE_BUFFER
-    if spec.name == "min":
-        return _MODE_MIN
-    if spec.name == "max":
-        return _MODE_MAX
-    raise ExecutionError(f"unknown aggregate {spec.name!r}")
-
-
-def _finalize(spec: AggSpec, mode: int, state: Any) -> Any:
-    if mode == _MODE_COUNTER:
-        return state
-    if mode == _MODE_BUFFER:
-        if not state:
-            return None
-        total = fold_sum(state)
-        return total if spec.name == "sum" else total / len(state)
-    return None if state is _EMPTY else state
 
 
 class ColumnarAggregate(PlanNode):
@@ -257,14 +234,13 @@ class ColumnarAggregate(PlanNode):
 
         group_cols = self.group_columns
         specs = self.agg_specs
-        modes = [_agg_mode(spec) for spec in specs]
+        modes = [FOLD_COUNT if spec.star else fold_mode(spec.name)
+                 for spec in specs]
         groups: List[Tuple[Tuple, List[Any]]] = []
-        group_index: Dict[str, int] = {}
+        group_index: Dict[Tuple, int] = {}
 
         def new_states() -> List[Any]:
-            return [0 if mode == _MODE_COUNTER
-                    else [] if mode == _MODE_BUFFER
-                    else _EMPTY for mode in modes]
+            return [new_fold_state(mode) for mode in modes]
 
         if impossible:
             if not group_cols:
@@ -350,9 +326,13 @@ class ColumnarAggregate(PlanNode):
                     if states is None:
                         states = new_states()
                         code_states[code] = states
+                elif not group_vectors:
+                    if not groups:
+                        groups.append(((), new_states()))
+                    states = groups[0][1]
                 else:
                     key = tuple(vector[offset] for vector in group_vectors)
-                    fingerprint = repr(key)
+                    fingerprint = bucket_key(key)
                     pos = group_index.get(fingerprint)
                     if pos is None:
                         group_index[fingerprint] = len(groups)
@@ -367,18 +347,18 @@ class ColumnarAggregate(PlanNode):
                     value = vector[offset]
                     if value is None:
                         continue
-                    if mode == _MODE_COUNTER:
+                    if mode == FOLD_COUNT:
                         states[j] += 1
-                    elif mode == _MODE_BUFFER:
+                    elif mode == FOLD_BUFFER:
                         states[j].append(value)
-                    elif mode == _MODE_MIN:
+                    elif mode == FOLD_MIN:
                         current = states[j]
-                        if current is _EMPTY or \
+                        if current is EMPTY or \
                                 compare_values(value, current) < 0:
                             states[j] = value
                     else:
                         current = states[j]
-                        if current is _EMPTY or \
+                        if current is EMPTY or \
                                 compare_values(value, current) > 0:
                             states[j] = value
             if group_dict is not None:
@@ -389,7 +369,7 @@ class ColumnarAggregate(PlanNode):
                 dictionary = group_dict.dictionary
                 for code in sorted(code_states):
                     key = (dictionary[code],) if code >= 0 else (None,)
-                    fingerprint = repr(key)
+                    fingerprint = bucket_key(key)
                     pos = group_index.get(fingerprint)
                     if pos is None:
                         group_index[fingerprint] = len(groups)
@@ -493,28 +473,28 @@ class ColumnarAggregate(PlanNode):
         states.  sum/avg buffers concatenate (``fold_sum`` is
         order-independent), counters add, min/max compare."""
         for j, mode in enumerate(modes):
-            if mode == _MODE_COUNTER:
+            if mode == FOLD_COUNT:
                 target[j] += source[j]
-            elif mode == _MODE_BUFFER:
+            elif mode == FOLD_BUFFER:
                 target[j].extend(source[j])
             else:
                 value = source[j]
-                if value is _EMPTY:
+                if value is EMPTY:
                     continue
                 current = target[j]
-                if current is _EMPTY:
+                if current is EMPTY:
                     target[j] = value
-                elif mode == _MODE_MIN and \
+                elif mode == FOLD_MIN and \
                         compare_values(value, current) < 0:
                     target[j] = value
-                elif mode == _MODE_MAX and \
+                elif mode == FOLD_MAX and \
                         compare_values(value, current) > 0:
                     target[j] = value
 
     def _finalize_groups(self, groups, specs, modes
                          ) -> Iterator[Tuple[Tuple, Tuple]]:
         for key, states in groups:
-            finalized = [_finalize(spec, mode, state)
+            finalized = [finish_fold(spec.name, mode, state)
                          for spec, mode, state in zip(specs, modes, states)]
 
             def value_of(spec: Tuple[str, int]) -> Any:
@@ -563,29 +543,29 @@ class ColumnarAggregate(PlanNode):
             return False
         n = len(chunk)
         for spec, mode in zip(specs, modes):
-            if mode in (_MODE_MIN, _MODE_MAX):
+            if mode in (FOLD_MIN, FOLD_MAX):
                 if chunk.zones.get(spec.column) is None and \
                         chunk.null_counts.get(spec.column) != n:
                     return False  # mixed-type column without a zone map
         for j, (spec, mode) in enumerate(zip(specs, modes)):
-            if mode == _MODE_COUNTER:
+            if mode == FOLD_COUNT:
                 states[j] += n if spec.star \
                     else n - chunk.null_counts[spec.column]
-            elif mode == _MODE_BUFFER:
+            elif mode == FOLD_BUFFER:
                 states[j].extend(v for v in chunk.data[spec.column]
                                  if v is not None)
             else:
                 zone = chunk.zones.get(spec.column)
                 if zone is None:
                     continue   # all-NULL column contributes nothing
-                value = zone[0] if mode == _MODE_MIN else zone[1]
+                value = zone[0] if mode == FOLD_MIN else zone[1]
                 current = states[j]
-                if current is _EMPTY:
+                if current is EMPTY:
                     states[j] = value
-                elif mode == _MODE_MIN and \
+                elif mode == FOLD_MIN and \
                         compare_values(value, current) < 0:
                     states[j] = value
-                elif mode == _MODE_MAX and \
+                elif mode == FOLD_MAX and \
                         compare_values(value, current) > 0:
                     states[j] = value
         return True
@@ -601,18 +581,18 @@ class ColumnarAggregate(PlanNode):
             value = vector[offset]
             if value is None:
                 continue
-            if mode == _MODE_COUNTER:
+            if mode == FOLD_COUNT:
                 states[j] += 1
-            elif mode == _MODE_BUFFER:
+            elif mode == FOLD_BUFFER:
                 states[j].append(value)
-            elif mode == _MODE_MIN:
+            elif mode == FOLD_MIN:
                 current = states[j]
-                if current is _EMPTY or \
+                if current is EMPTY or \
                         compare_values(value, current) < 0:
                     states[j] = value
             else:
                 current = states[j]
-                if current is _EMPTY or \
+                if current is EMPTY or \
                         compare_values(value, current) > 0:
                     states[j] = value
 

@@ -95,6 +95,23 @@ def coerce_value(value: Any, type_name: str, column: str) -> Any:
     raise TypeMismatchError(f"column {column!r}: unknown type {type_name!r}")
 
 
+def value_class(type_name: str) -> Optional[str]:
+    """The one Python class :func:`coerce_value` leaves in a column of
+    this declared type — ``"int"``, ``"float"``, ``"text"`` or
+    ``"bool"`` — or None where the planner should assume nothing
+    (NUMERIC: Decimal arithmetic rounds to a context precision)."""
+    t = type_name.upper()
+    if t in _INT_TYPES:
+        return "int"
+    if t in _FLOAT_TYPES or t in _TS_TYPES:
+        return "float"
+    if t in _TEXT_TYPES:
+        return "text"
+    if t in _BOOL_TYPES:
+        return "bool"
+    return None
+
+
 @dataclass(frozen=True)
 class TableStats:
     """Planner-facing statistics for one table (see HeapTable counters)."""

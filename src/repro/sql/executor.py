@@ -341,6 +341,29 @@ class Executor:
                                    catalog_version=version))
         return plan, False, planner.scan_bounds
 
+    def _run_plan(self, plan: SelectPlan, ctx: EvalContext,
+                  scan_bounds: Optional[Dict[int, Dict]],
+                  probe_stats: Optional[Dict] = None) -> List[Tuple]:
+        """Drain a SELECT plan into its output rows.
+
+        A plan whose scans ignore row order (``plan.ordered`` False)
+        returns what the content-ordered run would, but when rows
+        differ in how they fail it can fail on another row first — and
+        the message reaches the ledger.  So a failed run is repeated in
+        content order, and that run's outcome is the statement's."""
+        def drain(content_order: bool) -> List[Tuple]:
+            rt = self._runtime(ctx, plan.alias_columns, scan_bounds)
+            rt.probe_stats = probe_stats
+            rt.content_order = content_order
+            return [row for _, row in plan.root.rows(rt)]
+
+        try:
+            return drain(False)
+        except Exception:
+            if plan.ordered:
+                raise
+        return drain(True)
+
     def _execute_select(self, stmt: Select, ctx: EvalContext) -> Result:
         if stmt.provenance and not self.tx.provenance:
             raise AccessDenied(
@@ -349,8 +372,7 @@ class Executor:
             plan, cache_hit, scan_bounds = \
                 self._plan_select_cached(stmt, ctx)
         with timed() as exec_t:
-            rt = self._runtime(ctx, plan.alias_columns, scan_bounds)
-            output = [row for _, row in plan.root.rows(rt)]
+            output = self._run_plan(plan, ctx, scan_bounds)
         if self._stmt_depth == 0:
             QUERY_TIMINGS.record(plan_t.seconds, exec_t.seconds,
                                  cache_hit=cache_hit)
@@ -432,10 +454,8 @@ class Executor:
         stats = instrument_plan(plan.root)
         try:
             with timed() as exec_t:
-                rt = self._runtime(ctx, plan.alias_columns, scan_bounds)
-                rt.probe_stats = stats
-                for _ in plan.root.rows(rt):
-                    pass        # actuals accumulate in ``stats``
+                # actuals accumulate in ``stats``
+                self._run_plan(plan, ctx, scan_bounds, probe_stats=stats)
         finally:
             deinstrument_plan(plan.root)
         lines = render_plan(plan.root, stats=stats)
@@ -598,8 +618,9 @@ class Executor:
         set_fns = [(clause.column, compiled(clause.value))
                    for clause in stmt.sets]
         updated = 0
+        row_ctx = ctx.row_context()
         for row in targets:
-            row_ctx = ctx.child_for_row({stmt.table: row.values})
+            row_ctx.env = {stmt.table: row.values}
             if not where_fn(row_ctx):
                 continue
             new_values = dict(row.values)
@@ -626,8 +647,9 @@ class Executor:
         schema, heap, targets = self._plan_target_scan(stmt, ctx)
         where_fn = compiled_predicate(stmt.where)
         deleted = 0
+        row_ctx = ctx.row_context()
         for row in targets:
-            row_ctx = ctx.child_for_row({stmt.table: row.values})
+            row_ctx.env = {stmt.table: row.values}
             if not where_fn(row_ctx):
                 continue
             heap.delete_version(row.version, self.tx.xid)

@@ -82,6 +82,13 @@ class EvalContext:
                            outer=self.outer,
                            as_of_height=self.as_of_height)
 
+    def row_context(self) -> "EvalContext":
+        """One context for a whole row loop: the operator assigns
+        ``env`` (and, when grouping, ``aggregate_values``) per row
+        instead of building a child context per row per expression.
+        Nothing may keep it past the row it was evaluated for."""
+        return self.child_for_row({})
+
 
 def _resolve_column(ref: ColumnRef, ctx: EvalContext) -> Any:
     scope: Optional[EvalContext] = ctx
@@ -167,6 +174,14 @@ def compare_values(left: Any, right: Any) -> Optional[int]:
     """SQL comparison: returns -1/0/1, or None when either side is NULL."""
     if left is None or right is None:
         return None
+    kind = type(left)
+    if kind is type(right) and (kind is float or kind is int
+                                or kind is str):
+        # Same plain class on both sides — nearly every comparison a
+        # typed column meets; nothing below would reconcile anything.
+        if left == right:
+            return 0
+        return -1 if left < right else 1
     if isinstance(left, IntervalValue) and isinstance(right, IntervalValue):
         left, right = left.seconds, right.seconds
     left, right = _numeric_pair(left, right)

@@ -2,9 +2,11 @@
 
 The planner (:mod:`repro.sql.planner`) turns a parsed statement into a tree
 of these operators; each node implements ``rows(rt)`` returning an iterator
-so upper operators stream instead of materializing intermediate lists
-(scans still materialize-and-sort their own output — cross-node
-determinism requires folding rows in a content-defined order).
+so upper operators stream instead of materializing intermediate lists.
+Scans materialize their own output and sort it by content wherever row
+order can reach a result (physical order differs across nodes); a scan
+the planner marked ``ordered = False`` skips that sort — see "Row order:
+when it is observable" in docs/sql_engine.md.
 
 SSI semantics live in the scan layer here, byte-for-byte as the old
 monolithic executor did them:
@@ -26,8 +28,11 @@ but conservative — predicate read).
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import (
     Any,
@@ -83,12 +88,18 @@ PROVENANCE_COLUMNS = ("xmin", "xmax", "creator", "deleter", "row_id")
 Env = Dict[str, Dict[str, Any]]
 
 
-@dataclass
 class ScanRow:
-    """One visible row produced by a scan (version kept for DML)."""
+    """One visible row produced by a scan (version kept for DML).
 
-    values: Dict[str, Any]
-    version: Optional[RowVersion]
+    ``values`` is the version's own dict, not a copy: no operator may
+    mutate a row it was handed (tests/sql/test_no_mutation.py)."""
+
+    __slots__ = ("values", "version")
+
+    def __init__(self, values: Dict[str, Any],
+                 version: Optional[RowVersion]):
+        self.values = values
+        self.version = version
 
 
 @dataclass
@@ -113,6 +124,10 @@ class Runtime:
     # Strictly write-only — nothing on the planning or commit path ever
     # reads it back.
     probe_stats: Optional[Dict[int, "OpStats"]] = None
+    # Set for the repeat of a failed execution: every scan sorts by
+    # content whatever its ``ordered`` mark says, so the error that
+    # reaches the ledger is the one content order raises first.
+    content_order: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +341,6 @@ def range_selectivity(db, table: str, column: Optional[str],
 
 def _l2(x: float) -> float:
     """log₂ clamped away from zero — the cost model's loop factor."""
-    import math
-
     return math.log2(max(float(x), 2.0))
 
 
@@ -415,15 +428,22 @@ def choose_index(heap, bounds: Dict[str, Dict[str, Any]]
 def row_content_key(values: Dict[str, Any]) -> str:
     """Content-defined sort key shared by heap and columnar scans:
     physical version ids differ across nodes (aborted executions burn
-    ids), and float aggregation is order-sensitive — sorting rows by
-    content makes every node (and every store) fold identically."""
+    ids), so wherever row order can reach a result, sorting rows by
+    content makes every node (and every store) see the same order."""
     return repr(sorted(values.items(), key=lambda kv: kv[0]))
 
 
+def _by_content(row: "ScanRow") -> str:
+    return row_content_key(row.values)
+
+
 def execute_scan(rt: Runtime, table_name: str, alias: str,
-                 bounds: Dict[str, Dict[str, Any]]) -> List[ScanRow]:
+                 bounds: Dict[str, Dict[str, Any]],
+                 ordered: bool = True) -> List[ScanRow]:
     """Scan ``table_name`` returning visible rows, recording SIREAD
-    state and running the EO-flow phantom/stale checks.
+    state and running the EO-flow phantom/stale checks.  Rows come back
+    in content order unless the planner proved order unobservable for
+    this scan (``ordered=False``).
 
     Time-travel executions (``rt.ctx.as_of_height`` set) read the
     immutable state at that height instead: visibility pins to
@@ -469,23 +489,25 @@ def execute_scan(rt: Runtime, table_name: str, alias: str,
         own_xid = None  # pure committed-height semantics
 
     rows: List[ScanRow] = []
-    for version in candidates:
-        if tx.provenance:
+    if tx.provenance:
+        for version in candidates:
             if not _provenance_visible(rt, version):
                 continue
             values = dict(version.values)
             for key, val in version.provenance_header().items():
                 values.setdefault(key, val)
-            rows.append(ScanRow(values=values, version=version))
-        else:
-            if not version_visible(version, snapshot,
-                                   rt.db.statuses, own_xid):
+            rows.append(ScanRow(values, version))
+    else:
+        statuses = rt.db.statuses
+        record = as_of is None
+        for version in candidates:
+            if not version_visible(version, snapshot, statuses, own_xid):
                 continue
-            if as_of is None:
+            if record:
                 tx.record_row_read(table_name, version)
-            rows.append(ScanRow(values=dict(version.values),
-                                version=version))
-    rows.sort(key=lambda r: row_content_key(r.values))
+            rows.append(ScanRow(version.values, version))
+    if ordered or rt.content_order:
+        rows.sort(key=_by_content)
     return rows
 
 
@@ -774,6 +796,15 @@ def _scan_target(table: str, alias: str) -> str:
     return f"on {table}" + (f" as {alias}" if alias != table else "")
 
 
+def _sort_cost(rows: float, ordered: bool) -> float:
+    """The content sort of a scan's output, paid only when it runs."""
+    return rows * _l2(rows) if ordered else 0.0
+
+
+def _order_note(ordered: bool) -> str:
+    return "" if ordered else " (any order)"
+
+
 class SeqScan(PlanNode):
     """Full-heap scan (no usable index).
 
@@ -781,14 +812,21 @@ class SeqScan(PlanNode):
     never bound values.  Bounds are re-derived from the live execution
     context on every run, so a tree pulled from the plan cache scans —
     and records SIREAD state — exactly as a freshly planned one would.
+
+    ``ordered`` is the planner's order-observability mark: False when no
+    result of the statement can depend on this scan's row order, which
+    lets the scan skip its content sort.  It is a function of the
+    statement, the catalog and the provenance flag only.
     """
 
     def __init__(self, table: str, alias: str,
-                 where: Optional[Expr] = None, est_rows: float = 0.0):
+                 where: Optional[Expr] = None, est_rows: float = 0.0,
+                 ordered: bool = True):
         self.table = table
         self.alias = alias
         self.where = where
         self.est_rows = est_rows
+        self.ordered = ordered
         # Costing-only bound values (NOT execution state): the planner /
         # plan cache sets this to the statement's extracted bounds right
         # before recost so histogram range selectivity can see them.
@@ -802,20 +840,23 @@ class SeqScan(PlanNode):
         if bounds is None:
             bounds = extract_bounds(self.where, self.alias, rt.ctx,
                                     rt.alias_columns)
-        return execute_scan(rt, self.table, self.alias, bounds)
+        return execute_scan(rt, self.table, self.alias, bounds,
+                            self.ordered)
 
     def rows(self, rt: Runtime) -> Iterator[Env]:
+        alias = self.alias
         for row in self.scan_rows(rt):
-            yield {self.alias: row.values}
+            yield {alias: row.values}
 
     def recost(self, db) -> None:
         rows = float(max(db.stats.table_stats(self.table).row_count, 0))
         self.est_rows = rows
         # Full heap walk plus the content sort of the output.
-        self.est_cost = max(rows, 1.0) + rows * _l2(rows)
+        self.est_cost = max(rows, 1.0) + _sort_cost(rows, self.ordered)
 
     def describe(self) -> str:
-        return f"SeqScan {_scan_target(self.table, self.alias)}"
+        return (f"SeqScan {_scan_target(self.table, self.alias)}"
+                f"{_order_note(self.ordered)}")
 
 
 class IndexScan(SeqScan):
@@ -827,18 +868,22 @@ class IndexScan(SeqScan):
     index bound by equality) — a structural fact the planner's join
     strategy may rely on, unlike row counts.  ``cost_sig`` carries the
     structural bound shape so estimates re-derive from anchored
-    statistics (``recost``) without re-planning.
+    statistics (``recost``) without re-planning.  ``exact`` lists the
+    WHERE conjuncts the index range enforces exactly (every row the scan
+    returns satisfies them), so a Filter above need not repeat them.
     """
 
     def __init__(self, table: str, alias: str, where: Optional[Expr],
                  index_name: str, conditions: Sequence[Expr],
                  est_rows: float = 0.0, unique_covered: bool = False,
-                 cost_sig: Optional[CostSig] = None):
-        super().__init__(table, alias, where, est_rows)
+                 cost_sig: Optional[CostSig] = None,
+                 ordered: bool = True, exact: Sequence[Expr] = ()):
+        super().__init__(table, alias, where, est_rows, ordered)
         self.index_name = index_name
         self.conditions = list(conditions)
         self.unique_covered = unique_covered
         self.cost_sig = cost_sig or (0, False, unique_covered, ())
+        self.exact = list(exact)
 
     def _range_column(self, db) -> Optional[str]:
         """The index column the range bound applies to (the first one
@@ -869,16 +914,19 @@ class IndexScan(SeqScan):
                             range_sel=range_sel)
         self.est_rows = est
         # Index descent + matched rows + content sort of the output.
-        self.est_cost = _l2(stats.row_count) + est + est * _l2(est)
+        self.est_cost = _l2(stats.row_count) + est + \
+            _sort_cost(est, self.ordered)
 
     def describe(self) -> str:
         conds = ", ".join(expr_sql(c) for c in self.conditions)
         return (f"IndexScan {_scan_target(self.table, self.alias)} "
-                f"using {self.index_name} ({conds})")
+                f"using {self.index_name} ({conds})"
+                f"{_order_note(self.ordered)}")
 
 
 class Filter(PlanNode):
-    """Residual predicate (WHERE) over environment rows."""
+    """Residual predicate over environment rows: the WHERE conjuncts no
+    access path below already enforces exactly."""
 
     def __init__(self, child: PlanNode, predicate: Expr,
                  binder: Optional[Binder] = None):
@@ -889,9 +937,10 @@ class Filter(PlanNode):
 
     def rows(self, rt: Runtime) -> Iterator[Env]:
         predicate = self._predicate
-        ctx = rt.ctx
+        row_ctx = rt.ctx.row_context()
         for env in self.child.rows(rt):
-            if predicate(ctx.child_for_row(env)):
+            row_ctx.env = env
+            if predicate(row_ctx):
                 yield env
 
     def children(self) -> List[PlanNode]:
@@ -913,13 +962,15 @@ class DynamicProbe(PlanNode):
     def __init__(self, table: str, alias: str,
                  index_name: Optional[str], conditions: Sequence[Expr],
                  est_rows: float = 0.0,
-                 cost_sig: Optional[CostSig] = None):
+                 cost_sig: Optional[CostSig] = None,
+                 ordered: bool = True):
         self.table = table
         self.alias = alias
         self.index_name = index_name
         self.conditions = list(conditions)
         self.est_rows = est_rows
         self.cost_sig = cost_sig or (0, False, False, ())
+        self.ordered = ordered   # see SeqScan
 
     def rows(self, rt: Runtime) -> Iterator:  # pragma: no cover
         raise ExecutionError("DynamicProbe is driven by NestedLoopJoin")
@@ -930,22 +981,24 @@ class DynamicProbe(PlanNode):
         if self.index_name is None:
             # Per-row sequential rescans, content sort included.
             self.est_rows = rows
-            self.est_cost = max(rows, 1.0) + rows * _l2(rows)
+            self.est_cost = max(rows, 1.0) + _sort_cost(rows, self.ordered)
             return
         n_eq, has_range, unique_covered, eq_cols = self.cost_sig
         ndv = db.stats.ndv(self.table, eq_cols) if eq_cols else None
         est = scan_estimate(stats.row_count, n_eq, has_range,
                             unique_covered, eq_ndv=ndv)
         self.est_rows = est
-        self.est_cost = _l2(stats.row_count) + est + est * _l2(est)
+        self.est_cost = _l2(stats.row_count) + est + \
+            _sort_cost(est, self.ordered)
 
     def describe(self) -> str:
+        note = _order_note(self.ordered)
         if self.index_name is None:
             return (f"SeqScan {_scan_target(self.table, self.alias)} "
-                    f"(per outer row)")
+                    f"(per outer row){note}")
         conds = ", ".join(expr_sql(c) for c in self.conditions)
         return (f"IndexProbe {_scan_target(self.table, self.alias)} "
-                f"using {self.index_name} ({conds}) (per outer row)")
+                f"using {self.index_name} ({conds}) (per outer row){note}")
 
 
 class NestedLoopJoin(PlanNode):
@@ -968,28 +1021,30 @@ class NestedLoopJoin(PlanNode):
         on = self._on
         schema = rt.db.catalog.schema_of(join.table.name)
         null_row = {col: None for col in schema.column_names()}
-        ctx = rt.ctx
+        ordered = self.probe.ordered
+        row_ctx = rt.ctx.row_context()
         probe_st = None
         if rt.probe_stats is not None:
             probe_st = rt.probe_stats.get(id(self.probe))
         for env in self.outer.rows(rt):
-            row_ctx = ctx.child_for_row(env)
+            row_ctx.env = env
             bounds = extract_bounds(self.combined, alias, row_ctx,
                                     rt.alias_columns)
             if probe_st is not None:
                 t0 = time.perf_counter()
                 inner_rows = execute_scan(rt, join.table.name, alias,
-                                          bounds)
+                                          bounds, ordered)
                 probe_st.loops += 1
                 probe_st.rows += len(inner_rows)
                 probe_st.seconds += time.perf_counter() - t0
             else:
                 inner_rows = execute_scan(rt, join.table.name, alias,
-                                          bounds)
+                                          bounds, ordered)
             matched = False
             for inner in inner_rows:
                 candidate_env = {**env, alias: inner.values}
-                if on(ctx.child_for_row(candidate_env)):
+                row_ctx.env = candidate_env
+                if on(row_ctx):
                     matched = True
                     yield candidate_env
             if join.kind == "LEFT" and not matched:
@@ -1079,9 +1134,9 @@ class HashJoin(PlanNode):
                 continue  # unindexable key value can never equal a probe
             table.setdefault(key, []).append(inner)
 
-        ctx = rt.ctx
+        row_ctx = rt.ctx.row_context()
         for env in self.outer.rows(rt):
-            row_ctx = ctx.child_for_row(env)
+            row_ctx.env = env
             probe_vals = [fn(row_ctx) for fn in probe_fns]
             try:
                 candidates = table.get(_join_key(probe_vals), ())
@@ -1090,7 +1145,8 @@ class HashJoin(PlanNode):
             matched = False
             for inner in candidates:
                 candidate_env = {**env, alias: inner.values}
-                if on(ctx.child_for_row(candidate_env)):
+                row_ctx.env = candidate_env
+                if on(row_ctx):
                     matched = True
                     yield candidate_env
             if join.kind == "LEFT" and not matched:
@@ -1111,12 +1167,70 @@ class HashJoin(PlanNode):
         return f"HashJoin {self.join.kind} ({conds})"
 
 
+def bucket_key(values: Sequence[Any]) -> Tuple:
+    """Hashable bucket key for GROUP BY and DISTINCT, consistent with
+    the ``=`` comparator: Python already hashes and compares ``2``,
+    ``2.0``, ``Decimal(2)`` and (``TRUE``, ``1``) alike, which is what
+    ``compare_values`` says of them; NaN (unequal to itself) is the one
+    value that needs a stand-in so that it forms a single group."""
+    return tuple(v if v == v else _NAN_BUCKET for v in values)
+
+
+_NAN_BUCKET = ("NaN",)
+
+# How one aggregate folds its non-NULL argument values.
+FOLD_COUNT = 0     # int state
+FOLD_BUFFER = 1    # list state: sum / avg / DISTINCT, folded at the end
+FOLD_MIN = 2       # running compare_values fold; EMPTY until a value
+FOLD_MAX = 3
+EMPTY = object()
+
+
+def fold_mode(name: str, distinct: bool = False) -> int:
+    if name == "min":
+        return FOLD_MIN
+    if name == "max":
+        return FOLD_MAX
+    if name == "count" and not distinct:
+        return FOLD_COUNT
+    if name in ("count", "sum", "avg"):
+        return FOLD_BUFFER
+    raise ExecutionError(f"unknown aggregate {name!r}")
+
+
+def new_fold_state(mode: int) -> Any:
+    return 0 if mode == FOLD_COUNT else [] if mode == FOLD_BUFFER else EMPTY
+
+
+def finish_fold(name: str, mode: int, state: Any,
+                distinct: bool = False) -> Any:
+    """An aggregate's value from its final fold state."""
+    if mode == FOLD_COUNT:
+        return state
+    if mode != FOLD_BUFFER:
+        return None if state is EMPTY else state
+    if distinct:
+        unique: List[Any] = []
+        for value in state:
+            if not any(compare_values(value, u) == 0 for u in unique):
+                unique.append(value)
+        state = unique
+    if name == "count":
+        return len(state)
+    if not state:
+        return None
+    total = fold_sum(state)
+    return total if name == "sum" else total / len(state)
+
+
 class HashAggregate(PlanNode):
     """GROUP BY / global aggregation, HAVING, and grouped projection.
 
     Emits ``(order_keys, output_row)`` pairs for Sort/Distinct/Limit.
-    Groups form in first-encounter order over the (content-ordered) input
-    so float aggregation folds identically on every node.
+    One pass over the child: each row is bucketed by its
+    :func:`bucket_key` and folded into its group's per-aggregate states.
+    Groups emit in first-encounter order, and a group's non-aggregate
+    expressions evaluate against its first row.
     """
 
     def __init__(self, child: PlanNode, group_by: Sequence[Expr],
@@ -1132,8 +1246,8 @@ class HashAggregate(PlanNode):
         self.est_rows = est_rows
         self._group_fns = [compile_expr(g, binder) for g in self.group_by]
         # (fingerprint, call, compiled single argument or None) — the
-        # arity/star errors stay runtime errors, as the interpreter raised
-        # them while computing the group, not while planning.
+        # arity/star errors stay runtime errors, raised when the first
+        # group forms, not while planning.
         self._agg_specs = [
             (expr_fingerprint(call), call,
              compile_expr(call.args[0], binder)
@@ -1146,32 +1260,70 @@ class HashAggregate(PlanNode):
         self._order_fns = [compile_expr(o.expr, binder)
                            for o in self.order_items]
 
-    def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
-        ctx = rt.ctx
-        group_fns = self._group_fns
-        groups: List[Tuple[Tuple, List[Env]]] = []
-        group_index: Dict[str, int] = {}
-        for env in self.child.rows(rt):
-            row_ctx = ctx.child_for_row(env)
-            key = tuple(fn(row_ctx) for fn in group_fns)
-            fingerprint = repr(key)
-            pos = group_index.get(fingerprint)
-            if pos is None:
-                group_index[fingerprint] = len(groups)
-                groups.append((key, [env]))
-            else:
-                groups[pos][1].append(env)
-        if not groups and not self.group_by:
-            groups = [((), [])]  # global aggregate over empty input
+    def _folds(self) -> List[Tuple[int, Any]]:
+        """(mode, argument closure or None for ``count(*)``) per
+        aggregate; raises the call-shape errors."""
+        folds = []
+        for _, call, arg_fn in self._agg_specs:
+            if call.star:
+                if call.name != "count":
+                    raise ExecutionError(f"{call.name}(*) is not valid")
+                folds.append((FOLD_COUNT, None))
+                continue
+            if arg_fn is None:
+                raise ExecutionError(
+                    f"aggregate {call.name}() takes exactly one argument")
+            folds.append((fold_mode(call.name, call.distinct), arg_fn))
+        return folds
 
-        for key, members in groups:
-            agg_values: Dict[str, Any] = {}
-            for fingerprint, call, arg_fn in self._agg_specs:
-                agg_values[fingerprint] = \
-                    _compute_aggregate(call, arg_fn, members, ctx)
-            representative = members[0] if members else {}
-            row_ctx = ctx.child_for_row(representative)
-            row_ctx.aggregate_values = agg_values
+    def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
+        row_ctx = rt.ctx.row_context()
+        group_fns = self._group_fns
+        folds: Optional[List[Tuple[int, Any]]] = None
+        # bucket key -> [first env, one fold state per aggregate]
+        groups: Dict[Tuple, List[Any]] = {}
+        for env in self.child.rows(rt):
+            row_ctx.env = env
+            key = bucket_key([fn(row_ctx) for fn in group_fns]) \
+                if group_fns else ()
+            group = groups.get(key)
+            if group is None:
+                if folds is None:
+                    folds = self._folds()
+                group = groups[key] = [env]
+                group.extend(new_fold_state(mode) for mode, _ in folds)
+            for slot, (mode, arg_fn) in enumerate(folds, 1):
+                if arg_fn is None:                  # count(*)
+                    group[slot] += 1
+                    continue
+                value = arg_fn(row_ctx)
+                if value is None:
+                    continue
+                if mode == FOLD_COUNT:
+                    group[slot] += 1
+                elif mode == FOLD_BUFFER:
+                    group[slot].append(value)
+                else:
+                    current = group[slot]
+                    if current is EMPTY:
+                        group[slot] = value
+                    else:
+                        c = compare_values(value, current)
+                        if c < 0 if mode == FOLD_MIN else c > 0:
+                            group[slot] = value
+        if not groups and not self.group_by:
+            # Global aggregate over empty input.
+            folds = self._folds()
+            groups[()] = [{}] + [new_fold_state(mode) for mode, _ in folds]
+
+        specs = self._agg_specs
+        for group in groups.values():
+            row_ctx.env = group[0]
+            row_ctx.aggregate_values = {
+                fingerprint: finish_fold(call.name, mode, state,
+                                         call.distinct)
+                for (fingerprint, call, _), (mode, _), state
+                in zip(specs, folds, group[1:])}
             if self._having is not None and not self._having(row_ctx):
                 continue
             output = tuple(fn(row_ctx) for fn in self._item_fns)
@@ -1206,60 +1358,32 @@ def fold_sum(values: Sequence[Any]) -> Any:
     aggregate paths.
 
     All-float inputs use ``math.fsum`` — exactly rounded, so the total
-    does not depend on fold order (scan content order here, physical
-    ingest order in the column store, either across nodes).  Exact types
+    does not depend on fold order (scan order here, physical ingest
+    order in the column store, either across nodes).  ``fsum`` gives up
+    on an *intermediate* overflow, which does depend on order; the
+    exact rational sum decides those cases, so the outcome — a float, or
+    "out of range" — is a function of the values alone.  Exact types
     (int/Decimal) and mixed inputs fold sequentially, where order cannot
-    change the result (or, for text concatenation, where scan content
-    order is the defined behaviour)."""
-    import math
-
+    change the result (or, for text concatenation and int/float mixes,
+    where the planner keeps scans in content order)."""
     if not values:
         return None
     if all(type(v) is float for v in values):
-        return math.fsum(values)
+        try:
+            return math.fsum(values)
+        except OverflowError:
+            special = [v for v in values if not math.isfinite(v)]
+            if special:
+                return math.fsum(special)
+            try:
+                return float(sum(map(Fraction, values)))
+            except OverflowError:
+                raise ExecutionError(
+                    "float sum is out of range") from None
     total = values[0]
     for value in values[1:]:
         total = total + value
     return total
-
-
-def _compute_aggregate(call: FunctionCall, arg_fn, group: List[Env],
-                       ctx: EvalContext) -> Any:
-    import functools
-
-    if call.star:
-        if call.name != "count":
-            raise ExecutionError(f"{call.name}(*) is not valid")
-        return len(group)
-    if arg_fn is None:
-        raise ExecutionError(
-            f"aggregate {call.name}() takes exactly one argument")
-    values = []
-    for env in group:
-        value = arg_fn(ctx.child_for_row(env))
-        if value is not None:
-            values.append(value)
-    if call.distinct:
-        unique = []
-        for value in values:
-            if not any(compare_values(value, u) == 0 for u in unique):
-                unique.append(value)
-        values = unique
-    if call.name == "count":
-        return len(values)
-    if not values:
-        return None
-    if call.name == "sum":
-        return fold_sum(values)
-    if call.name == "avg":
-        return fold_sum(values) / len(values)
-    if call.name == "min":
-        return functools.reduce(
-            lambda a, b: a if compare_values(a, b) <= 0 else b, values)
-    if call.name == "max":
-        return functools.reduce(
-            lambda a, b: a if compare_values(a, b) >= 0 else b, values)
-    raise ExecutionError(f"unknown aggregate {call.name!r}")
 
 
 class Project(PlanNode):
@@ -1286,9 +1410,9 @@ class Project(PlanNode):
                            for o in self.order_items]
 
     def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
-        ctx = rt.ctx
+        row_ctx = rt.ctx.row_context()
         for env in self.child.rows(rt):
-            row_ctx = ctx.child_for_row(env)
+            row_ctx.env = env
             output: List[Any] = []
             for item, fn in zip(self.items, self._item_fns):
                 if fn is None:
@@ -1336,8 +1460,6 @@ class Sort(PlanNode):
         self.est_rows = child.est_rows
 
     def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
-        import functools
-
         order_items = self.order_items
 
         def cmp_rows(a, b):
@@ -1372,7 +1494,8 @@ class Sort(PlanNode):
 
 
 class Distinct(PlanNode):
-    """SELECT DISTINCT over decorated pairs (dedup on the output row)."""
+    """SELECT DISTINCT over decorated pairs: dedup on the output row,
+    with the ``=`` comparator's notion of equal (:func:`bucket_key`)."""
 
     def __init__(self, child: PlanNode):
         self.child = child
@@ -1381,7 +1504,7 @@ class Distinct(PlanNode):
     def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
         seen = set()
         for keys, row in self.child.rows(rt):
-            key = repr(row)
+            key = bucket_key(row)
             if key not in seen:
                 seen.add(key)
                 yield (keys, row)
@@ -1483,8 +1606,9 @@ class IndexOrderScan(SeqScan):
                  descending: bool = False,
                  conditions: Sequence[Expr] = (),
                  est_rows: float = 0.0,
-                 cost_sig: Optional[CostSig] = None):
-        super().__init__(table, alias, where, est_rows)
+                 cost_sig: Optional[CostSig] = None,
+                 ordered: bool = True):
+        super().__init__(table, alias, where, est_rows, ordered)
         self.index_name = index_name
         self.order_column = order_column
         self.descending = descending
@@ -1571,29 +1695,34 @@ class IndexOrderScan(SeqScan):
             return (_ORDER_NULL, repr(value))
 
     def stream_rows(self, rt: Runtime) -> Iterator[ScanRow]:
-        """Rows in (key, content) order; visibility checks and row-read
+        """Rows in (key, content) order — key order only when the scan
+        is marked ``ordered = False``; visibility checks and row-read
         recording happen lazily as the consumer advances."""
         candidates, snapshot, own_xid, as_of = self.prepare(rt)
         tx = rt.tx
         statuses = rt.db.statuses
-        ordered = reversed(candidates) if self.descending else candidates
+        content_runs = self.ordered or rt.content_order
+        walk = reversed(candidates) if self.descending else candidates
         buffer: List[ScanRow] = []
         current_key = None
-        for version in ordered:
+        for version in walk:
             if not version_visible(version, snapshot, statuses, own_xid):
                 continue
             if as_of is None:
                 tx.record_row_read(self.table, version)
-            row = ScanRow(values=dict(version.values), version=version)
+            row = ScanRow(version.values, version)
+            if not content_runs:
+                yield row
+                continue
             key = self._order_key(row.values.get(self.order_column))
             if buffer and key != current_key:
-                buffer.sort(key=lambda r: row_content_key(r.values))
+                buffer.sort(key=_by_content)
                 yield from buffer
                 buffer = []
             current_key = key
             buffer.append(row)
         if buffer:
-            buffer.sort(key=lambda r: row_content_key(r.values))
+            buffer.sort(key=_by_content)
             yield from buffer
 
     def scan_rows(self, rt: Runtime) -> List[ScanRow]:
@@ -1614,7 +1743,8 @@ class IndexOrderScan(SeqScan):
         cond_note = f" ({conds})" if conds else ""
         return (f"IndexOrderScan {_scan_target(self.table, self.alias)} "
                 f"using {self.index_name}{cond_note} "
-                f"(order by {self.order_column} {direction})")
+                f"(order by {self.order_column} {direction})"
+                f"{_order_note(self.ordered)}")
 
 
 _ORDER_NULL = -1   # sorts a NULL/unindexable marker below every rank
@@ -1668,7 +1798,7 @@ class SortMergeJoin(PlanNode):
         left = join.kind == "LEFT"
         schema = rt.db.catalog.schema_of(join.table.name)
         null_row = {col: None for col in schema.column_names()}
-        ctx = rt.ctx
+        row_ctx = rt.ctx.row_context()
 
         def merge_key(values: Dict[str, Any], column: str):
             value = values.get(column)
@@ -1723,7 +1853,8 @@ class SortMergeJoin(PlanNode):
                 matched = False
                 for inner_row in matches:
                     candidate = {**env, inner_alias: inner_row.values}
-                    if on(ctx.child_for_row(candidate)):
+                    row_ctx.env = candidate
+                    if on(row_ctx):
                         matched = True
                         yield candidate
                 if left and not matched:

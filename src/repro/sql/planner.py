@@ -54,9 +54,10 @@ from repro.analytics.operators import (
 )
 from repro.sql import functions
 from repro.sql.ast_nodes import (
-    Between, BinaryOp, ColumnRef, Expr, FunctionCall, Join,
-    OrderItem, Select, SelectItem, Star, SubqueryExpr,
+    Between, BinaryOp, ColumnRef, Expr, FunctionCall, Join, Literal,
+    OrderItem, Select, SelectItem, Star, SubqueryExpr, UnaryOp,
 )
+from repro.sql.catalog import value_class
 from repro.sql.expressions import (
     COMPILE_STATS,
     EvalContext,
@@ -149,6 +150,10 @@ class QueryTimings:
 
 QUERY_TIMINGS = QueryTimings()
 
+# Value classes (sql.catalog.value_class) in which values that compare
+# equal are the same value: no 2 / 2.0, no 0.0 / -0.0, no NaN.
+_EXACT_CLASSES = frozenset({"int", "text", "bool"})
+
 
 class timed:
     """Context manager capturing a perf_counter interval."""
@@ -182,6 +187,10 @@ class SelectPlan:
     columns: List[str]
     alias_columns: Dict[str, Sequence[str]] = field(default_factory=dict)
     guards: List[ScanGuard] = field(default_factory=list)
+    # False when the scans were planned to ignore row order
+    # (Planner._order_observable); the executor then repeats a failed
+    # run in content order.
+    ordered: bool = True
 
     def explain(self) -> List[str]:
         return render_plan(self.root)
@@ -200,6 +209,10 @@ class Planner:
         # the first execution so scans don't re-extract them (cache hits
         # get the equivalent map from guard validation).
         self.scan_bounds: Dict[int, Dict[str, Dict[str, Any]]] = {}
+        # Whether the scans being planned must emit content order;
+        # plan_select clears it for statements whose results cannot
+        # depend on row order (DML target scans always keep it).
+        self.ordered = True
 
     # ------------------------------------------------------------------
     # Binding
@@ -304,7 +317,7 @@ class Planner:
         """Columnar access path for an AS OF scan.  The guard records no
         index signature (the store has none to validate) but still
         threads the extracted bounds to execution for zone-map pruning."""
-        scan = ColumnarScan(table, alias, where)
+        scan = ColumnarScan(table, alias, where, ordered=self.ordered)
         guard = ScanGuard(table=table, alias=alias, where=where,
                           alias_columns=alias_columns, signature=None,
                           columnar=True)
@@ -349,7 +362,8 @@ class Planner:
             else (best[0].name, best[1], best[2]))
         self.guards.append(guard)
         if best is None:
-            scan: SeqScan = SeqScan(table, alias, where)
+            scan: SeqScan = SeqScan(table, alias, where,
+                                    ordered=self.ordered)
         else:
             index, n_eq, has_range = best
             depth = n_eq + (1 if has_range else 0) or 1
@@ -364,12 +378,51 @@ class Planner:
                 table, alias, where, index.name, conditions,
                 unique_covered=unique_covered,
                 cost_sig=(n_eq, has_range, unique_covered,
-                          tuple(index.columns[:n_eq])))
+                          tuple(index.columns[:n_eq])),
+                ordered=self.ordered,
+                exact=self._exact_conjuncts(table, index.columns[:n_eq],
+                                            sources, alias_columns))
         guard.node = scan
         self.scan_bounds[id(scan)] = bounds
         scan.live_bounds = bounds
         scan.recost(self.db)
         return scan
+
+    def _exact_conjuncts(self, table: str, eq_columns: Sequence[str],
+                         sources: Dict[str, List[Expr]],
+                         alias_columns: Dict[str, Sequence[str]]
+                         ) -> List[Expr]:
+        """The conjuncts an index's equality prefix enforces exactly:
+        every row the range returns satisfies them, and evaluating them
+        on those rows cannot raise.  That holds for a ``column = value``
+        conjunct that is the only source of its column's bound, on a
+        column whose declared type keeps one exactly-comparable Python
+        class in the index key (int, text, bool): an equal key is then
+        an ``=`` match whatever the value's own type, and a value of
+        another rank matches no key.  FLOAT (NaN), NUMERIC (keys go
+        through float) and system tables (values are not coerced) stay
+        with the Filter, and so does an unqualified name two joined
+        tables share (the Filter is what reports the ambiguity)."""
+        schema = self.db.catalog.schema_of(table)
+        if schema.system:
+            return []
+        exact: List[Expr] = []
+        for col in eq_columns:
+            found = sources.get(col, [])
+            if len(found) != 1 or not isinstance(found[0], BinaryOp) \
+                    or found[0].op != "=":
+                continue
+            if value_class(schema.column(col).type_name) \
+                    not in _EXACT_CLASSES:
+                continue
+            conj = found[0]
+            shared = sum(col in cols for cols in alias_columns.values()) > 1
+            if shared and any(isinstance(side, ColumnRef)
+                              and side.name == col and side.table is None
+                              for side in (conj.left, conj.right)):
+                continue
+            exact.append(conj)
+        return exact
 
     def _plan_index_order_scan(self, table: str, alias: str,
                                where: Optional[Expr], ctx: EvalContext,
@@ -393,7 +446,8 @@ class Planner:
             table, alias, where, index_name, order_column,
             descending=descending,
             conditions=sources.get(order_column, []),
-            cost_sig=ordered_scan_sig(bounds, order_column))
+            cost_sig=ordered_scan_sig(bounds, order_column),
+            ordered=self.ordered)
         guard.node = scan
         self.guards.append(guard)
         self.scan_bounds[id(scan)] = bounds
@@ -623,9 +677,16 @@ class Planner:
     def plan_join(self, outer: PlanNode, join: Join, where: Optional[Expr],
                   ctx: EvalContext, planned_aliases: Set[str],
                   alias_columns: Dict[str, Sequence[str]],
-                  sort_elision_order: Optional[Sequence[OrderItem]] = None
-                  ) -> PlanNode:
+                  sort_elision_order: Optional[Sequence[OrderItem]] = None,
+                  filtered: bool = False) -> PlanNode:
         """Join strategy for one joined table.
+
+        ``filtered`` says a residual Filter will sit above the joins
+        even if the FROM table's scan survives; every candidate is then
+        charged one predicate evaluation per row it emits.  A
+        SortMergeJoin replaces that scan with a whole-index walk, so
+        whenever there is a WHERE it pays for the Filter that re-checks
+        the discarded bounds, over its un-narrowed output.
 
         ``sort_elision_order`` is the statement's effective ORDER BY when
         this is the last join and no aggregation/grouping reorders rows
@@ -659,7 +720,8 @@ class Planner:
         probe = DynamicProbe(join.table.name, alias, probe_index,
                              probe_conds,
                              cost_sig=(n_eq, has_range, unique_covered,
-                                       probe_eq_cols))
+                                       probe_eq_cols),
+                             ordered=self.ordered)
         probe.recost(self.db)
         outer_est = max(outer.est_rows, 1.0)
         nlj_cost = outer.est_cost + outer_est * max(probe.est_cost, 1.0)
@@ -694,11 +756,14 @@ class Planner:
             return node
 
         # ---- cost-based choice -----------------------------------------
-        candidates: List[Tuple[float, int, str]] = [(nlj_cost, 2, "nlj")]
+        nlj_rows = outer_est * max(probe.est_rows, 1.0)
+        candidates: List[Tuple[float, int, str]] = [
+            (nlj_cost + (nlj_rows if filtered else 0.0), 2, "nlj")]
         if build is not None:
-            _, hash_cost = join_estimates(self.db, outer, build, join,
-                                          tuple(c for c, _ in keys))
-            candidates.append((hash_cost, 0, "hash"))
+            hash_rows, hash_cost = join_estimates(
+                self.db, outer, build, join, tuple(c for c, _ in keys))
+            candidates.append(
+                (hash_cost + (hash_rows if filtered else 0.0), 0, "hash"))
 
         smj = self._smj_candidate(outer, join, keys, ctx, alias_columns)
         smj_cost = None
@@ -731,6 +796,8 @@ class Planner:
                 sort_cost = smj_rows * _l2(smj_rows)
                 candidates = [(cost + sort_cost, rank, kind)
                               for cost, rank, kind in candidates]
+            if where is not None:
+                smj_cost += smj_rows
             candidates.append((smj_cost, 1, "smj"))
 
         _, _, choice = min(candidates)
@@ -803,6 +870,144 @@ class Planner:
         return False
 
     # ------------------------------------------------------------------
+    # Order observability (docs/sql_engine.md, "Row order: when it is
+    # observable")
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _column_of(expr: Expr, alias_columns: Dict[str, Sequence[str]]
+                   ) -> Optional[Tuple[str, str]]:
+        """The (alias, column) a plain reference names among this
+        statement's tables; None for anything else, an ambiguous name
+        included."""
+        if not isinstance(expr, ColumnRef):
+            return None
+        if expr.table is not None:
+            owners = [expr.table] if expr.name in \
+                alias_columns.get(expr.table, ()) else []
+        else:
+            owners = [alias for alias, cols in alias_columns.items()
+                      if expr.name in cols]
+        return (owners[0], expr.name) if len(owners) == 1 else None
+
+    def _static_class(self, expr: Expr,
+                      alias_columns: Dict[str, Sequence[str]],
+                      tables: Dict[str, str]) -> Optional[str]:
+        """The one value class (sql.catalog.value_class) every non-NULL
+        value of ``expr`` has, when declared types show it: columns of
+        user tables, literals, and ``+ - *`` over numeric ones (which
+        cannot raise).  None means "assume nothing"."""
+        if isinstance(expr, Literal):
+            value = expr.value
+            for py_type, name in ((bool, "bool"), (int, "int"),
+                                  (float, "float"), (str, "text")):
+                if isinstance(value, py_type):
+                    return name
+            return None
+        if isinstance(expr, ColumnRef):
+            owner = self._column_of(expr, alias_columns)
+            if owner is None:
+                return None
+            schema = self.db.catalog.schema_of(tables[owner[0]])
+            if schema.system:       # written without coerce_value
+                return None
+            return value_class(schema.column(owner[1]).type_name)
+        if isinstance(expr, UnaryOp) and expr.op == "-":
+            operand = self._static_class(expr.operand, alias_columns,
+                                         tables)
+            return operand if operand in ("int", "float") else None
+        if isinstance(expr, BinaryOp) and expr.op in ("+", "-", "*"):
+            sides = {self._static_class(side, alias_columns, tables)
+                     for side in (expr.left, expr.right)}
+            if sides <= {"int", "float"}:
+                return "float" if "float" in sides else "int"
+        return None
+
+    def _group_invariant(self, expr: Expr,
+                         group_cols: Sequence[Tuple[str, str]],
+                         alias_columns: Dict[str, Sequence[str]]) -> bool:
+        """True when ``expr`` has the same value on every row of a
+        group: outside its aggregate calls it reads this statement's
+        tables through group-key columns only (a group's non-aggregate
+        expressions are evaluated on the group's first row)."""
+        if isinstance(expr, FunctionCall) and \
+                expr.name in functions.AGGREGATE_NAMES:
+            return True
+        if isinstance(expr, (Star, SubqueryExpr)):
+            return False
+        if isinstance(expr, ColumnRef):
+            owner = self._column_of(expr, alias_columns)
+            if owner is not None:
+                return owner in group_cols
+            # A variable or an enclosing query's column is row-free; a
+            # name this statement's tables share is an error either way.
+            return expr.table not in alias_columns and not any(
+                expr.name in cols for cols in alias_columns.values())
+        return all(self._group_invariant(child, group_cols, alias_columns)
+                   for child in expr.children())
+
+    def _order_observable(self, stmt: Select,
+                          alias_columns: Dict[str, Sequence[str]],
+                          order_items: Sequence[OrderItem],
+                          aggregates: Sequence[FunctionCall]) -> bool:
+        """Can the row order of this statement's scans reach its result?
+
+        It cannot when everything the scans feed is a HashAggregate
+        whose folds and whose output order are both order-free:
+
+        * every aggregate is ``count`` (DISTINCT only over a typed
+          argument), or non-DISTINCT ``sum``/``avg`` over a statically
+          int-or-float argument (``fold_sum`` is exact for either), or
+          ``min``/``max`` over a class where equal means identical;
+        * group keys are plain columns of such a class, every other
+          expression of a group reads only its keys and aggregates, and
+          an ORDER BY naming every group key orders the groups totally;
+          a global aggregate emits one row.
+
+        A pure function of (statement, catalog, provenance flag), all
+        of them plan-cache key components.  Anything not shown here to
+        be order-free keeps content order: projections, DML scans,
+        provenance sessions, ``SELECT … INTO`` without an aggregate."""
+        if self.tx.provenance or stmt.from_table is None:
+            return True
+        if not aggregates and not stmt.group_by:
+            return True
+        tables = {ref.alias: ref.name for ref in
+                  [stmt.from_table] + [join.table for join in stmt.joins]}
+        for call in aggregates:
+            if call.star:
+                continue
+            if len(call.args) != 1:
+                return True
+            arg = self._static_class(call.args[0], alias_columns, tables)
+            if call.name == "count":
+                if call.distinct and arg is None:
+                    return True
+            elif call.name in ("sum", "avg"):
+                if call.distinct or arg not in ("int", "float"):
+                    return True
+            elif arg not in _EXACT_CLASSES:
+                return True
+        group_cols = []
+        for group in stmt.group_by:
+            if self._static_class(group, alias_columns, tables) \
+                    not in _EXACT_CLASSES:
+                return True
+            group_cols.append(self._column_of(group, alias_columns))
+        if None in group_cols:      # a key that is not a plain column
+            return True
+        grouped = [item.expr for item in stmt.items] + \
+            [order.expr for order in order_items]
+        if stmt.having is not None:
+            grouped.append(stmt.having)
+        if not all(self._group_invariant(expr, group_cols, alias_columns)
+                   for expr in grouped):
+            return True
+        ordered_cols = {self._column_of(order.expr, alias_columns)
+                        for order in order_items}
+        return not set(group_cols) <= ordered_cols
+
+    # ------------------------------------------------------------------
     # SELECT planning
     # ------------------------------------------------------------------
 
@@ -811,6 +1016,8 @@ class Planner:
         order_items = self.effective_order_items(stmt, alias_columns)
         aggregates = self.collect_aggregates(stmt, order_items)
         columns = self.output_columns(stmt, alias_columns)
+        self.ordered = self._order_observable(stmt, alias_columns,
+                                              order_items, aggregates)
 
         if self._columnar_routing(ctx) and stmt.from_table is not None:
             fast = self._try_columnar_aggregate(
@@ -843,16 +1050,19 @@ class Planner:
                                     stmt.from_table.alias, stmt.where, ctx,
                                     alias_columns)
             planned = {stmt.from_table.alias}
+            filtered = self._residual(stmt.where, source) is not None
             for position, join in enumerate(stmt.joins):
                 last = position == len(stmt.joins) - 1
                 source = self.plan_join(
                     source, join, stmt.where, ctx, planned, alias_columns,
-                    sort_elision_order=elision_order if last else None)
+                    sort_elision_order=elision_order if last else None,
+                    filtered=filtered)
                 planned.add(join.table.alias)
         join_root = source
         binder = self._binder(alias_columns)
-        if stmt.where is not None:
-            source = Filter(source, stmt.where, binder=binder)
+        residual = self._residual(stmt.where, source)
+        if residual is not None:
+            source = Filter(source, residual, binder=binder)
 
         if stmt.group_by or aggregates:
             top: PlanNode = HashAggregate(
@@ -870,12 +1080,35 @@ class Planner:
             top = Limit(top, stmt.limit, stmt.offset)
         return self._finish(top, columns, alias_columns)
 
+    @staticmethod
+    def _residual(where: Optional[Expr], source: PlanNode
+                  ) -> Optional[Expr]:
+        """What is left of WHERE for the Filter above ``source``: the
+        conjuncts the FROM table's IndexScan does not enforce exactly.
+        Only that scan counts — every row of it reaches the Filter as
+        it was read, whereas a joined table's rows may have been
+        NULL-extended, and probe bounds are re-derived per outer row."""
+        if where is None:
+            return None
+        leaf = source
+        while isinstance(leaf, (NestedLoopJoin, HashJoin)):
+            leaf = leaf.outer
+        exact = leaf.exact if type(leaf) is IndexScan else ()
+        if not exact:
+            return where
+        residual: Optional[Expr] = None
+        for conj in conjuncts(where):
+            if not any(conj is enforced for enforced in exact):
+                residual = conj if residual is None \
+                    else BinaryOp("AND", residual, conj)
+        return residual
+
     def _finish(self, top: PlanNode, columns: List[str],
                 alias_columns: Dict[str, Sequence[str]]) -> SelectPlan:
         recost_plan(top, self.db)
         return SelectPlan(root=top, columns=columns,
                           alias_columns=alias_columns,
-                          guards=self.guards)
+                          guards=self.guards, ordered=self.ordered)
 
     def _sorted_by_merge(self, join_root: PlanNode,
                          elision_order: Optional[Sequence[OrderItem]],

@@ -200,3 +200,157 @@ class TestPlanIdentity:
             db3.columnstore.on_block(db3, height)
             assert explain_all(db3, height) == reference[height], \
                 f"plan divergence at height {height}"
+
+
+# ---------------------------------------------------------------------------
+# Answer identity: row order the planner stopped producing cannot be seen
+# ---------------------------------------------------------------------------
+
+# Aggregates whose scans the planner marks "(any order)".  Every one of
+# them must return the same bits on nodes whose heaps and indexes hold
+# the rows in different physical orders.
+ANSWER_CORPUS = [
+    # global
+    "SELECT sum(amount), avg(amount), count(*), count(amount), "
+    "min(invoice_id), max(acc_id) FROM invoices",
+    "SELECT sum(amount), count(*) FROM invoices WHERE acc_id = $1",
+    "SELECT sum(balance), max(org), count(DISTINCT org) FROM accounts",
+    # grouped, totally ordered
+    "SELECT acc_id, sum(amount), avg(amount), count(*) FROM invoices "
+    "GROUP BY acc_id ORDER BY acc_id",
+    "SELECT sum(amount) FROM invoices GROUP BY acc_id "
+    "ORDER BY sum(amount) DESC, acc_id ASC LIMIT 3",
+    "SELECT org, count(*), sum(balance) FROM accounts GROUP BY org "
+    "HAVING count(*) > 0 ORDER BY org DESC",
+    # join + aggregate
+    "SELECT sum(i.amount), count(*) FROM accounts a "
+    "JOIN invoices i ON i.acc_id = a.acc_id WHERE a.org = $2",
+    "SELECT a.org, sum(i.amount), count(i.invoice_id) FROM accounts a "
+    "LEFT JOIN invoices i ON i.acc_id = a.acc_id "
+    "GROUP BY a.org ORDER BY a.org",
+    "SELECT a.acc_id, sum(i.amount) FROM accounts a "
+    "JOIN invoices i ON i.acc_id = a.acc_id "
+    "GROUP BY a.acc_id ORDER BY a.acc_id DESC LIMIT 4",
+]
+
+# Wide exponents on purpose: a left-to-right float sum of these depends
+# on the order, and 1e308 + 1e308 overflows an intermediate even when
+# the true sum is in range.
+wide_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([1e308, -1e308, 1e-300, -1e-300, 0.1, -0.0, 0.0,
+                     1e16, 1.0, -1e16]))
+
+
+def answer(db, sql):
+    """Rows as ``repr`` (bit-exact for floats), or the error a node
+    would write to its ledger."""
+    tx = db.begin(allow_nondeterministic=True)
+    try:
+        return repr(run_sql(db, tx, sql, params=(2, "org1")).rows)
+    except Exception as exc:   # noqa: BLE001 - the message is the answer
+        return f"{type(exc).__name__}: {exc}"
+    finally:
+        db.apply_abort(tx, reason="test")
+
+
+def content_order_answer(db, sql):
+    """The oracle: the same statement with every scan planned in the
+    old content order."""
+    from unittest import mock
+
+    from repro.sql.planner import Planner
+
+    db.plan_cache.clear()
+    with mock.patch.object(Planner, "_order_observable",
+                           lambda self, *args: True):
+        tx = db.begin(allow_nondeterministic=True)
+        try:
+            lines = run_sql(db, tx, "EXPLAIN " + sql,
+                            params=(2, "org1")).rows
+        finally:
+            db.apply_abort(tx, reason="test")
+        assert not any("(any order)" in line[0] for line in lines)
+        result = answer(db, sql)
+    db.plan_cache.clear()
+    return result
+
+
+def build_answer_node(amounts, order, burn, vacuum):
+    """Replay one logical history with a node-specific physical layout:
+    ``order`` permutes the inserts inside block 1, ``burn`` aborted
+    transactions consume xids and version ids first, and ``vacuum``
+    prunes dead versions on this node only."""
+    from repro.storage.vacuum import vacuum_database
+
+    db = Database()
+    setup = db.begin(allow_nondeterministic=True)
+    run_sql(db, setup, SETUP)
+    db.apply_commit(setup, block_number=0)
+    for _ in range(burn):
+        apply_noise(db, "aborted")
+    inserts = [
+        ("INSERT INTO accounts (acc_id, org, balance) VALUES ($1, $2, $3)",
+         (i + 1, f"org{i % 3 + 1}", amounts[i % len(amounts)]))
+        for i in range(6)
+    ] + [
+        ("INSERT INTO invoices (invoice_id, acc_id, amount) "
+         "VALUES ($1, $2, $3)", (i + 1, i % 6 + 1, amount))
+        for i, amount in enumerate(amounts)
+    ]
+    blocks = [
+        [inserts[pos] for pos in order],
+        [("UPDATE invoices SET amount = amount * 0.5 "
+          "WHERE invoice_id <= 3", ()),
+         ("DELETE FROM invoices WHERE invoice_id = 5", ())],
+        [("INSERT INTO invoices (invoice_id, acc_id, amount) "
+          "VALUES (900, 2, 0.1)", ())],
+    ]
+    for height, statements in enumerate(blocks, start=1):
+        tx = db.begin(allow_nondeterministic=True)
+        for sql, params in statements:
+            run_sql(db, tx, sql, params=params)
+        db.apply_commit(tx, block_number=height)
+        db.committed_height = height
+        db.columnstore.on_block(db, height)
+        if burn:
+            apply_noise(db, "aborted")
+    if vacuum:
+        assert vacuum_database(db, len(blocks)).removed_versions > 0
+    return db
+
+
+class TestAnswerIdentity:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(),
+           amounts=st.lists(wide_floats, min_size=8, max_size=14))
+    def test_physical_order_cannot_move_answers(self, data, amounts):
+        """Two nodes commit the same blocks with different insert
+        interleavings, burned ids, and a vacuum on one of them only.
+        Every order-elided aggregate returns bit-identical rows (or the
+        identical error) on both — and on each node equals the same
+        statement run with its scans forced into content order."""
+        positions = list(range(6 + len(amounts)))
+        node_a = build_answer_node(amounts, positions, burn=0,
+                                   vacuum=False)
+        node_b = build_answer_node(
+            amounts, data.draw(st.permutations(positions)),
+            burn=data.draw(st.integers(1, 3)), vacuum=True)
+        for sql in ANSWER_CORPUS:
+            got_a, got_b = answer(node_a, sql), answer(node_b, sql)
+            assert got_a == got_b, sql
+            assert got_a == content_order_answer(node_a, sql), sql
+            assert got_b == content_order_answer(node_b, sql), sql
+
+    def test_corpus_is_order_elided(self):
+        """Guards the property above against silently testing ordered
+        plans: every corpus statement's scans are marked."""
+        db = build_answer_node([1.0] * 8, list(range(14)), 0, False)
+        for sql in ANSWER_CORPUS:
+            tx = db.begin(allow_nondeterministic=True)
+            lines = [r[0] for r in run_sql(db, tx, "EXPLAIN " + sql,
+                                           params=(2, "org1")).rows]
+            db.apply_abort(tx, reason="test")
+            scans = [l for l in lines if "Scan" in l or "Probe" in l]
+            assert scans and all("(any order)" in l for l in scans), lines

@@ -12,29 +12,32 @@ from repro.sql.parser import parse_one
 from repro.storage.vacuum import vacuum_database
 
 
+APPENDIX_A_SCHEMA = """
+    CREATE TABLE accounts (
+        acc_id INT PRIMARY KEY,
+        org TEXT NOT NULL,
+        balance FLOAT NOT NULL
+    );
+    CREATE INDEX accounts_org_idx ON accounts(org);
+    CREATE TABLE invoices (
+        invoice_id INT PRIMARY KEY,
+        acc_id INT NOT NULL,
+        org TEXT NOT NULL,
+        amount FLOAT NOT NULL,
+        status TEXT NOT NULL
+    );
+    CREATE INDEX invoices_acc_idx ON invoices(acc_id);
+    CREATE INDEX invoices_org_idx ON invoices(org);
+"""
+
+
 @pytest.fixture
 def db():
     """The Appendix A order-processing shape, seeded like the fig6/fig7
     workloads."""
     database = Database()
     tx = database.begin(allow_nondeterministic=True)
-    run_sql(database, tx, """
-        CREATE TABLE accounts (
-            acc_id INT PRIMARY KEY,
-            org TEXT NOT NULL,
-            balance FLOAT NOT NULL
-        );
-        CREATE INDEX accounts_org_idx ON accounts(org);
-        CREATE TABLE invoices (
-            invoice_id INT PRIMARY KEY,
-            acc_id INT NOT NULL,
-            org TEXT NOT NULL,
-            amount FLOAT NOT NULL,
-            status TEXT NOT NULL
-        );
-        CREATE INDEX invoices_acc_idx ON invoices(acc_id);
-        CREATE INDEX invoices_org_idx ON invoices(org);
-    """)
+    run_sql(database, tx, APPENDIX_A_SCHEMA)
     for i in range(12):
         run_sql(database, tx,
                 "INSERT INTO accounts (acc_id, org, balance) "
@@ -78,27 +81,31 @@ class TestExplainGolden:
         """Cost-based choice for the fig6 shape: a 4-row outer probing a
         36-row inner through its index beats hashing the whole inner
         side per execution (the anchored NDV estimates make the outer's
-        rows~4 = 12/ndv(org)=3 deterministic across nodes)."""
+        rows~4 = 12/ndv(org)=3 deterministic across nodes).  Nothing
+        above the global sum/count can see row order, so neither scan
+        sorts, and the index range enforces ``a.org = $1`` exactly, so
+        no Filter repeats it."""
         assert explain(db, FIG6_SQL, params=("org1",)) == [
-            "HashAggregate (global) (cost~103 rows~1)",
-            "  -> Filter (a.org = $1) (cost~79 rows~12)",
-            "    -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
-            "(cost~67 rows~12)",
-            "      -> IndexScan on accounts as a using accounts_org_idx "
-            "(a.org = $1) (cost~15 rows~4)",
-            "      -> IndexProbe on invoices as i using invoices_acc_idx "
-            "(i.acc_id = a.acc_id) (per outer row) (cost~12 rows~3)",
+            "HashAggregate (global) (cost~64 rows~1)",
+            "  -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
+            "(cost~40 rows~12)",
+            "    -> IndexScan on accounts as a using accounts_org_idx "
+            "(a.org = $1) (any order) (cost~7 rows~4)",
+            "    -> IndexProbe on invoices as i using invoices_acc_idx "
+            "(i.acc_id = a.acc_id) (per outer row) (any order) "
+            "(cost~8 rows~3)",
             "Plan Cache: miss",
         ]
 
     def test_fig7_group_uses_hash_aggregate(self, db):
+        """The ORDER BY names the group key, so the groups are totally
+        ordered whatever order the scan feeds them in."""
         assert explain(db, FIG7_SQL, params=("org1",)) == [
-            "Limit (limit=1) (cost~139 rows~12)",
-            "  -> Sort (sum(amount) DESC, acc_id ASC) (cost~139 rows~12)",
-            "    -> HashAggregate (group by acc_id) (cost~96 rows~12)",
-            "      -> Filter (org = $1) (cost~72 rows~12)",
-            "        -> IndexScan on invoices using invoices_org_idx "
-            "(org = $1) (cost~60 rows~12)",
+            "Limit (limit=1) (cost~84 rows~12)",
+            "  -> Sort (sum(amount) DESC, acc_id ASC) (cost~84 rows~12)",
+            "    -> HashAggregate (group by acc_id) (cost~41 rows~12)",
+            "      -> IndexScan on invoices using invoices_org_idx "
+            "(org = $1) (any order) (cost~17 rows~12)",
             "Plan Cache: miss",
         ]
 
@@ -151,10 +158,10 @@ class TestExplainGolden:
         the planner keeps per-row index probes (narrow predicate reads)."""
         lines = explain(db, FIG6_SQL, params=("org1",), require_index=True)
         assert any(l.startswith(
-            "    -> NestedLoopJoin INNER on (i.acc_id = a.acc_id)")
+            "  -> NestedLoopJoin INNER on (i.acc_id = a.acc_id)")
             for l in lines)
         assert any(l.startswith(
-            "      -> IndexProbe on invoices as i using "
+            "    -> IndexProbe on invoices as i using "
             "invoices_acc_idx (i.acc_id = a.acc_id) (per outer row)")
             for l in lines)
         assert not any("HashJoin" in line for line in lines)
@@ -220,18 +227,16 @@ class TestExplainAnalyzeGolden:
         """Every operator reports its exact actuals: 4 org1 accounts
         drive 4 index probes yielding 3 invoices each."""
         assert masked(explain_analyze(db, FIG6_SQL, params=("org1",))) == [
-            "HashAggregate (global) (cost~103 rows~1) "
+            "HashAggregate (global) (cost~64 rows~1) "
             "(actual rows=1 loops=1 time=<t>)",
-            "  -> Filter (a.org = $1) (cost~79 rows~12) "
-            "(actual rows=12 loops=1 time=<t>)",
-            "    -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
-            "(cost~67 rows~12) (actual rows=12 loops=1 time=<t>)",
-            "      -> IndexScan on accounts as a using accounts_org_idx "
-            "(a.org = $1) (cost~15 rows~4) "
+            "  -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
+            "(cost~40 rows~12) (actual rows=12 loops=1 time=<t>)",
+            "    -> IndexScan on accounts as a using accounts_org_idx "
+            "(a.org = $1) (any order) (cost~7 rows~4) "
             "(actual rows=4 loops=1 time=<t>)",
-            "      -> IndexProbe on invoices as i using invoices_acc_idx "
-            "(i.acc_id = a.acc_id) (per outer row) (cost~12 rows~3) "
-            "(actual rows=12 loops=4 time=<t>)",
+            "    -> IndexProbe on invoices as i using invoices_acc_idx "
+            "(i.acc_id = a.acc_id) (per outer row) (any order) "
+            "(cost~8 rows~3) (actual rows=12 loops=4 time=<t>)",
             "Plan Cache: miss",
             "Planning Time: <t> ms",
             "Execution Time: <t> ms",
@@ -239,16 +244,14 @@ class TestExplainAnalyzeGolden:
 
     def test_fig7_limit_truncates_sorted_groups(self, db):
         assert masked(explain_analyze(db, FIG7_SQL, params=("org1",))) == [
-            "Limit (limit=1) (cost~139 rows~12) "
+            "Limit (limit=1) (cost~84 rows~12) "
             "(actual rows=1 loops=1 time=<t>)",
-            "  -> Sort (sum(amount) DESC, acc_id ASC) (cost~139 rows~12) "
+            "  -> Sort (sum(amount) DESC, acc_id ASC) (cost~84 rows~12) "
             "(actual rows=4 loops=1 time=<t>)",
-            "    -> HashAggregate (group by acc_id) (cost~96 rows~12) "
+            "    -> HashAggregate (group by acc_id) (cost~41 rows~12) "
             "(actual rows=4 loops=1 time=<t>)",
-            "      -> Filter (org = $1) (cost~72 rows~12) "
-            "(actual rows=12 loops=1 time=<t>)",
-            "        -> IndexScan on invoices using invoices_org_idx "
-            "(org = $1) (cost~60 rows~12) "
+            "      -> IndexScan on invoices using invoices_org_idx "
+            "(org = $1) (any order) (cost~17 rows~12) "
             "(actual rows=12 loops=1 time=<t>)",
             "Plan Cache: miss",
             "Planning Time: <t> ms",
@@ -306,14 +309,14 @@ class TestExplainAnalyzeGolden:
         a later plain EXPLAIN renders the original golden."""
         explain_analyze(db, FIG6_SQL, params=("org1",))
         assert explain(db, FIG6_SQL, params=("org1",)) == [
-            "HashAggregate (global) (cost~103 rows~1)",
-            "  -> Filter (a.org = $1) (cost~79 rows~12)",
-            "    -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
-            "(cost~67 rows~12)",
-            "      -> IndexScan on accounts as a using accounts_org_idx "
-            "(a.org = $1) (cost~15 rows~4)",
-            "      -> IndexProbe on invoices as i using invoices_acc_idx "
-            "(i.acc_id = a.acc_id) (per outer row) (cost~12 rows~3)",
+            "HashAggregate (global) (cost~64 rows~1)",
+            "  -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
+            "(cost~40 rows~12)",
+            "    -> IndexScan on accounts as a using accounts_org_idx "
+            "(a.org = $1) (any order) (cost~7 rows~4)",
+            "    -> IndexProbe on invoices as i using invoices_acc_idx "
+            "(i.acc_id = a.acc_id) (per outer row) (any order) "
+            "(cost~8 rows~3)",
             "Plan Cache: hit",
         ]
 
@@ -337,13 +340,13 @@ class TestJoinStrategies:
         tx = db.begin(allow_nondeterministic=True)
         run_sql(db, tx, "INSERT INTO accounts (acc_id, org, balance) "
                         "VALUES (50, 'lonely', 0.0)")
-        sql = ("SELECT a.acc_id, count(i.invoice_id) FROM accounts a "
+        sql = ("SELECT a.acc_id, i.invoice_id FROM accounts a "
                "LEFT JOIN invoices i ON i.acc_id = a.acc_id "
-               "GROUP BY a.acc_id ORDER BY a.acc_id")
+               "ORDER BY a.acc_id")
         lines = [row[0] for row in run_sql(db, tx, "EXPLAIN " + sql).rows]
         assert any("SortMergeJoin LEFT" in line for line in lines)
         result = run_sql(db, tx, sql)
-        assert result.rows[-1] == (50, 0)
+        assert result.rows[-1] == (50, None)
         db.cost_based_planning = False
         try:
             lines = [row[0] for row in
@@ -602,3 +605,85 @@ class TestPlannedSemanticsUnchanged:
                 "EXPLAIN SELECT * FROM accounts a WHERE EXISTS "
                 "(SELECT 1 FROM invoices i WHERE i.acc_id = a.acc_id)"))
         db.apply_abort(tx, reason="test")
+
+
+class TestComplexJoinAtBenchmarkSize:
+    """The end-to-end benchmark's ``complex_join`` at its own seed shape
+    (accounts dealt round-robin to 3 orgs, 20 invoices each).  The old
+    cost model flipped from index probes to a SortMergeJoin over two
+    whole-index walks between 250 and 300 accounts — a merge that threw
+    the ``a.org`` bound away and left it to a Filter over 3x the rows —
+    because nobody charged it for that Filter."""
+
+    SQL = ("SELECT sum(i.amount), count(*) FROM accounts a "
+           "JOIN invoices i ON i.acc_id = a.acc_id WHERE a.org = org_name")
+
+    @staticmethod
+    def seeded(accounts):
+        database = Database()
+        tx = database.begin(allow_nondeterministic=True)
+        run_sql(database, tx, APPENDIX_A_SCHEMA)
+        acc_rows, inv_rows = [], []
+        for acc in range(1, accounts + 1):
+            org = f"org{(acc - 1) % 3 + 1}"
+            acc_rows.append(f"({acc}, '{org}', 100.0)")
+            for _ in range(20):
+                inv_rows.append(f"({len(inv_rows) + 1}, {acc}, '{org}', "
+                                f"{10 + len(inv_rows) % 7}.5, 'new')")
+        run_sql(database, tx, "INSERT INTO accounts (acc_id, org, balance) "
+                              "VALUES " + ", ".join(acc_rows))
+        run_sql(database, tx, "INSERT INTO invoices (invoice_id, acc_id, "
+                              "org, amount, status) VALUES "
+                              + ", ".join(inv_rows))
+        database.apply_commit(tx, block_number=1)
+        database.committed_height = 1
+        return database
+
+    @pytest.mark.parametrize("accounts, golden", [
+        (250, ["HashAggregate (global) (cost~6115 rows~1)",
+               "  -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
+               "(cost~2781 rows~1666)",
+               "    -> IndexScan on accounts as a using accounts_org_idx "
+               "(a.org = org_name) (any order) (cost~91 rows~83)",
+               "    -> IndexProbe on invoices as i using invoices_acc_idx "
+               "(i.acc_id = a.acc_id) (per outer row) (any order) "
+               "(cost~32 rows~20)"]),
+        (300, ["HashAggregate (global) (cost~7363 rows~1)",
+               "  -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
+               "(cost~3363 rows~2000)",
+               "    -> IndexScan on accounts as a using accounts_org_idx "
+               "(a.org = org_name) (any order) (cost~108 rows~100)",
+               "    -> IndexProbe on invoices as i using invoices_acc_idx "
+               "(i.acc_id = a.acc_id) (per outer row) (any order) "
+               "(cost~32 rows~20)"]),
+    ])
+    def test_index_probes_without_a_residual_filter(self, accounts, golden):
+        database = self.seeded(accounts)
+        tx = database.begin(allow_nondeterministic=True)
+        lines = [row[0] for row in run_sql(
+            database, tx, "EXPLAIN " + self.SQL,
+            variables={"org_name": "org1"}).rows]
+        assert lines[:-1] == golden
+        result = run_sql(database, tx, self.SQL,
+                         variables={"org_name": "org1"})
+        database.apply_abort(tx, reason="test")
+        assert result.rows[0][1] == 20 * len(range(1, accounts + 1, 3))
+
+    @pytest.mark.parametrize("accounts", [250, 300])
+    def test_ordered_variant_is_charged_for_the_discarded_bound(
+            self, accounts):
+        """Where row order is observable (a projection) the scans pay
+        their sorts and the merge is close; the Filter charge keeps the
+        index probes on both sides of the old flip."""
+        database = self.seeded(accounts)
+        tx = database.begin(allow_nondeterministic=True)
+        lines = [row[0] for row in run_sql(
+            database, tx,
+            "EXPLAIN SELECT i.amount FROM accounts a "
+            "JOIN invoices i ON i.acc_id = a.acc_id "
+            "WHERE a.org = org_name",
+            variables={"org_name": "org1"}).rows]
+        database.apply_abort(tx, reason="test")
+        assert any("NestedLoopJoin" in line for line in lines), lines
+        assert any("accounts_org_idx" in line for line in lines)
+        assert not any("Filter" in line for line in lines)
