@@ -1,30 +1,23 @@
-"""Block-granular commit pipeline: batched vs per-transaction application.
+"""Block commit phase: what ``process_block`` costs per committed
+transaction, and that it is a function of its input.
 
-The fig5-style write-path benchmark: identical write-heavy blocks (simple
-insert/update contracts, one row each — the paper's "simple contract"
-shape) run through the execute-order-in-parallel flow, where execution
-happens at submission time; ``process_block`` then performs exactly the
-serial commit pipeline (pgLedger record, serial SSI commit, status
-record, checkpoint) this PR restructures.  Two otherwise identical nodes
-process the same blocks:
+Write-heavy blocks (simple insert/update contracts, one row each — the
+paper's "simple contract" shape) run through the execute-order-in-parallel
+flow, where execution and the client-signature check happen at submission
+time; ``process_block`` then performs exactly the commit pipeline
+(pgLedger record, serial SSI commit over the per-block ``ConflictIndex``,
+block apply pass, status record, checkpoint fold, columnar ingest, three
+WAL flushes) and nothing of it is left for later — the whole of it is on
+the clock (docs/commit_pipeline.md).
 
-* **batched** — the default block-granular pipeline: bulk pgLedger
-  record/status writes (direct versioned heap operations, one system
-  transaction per step), a single batched duplicate probe, per-block
-  creator stamping + columnstore hand-off (``Database.apply_block``),
-  bulk index merges and WAL group commit;
-* **per-transaction** — the legacy pipeline (``db.batched_apply=False``):
-  one SELECT + INSERT, one UPDATE and per-row apply work through the full
-  SQL engine for every transaction of every block.
-
-Both pipelines must produce identical state — checkpoint digests and
-table fingerprints are cross-checked before anything is timed (the full
-equivalence property lives in tests/node/test_commit_pipeline.py).
-
-Acceptance gate: the batched pipeline commits at least 2x the
-transactions per second.  The measured ratio is recorded into
-``BENCH_block_commit.json`` (committed with the PR) and CI fails when the
-live ratio regresses more than 2x against the committed one.
+**Scope: commit phase only.**  Execution and signature checks are off the
+clock, so ``commit_phase_tps`` is not a throughput anyone can observe; on
+the real path P-256 verification dominates and the engine commits a few
+hundred transactions per second (``benchmarks/e2e``, which is the
+performance gate).  This file has no absolute-speed gate.  It records the
+number in ``BENCH_block_commit.json`` for the next reader and asserts that
+two runs of the same blocks agree byte for byte — WAL records, pgLedger
+rows, heap versions, checkpoint digests and every registry counter.
 """
 
 import gc
@@ -39,6 +32,7 @@ from repro.bench.harness import format_table, registry_counter_snapshot
 from repro.chain.block import Block
 from repro.chain.transaction import ProcedureCall, Transaction
 from repro.core.network import BlockchainNetwork
+from repro.storage.visibility import latest_committed_visible
 
 SCHEMA = """
 CREATE TABLE readings (
@@ -69,22 +63,20 @@ MEASURED_BLOCKS = 10
 TXS_PER_BLOCK = 60
 
 
-def build_node(batched: bool, parallel: bool = False):
+def build_node():
     net = BlockchainNetwork(
         organizations=["org1"], flow="execute-order",
         schema_sql=SCHEMA, contracts=CONTRACTS)
     client = net.register_client("bench", "org1")
     node = net.primary_node
-    node.db.batched_apply = batched
-    node.db.parallel_commit = parallel
-    node.db.parallel_min_txs = 0
+    node.ledger._clock = lambda: 1000.0   # pin committime across runs
     return net, node, client.identity
 
 
 def block_calls(number: int, sensor_base: int):
     """Deterministic write-heavy block: ~3/4 inserts, ~1/4 updates of rows
     inserted by earlier blocks (each update hits a distinct row, so every
-    transaction commits in both pipelines)."""
+    transaction commits)."""
     calls = []
     sensor = sensor_base
     for i in range(TXS_PER_BLOCK):
@@ -99,19 +91,17 @@ def block_calls(number: int, sensor_base: int):
     return calls, sensor
 
 
-def run_pipeline(batched: bool, parallel: bool = False):
+def run_pipeline():
     """Submit + execute each block's transactions (the EO flow's
-    client-side phase, untimed), then time ``process_block`` — the serial
-    commit pipeline.  Returns (node, committed count, elapsed seconds
-    over the measured blocks).
+    client-side phase, untimed), then time ``process_block`` — the commit
+    pipeline, all of it.  Returns (net, node, committed count, elapsed
+    seconds over the measured blocks).
 
     The cyclic collector is paused around the loop (after a full
-    collect) for *both* legs: with a large heap left by earlier tests, a
-    single gen-2 pause is tens of milliseconds — longer than a whole
-    parallel block — and whichever timed section it lands in decides the
-    ratio instead of the pipelines under test.
+    collect): with a large heap left by earlier tests, a single gen-2
+    pause is tens of milliseconds — longer than a whole block.
     """
-    net, node, identity = build_node(batched, parallel)
+    net, node, identity = build_node()
     committed = 0
     elapsed = 0.0
     sensor = 0
@@ -135,128 +125,64 @@ def run_pipeline(batched: bool, parallel: bool = False):
             elapsed += time.perf_counter() - started
             committed += metrics.committed
             assert metrics.missing_txs == 0   # execution stays off the clock
-        node.db.drain_commits()   # wait out any pipelined finalize (untimed)
     finally:
         if gc_was_enabled:
             gc.enable()
     return net, node, committed, elapsed
 
 
-def fingerprint(node):
-    from repro.storage.visibility import latest_committed_visible
-    heap = node.db.catalog.heap_of("readings")
-    rows = [tuple(sorted(v.values.items()))
-            for v in heap.all_versions()
-            if latest_committed_visible(v, node.db.statuses)]
-    return sorted(rows)
+def artifacts(net, node):
+    """Everything the run left behind that another run must reproduce."""
+    db = node.db
+
+    def versions(table):
+        return [(v.version_id, v.row_id, v.xmin, v.xmax_winner,
+                 v.creator_block, v.deleter_block, sorted(v.values.items()))
+                for v in db.catalog.heap_of(table).all_versions()
+                if table != "pgledger"
+                or latest_committed_visible(v, db.statuses)]
+
+    return {
+        "wal": [(r.lsn, r.kind, r.payload) for r in db.wal._records],
+        "readings": versions("readings"),
+        "pgledger": versions("pgledger"),
+        "digests": [node.checkpoints.local_digest(height) for height in
+                    range(1, WARMUP_BLOCKS + MEASURED_BLOCKS + 1)],
+        "height": db.committed_height,
+        "counters": registry_counter_snapshot(net.metrics),
+    }
 
 
-def test_block_commit_speedup(benchmark):
-    # Parallel commit is pinned off on both legs: this gate measures the
-    # block-granular pipeline against the legacy per-transaction one and
-    # must keep reproducing the committed baseline regardless of the
-    # (default-on) parallel scheduler.
+def test_block_commit_phase(benchmark):
     def measure():
-        return run_pipeline(True, parallel=False), \
-            run_pipeline(False, parallel=False)
+        return run_pipeline(), run_pipeline()
 
-    (b_net, b_node, b_committed, b_wall), \
-        (s_net, s_node, s_committed, s_wall) = benchmark.pedantic(
+    (a_net, a_node, a_committed, a_wall), \
+        (b_net, b_node, b_committed, b_wall) = benchmark.pedantic(
             measure, rounds=1, iterations=1)
 
-    # Equivalence sanity (the property suite goes much further): same
-    # commits, same state, same checkpoint digests at every height.
-    assert b_committed == s_committed > 0
-    assert fingerprint(b_node) == fingerprint(s_node)
-    for height in range(1, WARMUP_BLOCKS + MEASURED_BLOCKS + 1):
-        assert b_node.checkpoints.local_digest(height) == \
-            s_node.checkpoints.local_digest(height)
+    assert a_committed == b_committed == MEASURED_BLOCKS * TXS_PER_BLOCK
+    first, second = artifacts(a_net, a_node), artifacts(b_net, b_node)
+    for name in first:
+        assert first[name] == second[name], name
 
-    batched_tps = b_committed / max(b_wall, 1e-9)
-    serial_tps = s_committed / max(s_wall, 1e-9)
-    speedup = batched_tps / max(serial_tps, 1e-9)
-
+    # The quieter of the two identical runs.
+    wall = min(a_wall, b_wall)
+    tps = a_committed / max(wall, 1e-9)
     print_banner(
-        f"Block commit pipeline — batched vs per-transaction "
-        f"({MEASURED_BLOCKS} measured blocks x {TXS_PER_BLOCK} txs)")
+        f"Block commit phase — execution and signature checks off the "
+        f"clock ({MEASURED_BLOCKS} measured blocks x {TXS_PER_BLOCK} txs)")
     print(format_table(
-        ["pipeline", "commit_ms", "committed", "committed_tx_per_s"],
-        [["batched", round(b_wall * 1e3, 1), b_committed,
-          round(batched_tps, 1)],
-         ["per-transaction", round(s_wall * 1e3, 1), s_committed,
-          round(serial_tps, 1)]]))
-    print(f"\nbatched commit speedup: {speedup:.1f}x")
+        ["run", "commit_ms", "committed", "commit_phase_tps"],
+        [["first", round(a_wall * 1e3, 1), a_committed,
+          round(a_committed / max(a_wall, 1e-9), 1)],
+         ["second", round(b_wall * 1e3, 1), b_committed,
+          round(b_committed / max(b_wall, 1e-9), 1)]]))
 
-    # Acceptance: the block-granular pipeline commits >=2x the tx/s.
-    assert speedup >= 2.0, \
-        f"batched pipeline only {speedup:.2f}x the per-transaction tx/s"
-
-    canonical = record_baseline("block_commit", {
+    record_baseline("block_commit", {
+        "scope": "commit phase only: execution and signature checks "
+                 "off the clock",
         "blocks": MEASURED_BLOCKS,
         "txs_per_block": TXS_PER_BLOCK,
-        "batched_tps": round(batched_tps, 1),
-        "serial_tps": round(serial_tps, 1),
-        "speedup_x": round(speedup, 1),
-    }, path=BLOCK_COMMIT_BASELINE_PATH,
-        registry=registry_counter_snapshot(b_net.metrics))
-    # CI perf gate: >2x regression of the ratio vs the committed baseline
-    # fails the job.
-    assert speedup >= canonical["speedup_x"] / 2, \
-        (f"block-commit speedup {speedup:.1f}x regressed >2x vs committed "
-         f"baseline {canonical['speedup_x']}x")
-
-
-def test_parallel_commit_speedup(benchmark):
-    """The PR's tentpole gate: conflict-group parallelism + cross-block
-    pipelining vs the same batched pipeline with the scheduler pinned
-    off, on low-conflict blocks (every tx touches a distinct row).
-
-    Equivalence comes first: committed counts, table fingerprints and
-    per-height checkpoint digests must be identical — parallel commit is
-    a scheduling change, never a semantic one."""
-    def measure():
-        return run_pipeline(True, parallel=True), \
-            run_pipeline(True, parallel=False)
-
-    (p_net, p_node, p_committed, p_wall), \
-        (s_net, s_node, s_committed, s_wall) = benchmark.pedantic(
-            measure, rounds=1, iterations=1)
-
-    assert p_committed == s_committed > 0
-    assert fingerprint(p_node) == fingerprint(s_node)
-    for height in range(1, WARMUP_BLOCKS + MEASURED_BLOCKS + 1):
-        assert p_node.checkpoints.local_digest(height) == \
-            s_node.checkpoints.local_digest(height)
-    assert p_node.processor.scheduler.parallel_blocks > 0
-    assert p_node.processor.scheduler.pipelined_blocks > 0
-
-    parallel_tps = p_committed / max(p_wall, 1e-9)
-    serial_tps = s_committed / max(s_wall, 1e-9)
-    speedup = parallel_tps / max(serial_tps, 1e-9)
-
-    print_banner(
-        f"Parallel commit — conflict groups + pipelining vs serial batched "
-        f"({MEASURED_BLOCKS} measured blocks x {TXS_PER_BLOCK} txs)")
-    print(format_table(
-        ["pipeline", "commit_ms", "committed", "committed_tx_per_s"],
-        [["parallel", round(p_wall * 1e3, 1), p_committed,
-          round(parallel_tps, 1)],
-         ["serial-batched", round(s_wall * 1e3, 1), s_committed,
-          round(serial_tps, 1)]]))
-    print(f"\nparallel commit speedup: {speedup:.1f}x")
-
-    # Acceptance (ISSUE): >=2x committed tx/s on low-conflict blocks.
-    assert speedup >= 2.0, \
-        f"parallel commit only {speedup:.2f}x the serial batched tx/s"
-
-    canonical = record_baseline("parallel_commit", {
-        "blocks": MEASURED_BLOCKS,
-        "txs_per_block": TXS_PER_BLOCK,
-        "parallel_tps": round(parallel_tps, 1),
-        "serial_tps": round(serial_tps, 1),
-        "speedup_x": round(speedup, 1),
-    }, path=BLOCK_COMMIT_BASELINE_PATH,
-        registry=registry_counter_snapshot(p_net.metrics))
-    assert speedup >= canonical["speedup_x"] / 2, \
-        (f"parallel-commit speedup {speedup:.1f}x regressed >2x vs "
-         f"committed baseline {canonical['speedup_x']}x")
+        "commit_phase_tps": round(tps, 1),
+    }, path=BLOCK_COMMIT_BASELINE_PATH, registry=first["counters"])

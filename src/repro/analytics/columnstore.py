@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, \
-    Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analytics.encoding import (
     DictVector,
@@ -502,10 +501,6 @@ class ColumnStore:
         self._pending: List[list] = []
         self._stale = True  # rebuilt from the heap on first access
         self.synced_height = 0
-        # Pipelining fence (set by the owning Database): observability
-        # reads wait out any in-flight background block finalization, so
-        # stats never show a half-ingested block.
-        self.fence: Optional[Callable[[], None]] = None
         # Observability counters on the unified registry (legacy
         # attribute names below are read-only views).
         if metrics is None:
@@ -535,12 +530,9 @@ class ColumnStore:
             "columnstore.rle_runs_scanned")
         self._chunk_counters = ChunkCounters(self._encoded_chunks,
                                              self._rle_runs_scanned)
-        # Live memory footprint per stored row version.  Computed
-        # without fencing (a gauge callback may run inside a snapshot
-        # that already fenced); exporters that need a quiesced figure
-        # call memory_stats() instead.
+        # Live memory footprint per stored row version.
         metrics.gauge("columnstore.bytes_per_row",
-                      fn=self._bytes_per_row_live)
+                      fn=lambda: self.memory_stats()["bytes_per_row"])
 
     # Legacy counter attributes — views over the registry objects.
     @property
@@ -621,7 +613,7 @@ class ColumnStore:
         """Block-granular twin of :meth:`note_commit`: queue a whole
         block's committed write sets in commit order with one pass.  The
         resulting pending queue is identical to per-transaction
-        ``note_commit`` calls, so both pipelines ingest the same chunks."""
+        ``note_commit`` calls (tests/node/test_commit_pipeline.py)."""
         if not self.enabled or self._stale:
             return
         self._pending.extend(list(tx.writes) for tx in committed
@@ -635,43 +627,25 @@ class ColumnStore:
             return
         if self._stale:
             self.rebuild(db)
-            return
-        self._ingest(db, self._cut_pending())
-
-    def _cut_pending(self):
-        """Atomically take the current pending queue."""
-        pending, self._pending = self._pending, []
-        return pending
-
-    def cut_pending(self):
-        """Foreground hand-off point for the pipelined scheduler: snapshot
-        the block's queued deltas *at submit time*, so the background
-        ingest can never absorb a later block's entries (pending order is
-        what makes chunk contents deterministic)."""
-        if not self.enabled or self._stale:
-            return []
-        return self._cut_pending()
+        else:
+            self._ingest(db)
 
     def on_block(self, db, height: int) -> None:
-        """Block processor post-commit hook: ingest the block's committed
-        deltas into the column chunks, seal them (zone maps), and
-        compact the accumulated per-block chunks periodically."""
+        """Block processor post-commit hook (recovery's finalize-from-WAL
+        calls it too): bring the replica up to block ``height``.  A stale
+        store rebuilds from the live heaps, which already hold the
+        block, and is left with no deltas to ingest."""
         if not self.enabled:
             return
-        self.ensure_synced(db)
-        self._seal_block(height)
+        if self._stale:
+            self.rebuild(db)
+        self.ingest_block(db, height)
 
-    def ingest_block(self, db, height: int, cut) -> None:
-        """Pipelined twin of :meth:`on_block`, fed a foreground
-        :meth:`cut_pending` snapshot.  Skips entirely when the store went
-        stale after the cut (a rebuild reads live heaps — that must
-        happen on the foreground, under the barrier, at next access)."""
-        if not self.enabled or self._stale:
-            return
-        self._ingest(db, cut)
-        self._seal_block(height)
-
-    def _seal_block(self, height: int) -> None:
+    def ingest_block(self, db, height: int) -> None:
+        """Ingest the queued deltas of block ``height`` into the column
+        chunks, seal them (zone maps), and compact the accumulated
+        per-block chunks periodically."""
+        self._ingest(db)
         self.synced_height = max(self.synced_height, height)
         for tcols in self.tables.values():
             tcols.seal_open()
@@ -690,7 +664,9 @@ class ColumnStore:
             self.tables[name] = tcols
         return tcols
 
-    def _ingest(self, db, pending) -> None:
+    def _ingest(self, db) -> None:
+        """Drain the pending queue into the column chunks."""
+        pending, self._pending = self._pending, []
         for writes in pending:
             for entry in writes:
                 tcols = self._table_for(db, entry.table)
@@ -949,23 +925,10 @@ class ColumnStore:
 
     # -- observability -----------------------------------------------------
 
-    def _bytes_per_row_live(self) -> float:
-        """Gauge callback: current bytes per stored row version, over
-        whatever chunks exist right now (no fence — see __init__)."""
-        seen: Set[int] = set()
-        total = rows = 0
-        for tcols in self.tables.values():
-            for chunk in tcols.chunks:
-                total += chunk.memory_bytes(seen)
-                rows += len(chunk)
-        return round(total / rows, 2) if rows else 0.0
-
     def memory_stats(self) -> Dict[str, Any]:
-        """Quiesced memory accounting (fences in-flight ingest first):
-        total vector bytes, stored row versions, and bytes per row —
-        the figure the analytics bench gates its >=3x reduction on."""
-        if self.fence is not None:
-            self.fence()
+        """Memory accounting: total vector bytes, stored row versions,
+        and bytes per row — the figure the analytics bench gates its
+        >=3x reduction on."""
         seen: Set[int] = set()
         total = rows = 0
         for tcols in self.tables.values():
@@ -979,8 +942,6 @@ class ColumnStore:
         }
 
     def stats(self) -> Dict[str, Any]:
-        if self.fence is not None:
-            self.fence()   # land any pipelined ingest before reporting
         return {
             "enabled": self.enabled,
             "stale": self._stale,

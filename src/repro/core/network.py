@@ -187,9 +187,7 @@ class BlockchainNetwork:
                expect_progress: bool = True) -> None:
         """Run the event loop until the queue drains or ``timeout``
         simulated seconds elapse (consensus protocols with periodic
-        heartbeats never fully drain the queue).  Also waits out every
-        live node's pipelined block finalization, so "settled" means
-        fully applied — tests can read heaps/digests directly after.
+        heartbeats never fully drain the queue).
 
         With ``expect_progress`` (the default), a live node whose block
         store stopped advancing while its block buffer still holds work
@@ -197,16 +195,7 @@ class BlockchainNetwork:
         returning silently with a wedged node.  Pass
         ``expect_progress=False`` while faults (partitions, crashes, an
         aggressive fault plan) are deliberately still active."""
-        deadline = self.scheduler.now + timeout
-        self.scheduler.run(until=deadline)
-        for _ in range(2):
-            # Draining may submit checkpoint digests the background stage
-            # parked (foreground-only ordering-service calls), which
-            # enqueues new events — run the loop once more so they land.
-            for node in self.nodes:
-                if not node.crashed:
-                    node.db.drain_commits()
-            self.scheduler.run(until=deadline)
+        self.scheduler.run(until=self.scheduler.now + timeout)
         if expect_progress:
             for node in self.nodes:
                 diagnosis = self._stuck_diagnosis(node)
@@ -253,8 +242,6 @@ class BlockchainNetwork:
         live = [n for n in self.nodes if not n.crashed]
         if len(live) < 2:
             return
-        for node in live:   # fingerprints read heaps outside transactions
-            node.db.drain_commits()
         reference = live[0]
         table_names = list(tables) if tables else [
             t for t in reference.db.catalog.table_names()

@@ -62,8 +62,9 @@ class BlockAwareSSI:
         """Apply Table 2 as ``tx`` (at ``tx.block_position`` of block
         ``block_number``) enters its serial commit.
 
-        ``index`` supplies memoized rw-edge verdicts (the parallel
-        scheduler's warmed cache); decisions are unchanged.  Returns the
+        ``index`` supplies memoized rw-edge verdicts (the block
+        processor's per-block :class:`ConflictIndex`); decisions are
+        unchanged.  Returns the
         other transactions aborted by this step; raises
         :class:`SerializationFailure` when ``tx`` itself must abort.
         """

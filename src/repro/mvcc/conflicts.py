@@ -48,25 +48,20 @@ class ConflictIndex:
     ``has_rw_edge`` is a pure function of two transactions' frozen
     read/write sets — state filtering (``is_aborted`` / ``is_committed``)
     happens at decision time in the validators, never here.  That purity
-    is what makes the cache safe to warm *speculatively* from worker
-    threads (node/scheduler.py) while the serial merge loop keeps every
-    commit/abort decision in block order: a cached edge answer is always
-    identical to computing it at decision time.
+    is what makes the cache safe to fill ahead of the commit loop
+    (:meth:`warm_block`) or lazily from inside it: a cached edge answer
+    is always identical to computing it at decision time.
 
-    Three layers of memoization kill the serial pipeline's redundant
-    work (one ``wrote_version_ids``/``write_values_by_table`` rebuild
-    per candidate per validation — tens of thousands of set/dict
-    allocations per block):
+    Layers of memoization remove the redundant work of asking
+    ``has_rw_edge`` afresh (one ``wrote_version_ids`` /
+    ``write_values_by_table`` rebuild per candidate per validation —
+    tens of thousands of set/dict allocations per block):
 
     * the (table, version_id) set of old versions each writer replaced,
     * each writer's row images grouped by table,
     * per (writer, predicate columns) *normalized index keys* of those
       images, so a predicate-range probe is pure tuple comparison, and
     * the final edge verdict per (reader, writer) pair.
-
-    Thread notes: dicts are only ever populated (never cleared), and an
-    entry's value is deterministic, so racing workers at worst duplicate
-    a computation — they cannot disagree.
     """
 
     def __init__(self) -> None:
@@ -159,14 +154,7 @@ class ConflictIndex:
             self._edges[key] = cached
         return cached
 
-    def ww_overlap(self, a: TransactionContext,
-                   b: TransactionContext) -> bool:
-        """True when ``a`` and ``b`` replaced/deleted a common old version
-        — the first-committer-wins pair ``validate_ww`` adjudicates."""
-        return bool(self.wrote(a) & self.wrote(b))
-
-    def warm_block(self, members: List[TransactionContext]
-                   ) -> List[Tuple[int, int]]:
+    def warm_block(self, members: List[TransactionContext]) -> None:
         """Bulk-derive every ordered in-block edge verdict in near-linear
         time and store it in the edge cache.
 
@@ -181,8 +169,6 @@ class ConflictIndex:
         mirrors :meth:`_compute_edge` exactly, so the cached verdicts
         are identical to lazy computation (property-tested against
         :func:`has_rw_edge` pair-by-pair).
-
-        Returns the true edges as ``(reader_xid, writer_xid)`` pairs.
         """
         true_pairs: Set[Tuple[int, int]] = set()
         writers = [w for w in members if w.writes]
@@ -260,7 +246,6 @@ class ConflictIndex:
                 if rxid != w.xid:
                     pair = (rxid, w.xid)
                     edges[pair] = pair in true_pairs
-        return sorted(true_pairs)
 
 
 def near_conflicts(tx: TransactionContext,
@@ -288,71 +273,6 @@ def out_conflicts(tx: TransactionContext,
                 if not other.is_aborted and index.has_edge(tx, other)]
     return [other for other in candidates
             if not other.is_aborted and has_rw_edge(tx, other)]
-
-
-def partition_block(members: List[TransactionContext],
-                    index: Optional[ConflictIndex] = None
-                    ) -> List[List[TransactionContext]]:
-    """Partition a block's transactions into independent conflict groups.
-
-    Union-find over the undirected closure of the in-block conflict
-    relations: an rw-antidependency in either direction, or a ww overlap
-    (two transactions replacing the same old version).  The result is a
-    valid coloring of :func:`build_conflict_graph`'s output — no rw or ww
-    edge ever crosses two groups — so groups can be *validated*
-    concurrently: a transaction's in-block nears, outs and fars are
-    always members of its own group (property-tested).
-
-    Groups are returned in block order (by their earliest member) with
-    members kept in block order inside each group.
-    """
-    index = index if index is not None else ConflictIndex()
-    parent = list(range(len(members)))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:          # path compression
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            # Smaller root wins so roots track earliest block position.
-            if ri < rj:
-                parent[rj] = ri
-            else:
-                parent[ri] = rj
-
-    # Bulk-derive every in-block edge verdict once (near-linear inverted
-    # maps instead of an O(n²) pairwise sweep) and union along the true
-    # edges; the verdicts stay cached for the merge loop's validators.
-    rw_pairs = index.warm_block(members)
-    positions: Dict[int, List[int]] = {}
-    for i, tx in enumerate(members):
-        positions.setdefault(tx.xid, []).append(i)
-    for spots in positions.values():
-        for j in spots[1:]:           # duplicate submissions of one tx
-            union(spots[0], j)
-    for rxid, wxid in rw_pairs:
-        union(positions[rxid][0], positions[wxid][0])
-    # ww overlaps: transactions replacing/deleting the same old version.
-    writers_of_version: Dict[Tuple[str, int], List[int]] = {}
-    for i, tx in enumerate(members):
-        for vkey in index.wrote(tx):
-            writers_of_version.setdefault(vkey, []).append(i)
-    for spots in writers_of_version.values():
-        for j in spots[1:]:
-            union(spots[0], j)
-
-    groups: Dict[int, List[TransactionContext]] = {}
-    for i, tx in enumerate(members):
-        groups.setdefault(find(i), []).append(tx)
-    # Insertion order of the dict is block order of each group's first
-    # member, so the list below is deterministically ordered.
-    return list(groups.values())
 
 
 def build_conflict_graph(transactions: List[TransactionContext]

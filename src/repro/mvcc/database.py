@@ -51,10 +51,6 @@ class BlockApplyBatch:
     block_number: int
     committed: List["TransactionContext"] = field(default_factory=list)
     applied: bool = False
-    # Columnstore deltas handed off (kept separate from ``applied`` so the
-    # pipelined scheduler can queue the deltas in foreground commit order
-    # while the heavier apply passes run on the background stage).
-    noted: bool = False
 
 
 class Database:
@@ -95,7 +91,6 @@ class Database:
         # the block processor's post-commit hook and analytical reads
         # drain the queue into column chunks.
         self.columnstore = ColumnStore(metrics=self.metrics)
-        self.columnstore.fence = self.drain_commits
         # A dropped table's chunks must never serve a later re-creation
         # under the same name — rebuild from the heap instead.
         self.catalog.add_drop_listener(
@@ -111,27 +106,6 @@ class Database:
         # (the flag participates in the plan-cache key).
         self.stats = StatisticsManager(self)
         self.cost_based_planning = True
-        # Block-granular commit pipeline: when True the block processor
-        # batches per-row apply work, ledger writes and index maintenance
-        # into per-block passes (see apply_block); False keeps the legacy
-        # per-transaction pipeline — both produce byte-identical state,
-        # WAL sequences and checkpoint digests (property-tested).
-        self.batched_apply = True
-        # Parallel commit scheduler (node/scheduler.py): conflict-group
-        # edge derivation on a thread pool plus cross-block pipelining of
-        # block finalization.  Off reproduces the serial scheduler's bytes
-        # and timings exactly; on is byte-identical by construction
-        # (property-tested).  parallel_min_txs keeps tiny blocks on the
-        # serial path where pool hand-off costs more than it saves.
-        self.parallel_commit = os.environ.get(
-            "REPRO_PARALLEL_COMMIT", "1") not in ("0", "false", "off")
-        self.parallel_min_txs = int(os.environ.get(
-            "REPRO_PARALLEL_MIN_TXS", "8"))
-        # Pipelining fence, set by the block processor's scheduler: called
-        # before a new transaction begins so it never observes a partially
-        # applied block (ledger system transactions opt out — the
-        # background stage never touches pgLedger).
-        self.commit_barrier = None
         # Structured slow-query log: top-level statements whose total
         # (plan + execute) wall time crosses the threshold land here as
         # dicts (statement kind, fingerprint, timings, rows, cache
@@ -160,17 +134,10 @@ class Database:
     # Transaction lifecycle
     # ------------------------------------------------------------------
 
-    def begin(self, snapshot: Optional[Snapshot] = None, *,
-              _barrier: bool = True, **kwargs) -> TransactionContext:
+    def begin(self, snapshot: Optional[Snapshot] = None,
+              **kwargs) -> TransactionContext:
         """Start a transaction.  Default snapshot: latest committed state
-        (sequence snapshot).
-
-        ``_barrier=False`` (ledger system transactions only) skips the
-        pipelining fence: those transactions touch only pgLedger, which
-        the background finalize stage never mutates, and their reads use
-        sequence snapshots that never consult creator-block stamps."""
-        if _barrier and self.commit_barrier is not None:
-            self.commit_barrier()
+        (sequence snapshot)."""
         xid = next(self._xid_counter)
         if snapshot is None:
             snapshot = SeqSnapshot(self.statuses.current_commit_seq)
@@ -199,16 +166,18 @@ class Database:
         """Make ``tx``'s writes durable and visible: resolve ww winners,
         stamp creator/deleter block numbers, flip CLOG status.
 
-        With ``batch`` (block-granular pipeline) only the work that later
-        same-block *validations* observe happens here: the CLOG flip and
-        commit sequence (``validate_ww`` / the SSI validators test
-        ``is_committed`` between commits) and xmax-winner resolution on
-        replaced versions (``validate_ww`` reads ``xmax_winner``).  The
-        rest — creator-height stamping, live-row accounting, the
-        columnstore delta — defers to :meth:`apply_block`, which runs it
-        in single per-block passes.  The WAL record is appended here
-        either way so the record sequence stays byte-identical to the
-        per-transaction pipeline's."""
+        With ``batch`` (the block processor's commit loop) only the work
+        that later same-block *validations* observe happens here: the
+        CLOG flip and commit sequence (``validate_ww`` / the SSI
+        validators test ``is_committed`` between commits) and
+        xmax-winner resolution on replaced versions (``validate_ww``
+        reads ``xmax_winner``).  The rest — creator-height stamping,
+        live-row accounting, the columnstore delta — defers to
+        :meth:`apply_block`, which runs it in single per-block passes.
+        Without one (genesis, ledger system transactions, private
+        transactions, standalone databases) everything happens here.
+        The WAL record is appended here either way, so the record
+        sequence does not depend on batching."""
         if tx.state is TxState.ABORTED:
             raise SerializationFailure(
                 f"cannot commit aborted transaction {tx.tx_id or tx.xid}",
@@ -242,11 +211,11 @@ class Database:
         return BlockApplyBatch(block_number=block_number)
 
     def drain_commits(self) -> None:
-        """Wait for any pipelined block finalization to fully apply.  A
-        no-op without the parallel scheduler.  Call before reading heap,
-        index, columnstore or checkpoint state outside a transaction."""
-        if self.commit_barrier is not None:
-            self.commit_barrier()
+        """No-op span anchor: a block is fully applied when
+        ``process_block`` returns, so there is nothing to wait for.
+        ``benchmarks/e2e/spans.py`` resolves it by dotted path (tier-1
+        asserts ``missing_spans == []``); nothing in ``src/`` calls it and
+        ROADMAP lists it for the next ``benchmark`` PR to drop."""
 
     def note_slow_query(self, entry: Dict) -> None:
         """Append a structured slow-query record (bounded: oldest entries
@@ -256,18 +225,6 @@ class Database:
             del self.slow_queries[:len(self.slow_queries)
                                   - self.max_slow_queries]
 
-    def note_block_deltas(self, batch: BlockApplyBatch) -> None:
-        """Hand the block's committed write sets to the columnstore's
-        pending queue, in commit order.  Split out of :meth:`apply_block`
-        (and made idempotent) because the pipelined scheduler must queue
-        the deltas on the *foreground* thread — the following ledger
-        status record feeds the same queue, and pending order is what
-        makes chunk contents deterministic."""
-        if batch.noted:
-            return
-        batch.noted = True
-        self.columnstore.note_block(batch.committed)
-
     def apply_block(self, batch: BlockApplyBatch) -> None:
         """Finish the block's deferred apply work in single per-block
         passes: stamp creator heights on every committed new version,
@@ -275,10 +232,9 @@ class Database:
         the columnstore the whole block's deltas in commit order, and
         bulk-merge the pending index tails of every touched table.
 
-        Idempotent: the block processor invokes it in a ``finally`` so a
-        mid-block crash leaves the already-committed transactions exactly
-        as the per-transaction pipeline would (fully stamped), which the
-        recovery protocol's rollback path relies on."""
+        Idempotent.  The block processor invokes it in a ``finally`` so a
+        mid-block crash leaves the already-committed transactions fully
+        stamped, which the recovery protocol's rollback path relies on."""
         if batch.applied:
             return
         batch.applied = True
@@ -295,7 +251,7 @@ class Database:
         for table, count in deletes.items():
             if self.catalog.has_table(table):
                 self.catalog.heap_of(table).note_committed_deletes(count)
-        self.note_block_deltas(batch)
+        self.columnstore.note_block(batch.committed)
         for table in tables:
             if self.catalog.has_table(table):
                 self.catalog.heap_of(table).merge_pending_indexes()

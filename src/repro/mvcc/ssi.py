@@ -66,10 +66,10 @@ class AbortDuringCommitSSI:
 
         ``candidates`` is the set of transactions to consider for conflicts
         (defaults to everything concurrent with ``tx``).  ``index`` supplies
-        memoized rw-edge verdicts (the parallel scheduler's warmed cache) —
-        decisions are unchanged.  Returns the list of *other* transactions
-        this step aborted.  Raises :class:`SerializationFailure` if ``tx``
-        itself must abort.
+        memoized rw-edge verdicts (the block processor's per-block
+        :class:`ConflictIndex`) — decisions are unchanged.  Returns the
+        list of *other* transactions this step aborted.  Raises
+        :class:`SerializationFailure` if ``tx`` itself must abort.
         """
         if candidates is None:
             candidates = self.db.concurrent_with(tx)

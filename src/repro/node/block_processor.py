@@ -16,26 +16,18 @@ exercise the section 3.6 recovery protocol; ``mid_commit:<k>`` crashes
 immediately before committing block position ``k``, so a test can stop
 the pipeline at *every* WAL commit-record boundary.
 
-Block-granular pipeline (``db.batched_apply``, the default): the ledger
-steps run as bulk heap writes, the per-transaction duplicate probe
-becomes one batched lookup, and the commit loop defers the per-row apply
-work into a :class:`~repro.mvcc.database.BlockApplyBatch` finalized in a
-single per-block pass (``Database.apply_block``) — inside a ``finally``
-so any mid-block crash leaves exactly the state the per-transaction
-pipeline would have.  Only the work later validations observe (CLOG
-flips, xmax-winner resolution) stays inside the loop, which keeps commit
-and abort decisions — and therefore WAL sequences, checkpoint digests
-and ledger contents — byte-identical between the two pipelines.
-
-Parallel commit scheduler (``db.parallel_commit``, on top of the
-batched pipeline — see node/scheduler.py and docs/parallel_commit.md):
-the block partitions into independent conflict groups whose rw-edge
-structure is derived concurrently on a thread pool, the serial merge
-loop consumes the warmed edge cache (decisions stay in block order —
-bytes identical by construction), and the block's finalization
-(``apply_block``, columnstore ingest, checkpoint digest, WAL flush)
-pipelines onto a background stage overlapping the next block's
-execution, fenced by a barrier in ``Database.begin``.
+The pipeline is block-granular and synchronous: the ledger steps run as
+bulk heap writes, the per-transaction duplicate probe is one batched
+lookup, the block's in-block rw edges are derived in bulk into a
+:class:`~repro.mvcc.conflicts.ConflictIndex` the validators consult, and
+the commit loop defers the per-row apply work into a
+:class:`~repro.mvcc.database.BlockApplyBatch` finalized in a single
+per-block pass (``Database.apply_block``) — inside a ``finally`` so a
+mid-block crash leaves the transactions committed before it fully
+applied.  Only the work later validations observe (CLOG flips,
+xmax-winner resolution) stays inside the loop.  When ``process_block``
+returns the block is finished: indexes folded, columnar replica sealed,
+checkpoint digest folded, WAL flushed (docs/commit_pipeline.md).
 """
 
 from __future__ import annotations
@@ -53,6 +45,7 @@ from repro.errors import (
     SerializationFailure,
 )
 from repro.mvcc.block_ssi import BlockAwareSSI
+from repro.mvcc.conflicts import ConflictIndex
 from repro.mvcc.ssi import AbortDuringCommitSSI
 from repro.mvcc.transaction import TransactionContext, TxState
 from repro.node.backend import (
@@ -60,13 +53,11 @@ from repro.node.backend import (
     FLOW_ORDER_EXECUTE,
     ExecutionOutcome,
 )
-from repro.node.checkpoint import write_set_digest
 from repro.node.ledger import (
     STATUS_ABORTED,
     STATUS_COMMITTED,
 )
 from repro.node.notifications import CHANNEL_BLOCKS, CHANNEL_TX_STATUS
-from repro.node.scheduler import CommitScheduler
 
 
 class SimulatedCrash(ReproError):
@@ -100,80 +91,56 @@ class BlockProcessor:
         self.oe_validator = AbortDuringCommitSSI(node.db)
         self.eo_validator = BlockAwareSSI(node.db)
         self.metrics: Deque[BlockMetrics] = deque(maxlen=METRICS_BLOCKS)
-        self.scheduler = CommitScheduler(node)
-        # Pipelining fence: transactions beginning on this node wait out
-        # any in-flight background block finalization, so reads at height
-        # N never observe a partially applied block N.
-        node.db.commit_barrier = self.scheduler.barrier
 
     # ------------------------------------------------------------------
 
     def process_block(self, block: Block,
                       crash_point: Optional[str] = None) -> BlockMetrics:
-        tracer = getattr(self.node, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            with tracer.span("pipeline.process_block",
-                             height=block.number,
-                             txs=len(block.transactions)):
-                return self._process_block(block, crash_point)
-        return self._process_block(block, crash_point)
-
-    def _process_block(self, block: Block,
-                       crash_point: Optional[str] = None) -> BlockMetrics:
         node = self.node
-        metrics = BlockMetrics(block_number=block.number,
-                               tx_count=len(block.transactions))
-        started = time.perf_counter()
+        with node.tracer.span("pipeline.process_block", height=block.number,
+                              txs=len(block.transactions)):
+            metrics = BlockMetrics(block_number=block.number,
+                                   tx_count=len(block.transactions))
+            started = time.perf_counter()
 
-        # Step 1: ledger record (atomic).
-        node.ledger.record_block(block)
-        node.db.wal.flush()
-        if crash_point == "after_ledger_record":
-            raise SimulatedCrash("crashed after pgLedger record")
+            # Step 1: ledger record (atomic).
+            node.ledger.record_block(block)
+            self._flush_wal(block)
+            if crash_point == "after_ledger_record":
+                raise SimulatedCrash("crashed after pgLedger record")
 
-        # Step 2: ensure every transaction is executing / executed.
-        exec_started = time.perf_counter()
-        outcomes = self._ensure_executed(block, metrics)
-        metrics.block_execution_time = time.perf_counter() - exec_started
+            # Step 2: ensure every transaction is executing / executed.
+            exec_started = time.perf_counter()
+            outcomes = self._ensure_executed(block, metrics)
+            metrics.block_execution_time = time.perf_counter() - exec_started
 
-        # Step 3: serial commit in block order (stage B of the pipeline).
-        commit_started = time.perf_counter()
-        tracer = getattr(node, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            with tracer.span("pipeline.stage_b_commit",
-                             height=block.number) as span:
-                statuses, deferred = self._serial_commit(
+            # Step 3: serial commit in block order, apply pass included.
+            commit_started = time.perf_counter()
+            with node.tracer.span("pipeline.stage_b_commit",
+                                  height=block.number) as span:
+                statuses = self._serial_commit(
                     block, outcomes, metrics, crash_point)
                 span.annotate(committed=metrics.committed,
                               aborted=metrics.aborted)
-        else:
-            statuses, deferred = self._serial_commit(
-                block, outcomes, metrics, crash_point)
-        metrics.block_commit_time = time.perf_counter() - commit_started
-        # With a deferred batch the commit-boundary flush moves to the
-        # background stage (bounded to this block's lsn horizon); the
-        # exception path below restores exactly the serial pipeline's
-        # durable prefix before propagating.
-        commit_mark = node.db.wal.mark()
-        try:
-            if deferred is None:
-                node.db.wal.flush()
+            metrics.block_commit_time = time.perf_counter() - commit_started
+            self._flush_wal(block)
             if crash_point == "before_status_record":
                 raise SimulatedCrash("crashed before recording statuses")
 
             # Step 4: statuses, notifications, checkpoint.
             node.ledger.record_statuses(block, statuses)
-            if deferred is None:
-                node.db.wal.flush()
-        except BaseException:
-            if deferred is not None:
-                node.db.apply_block(deferred)
-                node.db.wal.flush(upto_lsn=commit_mark)
-            raise
-        self._after_commit(block, outcomes, statuses, deferred)
-        metrics.block_processing_time = time.perf_counter() - started
-        self.metrics.append(metrics)
-        return metrics
+            self._flush_wal(block)
+            self._after_commit(block, outcomes, statuses)
+            metrics.block_processing_time = time.perf_counter() - started
+            self.metrics.append(metrics)
+            return metrics
+
+    def _flush_wal(self, block: Block) -> None:
+        """One of the block's three durability boundaries (after the
+        ledger record, the serial commit and the status record)."""
+        with self.node.tracer.span("finalize.wal_flush",
+                                   height=block.number):
+            self.node.db.wal.flush()
 
     # ------------------------------------------------------------------
 
@@ -231,27 +198,13 @@ class BlockProcessor:
                        outcomes: Dict[str, ExecutionOutcome],
                        metrics: BlockMetrics,
                        crash_point: Optional[str] = None
-                       ) -> Tuple[Dict[str, Tuple[str, str, Optional[int]]],
-                                  Optional[object]]:
+                       ) -> Dict[str, Tuple[str, str, Optional[int]]]:
         """Commit/abort each transaction serially, in block order — 'the
         order in which the transactions get committed is the order in which
-        the transactions appear in the block' (section 3.3.3).
-
-        Returns ``(statuses, deferred_batch)``.  ``deferred_batch`` is
-        non-None only on the parallel scheduler's happy path: the block's
-        heavy apply passes are still pending and must be handed to the
-        background finalize stage (``_after_commit``) or applied
-        synchronously if step 4 fails."""
+        the transactions appear in the block' (section 3.3.3).  Returns
+        ``statuses[tx_id] = (status, reason, local xid)``."""
         node = self.node
         statuses: Dict[str, Tuple[str, str, Optional[int]]] = {}
-
-        # Fence: the loop below mutates heaps, CLOG state and (via
-        # apply_abort) indexes that a still-running background
-        # finalization of the previous block may also touch.  Waiting
-        # here — unconditionally, whatever path this block takes — also
-        # keeps checkpoint-digest folds ordered across blocks that take
-        # different paths.
-        self.scheduler.barrier()
 
         # Stamp block positions first: the block-aware SSI needs to know
         # which conflicts are in this block and their relative order.
@@ -263,26 +216,18 @@ class BlockProcessor:
                 outcome.context.block_position = position
                 block_members.append(outcome.context)
 
-        use_parallel = (node.db.parallel_commit and node.db.batched_apply
-                        and len(block_members) >= node.db.parallel_min_txs)
-        index = None
-        if use_parallel:
-            # Stage A: derive the block's rw-edge structure concurrently,
-            # one task per independent conflict group.  Pure cache
-            # warming — every decision still happens in the loop below.
-            index, _groups = self.scheduler.prepare_block(block_members)
+        # Every in-block rw edge, derived in one near-linear pass; the
+        # validators fill the same memo lazily for candidates outside
+        # the block.  Pure cache: every decision happens in the loop.
+        index = ConflictIndex()
+        index.warm_block(block_members)
 
         crash_at = self._crash_position(crash_point, len(block.transactions))
-        # Block-granular pipeline: per-row apply work defers into the
-        # batch and lands in one per-block pass.  Finalizing in a
-        # ``finally`` keeps every crash boundary identical to the
-        # per-transaction pipeline: transactions committed before the
-        # crash are fully applied either way.  On the parallel happy path
-        # only the columnstore delta hand-off happens here (it must be
-        # queued in foreground commit order); the heavy passes pipeline.
-        batch = node.db.begin_block_apply(block.number) \
-            if node.db.batched_apply else None
-        completed = False
+        # Per-row apply work defers into the batch and lands in one
+        # per-block pass.  Finalizing in a ``finally`` means a crash
+        # leaves the transactions committed before it fully applied,
+        # which recovery's rollback path relies on.
+        batch = node.db.begin_block_apply(block.number)
         try:
             for position, tx in enumerate(block.transactions):
                 if position == crash_at:
@@ -326,16 +271,10 @@ class BlockProcessor:
                     action()
                 statuses[tx.tx_id] = (STATUS_COMMITTED, "", context.xid)
                 metrics.committed += 1
-            completed = True
         finally:
-            if batch is not None:
-                if completed and use_parallel:
-                    node.db.note_block_deltas(batch)
-                else:
-                    node.db.apply_block(batch)
-        if completed and use_parallel:
-            return statuses, batch
-        return statuses, None
+            with node.tracer.span("finalize.apply", height=block.number):
+                node.db.apply_block(batch)
+        return statuses
 
     @staticmethod
     def _crash_position(crash_point: Optional[str],
@@ -353,8 +292,8 @@ class BlockProcessor:
 
     def _after_commit(self, block: Block,
                       outcomes: Dict[str, ExecutionOutcome],
-                      statuses: Dict[str, Tuple[str, str, Optional[int]]],
-                      deferred=None) -> None:
+                      statuses: Dict[str, Tuple[str, str, Optional[int]]]
+                      ) -> None:
         node = self.node
         node.db.committed_height = block.number
         committed_contexts = [
@@ -366,19 +305,13 @@ class BlockProcessor:
             node.executing.pop(tx.tx_id, None)
             node.pending_outcomes.pop(tx.tx_id, None)
 
-        # Checkpointing phase.  Digests parked by earlier pipelined
-        # blocks submit first so the ordering service sees heights in
-        # order; this block's own digest either computes here (serial) or
-        # on the background stage (pipelined, reusing the fold).
-        self.scheduler.flush_checkpoints()
-        if deferred is not None:
-            self._submit_finalize(block, deferred)
-        else:
+        # Checkpointing phase.
+        with node.tracer.span("finalize.digest_fold", height=block.number):
             digest = node.checkpoints.record_local(block.number,
                                                    committed_contexts)
-            if digest is not None and node.ordering is not None:
-                node.ordering.submit_checkpoint(
-                    node.name, block.number, digest)
+        if digest is not None and node.ordering is not None:
+            node.ordering.submit_checkpoint(
+                node.name, block.number, digest)
         remote = block.metadata.get("checkpoints")
         if remote:
             node.checkpoints.verify_remote(remote)
@@ -393,87 +326,9 @@ class BlockProcessor:
                                   txs=len(block.transactions))
         node.db.retire_finished(block.number)
 
-        if deferred is None:
-            # Columnar replica ingest: append this block's committed
-            # version deltas into the per-table column chunks (and
-            # compact periodically) so AS OF analytics never touch the
-            # row store.  (Pipelined blocks ingest on the background
-            # stage instead.)
-            tracer = getattr(node, "tracer", None)
-            if tracer is not None and tracer.enabled:
-                with tracer.span("pipeline.stage_c_serial",
-                                 height=block.number):
-                    node.db.columnstore.on_block(node.db, block.number)
-            else:
-                node.db.columnstore.on_block(node.db, block.number)
-
-    def _submit_finalize(self, block: Block, batch) -> None:
-        """Stage C hand-off: everything ordered is cut on the foreground
-        *now* — the WAL lsn horizon (so the background flush can never
-        persist a later block's records) and the columnstore pending
-        queue (so ingestion can never absorb a later block's deltas) —
-        then the heavy finalization runs on the FIFO background stage,
-        overlapping the next block's execution."""
-        node = self.node
-        db = node.db
-        height = block.number
-        upto = db.wal.mark()
-        if db.columnstore.enabled and db.columnstore.stale:
-            # A stale column store rebuilds from the live heaps on next
-            # access — that must happen in the foreground, with this
-            # block fully applied, to seal the same per-block chunk
-            # boundaries as the serial path.  Finalize synchronously
-            # this once; pipelining resumes from the next block (the
-            # rebuild clears the stale flag).
-            db.apply_block(batch)
-            db.columnstore.on_block(db, height)
-            digest = write_set_digest(batch.committed)
-            checkpoint = node.checkpoints.record_local(
-                height, batch.committed, digest=digest)
-            if checkpoint is not None and node.ordering is not None:
-                node.ordering.submit_checkpoint(node.name, height,
-                                                checkpoint)
-            db.wal.flush(upto_lsn=upto)
-            return
-        cut = db.columnstore.cut_pending()
-        scheduler = self.scheduler
-        tracer = getattr(node, "tracer", None)
-
-        def finalize():
-            # Same order as the serial path: apply (stamp creator
-            # heights, account deletes, bulk-merge indexes), then ingest
-            # the cut into column chunks (reads the stamps set above),
-            # then fold the checkpoint digest, then make the block's WAL
-            # records durable.
-            db.apply_block(batch)
-            db.columnstore.ingest_block(db, height, cut)
-            digest = write_set_digest(batch.committed)
-            checkpoint = node.checkpoints.record_local(
-                height, batch.committed, digest=digest)
-            if checkpoint is not None:
-                scheduler.queue_checkpoint(height, checkpoint)
-            db.wal.flush(upto_lsn=upto)
-
-        def traced_finalize():
-            # Stage C, one sub-span per leg — apply/index folds,
-            # columnstore ingest, digest fold, bounded WAL flush — all
-            # on the background worker thread (the tracer locks).
-            with tracer.span("pipeline.stage_c_finalize", height=height):
-                with tracer.span("finalize.apply", height=height):
-                    db.apply_block(batch)
-                with tracer.span("finalize.columnstore_ingest",
-                                 height=height):
-                    db.columnstore.ingest_block(db, height, cut)
-                with tracer.span("finalize.digest_fold", height=height):
-                    digest = write_set_digest(batch.committed)
-                    checkpoint = node.checkpoints.record_local(
-                        height, batch.committed, digest=digest)
-                if checkpoint is not None:
-                    scheduler.queue_checkpoint(height, checkpoint)
-                with tracer.span("finalize.wal_flush", height=height):
-                    db.wal.flush(upto_lsn=upto)
-
-        if tracer is not None and tracer.enabled:
-            scheduler.submit_finalize(traced_finalize)
-        else:
-            scheduler.submit_finalize(finalize)
+        # Columnar replica ingest: append this block's committed version
+        # deltas into the per-table column chunks (and compact
+        # periodically) so AS OF analytics never touch the row store.
+        with node.tracer.span("finalize.columnstore_ingest",
+                              height=block.number):
+            node.db.columnstore.on_block(node.db, block.number)

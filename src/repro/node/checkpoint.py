@@ -54,22 +54,12 @@ class CheckpointManager:
         self.mismatches: List[Tuple[int, str, str, str]] = []
         # (height, other_node, ours, theirs)
         self.verified_heights: List[int] = []
-        # Pipelining fence (set by the owning node): digest reads wait
-        # out a background block finalization that may still be folding
-        # (``record_local`` runs on the finalize stage when pipelined).
-        self.fence = None
 
     def record_local(self, height: int,
-                     committed: List[TransactionContext],
-                     digest: Optional[str] = None) -> Optional[str]:
+                     committed: List[TransactionContext]) -> Optional[str]:
         """Fold this block's digest in; returns a checkpoint digest every
-        ``interval`` blocks (to be submitted to the ordering service).
-
-        ``digest`` lets the pipelined finalize stage reuse the
-        block digest it already computed instead of re-folding the write
-        sets here."""
-        self._pending_digests.append(
-            digest if digest is not None else write_set_digest(committed))
+        ``interval`` blocks (to be submitted to the ordering service)."""
+        self._pending_digests.append(write_set_digest(committed))
         if height % self.interval == 0:
             digest = canonical_hash_hex(self._pending_digests)
             self._pending_digests = []
@@ -78,8 +68,6 @@ class CheckpointManager:
         return None
 
     def local_digest(self, height: int) -> Optional[str]:
-        if self.fence is not None:
-            self.fence()
         return self._local.get(height)
 
     def verify_remote(self, checkpoints: Dict[str, Dict[str, str]]) -> None:

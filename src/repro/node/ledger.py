@@ -11,16 +11,15 @@ versioned like everything else, but they are excluded from checkpoint
 write-set hashes (commit_time is node-local wall clock and would never
 match across nodes).
 
-Block-granular pipeline: with ``db.batched_apply`` the two write steps
-run as **bulk heap operations** — one system transaction per step, primary
--key point lookups and direct versioned inserts/updates with the same
-schema coercions the SQL path applies — instead of one SELECT + one
-INSERT/UPDATE through the full SQL engine per transaction.  Read helpers
-(:meth:`entry`, :meth:`block_statuses`, ...) read the heap directly under
-the latest committed snapshot without starting a transaction at all, so
-neither pipeline burns xids or WAL records on lookups and both allocate
-xids identically (the equivalence suite pins ledger contents, including
-``txid``, byte-identical across pipelines).
+The two write steps run as **bulk heap operations** — one system
+transaction per step, primary-key point lookups and direct versioned
+inserts/updates with the same schema coercions the SQL path applies —
+instead of one SELECT + one INSERT/UPDATE through the full SQL engine per
+transaction (``tests/node/test_commit_pipeline.py`` holds those
+statements and pins the rows equal).  Read helpers (:meth:`entry`,
+:meth:`block_statuses`, ...) read the heap directly under the latest
+committed snapshot without starting a transaction at all, so lookups burn
+no xids or WAL records.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from repro.chain.block import Block
 from repro.mvcc.database import Database
 from repro.mvcc.transaction import TransactionContext, WriteSetEntry
 from repro.sql.catalog import ColumnDef, TableSchema, coerce_value
-from repro.sql.executor import Executor
-from repro.sql.parser import parse_one
 from repro.storage.snapshot import SeqSnapshot
 from repro.storage.visibility import version_visible
 
@@ -80,32 +77,9 @@ class Ledger:
         self._clock = clock or time.time
         create_ledger_table(db.catalog)
 
-    # -- system transaction helpers -----------------------------------------
-
-    # Ledger system transactions skip the parallel scheduler's pipelining
-    # fence (``_barrier=False``): they touch only pgLedger, which the
-    # background finalize stage never mutates, and their reads use
-    # sequence snapshots that never consult creator-block stamps — this
-    # is what lets block N+1's ledger record overlap block N's pipelined
-    # finalization.
-
-    def _run(self, fn) -> TransactionContext:
-        """Run ``fn(executor)`` in one system transaction (SQL path)."""
-        tx = self.db.begin(allow_nondeterministic=True, username="@system",
-                           _barrier=False)
-        executor = Executor(self.db, tx)
-        try:
-            fn(executor)
-        except BaseException:
-            self.db.apply_abort(tx, reason="ledger write failed")
-            raise
-        self.db.apply_commit(tx, block_number=self.db.committed_height)
-        return tx
-
-    def _run_bulk(self, fn) -> TransactionContext:
-        """Run ``fn(tx)`` in one system transaction (direct heap path)."""
-        tx = self.db.begin(allow_nondeterministic=True, username="@system",
-                           _barrier=False)
+    def _system_transaction(self, fn) -> TransactionContext:
+        """Run ``fn(tx)`` in one system transaction."""
+        tx = self.db.begin(allow_nondeterministic=True, username="@system")
         try:
             fn(tx)
         except BaseException:
@@ -137,7 +111,7 @@ class Ledger:
 
     def _coerced(self, values: Dict[str, Any]) -> Dict[str, Any]:
         """Apply the same per-column type coercions the SQL INSERT/UPDATE
-        path applies, so bulk-written rows are byte-identical to SQL ones."""
+        path applies, so these rows are byte-identical to SQL-written ones."""
         schema = self.db.catalog.schema_of(LEDGER_TABLE)
         out: Dict[str, Any] = {}
         for col in schema.columns:
@@ -149,36 +123,13 @@ class Ledger:
     # -- step 1: record the block's transactions ------------------------------
 
     def record_block(self, block: Block) -> None:
-        """Atomically insert one row per transaction (status pending).
+        """Atomically insert one row per transaction (status pending):
+        one system transaction, primary-key existence probes and direct
+        versioned inserts — no SQL engine in the loop.
 
         Idempotent: rows already present (a crash between the ledger write
         and the status write, section 3.6) are left untouched so recovery
         can re-run block processing."""
-        if self.db.batched_apply:
-            self._record_block_bulk(block)
-            return
-
-        def _write(executor: Executor) -> None:
-            for position, tx in enumerate(block.transactions):
-                existing = executor.execute(parse_one(
-                    f"SELECT tx_id FROM {LEDGER_TABLE} WHERE tx_id = $1"),
-                    params=(tx.tx_id,))
-                if existing.rows:
-                    continue
-                stmt = parse_one(
-                    f"INSERT INTO {LEDGER_TABLE} (tx_id, blocknumber, "
-                    f"blockposition, txid, username, procedure, args_text, "
-                    f"status, reason, committime) VALUES "
-                    f"($1, $2, $3, NULL, $4, $5, $6, $7, NULL, NULL)")
-                executor.execute(stmt, params=(
-                    tx.tx_id, block.number, position, tx.username,
-                    tx.call.procedure, repr(list(tx.call.args)),
-                    STATUS_PENDING))
-        self._run(_write)
-
-    def _record_block_bulk(self, block: Block) -> None:
-        """Bulk step 1: one system transaction, primary-key existence
-        probes and direct versioned inserts — no SQL engine in the loop."""
         def _write(tx) -> None:
             heap = self._heap()
             for position, btx in enumerate(block.transactions):
@@ -199,45 +150,16 @@ class Ledger:
                 version = heap.insert_version(values, tx.xid)
                 tx.record_write(WriteSetEntry(
                     table=LEDGER_TABLE, kind="insert", new_version=version))
-        self._run_bulk(_write)
+        self._system_transaction(_write)
 
     # -- step 2: record statuses -----------------------------------------------
 
     def record_statuses(self, block: Block,
                         outcomes: Dict[str, Any]) -> None:
         """Atomically set the status of every transaction of ``block``.
-        ``outcomes[tx_id] = (status, reason, local_xid)``.
-
-        The ``pending`` versions this supersedes were created and deleted
-        at one block height, so no ``AS OF`` read can see them; they are
-        handed to the retirement horizon for reclaim."""
-        now = self._clock()
-        if self.db.batched_apply:
-            tx = self._record_statuses_bulk(block, outcomes, now)
-        else:
-            tx = self._record_statuses_sql(block, outcomes, now)
-        self.db.reclaim_at_horizon(LEDGER_TABLE, block.number, [
-            entry.old_version for entry in tx.writes
-            if entry.old_version is not None
-            and entry.old_version.values["status"] == STATUS_PENDING])
-
-    def _record_statuses_sql(self, block: Block, outcomes: Dict[str, Any],
-                             now: float) -> TransactionContext:
-        """Step 2 through the SQL engine: one UPDATE per transaction."""
-        def _write(executor: Executor) -> None:
-            for tx in block.transactions:
-                status, reason, local_xid = outcomes[tx.tx_id]
-                stmt = parse_one(
-                    f"UPDATE {LEDGER_TABLE} SET status = $2, reason = $3, "
-                    f"txid = $4, committime = $5 WHERE tx_id = $1")
-                executor.execute(stmt, params=(
-                    tx.tx_id, status, reason, local_xid, now))
-        return self._run(_write)
-
-    def _record_statuses_bulk(self, block: Block, outcomes: Dict[str, Any],
-                              now: float) -> TransactionContext:
-        """Bulk step 2: one system transaction, one point lookup + one
-        versioned update per transaction of the block.
+        ``outcomes[tx_id] = (status, reason, local_xid)``.  One system
+        transaction, one point lookup + one versioned update per
+        transaction of the block.
 
         Delta-encoded: the changed columns coerce once per distinct
         ``(status, reason)`` pair — for the common all-committed block
@@ -245,7 +167,11 @@ class Ledger:
         ``txid`` coerced per row — and the unchanged columns copy
         straight from the old version, whose values were already coerced
         when written (coercion is idempotent, so the resulting rows are
-        byte-identical to the full per-column re-coercion)."""
+        byte-identical to the full per-column re-coercion).
+
+        The ``pending`` versions this supersedes were created and deleted
+        at one block height, so no ``AS OF`` read can see them; they are
+        handed to the retirement horizon for reclaim."""
         schema = self.db.catalog.schema_of(LEDGER_TABLE)
         types = {col.name: col.type_name for col in schema.columns}
 
@@ -253,7 +179,7 @@ class Ledger:
             return None if value is None else \
                 coerce_value(value, types[column], column)
 
-        committime = _coerce_one(now, "committime")
+        committime = _coerce_one(self._clock(), "committime")
         deltas: Dict[Any, Dict[str, Any]] = {}
 
         def _write(tx) -> None:
@@ -268,7 +194,7 @@ class Ledger:
                     deltas[(status, reason)] = delta
                 old = self._visible_by_pk(btx.tx_id, own_xid=tx.xid)
                 if old is None:
-                    continue  # matches the SQL UPDATE's 0-row no-op
+                    continue  # like an UPDATE that matches no row
                 new_values = dict(old.values)
                 new_values.update(delta)
                 new_values["txid"] = _coerce_one(local_xid, "txid")
@@ -276,7 +202,11 @@ class Ledger:
                 tx.record_write(WriteSetEntry(
                     table=LEDGER_TABLE, kind="update",
                     old_version=old, new_version=new_version))
-        return self._run_bulk(_write)
+        tx = self._system_transaction(_write)
+        self.db.reclaim_at_horizon(LEDGER_TABLE, block.number, [
+            entry.old_version for entry in tx.writes
+            if entry.old_version is not None
+            and entry.old_version.values["status"] == STATUS_PENDING])
 
     # -- queries (transaction-free committed-snapshot reads) ------------------
 

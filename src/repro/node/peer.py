@@ -102,8 +102,6 @@ class DatabaseNode:
         self.blockstore = BlockStore()
         self.checkpoints = CheckpointManager(
             self.name, interval=checkpoint_interval)
-        # Digest reads wait out any pipelined finalize still folding.
-        self.checkpoints.fence = self.db.drain_commits
         self.notifications = NotificationHub()
 
         # tx_id -> in-flight TransactionContext / ExecutionOutcome
@@ -249,7 +247,6 @@ class DatabaseNode:
         if self.crashed:
             raise ReproError(f"node {self.name} is down")
         self.acl.check_read(username, table)
-        self.db.drain_commits()   # columnstore reads bypass begin()'s fence
         return self.db.columnstore.history(self.db, table, key_column,
                                            key_value)
 
@@ -260,7 +257,6 @@ class DatabaseNode:
         if self.crashed:
             raise ReproError(f"node {self.name} is down")
         self.acl.check_read(username, table)
-        self.db.drain_commits()   # columnstore reads bypass begin()'s fence
         return self.db.columnstore.diff(self.db, table, low_height,
                                         high_height)
 
@@ -272,15 +268,9 @@ class DatabaseNode:
         """One bundle of this node's operational state: the full metric
         snapshot for this node's registry scope plus the legacy per
         -subsystem stat dicts, span-trace summary, SQL timing aggregates
-        and the slow-query log.
-
-        Fenced through ``drain_commits()`` first: with the pipelined
-        scheduler, stage C may still be folding a block (columnstore
-        ingest, WAL bounded flush) in the background — reading counters
-        mid-flight would show a half-finalized block."""
+        and the slow-query log."""
         from repro.sql.planner import QUERY_TIMINGS
 
-        self.db.drain_commits()
         return {
             "wal": {
                 "flush_count": self.db.wal.flush_count,
@@ -289,14 +279,6 @@ class DatabaseNode:
             "columnstore": self.db.columnstore.stats(),
             "sync": self.sync.stats(),
             "plan_cache": self.db.plan_cache.stats(),
-            "scheduler": {
-                "parallel_blocks": self.processor.scheduler.parallel_blocks,
-                "groups_seen": self.processor.scheduler.groups_seen,
-                "pipelined_blocks":
-                    self.processor.scheduler.pipelined_blocks,
-                "barriers_waited":
-                    self.processor.scheduler.barriers_waited,
-            },
             "sql": QUERY_TIMINGS.snapshot(),
             "slow_queries": list(self.db.slow_queries),
             "trace": self.tracer.snapshot(),
@@ -304,9 +286,7 @@ class DatabaseNode:
         }
 
     def observability_prometheus(self) -> str:
-        """This node's metrics as a Prometheus text exposition page
-        (fenced like :meth:`observability`)."""
-        self.db.drain_commits()
+        """This node's metrics as a Prometheus text exposition page."""
         return self.metrics.render_prometheus()
 
     # ------------------------------------------------------------------
@@ -492,9 +472,6 @@ class DatabaseNode:
         (see ``storage/vacuum.py``)."""
         from repro.storage.vacuum import vacuum_database
 
-        # Vacuum walks heaps directly; wait out any in-flight pipelined
-        # block finalization first.
-        self.db.drain_commits()
         horizon = self.db.committed_height - keep_blocks
         if horizon < 0:
             from repro.storage.vacuum import VacuumReport
@@ -512,11 +489,6 @@ class DatabaseNode:
         rebuilds from the heap once the node serves analytics again."""
         self.crashed = True
         self.network.take_down(self.name)
-        # Let any in-flight pipelined finalization settle before freezing
-        # the WAL: the crash semantics (which records are durable) are
-        # defined by the flush horizon, and a finalize racing wal.crash()
-        # would make that horizon nondeterministic.
-        self.db.drain_commits()
         self.db.wal.crash()
         self.db.columnstore.mark_stale()
 

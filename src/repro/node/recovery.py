@@ -56,9 +56,6 @@ class RecoveryManager:
 
     def _recover(self) -> Dict[str, int]:
         node = self.node
-        # Apply any pipelined finalization left in flight before reading
-        # the ledger/WAL state the protocol keys on.
-        node.db.drain_commits()
         report = {"reexecuted_blocks": 0, "finalized_blocks": 0,
                   "caught_up_blocks": 0}
         last = node.ledger.last_recorded_block()
@@ -81,7 +78,6 @@ class RecoveryManager:
                     else:
                         self._rollback_and_reexecute(block)     # case (b)
                         report["reexecuted_blocks"] += 1
-                node.db.drain_commits()
         return report
 
     def catch_up(self, blocks: List[Block]) -> int:
@@ -103,7 +99,6 @@ class RecoveryManager:
                         continue
                     node.on_block(block, "recovery")
                     processed += 1
-            node.db.drain_commits()
             if traced:
                 span.annotate(replayed=processed)
         return processed

@@ -1,241 +1,14 @@
-"""Parallel commit scheduler: intra-block conflict-group parallelism and
-cross-block pipelining (ROADMAP's intra-block parallelism item; see
-docs/parallel_commit.md for the determinism argument).
+"""Span anchor, nothing else.  Block commit is one synchronous path
+(node/block_processor.py); there is no background stage to wait for.
 
-Three stages wrap the block processor's serial commit:
-
-A. **Speculative edge derivation** (thread pool sized from
-   ``os.cpu_count()``): the block's transactions are partitioned into
-   independent conflict groups (:func:`repro.mvcc.conflicts.partition_block`)
-   and each group's rw-antidependency edges against the candidate universe
-   are derived concurrently into a shared
-   :class:`~repro.mvcc.conflicts.ConflictIndex`.  Edge truth is a pure
-   function of frozen read/write sets, so workers can compute it in any
-   order without observing — or influencing — commit state.
-
-B. **Deterministic serial merge** (the block processor's loop): every
-   commit/abort *decision* and every mutation (CLOG flips, xmax winners,
-   WAL records, abort cleanups) still runs in block-position order on the
-   foreground thread, consuming only cached pure edges.  Outcomes are
-   therefore assigned by block position, never by worker completion
-   order, and the WAL/ledger/digest byte streams are identical to the
-   serial scheduler's by construction.
-
-C. **Pipelined block finalization** (single-worker FIFO executor): once
-   block N's merge loop and status record are done, the remaining apply
-   work — creator-height stamping, bulk index merges, columnstore
-   ingest/seal/compact, the checkpoint digest fold, and the bounded WAL
-   flush — is handed to a background stage that overlaps with block
-   N+1's ledger record and execution.  The foreground cuts every ordered
-   artifact at submit time (WAL mark, columnstore pending queue), so the
-   background stage can never absorb a later block's work.
-
-The **barrier** is the safety fence for stage C: ``Database.begin``
-invokes it before any new transaction starts (ledger system transactions
-opt out — they only touch pgLedger, which the background stage never
-does), and the block processor invokes it before the next block's merge
-loop mutates shared state.  Reads at height N therefore never observe a
-partially applied block N, and exactly one thread ever mutates heap,
-index or columnstore state at a time.
-
-Checkpoint digests computed by stage C are queued and submitted to the
-ordering service from the foreground (the event scheduler is not
-thread-safe) at the next barrier or post-commit hook.
+``benchmarks/e2e/spans.py`` resolves ``CommitScheduler.barrier`` by
+dotted path and lists a target it cannot find under ``missing_spans``,
+which tier-1 asserts empty.  Nothing in ``src/`` calls it; ROADMAP lists
+it for the next ``benchmark`` PR to drop together with this module.
 """
-
-from __future__ import annotations
-
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Deque, List, Optional, Tuple
-
-from repro.mvcc.conflicts import ConflictIndex, partition_block
-from repro.mvcc.transaction import TransactionContext
-
-
-def default_worker_count() -> int:
-    """Validation pool width: every core, bounded to keep thread churn
-    sane on very wide machines."""
-    return max(1, min(os.cpu_count() or 1, 16))
 
 
 class CommitScheduler:
-    """Owns the validation thread pool and the block-finalize stage for
-    one node's block processor."""
-
-    def __init__(self, node, max_workers: Optional[int] = None):
-        self.node = node
-        self.db = node.db
-        self.max_workers = max_workers or default_worker_count()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._finalizer: Optional[ThreadPoolExecutor] = None
-        self._tail = None                     # last submitted finalize future
-        self._error: Optional[BaseException] = None
-        self._ready_checkpoints: Deque[Tuple[int, str]] = deque()
-        # Observability: counters live on the node's registry scope.
-        metrics = getattr(node, "metrics", None)
-        if metrics is None:
-            from repro.obs.metrics import private_scope
-            metrics = private_scope()
-        self.metrics = metrics
-        self._parallel_blocks = metrics.counter("scheduler.parallel_blocks")
-        self._groups_seen = metrics.counter("scheduler.groups_seen")
-        self._pipelined_blocks = metrics.counter(
-            "scheduler.pipelined_blocks")
-        self._barriers_waited = metrics.counter(
-            "scheduler.barriers_waited")
-
-    # Legacy counter attributes — views over the registry objects.
-    @property
-    def parallel_blocks(self) -> int:
-        return int(self._parallel_blocks.value)
-
-    @property
-    def groups_seen(self) -> int:
-        return int(self._groups_seen.value)
-
-    @property
-    def pipelined_blocks(self) -> int:
-        return int(self._pipelined_blocks.value)
-
-    @property
-    def barriers_waited(self) -> int:
-        return int(self._barriers_waited.value)
-
-    # ------------------------------------------------------------------
-    # Stage A: speculative conflict-group edge derivation
-    # ------------------------------------------------------------------
-
-    def prepare_block(self, members: List[TransactionContext]
-                      ) -> Tuple[ConflictIndex,
-                                 List[List[TransactionContext]]]:
-        """Partition ``members`` into conflict groups and warm a
-        :class:`ConflictIndex` with every edge the merge loop will ask
-        for: member vs member (both directions, computed by the
-        partition itself) and member vs candidate universe (fanned out
-        per group over the pool).
-
-        Caller must hold the barrier (no background finalize in flight):
-        the index reads candidate contexts' frozen read/write sets, and
-        workers only *read* the database's active/recently-committed
-        views (``concurrent_with``) while the foreground blocks in
-        ``wait`` — nothing mutates them concurrently.
-        """
-        tracer = getattr(self.node, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            with tracer.span("pipeline.stage_a_warm",
-                             txs=len(members)) as span:
-                index, groups = self._prepare_block(members)
-                span.annotate(groups=len(groups))
-            return index, groups
-        return self._prepare_block(members)
-
-    def _prepare_block(self, members: List[TransactionContext]
-                       ) -> Tuple[ConflictIndex,
-                                  List[List[TransactionContext]]]:
-        index = ConflictIndex()
-        groups = partition_block(members, index)
-        db = self.db
-
-        def warm(group: List[TransactionContext]) -> None:
-            # Exactly the edge set the merge loop will ask for: each
-            # member against its own concurrent-candidate list (the same
-            # begin_seq-filtered view the validators use), both
-            # directions (near + out).
-            for tx in group:
-                for other in db.concurrent_with(tx):
-                    index.has_edge(other, tx)   # near edges
-                    index.has_edge(tx, other)   # out edges
-
-        if len(groups) > 1 and self.max_workers > 1:
-            # One task per worker, not per group: low-conflict blocks
-            # produce mostly singleton groups, and a future per group
-            # costs more in submit/wait overhead than the edge work.
-            pool = self._ensure_pool()
-            width = min(self.max_workers, len(groups))
-            slices = [groups[i::width] for i in range(width)]
-
-            def warm_slice(chunk: List[List[TransactionContext]]) -> None:
-                for group in chunk:
-                    warm(group)
-
-            futures = [pool.submit(warm_slice, chunk) for chunk in slices]
-            wait(futures)
-            for future in futures:
-                future.result()   # surface worker exceptions
-        else:
-            for group in groups:
-                warm(group)
-        self._parallel_blocks.inc()
-        self._groups_seen.inc(len(groups))
-        return index, groups
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix=f"{self.node.name}-validate")
-        return self._pool
-
-    # ------------------------------------------------------------------
-    # Stage C: pipelined block finalization
-    # ------------------------------------------------------------------
-
-    def submit_finalize(self, fn) -> None:
-        """Queue ``fn`` on the single-worker FIFO finalize stage (block
-        order is preserved by construction)."""
-        self._raise_pending()
-        if self._finalizer is None:
-            self._finalizer = ThreadPoolExecutor(
-                max_workers=1,
-                thread_name_prefix=f"{self.node.name}-finalize")
-        self._tail = self._finalizer.submit(self._run_finalize, fn)
-        self._pipelined_blocks.inc()
-
-    def _run_finalize(self, fn) -> None:
-        try:
-            fn()
-        except BaseException as exc:  # pragma: no cover - defensive
-            self._error = exc
-            raise
-
     def barrier(self) -> None:
-        """Block until every queued finalization has fully applied — the
-        pipelining fence.  Also flushes checkpoint digests the background
-        stage produced (ordering-service submission must happen on the
-        foreground thread)."""
-        tail = self._tail
-        if tail is not None:
-            self._tail = None
-            if not tail.done():
-                self._barriers_waited.inc()
-            tail.exception()          # waits; error re-raised below
-        self._raise_pending()
-        self.flush_checkpoints()
-
-    # Alias used by crash/vacuum/recovery call sites for readability.
-    drain = barrier
-
-    def _raise_pending(self) -> None:
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    # ------------------------------------------------------------------
-    # Deferred checkpoint submission
-    # ------------------------------------------------------------------
-
-    def queue_checkpoint(self, height: int, digest: str) -> None:
-        """Called from the finalize stage: park a folded checkpoint
-        digest for foreground submission."""
-        self._ready_checkpoints.append((height, digest))
-
-    def flush_checkpoints(self) -> None:
-        """Submit parked digests to the ordering service (foreground
-        only)."""
-        node = self.node
-        while self._ready_checkpoints:
-            height, digest = self._ready_checkpoints.popleft()
-            if node.ordering is not None:
-                node.ordering.submit_checkpoint(node.name, height, digest)
+        """No-op: every block is fully applied when ``process_block``
+        returns."""

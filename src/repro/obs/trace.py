@@ -1,11 +1,11 @@
 """Block-aligned span tracer.
 
 A :class:`Tracer` records named spans — wall-time intervals tagged with
-labels such as ``height=12`` — for every pipeline stage: conflict-group
-warm (stage A), the ordered commit loop (stage B), each leg of the
-pipelined finalize (stage C: apply/index fold, columnstore ingest, digest
-fold, bounded WAL flush), consensus rounds, sync request/response cycles
-and recovery replay.  Finished spans land in two places:
+labels such as ``height=12`` — for every pipeline stage: the ordered
+commit loop, each leg of the block's finalization (apply/index fold,
+columnstore ingest, digest fold, WAL flush), consensus rounds, sync
+request/response cycles and recovery replay.  Finished spans land in two
+places:
 
 * a bounded ring buffer of structured span dicts (newest last), exported
   through ``DatabaseNode.observability()["trace"]``;
@@ -63,9 +63,8 @@ class Tracer:
     """Per-node span recorder.
 
     ``enabled`` defaults from the ``REPRO_TRACE`` environment variable;
-    tests flip it per-instance.  All recording is lock-protected because
-    stage C runs on the finalize worker thread while stages A/B run on
-    the caller's thread.
+    tests flip it per-instance.  Recording is lock-protected, like the
+    registry it feeds.
     """
 
     def __init__(self, metrics: Optional[MetricsScope] = None,

@@ -175,12 +175,9 @@ class Index:
         insert/ordered-read patterns); a large tail does one linear
         two-way merge.
 
-        Thread note: the pipelined commit scheduler runs this from its
-        background finalize stage; the block processor's barrier fences
-        every transactional reader away from that window.  As
-        belt-and-braces the non-append regimes still build fresh arrays
-        and publish them with single tuple assignments (a stray reader
-        sees the old arrays or the new — never a half-shifted one); the
+        The non-append regimes build fresh arrays and publish them by
+        assignment, so a caller still holding the id array ``scan_all``
+        handed out keeps the old one, never a half-shifted one; the
         append regime extends in place, which only ever grows a valid
         prefix."""
         pending = len(self._pending_ids)

@@ -13,8 +13,7 @@ after the status record) — which serializes each record exactly once and
 writes the whole batch with a single file append.  ``WALRecord.to_json``
 caches its result, so a record is never serialized twice (a re-flush, a
 recovery scan, and an observability dump all reuse the first rendering).
-The record *sequence* is identical to the per-transaction pipeline's:
-group commit changes when bytes reach the file, never which bytes.
+Group commit changes when bytes reach the file, never which bytes.
 
 Recycling: recovery only ever asks for the records of transactions above
 the database's retirement horizon, so :meth:`WriteAheadLog.recycle`
@@ -105,10 +104,7 @@ class WriteAheadLog:
         self._flush_count = self.metrics.counter("wal.flush_count")
         self._records_flushed = self.metrics.counter("wal.records_flushed")
         self.metrics.gauge("wal.records_retained", fn=self.__len__)
-        # Pipelined commit: the background finalize stage flushes block
-        # N's records while the foreground appends block N+1's.  The lock
-        # covers flush bookkeeping; appends stay foreground-only (the
-        # block processor's barrier orders them against background work).
+        # Covers flush, group and recycle bookkeeping.
         self._flush_lock = threading.Lock()
         # Recovery group commit (``group()``): >0 suppresses file appends
         # so a whole replay batch serializes/writes once at group exit.
@@ -132,22 +128,11 @@ class WriteAheadLog:
         self._next_lsn += 1
         return record
 
-    def flush(self, upto_lsn: Optional[int] = None) -> None:
+    def flush(self) -> None:
         """Durably persist appended records (group commit: one
-        serialization pass, one file append per batch).
-
-        ``upto_lsn`` bounds the fsync horizon: the pipelined scheduler
-        marks block N's last lsn at hand-off and flushes *only up to it*
-        from the background stage, so block N+1's foreground appends are
-        never made durable early (that would change which records a crash
-        loses).  The horizon only advances — a bounded flush behind the
-        current horizon is a no-op."""
+        serialization pass, one file append per batch)."""
         with self._flush_lock:
-            target = self._next_lsn - 1
-            if upto_lsn is not None:
-                target = min(target, upto_lsn)
-            if target > self._flushed_lsn:
-                self._flushed_lsn = target
+            self._flushed_lsn = self._next_lsn - 1
             if self._group_depth:
                 return
             self._flush_file()
@@ -182,8 +167,7 @@ class WriteAheadLog:
             return dropped
 
     def mark(self) -> int:
-        """Last allocated lsn — the bound a pipelined ``flush`` must not
-        exceed, captured on the foreground thread at hand-off."""
+        """Last allocated lsn."""
         return self._next_lsn - 1
 
     @contextmanager

@@ -1,22 +1,27 @@
-"""Block-granular commit pipeline: equivalence and crash-recovery suite.
+"""Block-granular commit pipeline: oracles and crash-recovery suite.
 
-Two properties pin the batched pipeline to the per-transaction one:
+The block processor has one commit path (docs/commit_pipeline.md); the
+per-transaction forms it replaced survive here, as oracles:
 
-1. **Cross-pipeline equivalence** — identical blocks driven through a
-   batched node and a per-transaction node (both flows) must produce
-   byte-identical WAL record sequences (lsn, kind, payload — xid
-   allocation included), pgLedger contents (``committime`` pinned via an
-   injected clock), checkpoint write-set digests at every height,
-   columnstore chunk contents, query results and EXPLAIN output.
+1. **Block apply ≡ one-by-one apply** — the same executed contexts
+   committed through a ``BlockApplyBatch`` + ``Database.apply_block`` and
+   one by one through ``Database.apply_commit()`` without a batch must
+   leave identical version stamps, ``live_rows``, index contents, WAL
+   records and column chunks.
 
-2. **Crash at every commit boundary** — the WAL flush horizons are the
+2. **Bulk pgLedger writes ≡ the SQL statements** — ``Ledger.record_block``
+   / ``record_statuses`` write the heap directly; the rows (and WAL
+   records, xids included) must be the ones the SELECT + INSERT and
+   UPDATE statements leave, which live in this file.
+
+3. **Crash at every commit boundary** — the WAL flush horizons are the
    pipeline's stage boundaries (after the ledger record, after the
    serial commit, after the status record), and records between flushes
    are lost atomically on crash; crashing at each stage boundary plus
    *before every commit position* (``mid_commit:<k>``) therefore covers
    every durable WAL prefix the pipeline can leave behind.  After
    section 3.6 recovery the node must converge with the rest of the
-   network in both pipelines.
+   network.
 """
 
 import pytest
@@ -24,7 +29,16 @@ import pytest
 from repro.chain.block import Block
 from repro.chain.transaction import ProcedureCall, Transaction
 from repro.core.network import BlockchainNetwork
+from repro.mvcc.database import Database
 from repro.node.block_processor import SimulatedCrash
+from repro.node.ledger import (
+    LEDGER_TABLE,
+    STATUS_PENDING,
+    Ledger,
+    create_ledger_table,
+)
+from repro.sql.executor import Executor, run_sql
+from repro.sql.parser import parse_one
 from repro.storage.visibility import latest_committed_visible
 from tests.conftest import KV_CONTRACTS, KV_SCHEMA, make_kv_network
 
@@ -66,9 +80,8 @@ def build_blocks(node, identity, flow):
             txs.append(txs[-1])
         else:
             # Two transactions updating the same key: the later one must
-            # abort (ww first-committer-wins) — identically in both
-            # pipelines, which is exactly the order-sensitive part of
-            # apply_commit that may not batch.
+            # abort (ww first-committer-wins) — the order-sensitive part
+            # of apply_commit that may not batch.
             txs = [make_tx(ProcedureCall("bump_kv", ("k0", 1))),
                    make_tx(ProcedureCall("bump_kv", ("k0", 2))),
                    make_tx(ProcedureCall("set_kv", ("k7", 7))),
@@ -89,23 +102,19 @@ def build_blocks(node, identity, flow):
     return blocks
 
 
-def drive(flow, batched, parallel=False):
+def drive(flow):
+    """One node, N_BLOCKS blocks; returns ``(node, blocks)``."""
     net = BlockchainNetwork(
         organizations=["org1"], flow=flow,
         schema_sql=KV_SCHEMA, contracts=KV_CONTRACTS)
     node = net.primary_node
-    node.db.batched_apply = batched
-    node.db.parallel_commit = parallel
-    node.db.parallel_min_txs = 0   # engage on these tiny blocks too
     node.ledger._clock = lambda: 1000.0   # pin committime across runs
     client = net.register_client("alice", "org1")
-    build_blocks(node, client.identity, flow)
-    node.db.drain_commits()   # pipelined finalize must land before dumps
-    return net, node
+    return node, build_blocks(node, client.identity, flow)
 
 
 # ----------------------------------------------------------------------
-# Dumps compared byte-for-byte between pipelines
+# Dumps compared byte-for-byte against the oracles
 # ----------------------------------------------------------------------
 
 def wal_dump(db):
@@ -120,10 +129,14 @@ def ledger_dump(node):
     return rows
 
 
-def table_dump(node, table):
-    heap = node.db.catalog.heap_of(table)
+def heap_dump(db, table):
+    """Every version with its MVCC header; values carry their type names
+    (``1 == 1.0``, and a coercion that differs is what oracle 2 is for)."""
+    heap = db.catalog.heap_of(table)
     return [(v.version_id, v.row_id, v.xmin, v.xmax_winner,
-             v.creator_block, v.deleter_block, dict(v.values))
+             v.creator_block, v.deleter_block,
+             {name: (type(value).__name__, value)
+              for name, value in v.values.items()})
             for v in heap.all_versions()]
 
 
@@ -138,66 +151,221 @@ def chunk_dump(db):
     return out
 
 
-def digests(node):
-    return [node.checkpoints.local_digest(h)
-            for h in range(1, N_BLOCKS + 1)]
+# ----------------------------------------------------------------------
+# Oracle 1: BlockApplyBatch against apply_commit() without a batch
+# ----------------------------------------------------------------------
+
+APPLY_SCHEMA = """
+CREATE TABLE t (id INT PRIMARY KEY, grp TEXT, v INT);
+CREATE INDEX t_grp_idx ON t (grp);
+CREATE TABLE u (id INT PRIMARY KEY, v INT);
+"""
+
+# One block's transactions, all concurrent, none in conflict: insert,
+# update, delete, a write to two tables, an insert deleted again by its
+# own transaction, and a reader that commits with an empty write set.
+APPLY_BLOCK = [
+    "INSERT INTO t (id, grp, v) VALUES (10, 'g0', 1)",
+    "UPDATE t SET v = v + 1 WHERE id = 1",
+    "DELETE FROM t WHERE id = 2",
+    "UPDATE t SET grp = 'g9' WHERE id = 3; "
+    "INSERT INTO u (id, v) VALUES (1, 1)",
+    "INSERT INTO t (id, grp, v) VALUES (11, 'g1', 2); "
+    "DELETE FROM t WHERE id = 11",
+    "SELECT v FROM t WHERE id = 4",
+]
+
+
+def executed_block():
+    """A database at height 1 (six seeded rows, replica synced) plus the
+    contexts of ``APPLY_BLOCK`` run to their commit point."""
+    db = Database()
+    setup = db.begin(allow_nondeterministic=True)
+    run_sql(db, setup, APPLY_SCHEMA)
+    for i in range(1, 7):
+        run_sql(db, setup, "INSERT INTO t (id, grp, v) VALUES ($1, $2, 0)",
+                params=(i, f"g{i % 2}"))
+    db.apply_commit(setup, block_number=1)
+    db.committed_height = 1
+    db.columnstore.on_block(db, 1)
+    txs = []
+    for sql in APPLY_BLOCK:
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, sql)
+        txs.append(tx)
+    return db, txs
+
+
+def test_block_apply_matches_one_by_one_apply_commit():
+    batched, txs = executed_block()
+    batch = batched.begin_block_apply(2)
+    for tx in txs:
+        batched.apply_commit(tx, block_number=2, batch=batch)
+    # The per-row work really is deferred: decided, not yet stamped.
+    assert all(tx.is_committed for tx in txs)
+    assert all(entry.new_version.creator_block is None
+               for tx in txs for entry in tx.writes
+               if entry.new_version is not None)
+    batched.apply_block(batch)
+    batched.apply_block(batch)   # idempotent: the finally may re-run it
+
+    single, txs = executed_block()
+    for tx in txs:
+        single.apply_commit(tx, block_number=2)
+
+    for db in (batched, single):
+        db.committed_height = 2
+        db.columnstore.on_block(db, 2)
+    for table in ("t", "u"):
+        ours = batched.catalog.heap_of(table)
+        theirs = single.catalog.heap_of(table)
+        assert heap_dump(batched, table) == heap_dump(single, table)
+        assert ours.live_rows == theirs.live_rows
+        for name, index in ours.indexes.items():
+            # apply_block folded the tails; the other side merges on
+            # demand (scan_all) — same entries, same order.
+            assert index.pending_count == 0
+            assert index.scan_all() == theirs.indexes[name].scan_all()
+    assert batched.catalog.heap_of("t").live_rows == 6   # +1 insert -1 delete
+    assert wal_dump(batched) == wal_dump(single)
+    assert chunk_dump(batched) == chunk_dump(single)
+    query = "SELECT id, grp, v FROM t ORDER BY id"
+    for height in (1, 2):
+        rows = []
+        for db in (batched, single):
+            tx = db.begin(allow_nondeterministic=True, read_only=True)
+            rows.append(run_sql(db, tx, f"{query} AS OF BLOCK {height}").rows)
+            db.apply_abort(tx, reason="read-only")
+        assert rows[0] == rows[1] and rows[0]
+
+
+# ----------------------------------------------------------------------
+# Oracle 2: bulk pgLedger writes against the SQL statements
+# ----------------------------------------------------------------------
+
+def sql_system_transaction(db, fn):
+    tx = db.begin(allow_nondeterministic=True, username="@system")
+    fn(Executor(db, tx))
+    db.apply_commit(tx, block_number=db.committed_height)
+
+
+def sql_record_block(db, block):
+    """Step 1 through the SQL engine: one SELECT + one INSERT per
+    transaction, rows already present left alone."""
+    def write(executor):
+        for position, tx in enumerate(block.transactions):
+            existing = executor.execute(parse_one(
+                f"SELECT tx_id FROM {LEDGER_TABLE} WHERE tx_id = $1"),
+                params=(tx.tx_id,))
+            if existing.rows:
+                continue
+            executor.execute(parse_one(
+                f"INSERT INTO {LEDGER_TABLE} (tx_id, blocknumber, "
+                f"blockposition, txid, username, procedure, args_text, "
+                f"status, reason, committime) VALUES "
+                f"($1, $2, $3, NULL, $4, $5, $6, $7, NULL, NULL)"),
+                params=(tx.tx_id, block.number, position, tx.username,
+                        tx.call.procedure, repr(list(tx.call.args)),
+                        STATUS_PENDING))
+    sql_system_transaction(db, write)
+
+
+def sql_record_statuses(db, block, outcomes, now):
+    """Step 2 through the SQL engine: one UPDATE per transaction."""
+    def write(executor):
+        for tx in block.transactions:
+            status, reason, local_xid = outcomes[tx.tx_id]
+            executor.execute(parse_one(
+                f"UPDATE {LEDGER_TABLE} SET status = $2, reason = $3, "
+                f"txid = $4, committime = $5 WHERE tx_id = $1"),
+                params=(tx.tx_id, status, reason, local_xid, now))
+    sql_system_transaction(db, write)
 
 
 @pytest.mark.parametrize("flow", ["order-execute", "execute-order"])
-def test_batched_and_serial_pipelines_are_byte_identical(flow):
-    """Three-way: per-transaction, batched, and batched+parallel (conflict
-    groups + cross-block pipelining) must leave byte-identical artifacts."""
-    _, batched = drive(flow, batched=True)
-    _, serial = drive(flow, batched=False)
-    _, parallel = drive(flow, batched=True, parallel=True)
+def test_bulk_ledger_writes_match_the_sql_statements(flow):
+    """The blocks and statuses of a real run (commits, ww and duplicate
+    aborts with their reasons, a tx id twice in one block, one recorded
+    by an earlier block) written twice: by the ledger's direct heap
+    operations and by the statements above."""
+    node, blocks = drive(flow)
+    assert node.db.committed_height == N_BLOCKS
+    bulk = Ledger(Database(), clock=lambda: 1000.0)
+    sql_db = Database()
+    create_ledger_table(sql_db.catalog)
 
-    assert wal_dump(batched.db) == wal_dump(serial.db)
-    assert ledger_dump(batched) == ledger_dump(serial)
-    assert digests(batched) == digests(serial)
-    assert table_dump(batched, "kv") == table_dump(serial, "kv")
-    assert chunk_dump(batched.db) == chunk_dump(serial.db)
-    assert batched.db.committed_height == serial.db.committed_height \
-        == N_BLOCKS
-
-    # The parallel scheduler is a scheduling change only: every artifact
-    # matches the serial batched pipeline byte for byte (and the blocks
-    # are big enough that it actually engaged).
-    assert parallel.processor.scheduler.parallel_blocks > 0
-    assert parallel.processor.scheduler.pipelined_blocks > 0
-    assert wal_dump(parallel.db) == wal_dump(batched.db)
-    assert ledger_dump(parallel) == ledger_dump(batched)
-    assert digests(parallel) == digests(batched)
-    assert table_dump(parallel, "kv") == table_dump(batched, "kv")
-    assert chunk_dump(parallel.db) == chunk_dump(batched.db)
-    assert parallel.db.committed_height == N_BLOCKS
-
-    query = "SELECT k, v FROM kv ORDER BY k"
-    assert batched.query(query).rows == serial.query(query).rows
-    assert parallel.query(query).rows == serial.query(query).rows
-    # Plan identity, EXPLAIN included (cache temperature may differ).
-    explain = "EXPLAIN SELECT v FROM kv WHERE k = 'k0'"
-    strip = lambda res: [r for r in res.rows
-                         if not r[0].startswith("Plan Cache:")]
-    assert strip(batched.query(explain)) == strip(serial.query(explain))
-    assert strip(parallel.query(explain)) == strip(serial.query(explain))
-    # Time travel over the batched pipeline's ingested chunks.
-    for height in range(1, N_BLOCKS + 1):
-        assert batched.query_as_of(query, height).rows == \
-            serial.query_as_of(query, height).rows
-        assert parallel.query_as_of(query, height).rows == \
-            serial.query_as_of(query, height).rows
+    for block in blocks:
+        entries = [node.ledger.entry(tx.tx_id) for tx in block.transactions]
+        outcomes = {entry["tx_id"]: (entry["status"], entry["reason"],
+                                     entry["txid"]) for entry in entries}
+        for _ in range(2):   # recording a block twice changes nothing
+            bulk.record_block(block)
+            sql_record_block(sql_db, block)
+            assert heap_dump(bulk.db, LEDGER_TABLE) == \
+                heap_dump(sql_db, LEDGER_TABLE)
+        bulk.record_statuses(block, outcomes)
+        sql_record_statuses(sql_db, block, outcomes, 1000.0)
+        assert heap_dump(bulk.db, LEDGER_TABLE) == \
+            heap_dump(sql_db, LEDGER_TABLE)
+    assert wal_dump(bulk.db) == wal_dump(sql_db)
+    statuses = {values["status"][1]
+                for *_, values in heap_dump(bulk.db, LEDGER_TABLE)}
+    assert statuses == {"pending", "committed", "aborted"}
 
 
 def test_batched_pipeline_defers_and_applies_per_block_work():
-    """The batching actually happens: ledger writes bypass the SQL
-    engine, indexes bulk-merge, and the WAL group-flushes multi-record
-    batches."""
-    _, node = drive("order-execute", batched=True)
+    """The batching actually happens: indexes bulk-merge and the WAL
+    group-flushes multi-record batches."""
+    node, _ = drive("order-execute")
     kv_pk = node.db.catalog.heap_of("kv").indexes["kv_pkey"]
     assert kv_pk.bulk_merges > 0 and kv_pk.merged_entries > 0
     assert kv_pk.pending_count == 0   # block end folded the tail
     assert node.db.wal.flush_count > 0
     assert node.db.wal.records_flushed > node.db.wal.flush_count
+
+
+def test_nothing_is_left_to_do_when_process_block_returns():
+    """``bct`` / ``bpt`` are honest: a block's whole cost — index folds,
+    replica ingest, digest fold, WAL flushes — falls inside
+    ``process_block``, so ``BlockMetrics.block_processing_time`` covers
+    it and no later call has to wait for it."""
+    net = BlockchainNetwork(
+        organizations=["org1"], flow="order-execute",
+        schema_sql=KV_SCHEMA, contracts=KV_CONTRACTS, checkpoint_interval=2)
+    node = net.primary_node
+    node.tracer.enabled = True
+    identity = net.register_client("alice", "org1").identity
+    for number in (1, 2):
+        calls = [ProcedureCall("set_kv", (f"k{number}-{i}", i))
+                 for i in range(8)]
+        if number == 2:
+            calls += [ProcedureCall("bump_kv", ("k1-0", 1)),
+                      ProcedureCall("del_kv", ("k1-1",))]
+        txs = [Transaction.create(identity, call, tx_id=f"tx{number}-{i}")
+               for i, call in enumerate(calls)]
+        metrics = node.processor.process_block(
+            Block(number=number, transactions=txs).seal())
+        assert metrics.committed == len(txs) >= 8
+
+        db = node.db
+        assert db.columnstore.synced_height == number
+        assert db.columnstore.stats()["pending_commits"] == 0
+        for index in db.catalog.heap_of("kv").indexes.values():
+            assert index.pending_count == 0, index.name
+        assert db.wal.flushed_lsn == db.wal.mark()
+        # interval 2: height 1 folds into the checkpoint of height 2.
+        assert (node.checkpoints.local_digest(number) is not None) == \
+            (number == 2)
+
+        spans = [span for span in node.tracer.snapshot()["spans"]
+                 if span.get("height") == number]
+        inner = [span["ms"] for span in spans
+                 if span["name"].startswith("finalize.")]
+        assert {span["name"] for span in spans} >= {
+            "finalize.apply", "finalize.columnstore_ingest",
+            "finalize.digest_fold", "finalize.wal_flush"}
+        assert metrics.block_processing_time * 1e3 >= sum(inner)
+        assert metrics.block_commit_time <= metrics.block_processing_time
 
 
 # ----------------------------------------------------------------------
@@ -210,15 +378,9 @@ CRASH_POINTS = (["after_ledger_record"]
                 + ["before_status_record"])
 
 
-@pytest.mark.parametrize("batched,parallel", [
-    (True, False), (False, False), (True, True)])
-def test_recovery_at_every_commit_boundary(batched, parallel):
+def test_recovery_at_every_commit_boundary():
     for crash_point in CRASH_POINTS:
         net = make_kv_network("order-execute", orgs=["org1", "org2"])
-        for peer in net.nodes:
-            peer.db.batched_apply = batched
-            peer.db.parallel_commit = parallel
-            peer.db.parallel_min_txs = 0
         client = net.register_client("alice", "org1")
         client.invoke_and_wait("set_kv", "base", 1)
 

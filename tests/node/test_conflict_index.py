@@ -1,18 +1,19 @@
-"""Parallel intra-block commit: partition validity, memoized-edge
-equivalence, and serial-vs-parallel byte-identity on randomized workloads.
+"""The per-block ``ConflictIndex``: memoized-edge equivalence, and
+whole-pipeline byte-identity against the unindexed reference.
 
-Three properties underwrite the scheduler's determinism argument
-(docs/parallel_commit.md):
+The block processor hands every validator one ``ConflictIndex`` per
+block, warmed with the in-block edges (docs/commit_pipeline.md, "The
+edge index").  Two kinds of property hold it to ``has_rw_edge``, the
+reference the validators fall back to with ``index=None``:
 
-1. ``partition_block`` is a valid coloring of ``build_conflict_graph`` —
-   no rw-antidependency and no ww overlap ever crosses two groups, so
-   groups are independent by construction.
-2. ``ConflictIndex.has_edge`` returns exactly ``has_rw_edge`` (first
-   computation and memoized hit alike) — the warmed cache can never
-   change a validator's verdict.
-3. Whole-pipeline runs over randomized conflicting workloads leave
+1. ``ConflictIndex.has_edge`` returns exactly ``has_rw_edge`` — computed
+   lazily (first computation and memoized hit alike) or in bulk by
+   ``warm_block`` — so the cache can never change a validator's verdict.
+2. Whole-pipeline runs over randomized conflicting workloads leave
    byte-identical WAL sequences, pgLedger rows, checkpoint digests,
-   heap versions and column chunks with the scheduler on or off.
+   heap versions and column chunks when ``ConflictIndex.has_edge`` is
+   patched to call ``has_rw_edge`` — the same plan, not a second
+   pipeline.
 """
 
 import random
@@ -24,19 +25,14 @@ from hypothesis import strategies as st
 from repro.chain.block import Block
 from repro.chain.transaction import ProcedureCall, Transaction
 from repro.core.network import BlockchainNetwork
-from repro.mvcc.conflicts import (
-    ConflictIndex,
-    build_conflict_graph,
-    has_rw_edge,
-    partition_block,
-)
+from repro.mvcc.conflicts import ConflictIndex, has_rw_edge
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
 from tests.conftest import KV_CONTRACTS, KV_SCHEMA
 from tests.node.test_commit_pipeline import (
     chunk_dump,
+    heap_dump,
     ledger_dump,
-    table_dump,
     wal_dump,
 )
 
@@ -79,40 +75,7 @@ def _executed_block(ops):
     return txs
 
 
-class TestPartitionProperties:
-    @given(ops_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_partition_is_valid_coloring(self, ops):
-        txs = _executed_block(ops)
-        groups = partition_block(txs, ConflictIndex())
-
-        # Exact cover, block order preserved inside every group.
-        assert sorted(tx.xid for g in groups for tx in g) == \
-            sorted(tx.xid for tx in txs)
-        position = {tx.xid: i for i, tx in enumerate(txs)}
-        for group in groups:
-            spots = [position[tx.xid] for tx in group]
-            assert spots == sorted(spots)
-        # Groups come out ordered by their earliest member.
-        firsts = [position[group[0].xid] for group in groups]
-        assert firsts == sorted(firsts)
-
-        # No rw edge of the full conflict graph crosses two groups.
-        group_of = {tx.xid: gi
-                    for gi, group in enumerate(groups) for tx in group}
-        graph = build_conflict_graph(txs)
-        for reader_xid, writer_xids in graph.items():
-            for writer_xid in writer_xids:
-                assert group_of[reader_xid] == group_of[writer_xid], \
-                    f"rw edge {reader_xid}->{writer_xid} crosses groups"
-        # No ww overlap (shared replaced version) crosses two groups.
-        for a in txs:
-            for b in txs:
-                if a.xid < b.xid and \
-                        a.wrote_version_ids() & b.wrote_version_ids():
-                    assert group_of[a.xid] == group_of[b.xid], \
-                        f"ww overlap {a.xid}/{b.xid} crosses groups"
-
+class TestConflictIndexProperties:
     @given(ops_strategy)
     @settings(max_examples=40, deadline=None)
     def test_conflict_index_matches_has_rw_edge(self, ops):
@@ -123,8 +86,6 @@ class TestPartitionProperties:
                 expect = has_rw_edge(a, b)
                 assert index.has_edge(a, b) == expect   # first computation
                 assert index.has_edge(a, b) == expect   # memoized hit
-                assert index.ww_overlap(a, b) == bool(
-                    a.wrote_version_ids() & b.wrote_version_ids())
 
     @given(ops_strategy)
     @settings(max_examples=40, deadline=None)
@@ -134,17 +95,16 @@ class TestPartitionProperties:
         would produce — point *and* range predicates."""
         txs = _executed_block(ops)
         index = ConflictIndex()
-        true_pairs = set(index.warm_block(txs))
+        index.warm_block(txs)
+        index._compute_edge = None   # every verdict must come from warm
         for a in txs:
             for b in txs:
-                expect = has_rw_edge(a, b)
-                assert index.has_edge(a, b) == expect   # cached by warm
                 if a.xid != b.xid:
-                    assert ((a.xid, b.xid) in true_pairs) == expect
+                    assert index.has_edge(a, b) == has_rw_edge(a, b)
 
 
 # ----------------------------------------------------------------------
-# End-to-end: randomized conflicting workloads, scheduler on vs off
+# End-to-end: randomized conflicting workloads, index vs reference
 # ----------------------------------------------------------------------
 
 N_BLOCKS = 4
@@ -181,14 +141,11 @@ def _random_plan(rng):
     return plan
 
 
-def _drive(plan, parallel):
+def _drive(plan):
     net = BlockchainNetwork(
         organizations=["org1"], flow="execute-order",
         schema_sql=KV_SCHEMA, contracts=KV_CONTRACTS)
     node = net.primary_node
-    node.db.batched_apply = True
-    node.db.parallel_commit = parallel
-    node.db.parallel_min_txs = 0
     node.ledger._clock = lambda: 1000.0
     client = net.register_client("alice", "org1")
     for number, calls in enumerate(plan, start=1):
@@ -200,7 +157,6 @@ def _drive(plan, parallel):
             node.submit_transaction(tx)
         node.processor.process_block(
             Block(number=number, transactions=txs).seal())
-    node.db.drain_commits()
     return node
 
 
@@ -208,54 +164,29 @@ def _artifacts(node):
     return (wal_dump(node.db),
             ledger_dump(node),
             [node.checkpoints.local_digest(h)
-             for h in range(1, len(_random_plan(random.Random(0))) + 1)],
-            table_dump(node, "kv"),
+             for h in range(1, N_BLOCKS + 1)],
+            heap_dump(node.db, "kv"),
             chunk_dump(node.db),
             node.db.committed_height)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
-def test_randomized_workload_byte_identity(seed):
+def test_randomized_workload_byte_identity(seed, monkeypatch):
     plan = _random_plan(random.Random(seed))
-    serial = _drive(plan, parallel=False)
-    parallel = _drive(plan, parallel=True)
+    indexed = _drive(plan)
 
-    # The scheduler actually engaged: every block partitioned, at least
-    # one block's finalization pipelined, and the hot keys forced
-    # multi-member conflict groups alongside singletons.
-    sched = parallel.processor.scheduler
-    assert sched.parallel_blocks >= N_BLOCKS
-    assert sched.pipelined_blocks > 0
-    assert sched.groups_seen > sched.parallel_blocks
+    asked = []
 
-    assert _artifacts(parallel) == _artifacts(serial)
+    def reference_edge(self, reader, writer):
+        asked.append((reader.xid, writer.xid))
+        return has_rw_edge(reader, writer)
 
+    monkeypatch.setattr(ConflictIndex, "has_edge", reference_edge)
+    reference = _drive(plan)
 
-def test_serial_default_below_min_txs():
-    """Blocks smaller than ``parallel_min_txs`` take the serial path —
-    bytes are identical either way, and nothing is pipelined."""
-    plan = _random_plan(random.Random(3))
-    net = BlockchainNetwork(
-        organizations=["org1"], flow="execute-order",
-        schema_sql=KV_SCHEMA, contracts=KV_CONTRACTS)
-    node = net.primary_node
-    node.db.batched_apply = True
-    node.db.parallel_commit = True
-    node.db.parallel_min_txs = 10_000   # never reached
-    node.ledger._clock = lambda: 1000.0
-    client = net.register_client("alice", "org1")
-    for number, calls in enumerate(plan, start=1):
-        height = node.db.committed_height
-        txs = [Transaction.create(client.identity, call,
-                                  snapshot_height=height)
-               for call in calls]
-        for tx in txs:
-            node.submit_transaction(tx)
-        node.processor.process_block(
-            Block(number=number, transactions=txs).seal())
-    node.db.drain_commits()
-
-    sched = node.processor.scheduler
-    assert sched.parallel_blocks == 0 and sched.pipelined_blocks == 0
-    reference = _drive(plan, parallel=False)
-    assert _artifacts(node) == _artifacts(reference)
+    # The index is what the validators ask, and the hot keys made them
+    # ask about real conflicts: some transactions aborted.
+    assert asked
+    statuses = [row["status"] for row in ledger_dump(reference)]
+    assert "aborted" in statuses and "committed" in statuses
+    assert _artifacts(indexed) == _artifacts(reference)

@@ -41,8 +41,8 @@ from repro.node.notifications import HISTORY_EVENTS
 from repro.storage.wal import WriteAheadLog
 from tests.conftest import make_kv_network
 from tests.node.test_commit_pipeline import (
+    heap_dump,
     ledger_dump,
-    table_dump,
     wal_dump,
 )
 
@@ -89,7 +89,7 @@ CRASH_POINTS = (None, "after_ledger_record", "mid_commit:3",
                 "before_status_record")
 
 
-def _run_chain(flow, seed, parallel_min_txs, last_crash_point=None):
+def _run_chain(flow, seed, last_crash_point=None):
     """One seeded chain on a single node, driven block by block.
     Returns the node and the tx ids of the scripted execute-order
     transactions (empty in the order-execute flow).  The last block
@@ -98,7 +98,6 @@ def _run_chain(flow, seed, parallel_min_txs, last_crash_point=None):
     net = BlockchainNetwork(organizations=["org1"], flow=flow,
                             schema_sql=SCHEMA, contracts=CONTRACTS)
     node = net.primary_node
-    node.db.parallel_min_txs = parallel_min_txs
     node.ledger._clock = lambda: 1000.0   # pin committime across runs
     identity = net.register_client("alice", "org1").identity
     nonce = iter(range(10 ** 6))
@@ -159,7 +158,6 @@ def _run_chain(flow, seed, parallel_min_txs, last_crash_point=None):
             pass
         node.crash()
         report = node.restart()
-    node.db.drain_commits()
     node.last_recovery = report   # of the last block, for the tests
     return node, {name: tx.tx_id for name, tx in scripted.items()}
 
@@ -168,25 +166,23 @@ def _artifacts(node):
     return {
         "wal": wal_dump(node.db),
         "ledger": ledger_dump(node),
-        "accounts": table_dump(node, "accounts"),
-        "payments": table_dump(node, "payments"),
+        "accounts": heap_dump(node.db, "accounts"),
+        "payments": heap_dump(node.db, "payments"),
         "digests": [node.checkpoints.local_digest(h)
                     for h in range(1, BLOCKS + 1)],
         "height": node.db.committed_height,
     }
 
 
-@pytest.mark.parametrize("parallel_min_txs", [0, 1000],
-                         ids=["parallel", "serial"])
 @pytest.mark.parametrize("flow", ["order-execute", "execute-order"])
-def test_retirement_changes_no_byte(flow, parallel_min_txs, monkeypatch):
-    retiring, scripted = _run_chain(flow, 11, parallel_min_txs)
+def test_retirement_changes_no_byte(flow, monkeypatch):
+    retiring, scripted = _run_chain(flow, 11)
     got = _artifacts(retiring)
     retained = len(retiring.db.transactions)
 
     monkeypatch.setattr(Database, "retire_finished",
                         lambda self, height: None)
-    keeping, _ = _run_chain(flow, 11, parallel_min_txs)
+    keeping, _ = _run_chain(flow, 11)
     want = _artifacts(keeping)
 
     # Recycling keeps the tail of the log: the same records, lsns
@@ -252,8 +248,8 @@ def _answers(node):
         "provenance_join": node.query(PROVENANCE_JOIN,
                                       provenance=True).rows,
         "ledger": ledger_dump(node),
-        "accounts": table_dump(node, "accounts"),
-        "payments": table_dump(node, "payments"),
+        "accounts": heap_dump(node.db, "accounts"),
+        "payments": heap_dump(node.db, "payments"),
         "digests": [node.checkpoints.local_digest(h)
                     for h in range(1, BLOCKS + 1)],
         "height": node.db.committed_height,
@@ -268,14 +264,14 @@ def _ledger_versions(node):
 @pytest.mark.parametrize("flow", ["order-execute", "execute-order"])
 def test_reclaim_and_recycling_change_no_answer(flow, last_crash_point,
                                                 monkeypatch):
-    reclaiming, _ = _run_chain(flow, 23, 0, last_crash_point)
+    reclaiming, _ = _run_chain(flow, 23, last_crash_point)
     got = _answers(reclaiming)
 
     monkeypatch.setattr(Database, "reclaim_versions",
                         lambda self, table, versions: None)
     monkeypatch.setattr(WriteAheadLog, "recycle",
                         lambda self, upto_lsn: 0)
-    keeping, _ = _run_chain(flow, 23, 0, last_crash_point)
+    keeping, _ = _run_chain(flow, 23, last_crash_point)
     want = _answers(keeping)
 
     for name in want:

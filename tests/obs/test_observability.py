@@ -1,8 +1,6 @@
-"""Node/network-level observability: the ``observability()`` bundle, the
-stage-C fence regression, counter survival across crash/restart, and the
-structured slow-query log."""
-
-import time
+"""Node/network-level observability: the ``observability()`` bundle,
+counter survival across crash/restart, and the structured slow-query
+log."""
 
 from tests.conftest import make_kv_network
 
@@ -22,8 +20,7 @@ class TestObservabilityBundle:
         net, _ = warmed_network()
         obs = net.primary_node.observability()
         assert set(obs) >= {"wal", "columnstore", "sync", "plan_cache",
-                            "scheduler", "sql", "slow_queries", "trace",
-                            "metrics"}
+                            "sql", "slow_queries", "trace", "metrics"}
         assert obs["wal"]["flush_count"] > 0
         assert obs["wal"]["records_flushed"] > 0
         snap = obs["metrics"]
@@ -65,39 +62,30 @@ class TestObservabilityBundle:
         assert "transport_messages_sent" in full
 
 
-class TestObservabilityFence:
-    def test_reads_fence_through_drain_commits(self):
-        """Regression: ``observability()`` must drain stage C before
-        reading counters.  Queue a slow finalize that bumps a counter —
-        the bundle must already include the bump."""
-        net, _ = warmed_network()
-        node = net.primary_node
-        scheduler = node.processor.scheduler
-        counter = node.metrics.counter("wal.flush_count")
-        before = int(counter.value)
+class TestCounterDeterminism:
+    def test_counters_are_a_function_of_the_seed(self):
+        """Block commit runs on one thread, so every registry counter —
+        ``wal.flush_count`` included, which used to depend on whether a
+        background flush beat a foreground one — repeats exactly."""
+        def run():
+            net = make_kv_network("order-execute", block_size=8)
+            client = net.register_client("alice", "org1")
+            for i in range(30):
+                client.invoke("set_kv", f"k{i}", i)
+                if i % 5 == 4:
+                    client.invoke("bump_kv", f"k{i - 1}", 1)
+            net.settle(timeout=60.0)
+            store = net.primary_node.blockstore
+            full = [number for number in range(1, store.height + 1)
+                    if len(store.get(number).transactions) >= 8]
+            assert len(full) >= 3
+            return net.metrics.snapshot()["counters"]
 
-        def slow_finalize():
-            time.sleep(0.05)
-            counter.inc()
-
-        scheduler.submit_finalize(slow_finalize)
-        obs = node.observability()     # must wait for the fence
-        assert obs["wal"]["flush_count"] == before + 1
-
-    def test_prometheus_fences_too(self):
-        net, _ = warmed_network()
-        node = net.primary_node
-        counter = node.metrics.counter("wal.flush_count")
-        before = int(counter.value)
-
-        def slow_finalize():
-            time.sleep(0.05)
-            counter.inc()
-
-        node.processor.scheduler.submit_finalize(slow_finalize)
-        page = node.observability_prometheus()
-        assert f'wal_flush_count{{node="{node.name}"}} {before + 1}' \
-            in page
+        first, second = run(), run()
+        assert first == second
+        flushes = [value for name, value in first.items()
+                   if name.startswith("wal.flush_count")]
+        assert len(flushes) == 3 and all(flushes)
 
 
 class TestCounterSurvival:

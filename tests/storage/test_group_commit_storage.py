@@ -57,35 +57,6 @@ class TestWALGroupCommit:
         wal.flush()
         assert wal.flush_count == 0
 
-    def test_bounded_flush_stops_at_mark(self, tmp_path):
-        """``flush(upto_lsn=mark())`` persists exactly the records that
-        existed at the mark — the pipelined finalizer's guarantee that a
-        background flush never makes a later block's records durable."""
-        path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path)
-        wal.append(WAL_COMMIT, xid=1)
-        wal.append(WAL_COMMIT, xid=2)
-        mark = wal.mark()
-        wal.append(WAL_COMMIT, xid=3)   # next block's record
-        wal.flush(upto_lsn=mark)
-        assert wal.records_flushed == 2
-        assert [r.payload["xid"] for r in WriteAheadLog(path).records()] \
-            == [1, 2]
-        wal.flush()                      # unbounded: catches up
-        assert [r.payload["xid"] for r in WriteAheadLog(path).records()] \
-            == [1, 2, 3]
-
-    def test_bounded_flush_horizon_never_regresses(self, tmp_path):
-        path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path)
-        wal.append(WAL_COMMIT, xid=1)
-        early = wal.mark()
-        wal.append(WAL_COMMIT, xid=2)
-        wal.flush()
-        wal.flush(upto_lsn=early)   # older bound: no-op, nothing rewinds
-        assert wal.records_flushed == 2
-        assert len(list(WriteAheadLog(path).records())) == 2
-
     def test_group_batches_file_appends(self, tmp_path):
         """Inside ``group()`` the durability horizon advances at every
         flush call, but serialization + the file append happen once, at
@@ -163,8 +134,8 @@ class TestWALRecycling:
     def test_recycle_stops_at_the_persisted_horizon(self):
         wal = WriteAheadLog()
         wal.append(WAL_COMMIT, xid=1)
+        wal.flush()
         wal.append(WAL_COMMIT, xid=2)
-        wal.flush(upto_lsn=1)
         wal.append(WAL_COMMIT, xid=3)
         assert wal.recycle(3) == 1          # lsn 2, 3 are not durable yet
         wal.crash()                          # ... and the crash takes them
