@@ -12,6 +12,12 @@ Acceptance gate: warm-cache statement processing (the plan phase the
 engine times per statement) must be at least 2x faster than cold.  The
 measured numbers are recorded into ``BENCH_statement_fastpath.json`` so
 future PRs inherit a perf trajectory.
+
+A second leg runs the read-modify-write pair of ``pay_invoice`` (cached
+point SELECT + UPDATE) on a 600-row table while every earlier
+transaction of the "block" is still uncommitted: a plan-cache hit must
+execute without touching the planner statistics, so the gate is a count
+(``stats.computations`` per 1,000 statements), not a time.
 """
 
 import time
@@ -20,7 +26,6 @@ from benchmarks.conftest import print_banner, record_baseline
 from repro.bench.harness import format_table, registry_counter_snapshot
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
-from repro.sql.lexer import _tokenize_cached
 from repro.sql.parser import clear_parse_cache
 from repro.sql.planner import QUERY_TIMINGS
 
@@ -39,7 +44,7 @@ STATEMENTS = [
 ]
 
 
-def build_db() -> Database:
+def build_db(accounts: int = 12) -> Database:
     database = Database()
     tx = database.begin(allow_nondeterministic=True)
     run_sql(database, tx, """
@@ -59,7 +64,7 @@ def build_db() -> Database:
         CREATE INDEX invoices_acc_idx ON invoices(acc_id);
         CREATE INDEX invoices_org_idx ON invoices(org);
     """)
-    for i in range(12):
+    for i in range(accounts):
         run_sql(database, tx,
                 "INSERT INTO accounts (acc_id, org, balance) "
                 "VALUES ($1, $2, 100.0)",
@@ -77,7 +82,6 @@ def build_db() -> Database:
 
 def clear_all_caches(db: Database) -> None:
     clear_parse_cache()
-    _tokenize_cached.cache_clear()
     db.plan_cache.clear()
 
 
@@ -169,3 +173,69 @@ def test_statement_fastpath_speedup(benchmark):
     assert plan_speedup >= canonical["plan_speedup_x"] / 2, \
         (f"fast-path speedup {plan_speedup:.1f}x regressed >2x vs "
          f"committed baseline {canonical['plan_speedup_x']}x")
+
+
+RMW_ROWS = 600
+RMW_TRANSACTIONS = 500          # two statements each
+#: Statistics recomputes allowed per 1,000 warm statements.  The
+#: expected count is 0 (a hit never consults the statistics); before
+#: the recost left ``PlanCache.get`` it was one or more per statement.
+RMW_COMPUTATIONS_PER_1000 = 4
+
+
+def run_rmw_block(db: Database, transactions: int) -> float:
+    """One block's execution phase: each transaction reads then updates
+    one account and stays uncommitted, so every later statement runs
+    over the earlier ones' write churn.  Everything aborts at the end
+    (the heap returns to its seeded size).  Returns wall seconds."""
+    open_txs = []
+    started = time.perf_counter()
+    for i in range(transactions):
+        acc_id = i % RMW_ROWS + 1
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "SELECT balance FROM accounts WHERE acc_id = $1",
+                params=(acc_id,))
+        run_sql(db, tx, "UPDATE accounts SET balance = balance + $1 "
+                        "WHERE acc_id = $2", params=(1.0, acc_id))
+        open_txs.append(tx)
+    wall = time.perf_counter() - started
+    for tx in open_txs:
+        db.apply_abort(tx, reason="bench")
+    return wall
+
+
+def test_read_modify_write_hits_never_recost(benchmark):
+    db = build_db(accounts=RMW_ROWS)
+    run_rmw_block(db, 1)                         # plan both statements
+
+    def measure():
+        hits = db.plan_cache.hits
+        computations = db.stats.computations
+        wall = run_rmw_block(db, RMW_TRANSACTIONS)
+        return (wall, db.plan_cache.hits - hits,
+                db.stats.computations - computations)
+
+    wall, hits, computations = benchmark.pedantic(
+        measure, rounds=1, iterations=1)
+    statements = 2 * RMW_TRANSACTIONS
+    per_1000 = computations * 1000.0 / statements
+    warm_rmw_stmt_ms = wall * 1e3 / statements
+
+    print_banner("Statement fast path — read-modify-write under in-block "
+                 f"write churn ({RMW_TRANSACTIONS} tx x 2 statements, "
+                 f"{RMW_ROWS} rows)")
+    print(format_table(
+        ["statements", "cache_hits", "stats_computations", "stmt_ms"],
+        [[statements, hits, computations, round(warm_rmw_stmt_ms, 4)]]))
+
+    assert hits == statements
+    assert per_1000 <= RMW_COMPUTATIONS_PER_1000, \
+        (f"{per_1000:.0f} statistics recomputes per 1,000 cached "
+         f"statements: a plan-cache hit is re-costing")
+
+    record_baseline("statement_fastpath_rmw", {
+        "rows": RMW_ROWS,
+        "statements": statements,
+        "stats_computations_per_1000": per_1000,
+        "warm_rmw_stmt_ms": round(warm_rmw_stmt_ms, 4),
+    }, registry=registry_counter_snapshot(db.metrics))

@@ -301,7 +301,11 @@ class ColumnChunk:
 
     # -- selection ---------------------------------------------------------
 
-    def visible_offsets(self, height: int) -> List[int]:
+    def visible_offsets(self, height: int,
+                        counted: bool = True) -> List[int]:
+        """Offsets of the rows visible at ``height``.  The planner's
+        statistics reads pass ``counted=False``: ``rle_runs_scanned``
+        is query traffic."""
         creators = self.creators
         deleters = self.deleters
         if self.max_creator is not None and self.max_creator <= height \
@@ -312,7 +316,7 @@ class ColumnChunk:
             # creator/deleter run instead of per row.
             offsets, runs = rle_visible_offsets(creators, deleters,
                                                 height)
-            if self.counters is not None:
+            if counted and self.counters is not None:
                 self.counters.rle_runs_scanned.inc(runs)
             return offsets
         return [i for i in range(len(creators))
@@ -798,7 +802,7 @@ class ColumnStore:
         for chunk in tcols.chunks:
             count = chunk.visible_count_at(height)
             if count is None:
-                count = len(chunk.visible_offsets(height))
+                count = len(chunk.visible_offsets(height, counted=False))
             total += count
         return total
 
@@ -829,7 +833,7 @@ class ColumnStore:
                 for value in vectors[0].dictionary:
                     seen.add(key_of((value,)))
                 continue
-            for offset in chunk.visible_offsets(height):
+            for offset in chunk.visible_offsets(height, counted=False):
                 values = tuple(vector[offset] for vector in vectors)
                 if any(v is None for v in values):
                     continue
@@ -858,7 +862,7 @@ class ColumnStore:
             vector = chunk.data.get(column)
             if vector is None:
                 continue  # chunk predates the column (re-created table)
-            for offset in chunk.visible_offsets(height):
+            for offset in chunk.visible_offsets(height, counted=False):
                 value = vector[offset]
                 if value is not None:
                     out.append(value)

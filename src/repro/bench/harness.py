@@ -51,7 +51,7 @@ from repro.bench.profiles import (
 #: perf gate can diff them across commits to flag e.g. an unexpected
 #: plan-cache miss spike that a ratio-based time gate would absorb.
 BENCH_COUNTER_PREFIXES = ("plancache.", "wal.", "sync.", "transport.",
-                          "columnstore.", "consensus.")
+                          "columnstore.", "consensus.", "stats.")
 
 
 def registry_counter_snapshot(metrics,

@@ -199,6 +199,9 @@ class Database:
                 if entry.old_version is not None:
                     entry.old_version.set_delete_winner(tx.xid, stamp)
             batch.committed.append(tx)
+        for table in tx.tables_written:
+            if self.catalog.has_table(table):
+                self.catalog.heap_of(table).note_commit_stamp()
         self.statuses.commit(tx.xid, block_number=stamp)
         tx.state = TxState.COMMITTED
         tx.block_number = stamp
@@ -254,7 +257,9 @@ class Database:
         self.columnstore.note_block(batch.committed)
         for table in tables:
             if self.catalog.has_table(table):
-                self.catalog.heap_of(table).merge_pending_indexes()
+                heap = self.catalog.heap_of(table)
+                heap.note_commit_stamp()
+                heap.merge_pending_indexes()
 
     def apply_abort(self, tx: TransactionContext, reason: str = "") -> None:
         """Discard ``tx``'s writes and mark it aborted."""

@@ -45,7 +45,7 @@ from repro.mvcc.transaction import (
 )
 from repro.sql.ast_nodes import (
     CreateFunction, CreateIndex, CreateTable, Delete, DropFunction,
-    DropTable, Explain, Insert, Select, Statement, Update,
+    DropTable, Explain, Insert, Literal, Select, Statement, Update,
 )
 from repro.sql.catalog import (
     ColumnDef,
@@ -62,6 +62,7 @@ from repro.sql.plan import (
     Runtime,
     deinstrument_plan,
     instrument_plan,
+    recost_plan,
     render_plan,
     window_checks,
 )
@@ -407,19 +408,23 @@ class Executor:
             return self._execute_explain_analyze(inner, ctx)
         cache_note = "bypass"
         if isinstance(inner, Select):
-            plan, hit, _ = self._plan_select_cached(inner, ctx)
+            plan, hit, bounds = self._plan_select_cached(inner, ctx)
+            self._recost_template(plan.root, hit, bounds)
             lines = plan.explain()
             cache_note = "hit" if hit else "miss"
         elif isinstance(inner, (Update, Delete)):
             verb = "Update" if isinstance(inner, Update) else "Delete"
-            scan, hit, _ = self._plan_dml_scan_cached(inner, ctx)
+            scan, hit, bounds = self._plan_dml_scan_cached(inner, ctx)
+            self._recost_template(scan, hit, bounds)
             lines = [f"{verb} on {inner.table}"]
             render_plan(scan, depth=1, lines=lines)
             cache_note = "hit" if hit else "miss"
         elif isinstance(inner, Insert):
             lines = [f"Insert on {inner.table}"]
             if inner.select is not None:
-                plan, hit, _ = self._plan_select_cached(inner.select, ctx)
+                plan, hit, bounds = \
+                    self._plan_select_cached(inner.select, ctx)
+                self._recost_template(plan.root, hit, bounds)
                 render_plan(plan.root, depth=1, lines=lines)
                 cache_note = "hit" if hit else "miss"
             else:
@@ -432,6 +437,18 @@ class Executor:
         return Result(columns=["QUERY PLAN"],
                       rows=[(line,) for line in lines],
                       rowcount=len(lines))
+
+    def _recost_template(self, root, hit: bool,
+                         scan_bounds: Optional[Dict[int, Dict]]) -> None:
+        """EXPLAIN is the one reader of ``cost~``/``rows~``, so it is
+        where a cached template's estimates are brought up to the
+        anchored statistics (committed state can move under one anchor:
+        a standalone database commits without advancing its height).  A
+        hit then renders what a cold re-plan at the same anchor would,
+        histogram selectivity of this execution's range bounds
+        included; a miss was costed by the planner a moment ago."""
+        if hit:
+            recost_plan(root, self.db, scan_bounds)
 
     def _execute_explain_analyze(self, inner: Statement,
                                  ctx: EvalContext) -> Result:
@@ -451,6 +468,7 @@ class Executor:
                 f"data)")
         with timed() as plan_t:
             plan, hit, scan_bounds = self._plan_select_cached(inner, ctx)
+            self._recost_template(plan.root, hit, scan_bounds)
         stats = instrument_plan(plan.root)
         try:
             with timed() as exec_t:
@@ -479,7 +497,10 @@ class Executor:
             sub = self._execute_select(stmt.select, ctx)
             rows_values = [list(row) for row in sub.rows]
         else:
-            rows_values = [[compiled(expr)(ctx) for expr in row]
+            # A literal is its value: no closure memoized on the node (a
+            # genesis seed is tens of thousands of them, cached forever).
+            rows_values = [[expr.value if type(expr) is Literal
+                            else compiled(expr)(ctx) for expr in row]
                            for row in stmt.rows]
 
         columns = stmt.columns or schema.column_names()

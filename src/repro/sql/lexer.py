@@ -9,8 +9,7 @@ Keywords are recognized case-insensitively and normalized to upper case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import SQLSyntaxError
 
@@ -212,17 +211,10 @@ class Lexer:
         return Token("IDENT", word, start, self.line)
 
 
-@lru_cache(maxsize=512)
-def _tokenize_cached(text: str) -> Tuple[Token, ...]:
-    # Tokens are frozen dataclasses, so sharing across parses is safe;
-    # lexer errors raise and are (correctly) never cached.
-    return tuple(Lexer(text).tokenize())
-
-
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text`` into a list ending with an EOF token.
 
-    Memoized on the text: the statement fast path re-executes identical
-    statement strings (stored procedures, retried transactions), and
-    lexing is a per-character Python loop worth doing once."""
-    return list(_tokenize_cached(text))
+    Not memoized: the only callers are the parser's two entry points,
+    and both memoize their parse tree on the same text, so a cached
+    token list would never be read again."""
+    return Lexer(text).tokenize()

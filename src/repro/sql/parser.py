@@ -853,6 +853,11 @@ class Parser:
 _PARSE_CACHE: "OrderedDict[str, Tuple[Statement, ...]]" = OrderedDict()
 _PARSE_CACHE_LOCK = threading.Lock()
 PARSE_CACHE_CAPACITY = 512
+#: Bound on the total characters of cached script text.  The newest
+#: entry always stays, so the nodes of one network share one parse of a
+#: genesis seed larger than this, and the next network's evicts it —
+#: a tree costs tens of bytes per character of its text.
+PARSE_CACHE_CHARS = 1 << 18
 
 
 def clear_parse_cache() -> None:
@@ -874,8 +879,10 @@ def parse_sql(text: str, use_cache: bool = True) -> List[Statement]:
         with _PARSE_CACHE_LOCK:
             _PARSE_CACHE[text] = tuple(statements)
             _PARSE_CACHE.move_to_end(text)
-            while len(_PARSE_CACHE) > PARSE_CACHE_CAPACITY:
-                _PARSE_CACHE.popitem(last=False)
+            chars = sum(map(len, _PARSE_CACHE))
+            while len(_PARSE_CACHE) > PARSE_CACHE_CAPACITY or (
+                    chars > PARSE_CACHE_CHARS and len(_PARSE_CACHE) > 1):
+                chars -= len(_PARSE_CACHE.popitem(last=False)[0])
     return statements
 
 

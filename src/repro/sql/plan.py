@@ -302,8 +302,8 @@ def scan_estimate(row_count: int, n_eq: int, has_range: bool,
     falling back to the System-R 1/4 guess; ranges use the anchored
     histogram selectivity (``range_sel``) when the caller derived one,
     falling back to the classic 1/3.  (Lives here, beside the index
-    scoring, so the plan cache can refresh estimates on cache hits
-    without importing the planner.)"""
+    scoring, so a plan node can recost itself without importing the
+    planner.)"""
     base = float(max(row_count, 1))
     if unique_covered:
         return 1.0
@@ -641,9 +641,9 @@ class PlanNode:
         children and the database's snapshot-anchored statistics.  Leaf
         scans re-derive from ``db.stats``; composite operators fold
         their children's estimates — so a bottom-up pass
-        (:func:`recost_plan`) refreshes the whole tree, and a cache hit
-        renders the same ``cost~``/``rows~`` annotations a fresh plan
-        would."""
+        (:func:`recost_plan`) refreshes the whole tree, and EXPLAIN of a
+        cached template renders the same ``cost~``/``rows~`` annotations
+        a fresh plan would."""
         return None
 
 
@@ -653,8 +653,8 @@ def recost_plan(node: PlanNode, db,
 
     ``scan_bounds`` (keyed by ``id(scan node)``, as the plan cache's
     guard validation produces) refreshes each scan's ``live_bounds``
-    first, so histogram-based range selectivity on a cache hit sees the
-    same bound values a cold plan of the statement would."""
+    first, so histogram-based range selectivity of a cached template
+    sees the same bound values a cold plan of the statement would."""
     for child in node.children():
         recost_plan(child, db, scan_bounds)
     if scan_bounds is not None and isinstance(node, SeqScan):
@@ -903,12 +903,14 @@ class IndexScan(SeqScan):
     def recost(self, db) -> None:
         stats = db.stats.table_stats(self.table)
         n_eq, has_range, unique_covered, eq_cols = self.cost_sig
-        ndv = db.stats.ndv(self.table, eq_cols) if eq_cols else None
-        range_sel = None
-        if has_range:
-            range_sel = range_selectivity(db, self.table,
-                                          self._range_column(db),
-                                          self.live_bounds)
+        ndv = range_sel = None
+        if not unique_covered:   # else scan_estimate returns one row
+            if eq_cols:
+                ndv = db.stats.ndv(self.table, eq_cols)
+            if has_range:
+                range_sel = range_selectivity(db, self.table,
+                                              self._range_column(db),
+                                              self.live_bounds)
         est = scan_estimate(stats.row_count, n_eq, has_range,
                             unique_covered, eq_ndv=ndv,
                             range_sel=range_sel)
@@ -984,7 +986,8 @@ class DynamicProbe(PlanNode):
             self.est_cost = max(rows, 1.0) + _sort_cost(rows, self.ordered)
             return
         n_eq, has_range, unique_covered, eq_cols = self.cost_sig
-        ndv = db.stats.ndv(self.table, eq_cols) if eq_cols else None
+        ndv = db.stats.ndv(self.table, eq_cols) \
+            if eq_cols and not unique_covered else None
         est = scan_estimate(stats.row_count, n_eq, has_range,
                             unique_covered, eq_ndv=ndv)
         self.est_rows = est

@@ -54,12 +54,13 @@ diverge on SSI abort decisions.  Two mechanisms guarantee this:
    may fold to NULL for some inputs) falls back to a full re-plan, which
    is exactly what an uncached execution would do.
 
-``cost~``/``rows~`` EXPLAIN annotations are never left stale: every
-validated hit re-derives the whole tree's estimates from the anchored
-statistics (:func:`refresh_row_estimates` → ``recost_plan``), so a hit
-renders exactly what a fresh planning pass at the same anchor would.
-The strategy choice itself cannot drift on a hit — every costing input
-(anchor, catalog version, cost-based toggle) is part of the key.
+A hit executes; it does not re-cost.  No runtime decision reads
+``est_rows``/``est_cost`` — the strategy embedded in a template was
+chosen under the same key (anchor, catalog version, cost-based toggle),
+so it cannot drift on a hit — and the ``cost~``/``rows~`` annotations
+have one reader, EXPLAIN, which recosts the template it is about to
+render (``Executor._execute_explain`` → ``recost_plan``) and so prints
+exactly what a fresh planning pass at the same anchor would.
 """
 
 from __future__ import annotations
@@ -72,12 +73,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import CatalogError
 from repro.sql.ast_nodes import Expr, Statement
 from repro.sql.expressions import EvalContext
-from repro.sql.plan import PlanNode, extract_bounds, rank_indexes, \
-    recost_plan
+from repro.sql.plan import extract_bounds, rank_indexes
 
 __all__ = [
     "PlanCache", "PlanEntry", "ScanGuard", "context_shape",
-    "refresh_row_estimates", "statement_fingerprint", "validate_guards",
+    "statement_fingerprint", "validate_guards",
 ]
 
 # (index name, n leading equality columns, has range on next column);
@@ -168,65 +168,6 @@ def validate_guards(catalog, guards: Sequence[ScanGuard],
     return bounds_by_node
 
 
-def _range_bounds_fingerprint(guards: Sequence[ScanGuard],
-                              scan_bounds: Optional[Dict[int, Dict]]
-                              ) -> Tuple:
-    """Value fingerprint of every *range* bound the validated guards
-    produced.  Histogram range selectivity is value-dependent, so a
-    template re-executed with different range parameters must recost
-    even though the structural guards (and the stats tokens) are
-    unmoved.  Equality bounds stay out of the fingerprint — their
-    selectivity is NDV-based, value-free — so the statement fast path
-    keeps skipping recosts for pure point-lookup workloads."""
-    if not scan_bounds:
-        return ()
-    parts: List[Tuple] = []
-    for i, guard in enumerate(guards):
-        if guard.node is None:
-            continue
-        bounds = scan_bounds.get(id(guard.node))
-        if not bounds:
-            continue
-        for col in sorted(bounds):
-            slot = bounds[col]
-            if "eq" in slot or ("low" not in slot and "high" not in slot):
-                continue
-            parts.append((i, col, repr(slot.get("low")),
-                          repr(slot.get("high"))))
-    return tuple(parts)
-
-
-def refresh_row_estimates(db, entry: "PlanEntry",
-                          scan_bounds: Optional[Dict[int, Dict]] = None
-                          ) -> None:
-    """Refresh the ``cost~``/``rows~`` EXPLAIN annotations of a cached
-    template from the database's snapshot-anchored statistics.
-
-    Committed state can change at the same anchor only through test-style
-    out-of-band commits (the block processor always advances the anchor,
-    which changes the cache key), but the anchored stats cache also
-    tracks heap drift — so a validated hit recosts the *whole* tree
-    (scan estimates, join costs, everything above) and renders exactly
-    what a cold re-plan at the same anchor would, including histogram
-    range selectivity over the guard-validated bound values.  Purely
-    observational: the strategy choice embedded in the template was
-    keyed on the same anchor, so recosting can never disagree with it."""
-    tables = sorted({guard.table for guard in entry.guards})
-    try:
-        token: Optional[Tuple] = (
-            tuple(db.stats._token(table) for table in tables),
-            _range_bounds_fingerprint(entry.guards, scan_bounds))
-    except CatalogError:
-        token = None
-    if token is not None and token == entry.recost_token:
-        return   # nothing the estimates depend on has moved
-    plan = entry.plan
-    root = getattr(plan, "root", plan)
-    if isinstance(root, PlanNode):
-        recost_plan(root, db, scan_bounds)
-    entry.recost_token = token
-
-
 @dataclass
 class PlanEntry:
     """A cached plan template plus the guards that validate reuse."""
@@ -234,9 +175,6 @@ class PlanEntry:
     plan: Any                       # SelectPlan, or a scan node for DML
     guards: List[ScanGuard] = field(default_factory=list)
     catalog_version: Any = 0        # the catalog's version_token
-    # Stats freshness token of the last recost: hits skip the estimate
-    # refresh entirely while every referenced table's token is unmoved.
-    recost_token: Optional[Tuple] = None
 
 
 class PlanCache:
@@ -329,7 +267,6 @@ class PlanCache:
             self._guard_failures.inc()
             self._misses.inc()
             return None
-        refresh_row_estimates(db, entry, scan_bounds)
         self._hits.inc()
         return entry, scan_bounds
 

@@ -23,11 +23,17 @@ with the *same* committed-at-anchor predicate, so both sources agree to
 the row (tests pin this).
 
 Caching: statistics are memoized per (table, columns) under a freshness
-token of ``(catalog version, anchor, heap length, live_rows,
-vacuumed_versions)``.  The token is deliberately over-sensitive —
-uncommitted churn recomputes identical values — but never *under*:
-anything that can change the committed-at-anchor state moves at least
-one component.
+token of ``(catalog version, anchor, heap.commit_stamps)``.  The heap
+bumps ``commit_stamps`` wherever its versions are commit-stamped or
+un-stamped — every commit that wrote it (inside a block or not), the
+block's deferred creator stamping, recovery rollback, vacuum and horizon
+reclaim — so the token is never *under*-sensitive: anything that can
+change the committed-at-anchor state moves at least one component.
+Uncommitted inserts, updates, deletes and aborts move none, so the
+memo survives a block's write churn.  The same-block commits do bump
+it (their stamps sit above the anchor, so the recompute returns the
+same values): planning happens at most once per statement shape per
+height, which keeps that over-sensitivity off the execution path.
 """
 
 from __future__ import annotations
@@ -162,10 +168,15 @@ class StatisticsManager:
         # (table, columns-or-None) -> (freshness token, value)
         self._cache: Dict[Tuple[str, Optional[Tuple[str, ...]]],
                           Tuple[Tuple, Any]] = {}
-        # Observability.
-        self.computations = 0
-        self.columnar_served = 0
-        self.heap_served = 0
+        # Observability, on the database's registry scope: memo misses,
+        # and which source answered each.
+        self._computations = db.metrics.counter("stats.computations")
+        self._columnar_served = db.metrics.counter("stats.columnar_served")
+        self._heap_served = db.metrics.counter("stats.heap_served")
+
+    @property
+    def computations(self) -> int:
+        return int(self._computations.value)
 
     # ------------------------------------------------------------------
 
@@ -176,8 +187,7 @@ class StatisticsManager:
 
     def _token(self, table: str) -> Tuple:
         heap = self.db.catalog.heap_of(table)
-        return (self.db.catalog.version, self.anchor, len(heap),
-                heap.live_rows, heap.vacuumed_versions)
+        return (self.db.catalog.version, self.anchor, heap.commit_stamps)
 
     def _cached(self, table: str,
                 columns: Optional[Tuple[str, ...]], compute):
@@ -188,7 +198,7 @@ class StatisticsManager:
             return entry[1]
         value = compute()
         self._cache[key] = (token, value)
-        self.computations += 1
+        self._computations.inc()
         return value
 
     def invalidate(self) -> None:
@@ -207,9 +217,9 @@ class StatisticsManager:
             count = self._columnar_row_count(table, anchor)
             if count is None:
                 count = self._heap_row_count(table, anchor)
-                self.heap_served += 1
+                self._heap_served.inc()
             else:
-                self.columnar_served += 1
+                self._columnar_served.inc()
             return AnchoredTableStats(table=table, anchor=anchor,
                                       row_count=count)
 
@@ -264,9 +274,9 @@ class StatisticsManager:
             count = self._columnar_ndv(table, columns, anchor)
             if count is None:
                 count = self._heap_ndv(table, columns, anchor)
-                self.heap_served += 1
+                self._heap_served.inc()
             else:
-                self.columnar_served += 1
+                self._columnar_served.inc()
             return max(1, count)
 
         return self._cached(table, columns, compute)
@@ -314,9 +324,9 @@ class StatisticsManager:
             values = self._columnar_values(table, column, anchor)
             if values is None:
                 values = self._heap_values(table, column, anchor)
-                self.heap_served += 1
+                self._heap_served.inc()
             else:
-                self.columnar_served += 1
+                self._columnar_served.inc()
             return _build_histogram(values)
 
         return self._cached(table, ("__hist__", column), compute)
@@ -367,6 +377,6 @@ class StatisticsManager:
             "anchor": self.anchor,
             "cached_entries": len(self._cache),
             "computations": self.computations,
-            "columnar_served": self.columnar_served,
-            "heap_served": self.heap_served,
+            "columnar_served": int(self._columnar_served.value),
+            "heap_served": int(self._heap_served.value),
         }

@@ -29,15 +29,21 @@ class HeapTable:
         self._version_counter = itertools.count(1)
         self._row_counter = itertools.count(1)
         self._indexes: Dict[str, Index] = {}
-        # xid -> version ids created by that xid, for abort cleanup and
-        # recovery rollback; dropped at the retirement horizon
+        # xid -> version ids created / versions delete-marked by that
+        # xid, for abort cleanup and recovery rollback; dropped at the
+        # retirement horizon
         self._created_by_xid: Dict[int, List[int]] = {}
+        self._marked_by_xid: Dict[int, List[RowVersion]] = {}
         # Planner statistics, maintained incrementally: logical rows
         # currently live (fresh inserts count immediately; committed
         # deletes and abort cleanups decrement — see Database.apply_*),
-        # and versions physically reclaimed by vacuum.
+        # versions physically reclaimed by vacuum, and how many times the
+        # heap's *committed* state may have moved (commit stamping and
+        # un-stamping, reclaim) — the anchored statistics' freshness
+        # token (sql/stats.py), which uncommitted writes never touch.
         self.live_rows = 0
         self.vacuumed_versions = 0
+        self.commit_stamps = 0
 
     # ------------------------------------------------------------------
     # Index management
@@ -121,11 +127,12 @@ class HeapTable:
                        xid: int) -> RowVersion:
         """Mark ``old`` deleted by ``xid`` and insert the successor version
         carrying the same logical row id."""
-        old.mark_delete_candidate(xid)
+        self.delete_version(old, xid)
         return self.insert_version(new_values, xid, row_id=old.row_id)
 
     def delete_version(self, old: RowVersion, xid: int) -> None:
         old.mark_delete_candidate(xid)
+        self._marked_by_xid.setdefault(xid, []).append(old)
 
     # ------------------------------------------------------------------
     # Statistics hooks (driven by Database.apply_commit/apply_abort and
@@ -149,6 +156,11 @@ class HeapTable:
         """Recovery undid a committed delete: the row is live again."""
         self.live_rows += 1
 
+    def note_commit_stamp(self) -> None:
+        """A commit (or a block's deferred creator stamping) touched
+        versions of this heap."""
+        self.commit_stamps += 1
+
     def remove_version(self, version_id: int) -> bool:
         """Physically reclaim one version together with its index
         entries; returns True when the version existed."""
@@ -158,6 +170,7 @@ class HeapTable:
         for index in self._indexes.values():
             index.remove(version.values, version_id)
         self.vacuumed_versions += 1
+        self.commit_stamps += 1
         return True
 
     # ------------------------------------------------------------------
@@ -169,15 +182,17 @@ class HeapTable:
         candidacies.  Called when a transaction aborts."""
         for version_id in self._created_by_xid.pop(xid, []):
             self._versions.pop(version_id, None)
-        for version in self._versions.values():
+        for version in self._marked_by_xid.pop(xid, []):
             version.clear_delete_candidate(xid)
         # Note: index entries for removed versions are left behind and
         # filtered at scan time (version id no longer resolves).
 
     def forget_creator(self, xid: int) -> None:
         """``xid`` passed the retirement horizon: it can no longer abort
-        or be rolled back, so its created-version list is dead weight."""
+        or be rolled back, so its created / marked lists are dead
+        weight."""
         self._created_by_xid.pop(xid, None)
+        self._marked_by_xid.pop(xid, None)
 
     def rollback_committed(self, xid: int) -> None:
         """Recovery (section 3.6): undo a *committed* transaction so its
@@ -185,10 +200,11 @@ class HeapTable:
         delete winners."""
         for version_id in self._created_by_xid.pop(xid, []):
             self._versions.pop(version_id, None)
-        for version in self._versions.values():
+        for version in self._marked_by_xid.pop(xid, []):
             if version.xmax_winner == xid:
                 version.deleter_block = None
             version.clear_delete_candidate(xid)
+        self.commit_stamps += 1
 
     # ------------------------------------------------------------------
     # Scan helpers

@@ -7,13 +7,22 @@ vacuum-driven stats drift must bump the catalog version and evict stale
 templates.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytics.columnstore import ColumnStore
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
-from repro.sql.parser import parse_one, parse_sql
+from repro.sql.parser import (
+    PARSE_CACHE_CHARS,
+    clear_parse_cache,
+    parse_one,
+    parse_sql,
+)
 from repro.sql.plancache import (
     PlanCache,
     PlanEntry,
@@ -240,6 +249,67 @@ class TestRowEstimateRefresh:
         assert hit[:-1] == cold[:-1]            # all but hit/miss line
 
 
+class TestHitExecutesOnly:
+    """A plan-cache hit costs what execution costs: it never consults
+    the planner statistics, whatever the block's uncommitted writes do
+    to the heap (EXPLAIN is where estimate freshness is paid)."""
+
+    SELECT = "SELECT balance FROM accounts WHERE acc_id = $1"
+    SELECT_ORG = "SELECT count(*) FROM accounts WHERE org = $1"
+    UPDATE = "UPDATE accounts SET balance = balance + $1 WHERE acc_id = $2"
+
+    def test_a_block_of_cached_statements_leaves_statistics_alone(
+            self, db, monkeypatch):
+        ndv_scans = []
+        original = ColumnStore.distinct_count
+
+        def counting(store, *args, **kwargs):
+            ndv_scans.append(args[1])
+            return original(store, *args, **kwargs)
+
+        monkeypatch.setattr(ColumnStore, "distinct_count", counting)
+        run_tx(db, self.SELECT, params=(1,))         # plan all three
+        run_tx(db, self.SELECT_ORG, params=("org1",))
+        run_tx(db, self.UPDATE, params=(1.0, 1))
+        computations = db.stats.computations
+        hits = db.plan_cache.hits
+        del ndv_scans[:]
+        block = []
+        for i in range(100):
+            # Each transaction stays uncommitted, as in a block's
+            # execution phase: every later statement runs over the
+            # earlier ones' new versions and delete marks.
+            tx = db.begin(allow_nondeterministic=True)
+            acc_id = i % 12 + 1
+            if i % 2:
+                run_sql(db, tx, self.SELECT, params=(acc_id,))
+            else:
+                run_sql(db, tx, self.SELECT_ORG, params=(f"org{i % 3 + 1}",))
+            run_sql(db, tx, self.UPDATE, params=(1.0, acc_id))
+            block.append(tx)
+        assert db.plan_cache.hits == hits + 200
+        assert db.stats.computations == computations
+        assert ndv_scans == []
+        for tx in block:
+            db.apply_abort(tx, reason="test")
+
+    def test_explain_pays_for_freshness_instead(self, db):
+        """The same churn, then a same-anchor commit: execution hits
+        stay blind to it, EXPLAIN of the cached template sees it."""
+        first = explain_lines(db, self.SELECT_ORG, params=("org1",))
+        assert "rows~4)" in first[-2]
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "DELETE FROM accounts WHERE acc_id > 6")
+        db.apply_commit(tx, block_number=1)
+        computations = db.stats.computations
+        run_tx(db, self.SELECT_ORG, params=("org1",))
+        assert db.stats.computations == computations
+        hit = explain_lines(db, self.SELECT_ORG, params=("org1",))
+        assert hit[-1] == "Plan Cache: hit"
+        assert "rows~2)" in hit[-2]
+        assert db.stats.computations > computations
+
+
 class TestInvalidation:
     def test_create_index_mid_chain_evicts_and_replans(self, db):
         sql = "SELECT invoice_id FROM invoices WHERE status = $1"
@@ -327,6 +397,75 @@ class TestPlanCacheUnit:
         first = parse_sql(text)[0]
         second = parse_sql(text)[0]
         assert first is second
+
+
+class TestGenesisSeedFootprint:
+    """A network's nodes share one parse of their multi-row genesis
+    seed, and what stays cached is the tree alone: no token list, no
+    closure per literal, and not the previous network's tree."""
+
+    ROWS = 6000
+
+    @pytest.fixture(autouse=True)
+    def fresh_parse_cache(self):
+        clear_parse_cache()
+        yield
+        clear_parse_cache()
+
+    def seed_sql(self, seed):
+        rows = ", ".join(
+            f"({i}, {i % 300 + 1}, 'org{i % 3 + 1}', {seed + i}.5, 'new')"
+            for i in range(1, self.ROWS + 1))
+        return ("CREATE TABLE invoices (invoice_id INT PRIMARY KEY, "
+                "acc_id INT NOT NULL, org TEXT NOT NULL, "
+                "amount FLOAT NOT NULL, status TEXT NOT NULL); "
+                "INSERT INTO invoices (invoice_id, acc_id, org, amount, "
+                f"status) VALUES {rows};")
+
+    @staticmethod
+    def apply_genesis(text):
+        database = Database()
+        tx = database.begin(allow_nondeterministic=True)
+        run_sql(database, tx, text)
+        database.apply_commit(tx, block_number=0)
+        return database
+
+    def test_applied_seed_retains_the_tree_only(self):
+        text = self.seed_sql(1)
+        tracemalloc.start()
+        try:
+            database = self.apply_genesis(text)
+            gc.collect()
+            by_file = tracemalloc.take_snapshot().statistics("filename")
+        finally:
+            tracemalloc.stop()
+        assert len(database.catalog.heap_of("invoices")) == self.ROWS
+        lexer_bytes = sum(
+            stat.size for stat in by_file
+            if stat.traceback[0].filename.endswith("sql/lexer.py"))
+        assert lexer_bytes < 1 << 20
+        insert = parse_sql(text)[1]                  # the cached tree
+        literals = [expr for row in insert.rows for expr in row]
+        assert len(literals) == 5 * self.ROWS
+        assert not any("_compiled" in expr.__dict__ for expr in literals)
+
+    def test_nodes_share_one_parse_and_the_next_network_evicts_it(self):
+        text = self.seed_sql(1)
+        assert PARSE_CACHE_CHARS / 2 < len(text) < PARSE_CACHE_CHARS
+        tree = parse_sql(text)
+        for contract in ("SELECT 1", "SELECT 2", "SELECT 3"):
+            parse_sql(contract)
+        assert parse_sql(text)[1] is tree[1]         # the second node
+        assert parse_sql(text)[1] is tree[1]         # the third
+        parse_sql(self.seed_sql(2))                  # the next network
+        assert parse_sql(text)[1] is not tree[1]
+
+    def test_an_oversized_text_is_still_shared_while_newest(self):
+        text = "SELECT 1 /* " + "x" * PARSE_CACHE_CHARS + " */"
+        tree = parse_sql(text)
+        assert parse_sql(text)[0] is tree[0]
+        parse_sql("SELECT 2")
+        assert parse_sql(text)[0] is not tree[0]
 
 
 # ---------------------------------------------------------------------------

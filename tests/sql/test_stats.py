@@ -7,9 +7,13 @@ heap fallback) must never move them.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
+from repro.sql.stats import StatisticsManager
+from repro.storage.vacuum import vacuum_database
 from repro.errors import CatalogError
 
 
@@ -142,9 +146,11 @@ class TestCaching:
         tx = db.begin(allow_nondeterministic=True)
         run_sql(db, tx, "INSERT INTO readings (sensor, region, amount) "
                         "VALUES (200, 'r0', 1.0)")
-        db.stats.table_stats("readings")       # heap drifted: recompute
+        db.stats.table_stats("readings")       # uncommitted: memo holds
+        assert db.stats.computations == before
+        db.apply_commit(tx, block_number=1)
+        db.stats.table_stats("readings")       # committed drift: recompute
         assert db.stats.computations == before + 1
-        db.apply_abort(tx, reason="test")
 
     def test_same_anchor_commit_recomputes(self, db):
         """An out-of-band commit stamped at the current anchor changes
@@ -155,3 +161,182 @@ class TestCaching:
                         "VALUES (300, 'r1', 2.0)")
         db.apply_commit(tx, block_number=1)
         assert db.stats.table_stats("readings").row_count == 31
+
+
+# ---------------------------------------------------------------------------
+# Property: the memo is never stale
+# ---------------------------------------------------------------------------
+
+PROBES = [
+    lambda stats: stats.table_stats("readings"),
+    lambda stats: stats.ndv("readings", ("region",)),
+    lambda stats: stats.ndv("readings", ("sensor",)),
+    lambda stats: stats.ndv("readings", ("region", "amount")),
+    lambda stats: stats.histogram("readings", "amount"),
+]
+
+
+def assert_memo_fresh(db):
+    """Every memoized statistic equals a recompute from scratch."""
+    fresh = StatisticsManager(db)
+    for probe in PROBES:
+        assert probe(db.stats) == probe(fresh)
+
+
+class Churn:
+    """Drives one database through everything that can move
+    committed-at-anchor state (commits inside and outside a block,
+    recovery rollback, vacuum, reclaim, DDL) and everything that cannot
+    (uncommitted writes, aborts), checking the memo after each step."""
+
+    def __init__(self, columnar):
+        self.db = build_db()
+        self.db.columnstore.set_enabled(columnar)
+        self.open = []            # uncommitted transactions, oldest first
+        self.last_commit = None   # newest commit, while rollback is sound
+        self.fresh_ids = iter(range(1000, 10 ** 6))
+        assert_memo_fresh(self.db)
+
+    def step(self, op, k):
+        getattr(self, op)(k)
+        assert_memo_fresh(self.db)
+
+    def _write(self, sql, params):
+        tx = self.db.begin(allow_nondeterministic=True)
+        run_sql(self.db, tx, sql, params=params)
+        self.open.append(tx)
+
+    def insert(self, k):
+        self._write("INSERT INTO readings (sensor, region, amount) "
+                    "VALUES ($1, $2, $3)",
+                    (next(self.fresh_ids), f"r{k % 7}", float(k)))
+
+    def update(self, k):
+        self._write("UPDATE readings SET amount = 1.5 + $1, region = 'rU' "
+                    "WHERE sensor = $1", (k,))
+
+    def delete(self, k):
+        self._write("DELETE FROM readings WHERE sensor = $1", (k,))
+
+    def abort(self, k):
+        if self.open:
+            self.db.apply_abort(self.open.pop(k % len(self.open)),
+                                reason="test")
+
+    def _abort_open(self):
+        while self.open:
+            self.db.apply_abort(self.open.pop(), reason="test")
+
+    def _commit(self, tx, **kwargs):
+        """Commit ``tx`` unless an earlier commit already won one of
+        its rows (the ww check the validators would make)."""
+        if any(entry.old_version is not None
+               and entry.old_version.xmax_winner is not None
+               for entry in tx.writes):
+            self.db.apply_abort(tx, reason="ww")
+            return
+        self.db.apply_commit(tx, **kwargs)
+        self.last_commit = tx
+
+    def commit_block(self, k):
+        """The block processor's sequence.  Odd ``k`` replays a block at
+        the current height (as recovery and test fixtures do): its
+        deferred creator stamps then land at the anchor, not above."""
+        db = self.db
+        height = db.committed_height + 1 - k % 2
+        batch = db.begin_block_apply(height)
+        for tx in self.open:
+            self._commit(tx, block_number=height, batch=batch)
+            assert_memo_fresh(db)
+        self.open = []
+        db.apply_block(batch)
+        assert_memo_fresh(db)
+        db.committed_height = height
+        db.retire_finished(height)
+        db.columnstore.on_block(db, height)
+
+    def commit_standalone(self, k):
+        """No block: stamped at the current height, so committed state
+        moves under an unmoved anchor."""
+        if self.open:
+            self._commit(self.open.pop(k % len(self.open)))
+
+    def rollback(self, k):
+        tx, self.last_commit = self.last_commit, None
+        if tx is not None:
+            self._abort_open()
+            self.db.rollback_committed(tx)
+            assert_memo_fresh(self.db)
+            self.db.apply_abort(tx, reason="recovery")
+
+    def _dead(self):
+        db = self.db
+        return [v for v in db.catalog.heap_of("readings").all_versions()
+                if v.is_dead and db.statuses.is_committed(v.xmax_winner)
+                and v.deleter_block <= db.committed_height]
+
+    def vacuum(self, k):
+        self.last_commit = None
+        vacuum_database(self.db,
+                        retain_height=self.db.committed_height - k % 2)
+
+    def reclaim(self, k):
+        self.last_commit = None
+        self.db.reclaim_versions("readings", self._dead()[:k % 4 + 1])
+
+    def ddl(self, k):
+        tx = self.db.begin(allow_nondeterministic=True)
+        if k % 2:
+            run_sql(self.db, tx, f"CREATE INDEX readings_amount_"
+                                 f"{next(self.fresh_ids)}_idx "
+                                 f"ON readings(amount)")
+        else:
+            # A new heap under the old name: its counters start over.
+            self._abort_open()
+            self.last_commit = None
+            run_sql(self.db, tx, """
+                DROP TABLE readings;
+                CREATE TABLE readings (
+                    sensor INT PRIMARY KEY,
+                    region TEXT NOT NULL,
+                    amount FLOAT
+                );
+            """)
+            for i in range(k % 5 + 1):
+                run_sql(self.db, tx,
+                        "INSERT INTO readings (sensor, region, amount) "
+                        "VALUES ($1, $2, $3)",
+                        params=(i, f"r{i % 2}", float(i)))
+        self.db.apply_commit(tx)
+
+
+CHURN_OPS = ["insert", "update", "delete", "abort", "commit_block",
+             "commit_standalone", "rollback", "vacuum", "reclaim", "ddl"]
+
+
+class TestMemoNeverStale:
+    @pytest.mark.parametrize("columnar", [True, False],
+                             ids=["columnar", "heap-fallback"])
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.tuples(st.sampled_from(CHURN_OPS),
+                                    st.integers(0, 29)), max_size=30))
+    def test_memo_equals_recompute_after_any_history(self, columnar, steps):
+        churn = Churn(columnar)
+        for op, k in steps:
+            churn.step(op, k)
+
+    def test_physical_removal_moves_the_token(self, db):
+        """Whatever removes a version the anchor still sees (a vacuum
+        told to retain nothing) must not leave the old count behind."""
+        db.columnstore.set_enabled(False)
+        assert db.stats.table_stats("readings").row_count == 30
+        heap = db.catalog.heap_of("readings")
+        db.reclaim_versions("readings", heap.all_versions()[:4])
+        assert db.stats.table_stats("readings").row_count == 26
+
+    def test_uncommitted_churn_and_aborts_recompute_nothing(self):
+        churn = Churn(columnar=True)
+        before = churn.db.stats.computations
+        for k in range(30):
+            churn.step(("insert", "update", "delete", "abort")[k % 4], k)
+        assert churn.db.stats.computations == before + len(PROBES) * 30

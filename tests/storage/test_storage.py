@@ -6,6 +6,7 @@ from repro.errors import BlockValidationError, TypeMismatchError
 from repro.chain.block import Block, make_genesis
 from repro.storage.blockstore import BlockStore
 from repro.storage.index import Index, key_depth, normalize_key
+from repro.storage.row import RowVersion
 from repro.storage.snapshot import (
     BlockSnapshot,
     SeqSnapshot,
@@ -204,11 +205,41 @@ class TestHeapTable:
     def test_rollback_committed_reverses_winner(self):
         heap = HeapTable("t")
         v1 = heap.insert_version({"x": 1}, xid=1)
+        heap.delete_version(v1, xid=2)   # a winner was a candidate first
         v1.set_delete_winner(2, block_number=5)
         heap._created_by_xid.setdefault(2, [])
         heap.rollback_committed(2)
         assert v1.xmax_winner is None
         assert v1.deleter_block is None
+
+    def test_cleanup_cost_follows_the_write_set_not_the_heap(
+            self, monkeypatch):
+        """Abort cleanup and recovery rollback visit the versions the
+        transaction marked, however large the heap is."""
+        heap = HeapTable("t")
+        rows = [heap.insert_version({"x": i}, xid=1) for i in range(5000)]
+        cleared = []
+        original = RowVersion.clear_delete_candidate
+
+        def counting(version, xid):
+            cleared.append(version.version_id)
+            original(version, xid)
+
+        monkeypatch.setattr(RowVersion, "clear_delete_candidate", counting)
+        for xid, marked in ((2, 3), (3, 40)):
+            for old in rows[:marked]:
+                heap.update_version(old, {"x": -old.values["x"]}, xid=xid)
+        heap.cleanup_aborted(2)
+        assert cleared == [v.version_id for v in rows[:3]]
+        assert len(heap) == 5040
+        del cleared[:]
+        for old in rows[:40]:
+            old.set_delete_winner(3, block_number=7)
+        heap.rollback_committed(3)
+        assert cleared == [v.version_id for v in rows[:40]]
+        assert len(heap) == 5000
+        assert all(v.xmax_winner is None and v.deleter_block is None
+                   and not v.xmax_candidates for v in rows)
 
     def test_delete_winner_leaves_no_candidate_set(self):
         """The winner lives in ``xmax_winner`` alone; the shared empty
