@@ -150,7 +150,7 @@ def test_analytics_scan_speedup(benchmark):
         measure, rounds=1, iterations=1)
     statements = ITERATIONS * len(heights) * len(QUERIES)
     speedup = rowstore_wall / max(columnar_wall, 1e-9)
-    stats = db.columnstore.stats()
+    stats = registry_counter_snapshot(db.metrics, ("columnstore.",))
 
     # Memory: encoded replica vs an unencoded build of the same history.
     encoded_mem = db.columnstore.memory_stats()
@@ -168,13 +168,13 @@ def test_analytics_scan_speedup(benchmark):
          ["row store", round(rowstore_wall * 1e3, 1),
           round(rowstore_wall * 1e3 / statements, 3)]]))
     print(f"\ncolumnar speedup: {speedup:.1f}x; "
-          f"chunks pruned/scanned: {stats['chunks_pruned']}/"
-          f"{stats['chunks_scanned']}")
+          f"chunks pruned/scanned: {stats['columnstore.chunks_pruned']}/"
+          f"{stats['columnstore.chunks_scanned']}")
     print(f"replica memory: {encoded_mem['bytes_per_row']} B/row encoded "
           f"vs {plain_mem['bytes_per_row']} B/row plain "
           f"({reduction:.1f}x smaller); compactions: "
-          f"{stats['compactions']}; encoded chunks: "
-          f"{stats['encoded_chunks']}")
+          f"{stats['columnstore.compactions']}; encoded chunks: "
+          f"{stats['columnstore.encoded_chunks']}")
 
     # Acceptance: the columnar aggregate beats the row-store path >=2x.
     assert speedup >= 2.0, \
@@ -185,7 +185,7 @@ def test_analytics_scan_speedup(benchmark):
         (f"encoded replica only {reduction:.2f}x smaller than plain "
          f"({encoded_mem['bytes_per_row']} vs "
          f"{plain_mem['bytes_per_row']} B/row)")
-    assert stats["compactions"] > 0, \
+    assert stats["columnstore.compactions"] > 0, \
         "bench workload no longer exercises chunk compaction"
 
     canonical = record_baseline("analytics_scan", {

@@ -1,9 +1,10 @@
 """Cost-based optimizer: skewed-join and Limit-streaming speedups.
 
 Two real-engine microbenchmarks compare the cost-based planner against
-the legacy structural rules (``db.cost_based_planning = False`` — the
-pre-optimizer behaviour, which always hashed equi-joins and always
-materialized-and-sorted ORDER BY ... LIMIT pipelines):
+the legacy structural rules (``tests.conftest.structural_planning`` —
+the pre-optimizer behaviour, which always hashed equi-joins and always
+materialized-and-sorted ORDER BY ... LIMIT pipelines; ``src/`` runs
+those rules only under ``tx.require_index`` and has no switch):
 
 * **skewed-build-side join** — a small filtered outer (one region of
   orgs) joining a large events table.  The structural planner builds a
@@ -33,6 +34,7 @@ from benchmarks.conftest import (
 from repro.bench.harness import format_table, registry_counter_snapshot
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
+from tests.conftest import structural_planning
 
 EVENTS = 4000
 ORGS = 64
@@ -102,23 +104,17 @@ def ab_compare(db, sql, params=()):
     tx = db.begin(allow_nondeterministic=True)
     cost_rows = run_sql(db, tx, sql, params=params).rows
     db.apply_abort(tx, reason="bench")
-    db.cost_based_planning = False
-    try:
+    with structural_planning(db):
         tx = db.begin(allow_nondeterministic=True)
         legacy_rows = run_sql(db, tx, sql, params=params).rows
         db.apply_abort(tx, reason="bench")
-    finally:
-        db.cost_based_planning = True
     assert cost_rows == legacy_rows
 
     run_workload(db, sql, params)                     # warm
     cost_wall = run_workload(db, sql, params)
-    db.cost_based_planning = False
-    try:
+    with structural_planning(db):
         run_workload(db, sql, params)                 # warm
         legacy_wall = run_workload(db, sql, params)
-    finally:
-        db.cost_based_planning = True
     return cost_wall, legacy_wall
 
 
@@ -132,14 +128,11 @@ def test_join_costing_speedup(benchmark):
     limit_plan = explain_lines(db, LIMIT_SQL)
     assert any("Limit (streaming" in line for line in limit_plan)
     assert any("IndexOrderScan" in line for line in limit_plan)
-    db.cost_based_planning = False
-    try:
+    with structural_planning(db):
         assert any("HashJoin" in line for line in
                    explain_lines(db, JOIN_SQL, params=("region1",)))
         assert any(line.lstrip(" ->").startswith("Sort ") for line in
                    explain_lines(db, LIMIT_SQL))
-    finally:
-        db.cost_based_planning = True
 
     def measure():
         join = ab_compare(db, JOIN_SQL, params=("region1",))

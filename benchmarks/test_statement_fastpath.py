@@ -20,14 +20,19 @@ execute without touching the planner statistics, so the gate is a count
 (``stats.computations`` per 1,000 statements), not a time.
 """
 
+import sys
 import time
 
 from benchmarks.conftest import print_banner, record_baseline
-from repro.bench.harness import format_table, registry_counter_snapshot
+from repro.bench.harness import (
+    format_table,
+    registry_counter_snapshot,
+    sql_totals,
+)
 from repro.mvcc.database import Database
+from repro.sql import expressions
 from repro.sql.executor import run_sql
 from repro.sql.parser import clear_parse_cache
-from repro.sql.planner import QUERY_TIMINGS
 
 ITERATIONS = 120
 
@@ -86,20 +91,47 @@ def clear_all_caches(db: Database) -> None:
 
 
 def run_workload(db: Database, iterations: int, cold: bool):
-    """Returns (wall seconds, QUERY_TIMINGS snapshot) for ``iterations``
-    transactions of the statement mix.  Transactions abort so the heap
-    stays the same size in both modes."""
-    QUERY_TIMINGS.reset()
-    started = time.perf_counter()
-    for _ in range(iterations):
-        if cold:
-            clear_all_caches(db)
-        tx = db.begin(allow_nondeterministic=True)
-        for sql, params in STATEMENTS:
-            run_sql(db, tx, sql, params=params)
-        db.apply_abort(tx, reason="bench")
-    wall = time.perf_counter() - started
-    return wall, QUERY_TIMINGS.snapshot()
+    """Returns (wall seconds, statement timings) for ``iterations``
+    transactions of the statement mix: the growth of the database's
+    ``sql.*_seconds`` histograms and ``plancache.*`` counters, plus the
+    number of expression nodes compiled (``expressions.compile_expr``
+    wrapped in every module that imported it).  Transactions abort so
+    the heap stays the same size in both modes."""
+    original = expressions.compile_expr
+    compiled = [0]
+
+    def counting(expr, binder=None):
+        compiled[0] += 1
+        return original(expr, binder)
+
+    holders = [module for name, module in list(sys.modules.items())
+               if name.startswith("repro.")
+               and getattr(module, "compile_expr", None) is original]
+    before = sql_totals(db.metrics)
+    for module in holders:
+        module.compile_expr = counting
+    try:
+        started = time.perf_counter()
+        for _ in range(iterations):
+            if cold:
+                clear_all_caches(db)
+            tx = db.begin(allow_nondeterministic=True)
+            for sql, params in STATEMENTS:
+                run_sql(db, tx, sql, params=params)
+            db.apply_abort(tx, reason="bench")
+        wall = time.perf_counter() - started
+    finally:
+        for module in holders:
+            module.compile_expr = original
+    grown = {name: value - before[name]
+             for name, value in sql_totals(db.metrics).items()}
+    return wall, {
+        "statements": grown["statements"],
+        "plan_ms_total": round(grown["plan_s"] * 1e3, 3),
+        "exec_ms_total": round(grown["exec_s"] * 1e3, 3),
+        "plan_cache_hits": grown["hits"],
+        "compiled_exprs": compiled[0],
+    }
 
 
 def test_statement_fastpath_speedup(benchmark):
@@ -209,11 +241,11 @@ def test_read_modify_write_hits_never_recost(benchmark):
     run_rmw_block(db, 1)                         # plan both statements
 
     def measure():
-        hits = db.plan_cache.hits
-        computations = db.stats.computations
+        before = registry_counter_snapshot(db.metrics)
         wall = run_rmw_block(db, RMW_TRANSACTIONS)
-        return (wall, db.plan_cache.hits - hits,
-                db.stats.computations - computations)
+        after = registry_counter_snapshot(db.metrics)
+        return (wall, after["plancache.hits"] - before["plancache.hits"],
+                after["stats.computations"] - before["stats.computations"])
 
     wall, hits, computations = benchmark.pedantic(
         measure, rounds=1, iterations=1)

@@ -94,8 +94,8 @@ def main() -> None:
     # peers — no out-of-band block hand-off needed.
     report = victim.restart()
     net.settle(timeout=30.0)
-    print(f"recovery report: {report}, "
-          f"sync pulled {victim.sync.blocks_requested} block(s)")
+    pulled = victim.metrics.counter("sync.blocks_requested").value
+    print(f"recovery report: {report}, sync pulled {pulled} block(s)")
     print(f"{victim.name} height after recovery: "
           f"{victim.db.committed_height}")
     net.assert_consistent()

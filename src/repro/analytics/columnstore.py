@@ -505,8 +505,7 @@ class ColumnStore:
         self._pending: List[list] = []
         self._stale = True  # rebuilt from the heap on first access
         self.synced_height = 0
-        # Observability counters on the unified registry (legacy
-        # attribute names below are read-only views).
+        # Observability counters on the unified registry.
         if metrics is None:
             from repro.obs.metrics import private_scope
             metrics = private_scope()
@@ -537,47 +536,11 @@ class ColumnStore:
         # Live memory footprint per stored row version.
         metrics.gauge("columnstore.bytes_per_row",
                       fn=lambda: self.memory_stats()["bytes_per_row"])
-
-    # Legacy counter attributes — views over the registry objects.
-    @property
-    def ingested_versions(self) -> int:
-        return int(self._ingested_versions.value)
-
-    @property
-    def deleter_updates(self) -> int:
-        return int(self._deleter_updates.value)
-
-    @property
-    def rebuilds(self) -> int:
-        return int(self._rebuilds.value)
-
-    @property
-    def compactions(self) -> int:
-        return int(self._compactions.value)
-
-    @property
-    def chunks_pruned(self) -> int:
-        return int(self._chunks_pruned.value)
-
-    @property
-    def chunks_scanned(self) -> int:
-        return int(self._chunks_scanned.value)
-
-    @property
-    def zone_only_chunks(self) -> int:
-        return int(self._zone_only_chunks.value)
-
-    @property
-    def encoded_chunks(self) -> int:
-        return int(self._encoded_chunks.value)
-
-    @property
-    def dict_hits(self) -> int:
-        return int(self._dict_hits.value)
-
-    @property
-    def rle_runs_scanned(self) -> int:
-        return int(self._rle_runs_scanned.value)
+        metrics.gauge("columnstore.pending_commits",
+                      fn=lambda: len(self._pending))
+        metrics.gauge("columnstore.chunks",
+                      fn=lambda: sum(len(t.chunks)
+                                     for t in self.tables.values()))
 
     def note_zone_only_chunk(self) -> None:
         """Called by ColumnarAggregate when a chunk's contribution came
@@ -943,25 +906,4 @@ class ColumnStore:
             "bytes": total,
             "rows": rows,
             "bytes_per_row": round(total / rows, 2) if rows else 0.0,
-        }
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "stale": self._stale,
-            "tables": len(self.tables),
-            "chunks": sum(len(t.chunks) for t in self.tables.values()),
-            "rows": sum(len(t) for t in self.tables.values()),
-            "pending_commits": len(self._pending),
-            "synced_height": self.synced_height,
-            "ingested_versions": self.ingested_versions,
-            "deleter_updates": self.deleter_updates,
-            "rebuilds": self.rebuilds,
-            "compactions": self.compactions,
-            "chunks_pruned": self.chunks_pruned,
-            "chunks_scanned": self.chunks_scanned,
-            "zone_only_chunks": self.zone_only_chunks,
-            "encoded_chunks": self.encoded_chunks,
-            "dict_hits": self.dict_hits,
-            "rle_runs_scanned": self.rle_runs_scanned,
         }

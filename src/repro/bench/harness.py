@@ -257,19 +257,37 @@ def build_functional_network(flow: str, organizations: Sequence[str] =
     return net, clients
 
 
+def sql_totals(metrics) -> Dict[str, float]:
+    """Per-statement SQL timings and plan-cache traffic of one registry,
+    summed over its nodes: statement count and seconds from the
+    ``sql.*_seconds`` histograms, hits / misses from ``plancache.*``."""
+    snap = metrics.snapshot()
+    totals = {"statements": 0, "plan_s": 0.0, "exec_s": 0.0}
+    for key, hist in snap["histograms"].items():
+        name = key.split("{", 1)[0]
+        if name == "sql.plan_seconds":
+            totals["plan_s"] += hist["sum"]
+        elif name == "sql.exec_seconds":
+            totals["exec_s"] += hist["sum"]
+            totals["statements"] += hist["count"]
+    counters = registry_counter_snapshot(metrics, ("plancache.",))
+    totals["hits"] = counters.get("plancache.hits", 0)
+    totals["misses"] = counters.get("plancache.misses", 0)
+    return totals
+
+
 def run_functional_workload(flow: str, kind: str, count: int = 60,
                             consensus: str = "kafka") -> Dict:
     """Push ``count`` real transactions through the engine; returns
     wall-clock commit rate, abort statistics, and the SQL engine's own
-    per-statement planning/execution timings — including plan-cache
-    hit/miss counts and expression-compilation cost, so fig6/fig7-style
-    runs report the statement fast path's effect directly."""
-    from repro.sql.planner import QUERY_TIMINGS
-
+    per-statement planning/execution timings and plan-cache hit/miss
+    counts (this network's registry, workload minus seeding), so
+    fig6/fig7-style runs report the statement fast path's effect
+    directly."""
     net, clients = build_functional_network(flow, consensus=consensus)
     orgs = [c.identity.organization for c in clients]
     calls = workload_calls(kind, count, orgs)
-    QUERY_TIMINGS.reset()  # measure the workload, not the seeding
+    sql_before = sql_totals(net.metrics)  # the workload, not the seeding
     started = time.perf_counter()
     tx_ids = []
     for i, (procedure, args) in enumerate(calls):
@@ -289,11 +307,10 @@ def run_functional_workload(flow: str, kind: str, count: int = 60,
                     for t in metrics.tx_execution_times]
     avg_exec_ms = (1e3 * sum(exec_samples) / len(exec_samples)
                    if exec_samples else 0.0)
-    sql_timings = QUERY_TIMINGS.snapshot()
-    sync_totals: Dict[str, float] = {}
-    for peer in net.nodes:
-        for key, value in peer.sync.stats().items():
-            sync_totals[key] = sync_totals.get(key, 0) + value
+    sql = {name: value - sql_before[name]
+           for name, value in sql_totals(net.metrics).items()}
+    statements = sql["statements"] or 1
+    registry = registry_counter_snapshot(net.metrics)
     return {
         "flow": flow, "kind": kind, "count": count,
         "committed": committed, "aborted": aborted,
@@ -301,27 +318,23 @@ def run_functional_workload(flow: str, kind: str, count: int = 60,
         "engine_tps": round(committed / elapsed, 1) if elapsed else 0.0,
         "avg_tx_exec_ms": round(avg_exec_ms, 3),
         "blocks": node.blockstore.height,
-        "sql_statements": sql_timings["statements"],
-        "sql_plan_ms_avg": sql_timings["plan_ms_avg"],
-        "sql_exec_ms_avg": sql_timings["exec_ms_avg"],
-        "sql_plan_ms_total": sql_timings["plan_ms_total"],
-        "sql_exec_ms_total": sql_timings["exec_ms_total"],
-        "sql_plan_cache_hits": sql_timings["plan_cache_hits"],
-        "sql_plan_cache_misses": sql_timings["plan_cache_misses"],
-        "sql_compile_ms_total": sql_timings["compile_ms_total"],
-        "sql_compiled_exprs": sql_timings["compiled_exprs"],
+        "sql_statements": sql["statements"],
+        "sql_plan_ms_avg": round(sql["plan_s"] / statements * 1e3, 4),
+        "sql_exec_ms_avg": round(sql["exec_s"] / statements * 1e3, 4),
+        "sql_plan_ms_total": round(sql["plan_s"] * 1e3, 3),
+        "sql_exec_ms_total": round(sql["exec_s"] * 1e3, 3),
+        "sql_plan_cache_hits": sql["hits"],
+        "sql_plan_cache_misses": sql["misses"],
         # Anti-entropy sync activity summed across the replica set: on a
         # healthy run requests/retries stay ~0 while announces tick — a
         # nonzero blocks_requested here means the workload outran
         # delivery somewhere and the sync layer healed it.
-        "sync_blocks_requested": int(sync_totals.get(
-            "blocks_requested", 0)),
-        "sync_blocks_served": int(sync_totals.get("blocks_served", 0)),
-        "sync_retries": int(sync_totals.get("retries", 0)),
-        "sync_backoff_ms_total": round(sync_totals.get(
-            "backoff_ms_total", 0.0), 3),
-        "sync_announces_sent": int(sync_totals.get("announces_sent", 0)),
+        "sync_blocks_requested": registry.get("sync.blocks_requested", 0),
+        "sync_blocks_served": registry.get("sync.blocks_served", 0),
+        "sync_retries": registry.get("sync.retries", 0),
+        "sync_backoff_ms_total": registry.get("sync.backoff_ms_total", 0),
+        "sync_announces_sent": registry.get("sync.announces_sent", 0),
         # Full counter snapshot of the network's registry, for embedding
         # next to the timings in BENCH_*.json.
-        "registry": registry_counter_snapshot(net.metrics),
+        "registry": registry,
     }

@@ -51,7 +51,6 @@ class BlockchainNetwork:
                  contracts: Sequence[str] = (),
                  checkpoint_interval: int = 1,
                  min_block_signatures: int = 1,
-                 share_plan_templates: bool = True,
                  seed: int = 7):
         if not organizations:
             raise ReproError("need at least one organization")
@@ -118,10 +117,9 @@ class BlockchainNetwork:
         # All peers of one process replay the same DDL history, so they
         # can share one plan-template cache (keyed on the catalog's
         # structural version token): N nodes hold one template set
-        # instead of N copies.  Opt out with share_plan_templates=False.
+        # instead of N copies.
         self.shared_plan_cache = PlanCache(
-            metrics=self.metrics.scope(cache="shared")) \
-            if share_plan_templates else None
+            metrics=self.metrics.scope(cache="shared"))
         self.nodes: List[DatabaseNode] = []
         for identity in self.peer_identities:
             node = DatabaseNode(
@@ -211,10 +209,13 @@ class BlockchainNetwork:
         head = node._block_buffer.get(height + 1)
         peer_heights = dict(sorted(node.sync._peer_heights.items()))
         if head is None:
+            sync = {name: value for name, value in
+                    node.metrics.snapshot()["counters"].items()
+                    if name.startswith("sync.")}
             return (f"node {node.name} stuck at height {height}: "
                     f"waiting for block {height + 1}, buffered "
                     f"{buffered}, peer heights {peer_heights}, sync "
-                    f"{node.sync.stats()}")
+                    f"{sync}")
         try:
             min_sigs = 0 if head.number == 0 else node.min_block_signatures
             tip = node.blockstore.tip()

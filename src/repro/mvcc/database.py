@@ -66,6 +66,12 @@ class Database:
             from repro.obs.metrics import private_scope
             metrics = private_scope()
         self.metrics = metrics
+        # Per-statement timing, one observation per top-level statement
+        # (sql/executor.py); a statement that plans nothing (INSERT, DDL)
+        # observes execution only, so the count of ``sql.exec_seconds``
+        # is the number of statements.
+        self.sql_plan_seconds = metrics.histogram("sql.plan_seconds")
+        self.sql_exec_seconds = metrics.histogram("sql.exec_seconds")
         self.catalog = Catalog()
         # Statement fast path: physical plan templates keyed by
         # (fingerprint, shape, catalog version); DDL/stats-drift bumps
@@ -101,11 +107,8 @@ class Database:
         # Snapshot-anchored planner statistics: committed row counts and
         # distinct-key counts pinned to the committed height, identical
         # on every node at the same height (sql/stats.py).  The planner
-        # costs join strategies from these; set cost_based_planning to
-        # False to fall back to the purely structural pre-costing rules
-        # (the flag participates in the plan-cache key).
+        # costs join strategies from these.
         self.stats = StatisticsManager(self)
-        self.cost_based_planning = True
         # Structured slow-query log: top-level statements whose total
         # (plan + execute) wall time crosses the threshold land here as
         # dicts (statement kind, fingerprint, timings, rows, cache

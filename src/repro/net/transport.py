@@ -158,8 +158,7 @@ class SimNetwork:
         # FIFO guarantee: next earliest delivery time per (src, dst)
         self._link_clock: Dict[Tuple[str, str], float] = {}
         self.fault_plan: Optional[FaultPlan] = None
-        # Traffic counters on the unified registry (legacy attribute
-        # names below are read-only views).
+        # Traffic counters on the unified registry.
         self.metrics = metrics if metrics is not None else private_scope()
         self._messages_sent = self.metrics.counter("transport.messages_sent")
         self._bytes_sent = self.metrics.counter("transport.bytes_sent")
@@ -167,22 +166,6 @@ class SimNetwork:
             "transport.messages_dropped")
         self._messages_duplicated = self.metrics.counter(
             "transport.messages_duplicated")
-
-    @property
-    def messages_sent(self) -> int:
-        return int(self._messages_sent.value)
-
-    @property
-    def bytes_sent(self) -> int:
-        return int(self._bytes_sent.value)
-
-    @property
-    def messages_dropped(self) -> int:
-        return int(self._messages_dropped.value)
-
-    @property
-    def messages_duplicated(self) -> int:
-        return int(self._messages_duplicated.value)
 
     # ------------------------------------------------------------------
 

@@ -131,13 +131,6 @@ class DatabaseNode:
         self.metrics.gauge("node.blockstore_height",
                            fn=lambda: self.blockstore.height)
         self.metrics.gauge("node.crashed", fn=lambda: self.crashed)
-        self.metrics.gauge(
-            "columnstore.pending_commits",
-            fn=lambda: len(self.db.columnstore._pending))
-        self.metrics.gauge(
-            "columnstore.chunks",
-            fn=lambda: sum(len(t.chunks)
-                           for t in self.db.columnstore.tables.values()))
         self.metrics.gauge("node.slow_queries",
                            fn=lambda: len(self.db.slow_queries))
 
@@ -266,20 +259,9 @@ class DatabaseNode:
 
     def observability(self) -> Dict[str, Any]:
         """One bundle of this node's operational state: the full metric
-        snapshot for this node's registry scope plus the legacy per
-        -subsystem stat dicts, span-trace summary, SQL timing aggregates
+        snapshot for this node's registry scope, the span-trace summary
         and the slow-query log."""
-        from repro.sql.planner import QUERY_TIMINGS
-
         return {
-            "wal": {
-                "flush_count": self.db.wal.flush_count,
-                "records_flushed": self.db.wal.records_flushed,
-            },
-            "columnstore": self.db.columnstore.stats(),
-            "sync": self.sync.stats(),
-            "plan_cache": self.db.plan_cache.stats(),
-            "sql": QUERY_TIMINGS.snapshot(),
             "slow_queries": list(self.db.slow_queries),
             "trace": self.tracer.snapshot(),
             "metrics": self.metrics.snapshot(),

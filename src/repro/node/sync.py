@@ -89,8 +89,7 @@ class BlockSyncManager:
         self._backoff = backoff_base
         self._resume_at = 0.0   # no new request before this (backoff)
         self._started = False
-        # -- metrics on the node's registry scope (stats() below is a
-        # thin view; the bench harness still sums those dicts) --
+        # -- metrics on the node's registry scope --
         metrics = getattr(node, "metrics", None)
         if metrics is None:
             from repro.obs.metrics import private_scope
@@ -105,39 +104,6 @@ class BlockSyncManager:
             "sync.responses_received")
         self._announces_sent = metrics.counter("sync.announces_sent")
         self._gaps_detected = metrics.counter("sync.gaps_detected")
-
-    # Legacy counter attributes — views over the registry objects.
-    @property
-    def blocks_requested(self) -> int:
-        return int(self._blocks_requested.value)
-
-    @property
-    def blocks_served(self) -> int:
-        return int(self._blocks_served.value)
-
-    @property
-    def retries(self) -> int:
-        return int(self._retries.value)
-
-    @property
-    def backoff_ms_total(self) -> float:
-        return float(self._backoff_ms_total.value)
-
-    @property
-    def requests_sent(self) -> int:
-        return int(self._requests_sent.value)
-
-    @property
-    def responses_received(self) -> int:
-        return int(self._responses_received.value)
-
-    @property
-    def announces_sent(self) -> int:
-        return int(self._announces_sent.value)
-
-    @property
-    def gaps_detected(self) -> int:
-        return int(self._gaps_detected.value)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -166,18 +132,6 @@ class BlockSyncManager:
             return []
         return [name for name in ordering.peer_names()
                 if name != self.node.name]
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "blocks_requested": self.blocks_requested,
-            "blocks_served": self.blocks_served,
-            "retries": self.retries,
-            "backoff_ms_total": round(self.backoff_ms_total, 3),
-            "requests_sent": self.requests_sent,
-            "responses_received": self.responses_received,
-            "announces_sent": self.announces_sent,
-            "gaps_detected": self.gaps_detected,
-        }
 
     # ------------------------------------------------------------------
     # Periodic tick

@@ -1,12 +1,12 @@
 """Unified metrics model: counters, gauges and fixed-bucket histograms.
 
-Every subsystem counter that used to live in an ad-hoc attribute or
-``stats()`` dict (WAL flush counts, transport fault-plan drops, sync
-activity, columnstore maintenance, plan-cache hits) is now an object
-registered here, named under one ``subsystem.metric`` convention and
-scoped by labels (``node=...`` for per-node metrics on a process-wide
-registry).  The old attribute names and ``stats()`` dicts survive as thin
-views over these objects, so nothing downstream had to change.
+Every subsystem counter (WAL flush counts, transport fault-plan drops,
+sync activity, columnstore maintenance, plan-cache hits) and the
+per-statement SQL timings are objects registered here, named under one
+``subsystem.metric`` convention and scoped by labels (``node=...`` for
+per-node metrics on a process-wide registry).  The registry is the only
+reader: components keep their metric objects private and expose no
+attribute views or ``stats()`` dicts.
 
 Two design rules keep the layer off the determinism path:
 

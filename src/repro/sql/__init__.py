@@ -11,11 +11,11 @@ from repro.sql.catalog import (
 from repro.sql.catalog import TableStats
 from repro.sql.executor import AccessChecker, Executor, Result, run_sql
 from repro.sql.parser import parse_one, parse_procedure_body, parse_sql
-from repro.sql.planner import QUERY_TIMINGS, Planner
+from repro.sql.planner import Planner
 
 __all__ = [
     "Catalog", "ColumnDef", "SCHEMA_BLOCKCHAIN", "SCHEMA_PRIVATE",
     "TableSchema", "TableStats", "coerce_value", "AccessChecker",
-    "Executor", "Planner", "QUERY_TIMINGS", "Result",
+    "Executor", "Planner", "Result",
     "run_sql", "parse_one", "parse_procedure_body", "parse_sql",
 ]

@@ -67,7 +67,7 @@ from repro.sql.plan import (
     window_checks,
 )
 from repro.sql.plancache import PlanCache, PlanEntry
-from repro.sql.planner import QUERY_TIMINGS, Planner, SelectPlan, timed
+from repro.sql.planner import Planner, SelectPlan, timed
 from repro.storage.index import normalize_key
 from repro.storage.visibility import version_visible
 
@@ -171,8 +171,8 @@ class Executor:
         self.default_as_of = default_as_of
         # Depth of nested statement execution: correlated subqueries run
         # through this executor mid-statement and must not count (or
-        # double-bill their time) as standalone statements in
-        # QUERY_TIMINGS.
+        # double-bill their time) as standalone statements in the
+        # database's per-statement histograms.
         self._stmt_depth = 0
 
     # ------------------------------------------------------------------
@@ -188,14 +188,26 @@ class Executor:
             subquery_fn=self._run_subquery)
         if isinstance(stmt, Select):
             return self._execute_select(stmt, ctx)
-        if isinstance(stmt, Insert):
-            return self._execute_insert(stmt, ctx)
         if isinstance(stmt, Update):
             return self._execute_update(stmt, ctx)
         if isinstance(stmt, Delete):
             return self._execute_delete(stmt, ctx)
         if isinstance(stmt, Explain):
             return self._execute_explain(stmt, ctx)
+        self._stmt_depth += 1   # INSERT ... SELECT is one statement
+        try:
+            with timed() as exec_t:
+                result = self._execute_unplanned(stmt, ctx)
+        finally:
+            self._stmt_depth -= 1
+        self.db.sql_exec_seconds.observe(exec_t.seconds)
+        return result
+
+    def _execute_unplanned(self, stmt: Statement, ctx: EvalContext
+                           ) -> Result:
+        """INSERT and DDL: statements with no plan of their own."""
+        if isinstance(stmt, Insert):
+            return self._execute_insert(stmt, ctx)
         if isinstance(stmt, CreateTable):
             return self._execute_create_table(stmt, ctx)
         if isinstance(stmt, CreateIndex):
@@ -330,8 +342,7 @@ class Executor:
         version = self.db.catalog.version_token
         key = PlanCache.key_for(
             stmt, ctx, self.tx, version, self.db.columnstore.enabled,
-            stats_anchor=self.db.stats.anchor,
-            cost_based=getattr(self.db, "cost_based_planning", True))
+            stats_anchor=self.db.stats.anchor)
         got = cache.get(key, self.db, ctx)
         if got is not None:
             entry, scan_bounds = got
@@ -375,8 +386,8 @@ class Executor:
         with timed() as exec_t:
             output = self._run_plan(plan, ctx, scan_bounds)
         if self._stmt_depth == 0:
-            QUERY_TIMINGS.record(plan_t.seconds, exec_t.seconds,
-                                 cache_hit=cache_hit)
+            self.db.sql_plan_seconds.observe(plan_t.seconds)
+            self.db.sql_exec_seconds.observe(exec_t.seconds)
             threshold = getattr(self.db, "slow_query_threshold_ms", 0.0)
             if threshold and (plan_t.seconds + exec_t.seconds) * 1e3 \
                     >= threshold:
@@ -598,8 +609,7 @@ class Executor:
         version = self.db.catalog.version_token
         key = PlanCache.key_for(
             stmt, ctx, self.tx, version,
-            stats_anchor=self.db.stats.anchor,
-            cost_based=getattr(self.db, "cost_based_planning", True))
+            stats_anchor=self.db.stats.anchor)
         got = cache.get(key, self.db, ctx)
         if got is not None:
             entry, scan_bounds = got
@@ -619,13 +629,13 @@ class Executor:
         heap = self.db.catalog.heap_of(table)
         alias_columns = {table: schema.column_names()}
         with timed() as plan_t:
-            scan, cache_hit, scan_bounds = \
+            scan, _hit, scan_bounds = \
                 self._plan_dml_scan_cached(stmt, ctx)
         with timed() as exec_t:
             targets = scan.scan_rows(
                 self._runtime(ctx, alias_columns, scan_bounds))
-        QUERY_TIMINGS.record(plan_t.seconds, exec_t.seconds,
-                             cache_hit=cache_hit)
+        self.db.sql_plan_seconds.observe(plan_t.seconds)
+        self.db.sql_exec_seconds.observe(exec_t.seconds)
         return schema, heap, targets
 
     def _execute_update(self, stmt: Update, ctx: EvalContext) -> Result:

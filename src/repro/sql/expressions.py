@@ -6,27 +6,23 @@ calls are *not* evaluated here — the executor computes them per group and
 supplies their values through ``EvalContext.aggregate_values`` keyed by the
 expression fingerprint.
 
-Two evaluation strategies share the same semantics:
-
-* :func:`evaluate` — the reference interpreter, a recursive ``isinstance``
-  walk per call.  Still used for one-shot evaluations (sargable-bound
-  resolution, constant folding).
-* :func:`compile_expr` — lowers an AST subtree *once* into nested Python
-  closures, so per-row hot paths (Filter/Project/HashJoin/HashAggregate
-  operators, DML loops, PL bodies) pay no dispatch or re-analysis cost.
-  Compilation pre-resolves column references against binder output where
-  unambiguous, precompiles literal LIKE patterns, and precomputes
-  aggregate fingerprints.  Compiled closures must behave byte-for-byte
-  like :func:`evaluate`, including error types and messages — both reuse
-  the same ``_arith``/``_compare``/``_logical_*`` kernels.
+There is one evaluator: :func:`compile_expr` lowers an AST subtree *once*
+into nested Python closures, so per-row hot paths (Filter/Project/HashJoin/
+HashAggregate operators, DML loops, PL bodies) pay no dispatch or
+re-analysis cost, and one-shot sites (sargable-bound resolution, LIMIT)
+call the same closure through the node memo (:func:`compiled`).
+Compilation pre-resolves column references against binder output where
+unambiguous, precompiles literal LIKE patterns, and precomputes aggregate
+fingerprints.  Every node must turn an expression into the same value *or
+the same error* (the abort reason is a ledger column), so evaluation
+raises only :class:`ReproError` subclasses whose text is written here —
+never the interpreter's own, which differs between Python versions.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import threading
-import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -265,69 +261,6 @@ def _like_to_regex(pattern: str) -> "re.Pattern":
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
 
-def evaluate(expr: Expr, ctx: EvalContext) -> Any:
-    """Evaluate ``expr`` in ``ctx``; returns a Python value (None = NULL)."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, IntervalLiteral):
-        return IntervalValue(expr.seconds)
-    if isinstance(expr, ColumnRef):
-        return _resolve_column(expr, ctx)
-    if isinstance(expr, Param):
-        return _resolve_param(expr, ctx)
-    if isinstance(expr, Star):
-        raise ExecutionError("'*' is only valid in SELECT lists or COUNT(*)")
-    if isinstance(expr, UnaryOp):
-        return _eval_unary(expr, ctx)
-    if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, ctx)
-    if isinstance(expr, IsNull):
-        value = evaluate(expr.operand, ctx)
-        result = value is None
-        return (not result) if expr.negated else result
-    if isinstance(expr, Between):
-        return _eval_between(expr, ctx)
-    if isinstance(expr, InList):
-        return _eval_in(expr, ctx)
-    if isinstance(expr, Like):
-        return _eval_like(expr, ctx)
-    if isinstance(expr, CaseExpr):
-        return _eval_case(expr, ctx)
-    if isinstance(expr, FunctionCall):
-        return _eval_function(expr, ctx)
-    if isinstance(expr, SubqueryExpr):
-        return _eval_subquery(expr, ctx)
-    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _resolve_param(expr: Param, ctx: EvalContext) -> Any:
-    token = expr.name
-    if token.startswith("$"):
-        position = int(token[1:]) - 1
-        if not 0 <= position < len(ctx.params):
-            raise ExecutionError(f"parameter {token} out of range")
-        return ctx.params[position]
-    name = token[1:]
-    if name in ctx.variables:
-        return ctx.variables[name]
-    raise ExecutionError(f"unbound parameter {token}")
-
-
-def _eval_unary(expr: UnaryOp, ctx: EvalContext) -> Any:
-    value = evaluate(expr.operand, ctx)
-    if expr.op == "NOT":
-        if value is None:
-            return None
-        return not _as_bool(value)
-    if value is None:
-        return None
-    if expr.op == "-":
-        return -value
-    if expr.op == "+":
-        return value
-    raise ExecutionError(f"unknown unary operator {expr.op!r}")
-
-
 def _as_bool(value: Any) -> bool:
     if isinstance(value, bool):
         return value
@@ -335,95 +268,10 @@ def _as_bool(value: Any) -> bool:
         f"expected boolean, got {type(value).__name__}")
 
 
-def _eval_binary(expr: BinaryOp, ctx: EvalContext) -> Any:
-    if expr.op == "AND":
-        return _logical_and(_bool_or_none(evaluate(expr.left, ctx)),
-                            _bool_or_none(evaluate(expr.right, ctx)))
-    if expr.op == "OR":
-        return _logical_or(_bool_or_none(evaluate(expr.left, ctx)),
-                           _bool_or_none(evaluate(expr.right, ctx)))
-    if expr.op == "IN_SUBQUERY":
-        needle = evaluate(expr.left, ctx)
-        rows = _run_subquery(expr.right, ctx)
-        if needle is None:
-            return None
-        found = any(row and compare_values(needle, row[0]) == 0
-                    for row in rows)
-        return found
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
-    if expr.op in {"=", "<>", "<", "<=", ">", ">="}:
-        return _compare(expr.op, left, right)
-    return _arith(expr.op, left, right)
-
-
 def _bool_or_none(value: Any) -> Optional[bool]:
     if value is None:
         return None
     return _as_bool(value)
-
-
-def _eval_between(expr: Between, ctx: EvalContext) -> Optional[bool]:
-    operand = evaluate(expr.operand, ctx)
-    low = evaluate(expr.low, ctx)
-    high = evaluate(expr.high, ctx)
-    lower = _compare(">=", operand, low)
-    upper = _compare("<=", operand, high)
-    result = _logical_and(lower, upper)
-    if result is None:
-        return None
-    return (not result) if expr.negated else result
-
-
-def _eval_in(expr: InList, ctx: EvalContext) -> Optional[bool]:
-    operand = evaluate(expr.operand, ctx)
-    if operand is None:
-        return None
-    saw_null = False
-    for item in expr.items:
-        value = evaluate(item, ctx)
-        if value is None:
-            saw_null = True
-            continue
-        if compare_values(operand, value) == 0:
-            return not expr.negated
-    if saw_null:
-        return None
-    return expr.negated
-
-
-def _eval_like(expr: Like, ctx: EvalContext) -> Optional[bool]:
-    operand = evaluate(expr.operand, ctx)
-    pattern = evaluate(expr.pattern, ctx)
-    if operand is None or pattern is None:
-        return None
-    result = bool(_like_to_regex(str(pattern)).match(str(operand)))
-    return (not result) if expr.negated else result
-
-
-def _eval_case(expr: CaseExpr, ctx: EvalContext) -> Any:
-    for cond, result in expr.whens:
-        value = evaluate(cond, ctx)
-        if value is True:
-            return evaluate(result, ctx)
-    if expr.else_ is not None:
-        return evaluate(expr.else_, ctx)
-    return None
-
-
-def _eval_function(expr: FunctionCall, ctx: EvalContext) -> Any:
-    if expr.name in functions.AGGREGATE_NAMES:
-        if ctx.aggregate_values is None:
-            raise ExecutionError(
-                f"aggregate {expr.name}() not allowed here")
-        key = expr_fingerprint(expr)
-        if key not in ctx.aggregate_values:
-            raise ExecutionError(
-                f"aggregate {expr.name}() was not computed for this query")
-        return ctx.aggregate_values[key]
-    args = [evaluate(arg, ctx) for arg in expr.args]
-    return functions.call(expr.name, args,
-                          allow_nondeterministic=ctx.allow_nondeterministic)
 
 
 def _run_subquery(expr: Expr, ctx: EvalContext) -> List[tuple]:
@@ -447,64 +295,12 @@ def _eval_subquery(expr: SubqueryExpr, ctx: EvalContext) -> Any:
     return rows[0][0]
 
 
-def evaluate_predicate(expr: Optional[Expr], ctx: EvalContext) -> bool:
-    """WHERE/HAVING semantics: NULL counts as not-satisfied."""
-    if expr is None:
-        return True
-    return evaluate(expr, ctx) is True
-
-
 # ---------------------------------------------------------------------------
 # Expression compilation — AST lowered once into nested closures
 # ---------------------------------------------------------------------------
 
 Binder = Dict[str, Sequence[str]]        # alias -> column names (binder output)
 CompiledExpr = Callable[[EvalContext], Any]
-
-
-class CompileStats:
-    """Process-wide accumulator of expression-compilation work, so the
-    bench harness can report compile-vs-exec time split."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.compiled = 0
-        self.seconds = 0.0
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self.compiled += 1
-            self.seconds += seconds
-
-    def reset(self) -> None:
-        with self._lock:
-            self.compiled = 0
-            self.seconds = 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            return {"compiled_exprs": self.compiled,
-                    "compile_ms_total": round(self.seconds * 1e3, 3)}
-
-
-COMPILE_STATS = CompileStats()
-
-
-def compile_expr(expr: Expr, binder: Optional[Binder] = None) -> CompiledExpr:
-    """Lower ``expr`` into a closure ``fn(ctx) -> value``.
-
-    ``binder``, when given, is the planner's alias→columns map: unqualified
-    column references whose name appears in exactly one alias are resolved
-    to a direct two-dict lookup at compile time (falling back to the full
-    scoped resolution when the alias is absent from the row environment,
-    e.g. in correlated-subquery scopes).  Semantics are identical to
-    :func:`evaluate` — same values, same errors, same messages.
-    """
-    started = time.perf_counter()
-    try:
-        return _compile(expr, binder)
-    finally:
-        COMPILE_STATS.record(time.perf_counter() - started)
 
 
 def compile_predicate(expr: Optional[Expr],
@@ -541,7 +337,16 @@ def compiled_predicate(expr: Optional[Expr]
     return fn
 
 
-def _compile(expr: Expr, binder: Optional[Binder]) -> CompiledExpr:
+def compile_expr(expr: Expr, binder: Optional[Binder] = None) -> CompiledExpr:
+    """Lower ``expr`` into a closure ``fn(ctx) -> value``.
+
+    ``binder``, when given, is the planner's alias→columns map: unqualified
+    column references whose name appears in exactly one alias are resolved
+    to a direct two-dict lookup at compile time (falling back to the full
+    scoped resolution when the alias is absent from the row environment,
+    e.g. in correlated-subquery scopes) — same values, same errors, same
+    messages as without a binder.
+    """
     if isinstance(expr, Literal):
         value = expr.value
         return lambda ctx: value
@@ -562,7 +367,7 @@ def _compile(expr: Expr, binder: Optional[Binder]) -> CompiledExpr:
     if isinstance(expr, BinaryOp):
         return _compile_binary(expr, binder)
     if isinstance(expr, IsNull):
-        operand = _compile(expr.operand, binder)
+        operand = compile_expr(expr.operand, binder)
         if expr.negated:
             return lambda ctx: operand(ctx) is not None
         return lambda ctx: operand(ctx) is None
@@ -637,7 +442,7 @@ def _compile_param(expr: Param) -> CompiledExpr:
 
 
 def _compile_unary(expr: UnaryOp, binder: Optional[Binder]) -> CompiledExpr:
-    operand = _compile(expr.operand, binder)
+    operand = compile_expr(expr.operand, binder)
     if expr.op == "NOT":
         def run_not(ctx):
             value = operand(ctx)
@@ -648,7 +453,13 @@ def _compile_unary(expr: UnaryOp, binder: Optional[Binder]) -> CompiledExpr:
     if expr.op == "-":
         def run_neg(ctx):
             value = operand(ctx)
-            return None if value is None else -value
+            if value is None:
+                return None
+            if isinstance(value, bool) or \
+                    not isinstance(value, (int, float, Decimal)):
+                raise TypeMismatchError(
+                    f"cannot apply unary - to {type(value).__name__}")
+            return -value
         return run_neg
     if expr.op == "+":
         return operand
@@ -662,17 +473,19 @@ def _compile_unary(expr: UnaryOp, binder: Optional[Binder]) -> CompiledExpr:
 def _compile_binary(expr: BinaryOp, binder: Optional[Binder]) -> CompiledExpr:
     op = expr.op
     if op == "AND":
-        # Both sides always evaluate (no short-circuit): the interpreter
-        # surfaces errors from either side regardless of the other.
-        left, right = _compile(expr.left, binder), _compile(expr.right, binder)
+        # Both sides always evaluate (no short-circuit): an error on
+        # either side surfaces regardless of the other.
+        left = compile_expr(expr.left, binder)
+        right = compile_expr(expr.right, binder)
         return lambda ctx: _logical_and(_bool_or_none(left(ctx)),
                                         _bool_or_none(right(ctx)))
     if op == "OR":
-        left, right = _compile(expr.left, binder), _compile(expr.right, binder)
+        left = compile_expr(expr.left, binder)
+        right = compile_expr(expr.right, binder)
         return lambda ctx: _logical_or(_bool_or_none(left(ctx)),
                                        _bool_or_none(right(ctx)))
     if op == "IN_SUBQUERY":
-        needle_fn = _compile(expr.left, binder)
+        needle_fn = compile_expr(expr.left, binder)
         subquery = expr.right
 
         def run_in_subquery(ctx):
@@ -683,16 +496,17 @@ def _compile_binary(expr: BinaryOp, binder: Optional[Binder]) -> CompiledExpr:
             return any(row and compare_values(needle, row[0]) == 0
                        for row in rows)
         return run_in_subquery
-    left, right = _compile(expr.left, binder), _compile(expr.right, binder)
+    left = compile_expr(expr.left, binder)
+    right = compile_expr(expr.right, binder)
     if op in {"=", "<>", "<", "<=", ">", ">="}:
         return lambda ctx: _compare(op, left(ctx), right(ctx))
     return lambda ctx: _arith(op, left(ctx), right(ctx))
 
 
 def _compile_between(expr: Between, binder: Optional[Binder]) -> CompiledExpr:
-    operand = _compile(expr.operand, binder)
-    low = _compile(expr.low, binder)
-    high = _compile(expr.high, binder)
+    operand = compile_expr(expr.operand, binder)
+    low = compile_expr(expr.low, binder)
+    high = compile_expr(expr.high, binder)
     negated = expr.negated
 
     def run_between(ctx):
@@ -708,8 +522,8 @@ def _compile_between(expr: Between, binder: Optional[Binder]) -> CompiledExpr:
 
 
 def _compile_in(expr: InList, binder: Optional[Binder]) -> CompiledExpr:
-    operand_fn = _compile(expr.operand, binder)
-    item_fns = [_compile(item, binder) for item in expr.items]
+    operand_fn = compile_expr(expr.operand, binder)
+    item_fns = [compile_expr(item, binder) for item in expr.items]
     negated = expr.negated
 
     def run_in(ctx):
@@ -731,7 +545,7 @@ def _compile_in(expr: InList, binder: Optional[Binder]) -> CompiledExpr:
 
 
 def _compile_like(expr: Like, binder: Optional[Binder]) -> CompiledExpr:
-    operand = _compile(expr.operand, binder)
+    operand = compile_expr(expr.operand, binder)
     negated = expr.negated
     if isinstance(expr.pattern, Literal) and \
             isinstance(expr.pattern.value, str):
@@ -744,7 +558,7 @@ def _compile_like(expr: Like, binder: Optional[Binder]) -> CompiledExpr:
             result = bool(regex.match(str(value)))
             return (not result) if negated else result
         return run_static
-    pattern_fn = _compile(expr.pattern, binder)
+    pattern_fn = compile_expr(expr.pattern, binder)
 
     def run_dynamic(ctx):
         value = operand(ctx)
@@ -757,9 +571,10 @@ def _compile_like(expr: Like, binder: Optional[Binder]) -> CompiledExpr:
 
 
 def _compile_case(expr: CaseExpr, binder: Optional[Binder]) -> CompiledExpr:
-    whens = [(_compile(cond, binder), _compile(result, binder))
+    whens = [(compile_expr(cond, binder), compile_expr(result, binder))
              for cond, result in expr.whens]
-    else_fn = None if expr.else_ is None else _compile(expr.else_, binder)
+    else_fn = (None if expr.else_ is None
+               else compile_expr(expr.else_, binder))
 
     def run_case(ctx):
         for cond_fn, result_fn in whens:
@@ -784,7 +599,7 @@ def _compile_function(expr: FunctionCall,
                     f"aggregate {name}() was not computed for this query")
             return ctx.aggregate_values[key]
         return run_aggregate
-    arg_fns = [_compile(arg, binder) for arg in expr.args]
+    arg_fns = [compile_expr(arg, binder) for arg in expr.args]
 
     def run_call(ctx):
         args = [fn(ctx) for fn in arg_fns]

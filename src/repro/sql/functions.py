@@ -186,4 +186,13 @@ def call(name: str, args: Sequence[Any],
     if len(args) < spec.min_args or (spec.max_args is not None
                                      and len(args) > spec.max_args):
         raise ExecutionError(f"{name}() called with {len(args)} arguments")
-    return spec.fn(*args)
+    try:
+        return spec.fn(*args)
+    except ZeroDivisionError:
+        raise ExecutionError("division by zero") from None
+    except (TypeError, ValueError, ArithmeticError):
+        # Type names only: the interpreter's own text reaches the ledger
+        # as the abort reason and differs between Python versions.
+        kinds = ", ".join(type(arg).__name__ for arg in args)
+        raise ExecutionError(
+            f"{name}() cannot be applied to ({kinds})") from None

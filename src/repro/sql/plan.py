@@ -65,8 +65,7 @@ from repro.sql.expressions import (
     compare_values,
     compile_expr,
     compile_predicate,
-    evaluate,
-    evaluate_predicate,
+    compiled,
     expr_fingerprint,
 )
 from repro.storage.index import (
@@ -142,6 +141,8 @@ def conjuncts(expr: Expr) -> List[Expr]:
 
 def try_eval_const(expr: Expr, ctx: EvalContext) -> Tuple[bool, Any]:
     """Evaluate ``expr`` if it does not depend on the scanned row."""
+    if type(expr) is Literal:
+        return True, expr.value     # no closure memoized per literal
     for node in expr.walk():
         if isinstance(node, Star):
             return False, None
@@ -153,11 +154,11 @@ def try_eval_const(expr: Expr, ctx: EvalContext) -> Tuple[bool, Any]:
         if isinstance(node, ColumnRef):
             # Resolvable only via outer env or variables.
             try:
-                evaluate(node, ctx)
+                compiled(node)(ctx)
             except SQLError:
                 return False, None
     try:
-        return True, evaluate(expr, ctx)
+        return True, compiled(expr)(ctx)
     except SQLError:
         return False, None
 
@@ -1523,6 +1524,23 @@ class Distinct(PlanNode):
         return "Distinct"
 
 
+def _row_count(clause: str, expr: Optional[Expr],
+               ctx: EvalContext) -> Optional[int]:
+    """Value of a LIMIT / OFFSET expression: a non-negative integer, or
+    None when absent or NULL."""
+    if expr is None:
+        return None
+    value = expr.value if type(expr) is Literal else compiled(expr)(ctx)
+    if value is None:
+        return None
+    if type(value) is not int:
+        raise ExecutionError(
+            f"{clause} must be an integer, got {type(value).__name__}")
+    if value < 0:
+        raise ExecutionError(f"{clause} must not be negative")
+    return value
+
+
 class Limit(PlanNode):
     """LIMIT/OFFSET.
 
@@ -1553,19 +1571,9 @@ class Limit(PlanNode):
         self.est_cost = self.child.est_cost
 
     def _slice_bounds(self, rt: Runtime) -> Tuple[int, Optional[int]]:
-        start = 0
-        if self.offset is not None:
-            start = int(evaluate(self.offset, rt.ctx) or 0)
-            if start < 0:
-                raise ExecutionError("OFFSET must not be negative")
-        stop = None
-        if self.limit is not None:
-            value = evaluate(self.limit, rt.ctx)
-            if value is not None:
-                if int(value) < 0:
-                    raise ExecutionError("LIMIT must not be negative")
-                stop = start + int(value)
-        return start, stop
+        start = _row_count("OFFSET", self.offset, rt.ctx) or 0
+        count = _row_count("LIMIT", self.limit, rt.ctx)
+        return start, None if count is None else start + count
 
     def describe(self) -> str:
         parts = []

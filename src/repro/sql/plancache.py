@@ -35,8 +35,9 @@ keyed by::
   simply miss and re-plan (sql/stats.py);
 * **tx flags** — ``require_index`` (execute-order-in-parallel planning
   rules), ``provenance`` (pseudo-columns change binding and output),
-  ``allow_nondeterministic`` (changes which bounds are const-evaluable),
-  and the database's ``cost_based_planning`` toggle.
+  ``allow_nondeterministic`` (changes which bounds are const-evaluable).
+  ``require_index`` is also what selects structural over cost-based
+  strategy choice, so the planning mode is part of the key.
 
 Determinism argument: plans must be *node-deterministic* — a cache hit
 may never change the chosen plan or the SIREAD set, or replicas would
@@ -56,7 +57,7 @@ diverge on SSI abort decisions.  Two mechanisms guarantee this:
 
 A hit executes; it does not re-cost.  No runtime decision reads
 ``est_rows``/``est_cost`` — the strategy embedded in a template was
-chosen under the same key (anchor, catalog version, cost-based toggle),
+chosen under the same key (anchor, catalog version, ``require_index``),
 so it cannot drift on a hit — and the ``cost~``/``rows~`` annotations
 have one reader, EXPLAIN, which recosts the template it is about to
 render (``Executor._execute_explain`` → ``recost_plan``) and so prints
@@ -197,35 +198,13 @@ class PlanCache:
         self._invalidations = metrics.counter("plancache.invalidations")
         metrics.gauge("plancache.size", fn=self.__len__)
 
-    # Legacy counter attributes — views over the registry objects.
-    @property
-    def hits(self) -> int:
-        return int(self._hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._misses.value)
-
-    @property
-    def guard_failures(self) -> int:
-        return int(self._guard_failures.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self._evictions.value)
-
-    @property
-    def invalidations(self) -> int:
-        return int(self._invalidations.value)
-
     # -- keying ------------------------------------------------------------
 
     @staticmethod
     def key_for(stmt: Statement, ctx: EvalContext, tx,
                 catalog_version: Any,
                 columnar_enabled: bool = False,
-                stats_anchor: int = 0,
-                cost_based: bool = True) -> Tuple:
+                stats_anchor: int = 0) -> Tuple:
         # AS OF statements additionally key on the *presence* of a
         # height pin and on whether columnar routing was available:
         # pinning changes the chosen operators (ColumnarScan vs heap
@@ -240,12 +219,11 @@ class PlanCache:
         # statistics were pinned to: cost-based strategy choice reads
         # them, so templates are only ever reused at the anchor they
         # were costed at (all nodes at one height agree; a new block
-        # simply re-plans).  ``cost_based`` keys the planning mode.
+        # simply re-plans).
         as_of = getattr(ctx, "as_of_height", None)
         pinned = as_of is not None
         return (statement_fingerprint(stmt), context_shape(ctx),
-                catalog_version, int(stats_anchor), bool(cost_based),
-                bool(tx.require_index),
+                catalog_version, int(stats_anchor), bool(tx.require_index),
                 bool(tx.provenance), bool(ctx.allow_nondeterministic),
                 pinned, bool(columnar_enabled) if pinned else None)
 
@@ -303,14 +281,3 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "guard_failures": self.guard_failures,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-            }

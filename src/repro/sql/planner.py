@@ -41,7 +41,6 @@ per-operator ``cost~``/``rows~`` annotations.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -59,7 +58,6 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.catalog import value_class
 from repro.sql.expressions import (
-    COMPILE_STATS,
     EvalContext,
     compile_expr,
     expr_fingerprint,
@@ -95,60 +93,6 @@ from repro.sql.plan import (
     render_plan,
 )
 from repro.sql.plancache import ScanGuard
-
-# ---------------------------------------------------------------------------
-# Per-query planning/execution timing (bench harness reads this)
-# ---------------------------------------------------------------------------
-
-class QueryTimings:
-    """Process-wide accumulator of per-statement plan/execute times,
-    plan-cache hit/miss counts, and expression-compilation cost."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.statements = 0
-        self.plan_seconds = 0.0
-        self.exec_seconds = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def record(self, plan_seconds: float, exec_seconds: float,
-               cache_hit: Optional[bool] = None) -> None:
-        with self._lock:
-            self.statements += 1
-            self.plan_seconds += plan_seconds
-            self.exec_seconds += exec_seconds
-            if cache_hit is True:
-                self.cache_hits += 1
-            elif cache_hit is False:
-                self.cache_misses += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self.statements = 0
-            self.plan_seconds = 0.0
-            self.exec_seconds = 0.0
-            self.cache_hits = 0
-            self.cache_misses = 0
-        COMPILE_STATS.reset()
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            n = self.statements or 1
-            out = {
-                "statements": self.statements,
-                "plan_ms_total": round(self.plan_seconds * 1e3, 3),
-                "exec_ms_total": round(self.exec_seconds * 1e3, 3),
-                "plan_ms_avg": round(self.plan_seconds / n * 1e3, 4),
-                "exec_ms_avg": round(self.exec_seconds / n * 1e3, 4),
-                "plan_cache_hits": self.cache_hits,
-                "plan_cache_misses": self.cache_misses,
-            }
-        out.update(COMPILE_STATS.snapshot())
-        return out
-
-
-QUERY_TIMINGS = QueryTimings()
 
 # Value classes (sql.catalog.value_class) in which values that compare
 # equal are the same value: no 2 / 2.0, no 0.0 / -0.0, no NaN.
@@ -635,12 +579,11 @@ class Planner:
         return None if self.tx.provenance else alias_columns
 
     def _cost_based(self) -> bool:
-        """Cost-based strategy choice applies outside the EO flow (where
-        the section 4.3 structural rules stay authoritative) whenever the
-        database has it enabled.  Both inputs are part of the plan-cache
-        key, so the mode can never flip between a miss and a hit."""
-        return (getattr(self.db, "cost_based_planning", True)
-                and not self.tx.require_index)
+        """Cost-based strategy choice applies outside the EO flow, where
+        the section 4.3 structural rules stay authoritative.  The flag is
+        part of the plan-cache key, so the mode can never flip between a
+        miss and a hit."""
+        return not self.tx.require_index
 
     def _smj_candidate(self, outer: PlanNode, join: Join,
                        keys: List[Tuple[str, Expr]],

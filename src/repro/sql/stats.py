@@ -175,12 +175,6 @@ class StatisticsManager:
         self._heap_served = db.metrics.counter("stats.heap_served")
 
     @property
-    def computations(self) -> int:
-        return int(self._computations.value)
-
-    # ------------------------------------------------------------------
-
-    @property
     def anchor(self) -> int:
         """The stats anchor: the node's committed block height."""
         return self.db.committed_height
@@ -369,14 +363,3 @@ class StatisticsManager:
         except OverflowError:
             return None
         return hist.range_fraction(low_f, high_f)
-
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "anchor": self.anchor,
-            "cached_entries": len(self._cache),
-            "computations": self.computations,
-            "columnar_served": int(self._columnar_served.value),
-            "heap_served": int(self._heap_served.value),
-        }

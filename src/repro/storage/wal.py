@@ -190,15 +190,6 @@ class WriteAheadLog:
     def flushed_lsn(self) -> int:
         return self._flushed_lsn
 
-    # Legacy counter attributes — thin views over the registry objects.
-    @property
-    def flush_count(self) -> int:
-        return int(self._flush_count.value)
-
-    @property
-    def records_flushed(self) -> int:
-        return int(self._records_flushed.value)
-
     def crash(self) -> None:
         """Simulate a crash: drop unflushed records."""
         self._records = [r for r in self._records if r.lsn <= self._flushed_lsn]

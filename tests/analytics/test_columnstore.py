@@ -20,6 +20,7 @@ from repro.analytics.encoding import (
 )
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
+from tests.conftest import counter, gauge
 
 
 def make_db():
@@ -178,10 +179,12 @@ class TestColumnStore:
         db = make_db()
         commit_block(db, [("INSERT INTO t (id, v) VALUES (1, 10)", ())])
         store = db.columnstore
-        assert store.rebuilds == 1          # first on_block rebuilt
+        # first on_block rebuilt
+        assert counter(store, "columnstore.rebuilds") == 1
         commit_block(db, [("UPDATE t SET v = 11 WHERE id = 1", ())])
-        assert store.rebuilds == 1          # delta path, no rebuild
-        assert store.deleter_updates == 1
+        # delta path, no rebuild
+        assert counter(store, "columnstore.rebuilds") == 1
+        assert counter(store, "columnstore.deleter_updates") == 1
         tcols = store.table("t")
         assert len(tcols) == 2              # both versions retained
 
@@ -201,7 +204,7 @@ class TestColumnStore:
         db = make_db()
         db.columnstore.set_enabled(False)
         commit_block(db, [("INSERT INTO t (id, v) VALUES (1, 10)", ())])
-        assert db.columnstore.stats()["pending_commits"] == 0
+        assert gauge(db, "columnstore.pending_commits") == 0
         # Re-enabling rebuilds from the heap, so nothing is lost.
         db.columnstore.set_enabled(True)
         db.columnstore.ensure_synced(db)
@@ -226,11 +229,11 @@ class TestColumnStore:
                 "INSERT INTO t (id, v) VALUES ($1, $2)",
                 (block, block * 10))])
         store = db.columnstore
-        before = store.chunks_pruned
+        before = counter(store, "columnstore.chunks_pruned")
         # Height 1: later per-block chunks are all created above it.
         selections = list(store.scan(db, "t", height=1))
         assert sum(len(sel) for _, sel in selections) == 1
-        assert store.chunks_pruned > before
+        assert counter(store, "columnstore.chunks_pruned") > before
 
     def test_visible_at_matches_docstring(self):
         assert visible_at(3, None, 3)
@@ -323,7 +326,7 @@ class TestZoneOnlyAggregates:
             ("INSERT INTO t (id, v) VALUES ($1, $2)", (i, i))
             for i in range(10)])
         height = db.committed_height
-        before = db.columnstore.stats()["zone_only_chunks"]
+        before = counter(db.columnstore, "columnstore.zone_only_chunks")
         tx = db.begin(allow_nondeterministic=True, read_only=True)
         try:
             result = run_sql(
@@ -332,7 +335,7 @@ class TestZoneOnlyAggregates:
         finally:
             db.apply_abort(tx, reason="test")
         assert result.rows == [(10, 0, 9)]
-        assert db.columnstore.stats()["zone_only_chunks"] > before
+        assert counter(db.columnstore, "columnstore.zone_only_chunks") > before
 
     def test_deleted_rows_force_row_scan_and_stay_correct(self):
         db = make_db()
@@ -565,15 +568,13 @@ class TestStoreEncodingSurface:
 
     def test_encoded_chunks_counter_and_stats_keys(self):
         db = self._store_db(encode=True)
-        stats = db.columnstore.stats()
-        assert stats["encoded_chunks"] >= 1
-        assert "dict_hits" in stats and "rle_runs_scanned" in stats
+        assert counter(db.columnstore, "columnstore.encoded_chunks") >= 1
 
     def test_encode_toggle_disables_encoding(self):
         db = self._store_db(encode=False)
         tcols = db.columnstore.table("t")
         assert all(isinstance(c.creators, list) for c in tcols.chunks)
-        assert db.columnstore.stats()["encoded_chunks"] == 0
+        assert counter(db.columnstore, "columnstore.encoded_chunks") == 0
 
     def test_distinct_count_served_from_dictionary(self):
         """NDV on a dictionary column comes from len(dictionary) without

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
+from tests.conftest import counter
 
 KEYS = list(range(6))
 GROUPS = ["g1", "g2", "g3"]
@@ -112,11 +113,16 @@ def run_as_of(db, sql, height):
 _PRUNING_KEYS = ("chunks_pruned", "chunks_scanned", "zone_only_chunks")
 
 
+def pruning_counters(db):
+    return {k: counter(db.columnstore, "columnstore." + k)
+            for k in _PRUNING_KEYS}
+
+
 def pruning_deltas(db, sql, height):
     """The query's result plus how far each pruning counter moved."""
-    before = {k: db.columnstore.stats()[k] for k in _PRUNING_KEYS}
+    before = pruning_counters(db)
     result, ssi = run_as_of(db, sql, height)
-    after = db.columnstore.stats()
+    after = pruning_counters(db)
     return result, ssi, {k: after[k] - before[k] for k in _PRUNING_KEYS}
 
 

@@ -12,6 +12,7 @@ from repro.bench.harness import (
     run_functional_workload,
     run_micro_metrics,
     run_serial_baseline,
+    sql_totals,
 )
 from repro.bench.perfmodel import FLOW_EO, FLOW_OE
 
@@ -77,19 +78,34 @@ class TestFunctionalHarness:
 
     def test_workload_reports_sync_observability(self):
         """The harness surfaces anti-entropy counters next to the SQL
-        timings, and every node bundles them via observability()."""
+        timings, read from the network's registry."""
         result = run_functional_workload("order-execute", "simple",
                                          count=8)
         assert result["sync_announces_sent"] > 0
         assert result["sync_retries"] == 0       # healthy run: no loss
         assert result["sync_blocks_requested"] == 0
-        net, _ = build_functional_network("order-execute",
-                                          organizations=("org1", "org2"))
-        bundle = net.primary_node.observability()
-        assert bundle["wal"]["flush_count"] > 0
-        assert set(bundle["sync"]) >= {"blocks_requested", "blocks_served",
-                                       "retries", "backoff_ms_total"}
-        assert "columnstore" in bundle
+        assert result["registry"]["wal.flush_count"] > 0
+
+    def test_simple_workload_counts_its_dml_per_network(self):
+        """``simple_insert`` is one INSERT: 12 transactions on 3 nodes
+        are 36 statements (the process-global accumulator never saw DML
+        and reported 0), and the numbers are this network's alone — a
+        second network in the process does not move them."""
+        result = run_functional_workload("order-execute", "simple",
+                                         count=12)
+        assert result["committed"] == 12
+        assert result["sql_statements"] == 36
+        assert result["sql_exec_ms_total"] > 0.0
+        assert result["sql_plan_ms_total"] == 0.0   # INSERT plans nothing
+
+        net, clients = build_functional_network(
+            "order-execute", organizations=("org1", "org2"))
+        before = sql_totals(net.metrics)
+        run_functional_workload("order-execute", "simple", count=4)
+        assert sql_totals(net.metrics) == before
+        clients[0].invoke_and_wait("simple_insert", 990001, 1, "org1", 5.0)
+        assert sql_totals(net.metrics)["statements"] == \
+            before["statements"] + 2
 
     def test_functional_workload_chain_hash_reproducible(self):
         def run():

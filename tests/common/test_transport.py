@@ -15,6 +15,7 @@ from repro.net.transport import (
     WAN,
     make_chaos_plan,
 )
+from tests.conftest import counter
 
 
 @pytest.fixture
@@ -119,8 +120,8 @@ class TestFaults:
         scheduler, network = net
         network.register("b", lambda src, msg: None)
         network.send("a", "b", ("x", None), size_bytes=512)
-        assert network.messages_sent == 1
-        assert network.bytes_sent == 512
+        assert counter(network, "transport.messages_sent") == 1
+        assert counter(network, "transport.bytes_sent") == 512
 
 
 def _run_traffic(plan, net_seed=11, rounds=40):
@@ -143,7 +144,8 @@ def _run_traffic(plan, net_seed=11, rounds=40):
         scheduler.schedule(i * 0.001, lambda i=i: network.send(
             "b", "c", ("rev", i), size_bytes=200))
     scheduler.run_until_idle()
-    return trace, network.messages_dropped, network.messages_duplicated
+    return (trace, counter(network, "transport.messages_dropped"),
+            counter(network, "transport.messages_duplicated"))
 
 
 class TestFaultPlan:
@@ -244,7 +246,7 @@ class TestFaultPlan:
         network.send("a", "c", ("y", None))
         scheduler.run_until_idle()
         assert got == [("c", ("y", None))]
-        assert network.messages_dropped == 1
+        assert counter(network, "transport.messages_dropped") == 1
 
     def test_make_chaos_plan(self):
         assert make_chaos_plan("") is None

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.bench.contracts_appendix_a import (
@@ -9,6 +11,7 @@ from repro.bench.contracts_appendix_a import (
 )
 from repro.common import crypto
 from repro.core.network import BlockchainNetwork
+from repro.sql.planner import Planner
 
 KV_SCHEMA = "CREATE TABLE kv (k TEXT PRIMARY KEY, v INT);"
 
@@ -35,6 +38,48 @@ KV_CONTRACTS = [
         INSERT INTO kv (k, v) VALUES (dst, cur);
     END $$ LANGUAGE plpgsql""",
 ]
+
+
+def _registered(kind: str, owner, name: str) -> list:
+    scope = getattr(owner, "metrics", owner)
+    values = [value for key, value in scope.snapshot()[kind].items()
+              if key.split("{", 1)[0] == name]
+    if not values:
+        raise KeyError(f"no {name!r} among the {kind} of this scope")
+    return values
+
+
+def counter(owner, name: str):
+    """Value of registry counter ``name`` in ``owner``'s scope — a
+    component holding ``.metrics`` (node, database, WAL, transport, plan
+    cache, …), a scope, or a whole registry (summed over its label sets).
+    ``scope.counter(name)`` is get-or-create, so a typo there reads 0;
+    this raises on a name the scope has never registered."""
+    return sum(_registered("counters", owner, name))
+
+
+def gauge(owner, name: str):
+    """Value of the one gauge ``name`` in ``owner``'s scope (see
+    :func:`counter`)."""
+    value, = _registered("gauges", owner, name)
+    return value
+
+
+@contextmanager
+def structural_planning(db):
+    """Plan ``db``'s statements by the pre-costing structural rules — the
+    reference the cost-based choices are compared against.  ``src/`` has
+    no switch (the rules run only under ``tx.require_index``), so this
+    patches :meth:`Planner._cost_based` and clears the plan cache on the
+    way in and out: templates of one mode must not serve the other."""
+    original = Planner._cost_based
+    Planner._cost_based = lambda self: False
+    db.plan_cache.clear()
+    try:
+        yield
+    finally:
+        Planner._cost_based = original
+        db.plan_cache.clear()
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from repro import ProvenanceAuditor
 from repro.node.block_processor import SimulatedCrash
-from tests.conftest import make_kv_network
+from tests.conftest import counter, gauge, make_kv_network
 
 
 def loaded_network(flow="order-execute"):
@@ -20,10 +20,10 @@ class TestIngestHook:
     def test_block_processing_keeps_store_synced(self):
         net, _ = loaded_network()
         for node in net.nodes:
-            stats = node.db.columnstore.stats()
-            assert not stats["stale"]
-            assert stats["pending_commits"] == 0
-            assert stats["synced_height"] == node.db.committed_height
+            store = node.db.columnstore
+            assert not store.stale
+            assert gauge(node, "columnstore.pending_commits") == 0
+            assert store.synced_height == node.db.committed_height
 
     def test_every_node_serves_identical_history(self):
         net, _ = loaded_network()
@@ -40,7 +40,7 @@ class TestIngestHook:
         store.compact_every = 2
         for i in range(4):
             client.invoke_and_wait("bump_kv", "c", 1)
-        assert store.compactions >= 1
+        assert counter(store, "columnstore.compactions") >= 1
         # Compaction must not corrupt history.
         node = net.primary_node
         assert node.query_as_of("SELECT v FROM kv", 1).scalar() == 0
@@ -160,8 +160,7 @@ class TestRecoveryRebuild:
         net.settle(timeout=30.0)
         net.assert_consistent()
 
-        stats = victim.db.columnstore.stats()
-        assert not stats["stale"]
+        assert not victim.db.columnstore.stale
         # Recovered node answers historical queries like everyone else.
         height = victim.db.committed_height
         for node in net.nodes:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.network import BlockchainNetwork
 from repro.errors import ReproError
-from tests.conftest import make_kv_network
+from tests.conftest import KV_CONTRACTS, KV_SCHEMA, make_kv_network
 
 
 class TestBasicFlows:
@@ -179,3 +180,33 @@ class TestConsensusVariants:
         assert result["status"] == "committed"
         net.advance(2.0)
         net.assert_consistent()
+
+
+NEG_KV = """CREATE FUNCTION neg_kv(key TEXT, amount TEXT) RETURNS VOID AS $$
+    BEGIN
+        UPDATE kv SET v = -amount WHERE k = key;
+    END $$ LANGUAGE plpgsql"""
+
+
+@pytest.mark.parametrize("flow", ["order-execute", "execute-order"])
+def test_scalar_type_error_aborts_the_transaction_not_the_network(flow):
+    """``-amount`` on TEXT used to raise a bare TypeError: out of
+    ``process_block`` on every node under order-execute (the block was
+    retried forever), out of ``client.invoke`` under execute-order.  It
+    is an abort like any other, with one reason on every node."""
+    net = BlockchainNetwork(
+        organizations=["org1", "org2", "org3"], flow=flow,
+        block_size=10, block_timeout=0.2, schema_sql=KV_SCHEMA,
+        contracts=KV_CONTRACTS + [NEG_KV])
+    client = net.register_client("alice", "org1")
+    assert client.invoke_and_wait("set_kv", "a", 1)["status"] == "committed"
+    tx_id = client.invoke("neg_kv", "a", "oops")
+    net.settle(timeout=30.0)
+    entries = [node.ledger.entry(tx_id) for node in net.nodes]
+    assert {entry["status"] for entry in entries} == {"aborted"}
+    assert {entry["reason"] for entry in entries} == \
+        {"cannot apply unary - to str"}
+    assert client.invoke_and_wait("set_kv", "b", 2)["status"] == "committed"
+    assert client.query("SELECT k, v FROM kv ORDER BY k").rows == \
+        [("a", 1), ("b", 2)]
+    net.assert_consistent()

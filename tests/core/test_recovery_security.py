@@ -6,7 +6,7 @@ import pytest
 from repro.errors import BlockValidationError, CheckpointMismatchError
 from repro.node.block_processor import SimulatedCrash
 from repro.node.recovery import RecoveryManager
-from tests.conftest import make_kv_network
+from tests.conftest import counter, make_kv_network
 
 
 def committed_value(client, key):
@@ -104,7 +104,7 @@ class TestRecovery:
         assert behind >= 1
         victim.restart()
         net.settle(timeout=30.0)
-        assert victim.sync.blocks_requested >= behind
+        assert counter(victim.sync, "sync.blocks_requested") >= behind
         assert victim.blockstore.height == net.nodes[0].blockstore.height
         net.assert_consistent()
 

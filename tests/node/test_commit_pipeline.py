@@ -40,7 +40,13 @@ from repro.node.ledger import (
 from repro.sql.executor import Executor, run_sql
 from repro.sql.parser import parse_one
 from repro.storage.visibility import latest_committed_visible
-from tests.conftest import KV_CONTRACTS, KV_SCHEMA, make_kv_network
+from tests.conftest import (
+    KV_CONTRACTS,
+    KV_SCHEMA,
+    counter,
+    gauge,
+    make_kv_network,
+)
 
 N_BLOCKS = 3
 
@@ -320,8 +326,9 @@ def test_batched_pipeline_defers_and_applies_per_block_work():
     kv_pk = node.db.catalog.heap_of("kv").indexes["kv_pkey"]
     assert kv_pk.bulk_merges > 0 and kv_pk.merged_entries > 0
     assert kv_pk.pending_count == 0   # block end folded the tail
-    assert node.db.wal.flush_count > 0
-    assert node.db.wal.records_flushed > node.db.wal.flush_count
+    assert counter(node.db.wal, "wal.flush_count") > 0
+    assert counter(node.db.wal, "wal.records_flushed") > \
+        counter(node.db.wal, "wal.flush_count")
 
 
 def test_nothing_is_left_to_do_when_process_block_returns():
@@ -349,7 +356,7 @@ def test_nothing_is_left_to_do_when_process_block_returns():
 
         db = node.db
         assert db.columnstore.synced_height == number
-        assert db.columnstore.stats()["pending_commits"] == 0
+        assert gauge(db, "columnstore.pending_commits") == 0
         for index in db.catalog.heap_of("kv").indexes.values():
             assert index.pending_count == 0, index.name
         assert db.wal.flushed_lsn == db.wal.mark()

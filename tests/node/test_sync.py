@@ -7,7 +7,7 @@ import pytest
 
 from repro.chain.block import Block
 from repro.errors import StuckNodeError
-from tests.conftest import make_kv_network
+from tests.conftest import counter, make_kv_network
 
 
 def loaded_network(flow="order-execute", **kwargs):
@@ -71,15 +71,13 @@ class TestSyncEndToEnd:
         victim.restart()
         net.settle(timeout=30.0)
 
-        stats = victim.sync.stats()
-        assert stats["blocks_requested"] >= behind
-        assert stats["requests_sent"] >= 1
-        assert stats["responses_received"] >= 1
-        assert stats["gaps_detected"] >= 1
-        assert stats["announces_sent"] > 0
+        assert counter(victim, "sync.blocks_requested") >= behind
+        assert counter(victim, "sync.requests_sent") >= 1
+        assert counter(victim, "sync.responses_received") >= 1
+        assert counter(victim, "sync.gaps_detected") >= 1
+        assert counter(victim, "sync.announces_sent") > 0
         # Someone served those blocks and counted them.
-        served = sum(n.sync.blocks_served for n in net.nodes)
-        assert served >= behind
+        assert counter(net, "sync.blocks_served") >= behind
 
     def test_announces_track_peer_heights(self):
         net, client = loaded_network()
@@ -112,8 +110,8 @@ class TestSyncEndToEnd:
                 victim.sync._peer_heights[node.name] = \
                     node.blockstore.height
         net.settle(timeout=20.0, expect_progress=False)
-        assert victim.sync.retries >= 2
-        assert victim.sync.backoff_ms_total > 0
+        assert counter(victim.sync, "sync.retries") >= 2
+        assert counter(victim.sync, "sync.backoff_ms_total") > 0
         assert victim.sync._backoff > victim.sync.backoff_base
         assert victim.blockstore.height < net.nodes[0].blockstore.height
 

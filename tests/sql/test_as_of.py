@@ -7,6 +7,7 @@ from repro.mvcc.database import Database
 from repro.sql.ast_nodes import Literal, Param, Select
 from repro.sql.executor import Executor, run_sql
 from repro.sql.parser import parse_one
+from tests.conftest import counter
 
 
 def build_db():
@@ -253,10 +254,10 @@ class TestExplainAndCache:
         sql = "SELECT v FROM accounts WHERE id = 1 AS OF BLOCK $1"
         assert query(db, sql, params=(1,)).rows == [(10,)]
         size_after_first = len(db.plan_cache)
-        hits_before = db.plan_cache.stats()["hits"]
+        hits_before = counter(db.plan_cache, "plancache.hits")
         assert query(db, sql, params=(2,)).rows == [(20,)]
         assert query(db, sql, params=(3,)).rows == [(30,)]
-        assert db.plan_cache.stats()["hits"] == hits_before + 2
+        assert counter(db.plan_cache, "plancache.hits") == hits_before + 2
         assert len(db.plan_cache) == size_after_first
 
     def test_pinned_and_unpinned_plans_never_alias(self):

@@ -1,25 +1,49 @@
-"""Expression evaluation semantics and scalar builtins."""
+"""Expression evaluation semantics and scalar builtins — the one
+evaluator every node runs (``compile_expr`` closures), with and without
+the planner's binder pre-resolution."""
 
 from decimal import Decimal
 
 import pytest
 
-from repro.errors import ExecutionError, TypeMismatchError
+from repro.errors import ExecutionError, ReproError, TypeMismatchError
 from repro.sql import functions
 from repro.sql.expressions import (
     EvalContext,
     compare_values,
-    evaluate,
-    evaluate_predicate,
+    compile_expr,
+    compile_predicate,
 )
 from repro.sql.parser import Parser
 
 
+def outcome(expr, ctx, binder):
+    """("value", v) or (error type, message) of one compiled run."""
+    try:
+        return "value", compile_expr(expr, binder)(ctx)
+    except ReproError as exc:
+        return type(exc), str(exc)
+
+
 def ev(text, env=None, variables=None, params=()):
+    """Evaluate ``text`` twice — no binder, and the binder a planner
+    would derive from ``env`` — and require the same value or the same
+    error type and message from both."""
     expr = Parser(text).parse_expr()
     ctx = EvalContext(env=env or {}, variables=variables or {},
                       params=list(params))
-    return evaluate(expr, ctx)
+    binder = {alias: tuple(values) for alias, values in (env or {}).items()}
+    plain = outcome(expr, ctx, None)
+    assert outcome(expr, ctx, binder) == plain
+    kind, result = plain
+    if kind != "value":
+        raise kind(result)
+    return result
+
+
+def now(text="now()"):
+    """Wall-clock expressions: two runs never agree, so one run."""
+    return compile_expr(Parser(text).parse_expr())(EvalContext())
 
 
 class TestArithmetic:
@@ -109,7 +133,8 @@ class TestLogic:
 
     def test_predicate_semantics(self):
         expr = Parser("NULL").parse_expr()
-        assert evaluate_predicate(expr, EvalContext()) is False
+        assert compile_predicate(expr)(EvalContext()) is False
+        assert compile_predicate(None)(EvalContext()) is True
 
 
 class TestCompareValues:
@@ -191,14 +216,14 @@ class TestBuiltins:
         expr = Parser("now()").parse_expr()
         ctx = EvalContext(allow_nondeterministic=False)
         with pytest.raises(ExecutionError, match="non-deterministic"):
-            evaluate(expr, ctx)
+            compile_expr(expr)(ctx)
 
     def test_now_allowed_interactively(self):
-        assert ev("now()") > 0
+        assert now() > 0
 
     def test_interval_arithmetic(self):
-        result = ev("now() - INTERVAL '1 hours'")
-        assert result < ev("now()")
+        assert now("now() - INTERVAL '1 hours'") < now()
+        assert ev("INTERVAL '1 hours' + INTERVAL '30 minutes'") == 5400
 
     def test_registry_flags(self):
         assert not functions.lookup("now").deterministic
@@ -208,3 +233,44 @@ class TestBuiltins:
     def test_arity_enforced(self):
         with pytest.raises(ExecutionError):
             ev("abs(1, 2)")
+
+
+# Hostile scalar input: every one of these used to escape as a bare
+# TypeError / ValueError / ZeroDivisionError, which Backend.execute does
+# not catch.  The messages carry operator, function and *type* names only
+# — the interpreter's own text differs between Python versions, and the
+# abort reason is a ledger column.
+HOSTILE = [
+    ("-x", TypeMismatchError, "cannot apply unary - to str"),
+    ("-TRUE", TypeMismatchError, "cannot apply unary - to bool"),
+    ("- interval '1 day'", TypeMismatchError,
+     "cannot apply unary - to IntervalValue"),
+    ("abs('x')", ExecutionError, "abs() cannot be applied to (str)"),
+    ("round('x')", ExecutionError, "round() cannot be applied to (str)"),
+    ("substr('abc', 'x')", ExecutionError,
+     "substr() cannot be applied to (str, str)"),
+    ("mod(1, 0)", ExecutionError, "division by zero"),
+    ("mod('a', 2)", ExecutionError, "mod() cannot be applied to (str, int)"),
+    ("greatest('a', 1)", ExecutionError,
+     "greatest() cannot be applied to (str, int)"),
+    ("least(1, 'a')", ExecutionError,
+     "least() cannot be applied to (int, str)"),
+    ("sign('a')", ExecutionError, "sign() cannot be applied to (str)"),
+    ("sqrt(-1)", ExecutionError, "sqrt() cannot be applied to (int)"),
+    ("exp(100000)", ExecutionError, "exp() cannot be applied to (int)"),
+    ("power(0, -1)", ExecutionError, "division by zero"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", HOSTILE)
+def test_hostile_scalar_input_raises_our_errors(text, error, message):
+    with pytest.raises(error) as caught:
+        ev(text, variables={"x": "oops"})
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_unary_minus_keeps_numeric_types():
+    assert ev("-x", variables={"x": Decimal("1.5")}) == Decimal("-1.5")
+    assert ev("-x", variables={"x": 2.5}) == -2.5
+    assert ev("-x", variables={"x": None}) is None

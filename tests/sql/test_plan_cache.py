@@ -28,8 +28,8 @@ from repro.sql.plancache import (
     PlanEntry,
     statement_fingerprint,
 )
-from repro.sql.planner import QUERY_TIMINGS
 from repro.storage.vacuum import vacuum_database
+from tests.conftest import counter
 
 
 def build_db():
@@ -125,28 +125,25 @@ class TestCatalogVersion:
 
 class TestPlanCacheHits:
     def test_repeat_execution_hits(self, db):
-        QUERY_TIMINGS.reset()
         run_tx(db, FIG6_SQL, params=("org1",))
         run_tx(db, FIG6_SQL, params=("org1",))
-        snap = QUERY_TIMINGS.snapshot()
-        assert snap["plan_cache_misses"] >= 1
-        assert snap["plan_cache_hits"] >= 1
-        assert db.plan_cache.stats()["hits"] >= 1
+        assert counter(db.plan_cache, "plancache.misses") == 1
+        assert counter(db.plan_cache, "plancache.hits") == 1
 
     def test_different_param_values_share_template(self, db):
         """The key uses parameter *shapes*, not values."""
         run_tx(db, FIG6_SQL, params=("org1",))
-        before = db.plan_cache.stats()["hits"]
+        before = counter(db.plan_cache, "plancache.hits")
         result, _ = run_tx(db, FIG6_SQL, params=("org2",))
-        assert db.plan_cache.stats()["hits"] == before + 1
+        assert counter(db.plan_cache, "plancache.hits") == before + 1
         assert result.rows[0][1] == 12  # still correct for the new value
 
     def test_dml_scan_plans_cached(self, db):
         sql = "UPDATE accounts SET balance = $1 WHERE acc_id = $2"
         run_tx(db, sql, params=(1.0, 3))
-        before = db.plan_cache.stats()["hits"]
+        before = counter(db.plan_cache, "plancache.hits")
         run_tx(db, sql, params=(2.0, 3))
-        assert db.plan_cache.stats()["hits"] == before + 1
+        assert counter(db.plan_cache, "plancache.hits") == before + 1
 
     def test_explain_annotates_hit_and_miss(self, db):
         sql = "SELECT acc_id FROM accounts WHERE org = $1"
@@ -160,8 +157,8 @@ class TestPlanCacheHits:
         rows after the first hit the template."""
         run_tx(db, "SELECT acc_id FROM accounts a WHERE EXISTS "
                    "(SELECT 1 FROM invoices i WHERE i.acc_id = a.acc_id)")
-        stats = db.plan_cache.stats()
-        assert stats["hits"] >= 10  # 12 outer rows, first probe misses
+        # 12 outer rows, first probe misses
+        assert counter(db.plan_cache, "plancache.hits") >= 10
 
 
 class TestRowEstimateRefresh:
@@ -271,8 +268,8 @@ class TestHitExecutesOnly:
         run_tx(db, self.SELECT, params=(1,))         # plan all three
         run_tx(db, self.SELECT_ORG, params=("org1",))
         run_tx(db, self.UPDATE, params=(1.0, 1))
-        computations = db.stats.computations
-        hits = db.plan_cache.hits
+        computations = counter(db, "stats.computations")
+        hits = counter(db.plan_cache, "plancache.hits")
         del ndv_scans[:]
         block = []
         for i in range(100):
@@ -287,8 +284,8 @@ class TestHitExecutesOnly:
                 run_sql(db, tx, self.SELECT_ORG, params=(f"org{i % 3 + 1}",))
             run_sql(db, tx, self.UPDATE, params=(1.0, acc_id))
             block.append(tx)
-        assert db.plan_cache.hits == hits + 200
-        assert db.stats.computations == computations
+        assert counter(db.plan_cache, "plancache.hits") == hits + 200
+        assert counter(db, "stats.computations") == computations
         assert ndv_scans == []
         for tx in block:
             db.apply_abort(tx, reason="test")
@@ -301,13 +298,13 @@ class TestHitExecutesOnly:
         tx = db.begin(allow_nondeterministic=True)
         run_sql(db, tx, "DELETE FROM accounts WHERE acc_id > 6")
         db.apply_commit(tx, block_number=1)
-        computations = db.stats.computations
+        computations = counter(db, "stats.computations")
         run_tx(db, self.SELECT_ORG, params=("org1",))
-        assert db.stats.computations == computations
+        assert counter(db, "stats.computations") == computations
         hit = explain_lines(db, self.SELECT_ORG, params=("org1",))
         assert hit[-1] == "Plan Cache: hit"
         assert "rows~2)" in hit[-2]
-        assert db.stats.computations > computations
+        assert counter(db, "stats.computations") > computations
 
 
 class TestInvalidation:
@@ -334,7 +331,7 @@ class TestInvalidation:
         tx = db.begin(allow_nondeterministic=True)
         run_sql(db, tx, "CREATE TABLE other (id INT PRIMARY KEY)")
         db.apply_abort(tx, reason="test")
-        assert db.plan_cache.stats()["invalidations"] > 0
+        assert counter(db.plan_cache, "plancache.invalidations") > 0
         assert len(db.plan_cache) == 0
 
     def test_vacuum_drift_purges_stale_entries(self, db):
@@ -371,7 +368,7 @@ class TestInvalidation:
         assert result.rows == []
         lines = explain_lines(db, sql, params=(3,))
         assert any("SeqScan" in l for l in lines)
-        assert db.plan_cache.stats()["guard_failures"] > 0
+        assert counter(db.plan_cache, "plancache.guard_failures") > 0
 
 
 class TestPlanCacheUnit:
@@ -380,7 +377,7 @@ class TestPlanCacheUnit:
         for i in range(3):
             cache.store(("k", i), PlanEntry(plan=i, catalog_version=0))
         assert len(cache) == 2
-        assert cache.stats()["evictions"] == 1
+        assert counter(cache, "plancache.evictions") == 1
 
     def test_fingerprint_memoized_and_stable(self):
         stmt = parse_one("SELECT acc_id FROM accounts WHERE org = $1")

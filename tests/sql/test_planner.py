@@ -10,6 +10,7 @@ from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
 from repro.sql.parser import parse_one
 from repro.storage.vacuum import vacuum_database
+from tests.conftest import structural_planning
 
 
 APPENDIX_A_SCHEMA = """
@@ -147,11 +148,8 @@ class TestExplainGolden:
         rows = q(db, sql).rows
         assert [r[0] for r in rows] == sorted(r[0] for r in rows)
         # Byte-identical to the legacy hash+Sort pipeline.
-        db.cost_based_planning = False
-        try:
+        with structural_planning(db):
             assert q(db, sql).rows == rows
-        finally:
-            db.cost_based_planning = True
 
     def test_eo_flow_keeps_index_backed_nested_loop(self, db):
         """Under require_index a hash build's full scan would abort, so
@@ -347,14 +345,11 @@ class TestJoinStrategies:
         assert any("SortMergeJoin LEFT" in line for line in lines)
         result = run_sql(db, tx, sql)
         assert result.rows[-1] == (50, None)
-        db.cost_based_planning = False
-        try:
+        with structural_planning(db):
             lines = [row[0] for row in
                      run_sql(db, tx, "EXPLAIN " + sql).rows]
             assert any("HashJoin LEFT" in line for line in lines)
             assert run_sql(db, tx, sql).rows == result.rows
-        finally:
-            db.cost_based_planning = True
         db.apply_abort(tx, reason="test")
 
     def test_eo_flow_unindexed_join_still_aborts(self, db):
@@ -561,22 +556,31 @@ class TestPlannedSemanticsUnchanged:
         db.apply_abort(tx, reason="test")
 
     def test_query_timings_recorded(self, db):
-        from repro.sql.planner import QUERY_TIMINGS
-
-        QUERY_TIMINGS.reset()
+        plan, execute = db.sql_plan_seconds, db.sql_exec_seconds
+        before = (plan.count, execute.count, execute.sum)
         q(db, "SELECT count(*) FROM invoices")
-        snap = QUERY_TIMINGS.snapshot()
-        assert snap["statements"] == 1
-        assert snap["plan_ms_total"] >= 0.0
-        assert snap["exec_ms_total"] > 0.0
+        assert (plan.count, execute.count) == (before[0] + 1, before[1] + 1)
+        assert plan.sum >= 0.0
+        assert execute.sum > before[2]
 
     def test_correlated_subqueries_count_as_one_statement(self, db):
-        from repro.sql.planner import QUERY_TIMINGS
-
-        QUERY_TIMINGS.reset()
+        execute = db.sql_exec_seconds
+        before = execute.count
         q(db, "SELECT acc_id FROM accounts a WHERE EXISTS "
               "(SELECT 1 FROM invoices i WHERE i.acc_id = a.acc_id)")
-        assert QUERY_TIMINGS.snapshot()["statements"] == 1
+        assert execute.count == before + 1
+
+    def test_insert_and_ddl_count_as_statements(self, db):
+        """Statements with no plan observe execution time only."""
+        plan, execute = db.sql_plan_seconds, db.sql_exec_seconds
+        before = (plan.count, execute.count)
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "CREATE TABLE timed_t (a INT PRIMARY KEY)")
+        run_sql(db, tx, "INSERT INTO timed_t (a) VALUES (1), (2)")
+        run_sql(db, tx, "INSERT INTO timed_t (a) "
+                        "SELECT a + 10 FROM timed_t")
+        db.apply_abort(tx, reason="test")
+        assert (plan.count, execute.count) == (before[0], before[1] + 3)
 
     def test_negative_limit_and_offset_rejected(self, db):
         from repro.errors import ExecutionError
@@ -586,6 +590,25 @@ class TestPlannedSemanticsUnchanged:
         with pytest.raises(ExecutionError):
             q(db, "SELECT acc_id FROM accounts LIMIT 1 OFFSET $1",
               params=(-2,))
+
+    @pytest.mark.parametrize("clause, message", [
+        ("LIMIT 'x'", "LIMIT must be an integer, got str"),
+        ("LIMIT 1 OFFSET 'x'", "OFFSET must be an integer, got str"),
+        ("LIMIT 1.5", "LIMIT must be an integer, got float"),
+        ("ORDER BY acc_id LIMIT TRUE",
+         "LIMIT must be an integer, got bool"),
+    ])
+    def test_non_integer_limit_and_offset_rejected(self, db, clause,
+                                                   message):
+        """Used to escape as ValueError, or truncate 1.5 to 1; the
+        streaming Limit shares the check."""
+        from repro.errors import ExecutionError
+
+        with pytest.raises(ExecutionError) as caught:
+            q(db, "SELECT acc_id FROM accounts " + clause)
+        assert str(caught.value) == message
+        assert q(db, "SELECT acc_id FROM accounts LIMIT NULL").rowcount \
+            == q(db, "SELECT acc_id FROM accounts").rowcount
 
     def test_explain_enforces_read_acl(self, db):
         from repro.errors import AccessDenied

@@ -7,7 +7,7 @@ fingerprint in the plan-cache key means a node whose catalog diverged
 (private-schema DDL) can never be served another catalog's templates.
 """
 
-from tests.conftest import make_kv_network
+from tests.conftest import counter, make_kv_network
 
 
 def warm(node, sql="SELECT v FROM kv WHERE k = $1", params=("a",)):
@@ -21,7 +21,6 @@ class TestSharedPlanCache:
         client.invoke_and_wait("set_kv", "a", 1)
 
         cache = net.shared_plan_cache
-        assert cache is not None
         for node in net.nodes:
             assert node.db.plan_cache is cache
 
@@ -29,20 +28,14 @@ class TestSharedPlanCache:
         warm(net.nodes[0])
         size_after_first = len(cache)
         assert size_after_first > baseline
-        hits = cache.hits
+        hits = counter(cache, "plancache.hits")
         # Every other node reuses the first node's template: the cache
         # holds one template set, not one per node.
         for node in net.nodes[1:]:
             warm(node)
         assert len(cache) == size_after_first
-        assert cache.hits >= hits + len(net.nodes) - 1
-
-    def test_sharing_can_be_disabled(self):
-        net = make_kv_network("order-execute", orgs=["org1", "org2"],
-                              share_plan_templates=False)
-        assert net.shared_plan_cache is None
-        caches = {id(node.db.plan_cache) for node in net.nodes}
-        assert len(caches) == len(net.nodes)
+        assert counter(cache, "plancache.hits") >= \
+            hits + len(net.nodes) - 1
 
     def test_diverged_catalog_does_not_cross_serve(self):
         """Private-schema DDL on one node forks its catalog token: its

@@ -12,6 +12,7 @@ import pytest
 
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
+from tests.conftest import structural_planning
 
 
 def build_db(rows=60):
@@ -63,11 +64,8 @@ def explain(db, sql, params=(), **tx_kwargs):
 
 
 def legacy_rows(db, sql, params=()):
-    db.cost_based_planning = False
-    try:
+    with structural_planning(db):
         return q(db, sql, params=params).rows
-    finally:
-        db.cost_based_planning = True
 
 
 JOIN_SQL = ("SELECT o.org_id, e.event_id, e.weight FROM orgs o "

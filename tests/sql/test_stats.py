@@ -15,6 +15,7 @@ from repro.sql.executor import run_sql
 from repro.sql.stats import StatisticsManager
 from repro.storage.vacuum import vacuum_database
 from repro.errors import CatalogError
+from tests.conftest import counter
 
 
 def build_db():
@@ -140,17 +141,17 @@ class TestAnchoredNdv:
 class TestCaching:
     def test_cached_until_heap_drift(self, db):
         db.stats.table_stats("readings")
-        before = db.stats.computations
+        before = counter(db, "stats.computations")
         db.stats.table_stats("readings")
-        assert db.stats.computations == before
+        assert counter(db, "stats.computations") == before
         tx = db.begin(allow_nondeterministic=True)
         run_sql(db, tx, "INSERT INTO readings (sensor, region, amount) "
                         "VALUES (200, 'r0', 1.0)")
         db.stats.table_stats("readings")       # uncommitted: memo holds
-        assert db.stats.computations == before
+        assert counter(db, "stats.computations") == before
         db.apply_commit(tx, block_number=1)
         db.stats.table_stats("readings")       # committed drift: recompute
-        assert db.stats.computations == before + 1
+        assert counter(db, "stats.computations") == before + 1
 
     def test_same_anchor_commit_recomputes(self, db):
         """An out-of-band commit stamped at the current anchor changes
@@ -336,7 +337,8 @@ class TestMemoNeverStale:
 
     def test_uncommitted_churn_and_aborts_recompute_nothing(self):
         churn = Churn(columnar=True)
-        before = churn.db.stats.computations
+        before = counter(churn.db, "stats.computations")
         for k in range(30):
             churn.step(("insert", "update", "delete", "abort")[k % 4], k)
-        assert churn.db.stats.computations == before + len(PROBES) * 30
+        assert counter(churn.db, "stats.computations") == \
+            before + len(PROBES) * 30

@@ -13,6 +13,7 @@ from repro.storage.wal import (
     WALRecord,
     WriteAheadLog,
 )
+from tests.conftest import counter
 
 
 class TestWALGroupCommit:
@@ -27,10 +28,11 @@ class TestWALGroupCommit:
         wal.append(WAL_COMMIT, xid=1)
         wal.append(WAL_COMMIT, xid=2)
         wal.flush()
-        assert wal.flush_count == 1 and wal.records_flushed == 2
+        assert counter(wal, "wal.flush_count") == 1
+        assert counter(wal, "wal.records_flushed") == 2
         wal.append(WAL_COMMIT, xid=3)
         wal.flush()
-        assert wal.records_flushed == 3
+        assert counter(wal, "wal.records_flushed") == 3
         lines = open(path).read().strip().splitlines()
         assert len(lines) == 3   # appended, not rewritten
         reloaded = WriteAheadLog(path)
@@ -55,7 +57,7 @@ class TestWALGroupCommit:
     def test_empty_flush_is_free(self):
         wal = WriteAheadLog()
         wal.flush()
-        assert wal.flush_count == 0
+        assert counter(wal, "wal.flush_count") == 0
 
     def test_group_batches_file_appends(self, tmp_path):
         """Inside ``group()`` the durability horizon advances at every
@@ -69,9 +71,10 @@ class TestWALGroupCommit:
                 wal.flush()
             # Horizon is advanced, file is not yet written.
             assert wal.flushed_lsn == 3
-            assert wal.records_flushed == 0
+            assert counter(wal, "wal.records_flushed") == 0
             assert not os.path.exists(path)
-        assert wal.flush_count == 1 and wal.records_flushed == 3
+        assert counter(wal, "wal.flush_count") == 1
+        assert counter(wal, "wal.records_flushed") == 3
         assert [r.payload["xid"] for r in WriteAheadLog(path).records()] \
             == [1, 2, 3]
 
@@ -127,7 +130,7 @@ class TestWALRecycling:
         # Lsns go on where they were, and the file keeps everything.
         assert wal.append(WAL_COMMIT, xid=7).lsn == 7
         wal.flush()
-        assert wal.records_flushed == 7
+        assert counter(wal, "wal.records_flushed") == 7
         assert [r.lsn for r in WriteAheadLog(path).records()] == \
             list(range(1, 8))
 
