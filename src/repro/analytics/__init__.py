@@ -15,10 +15,9 @@ from repro.analytics.operators import (
     AggSpec,
     ColumnarAggregate,
     ColumnarScan,
-    VectorPredicate,
 )
 
 __all__ = [
     "AggSpec", "ColumnChunk", "ColumnStore", "ColumnarAggregate",
-    "ColumnarScan", "TableColumns", "VectorPredicate", "visible_at",
+    "ColumnarScan", "TableColumns", "visible_at",
 ]

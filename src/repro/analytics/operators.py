@@ -15,7 +15,7 @@ Two operators plug into the Volcano tree (:mod:`repro.sql.plan`):
 * :class:`ColumnarAggregate` — the vectorized fast path for eligible
   single-table aggregates (``sum``/``avg``/``min``/``max``/``count``
   over plain columns, optional ``GROUP BY`` plain columns, a WHERE of
-  sargable conjuncts).  It never builds per-row dict environments: the
+  sargable conjuncts — the scan's own ``sql.plan.Sarg`` list).  It never builds per-row dict environments: the
   WHERE conjuncts evaluate straight off the column vectors with the
   engine's comparison kernel; counts and min/max fold incrementally,
   and ``sum``/``avg`` use the engine-shared, order-independent
@@ -32,9 +32,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analytics.encoding import DictVector
 from repro.errors import ExecutionError
-from repro.sql.ast_nodes import FunctionCall, SelectItem
+from repro.sql.ast_nodes import SelectItem
 from repro.sql.expressions import (
-    EvalContext,
     _compare,
     _like_to_regex,
     compare_values,
@@ -53,21 +52,20 @@ from repro.sql.plan import (
     _scan_target,
     bucket_key,
     expr_sql,
-    extract_bounds,
     finish_fold,
     fold_mode,
     new_fold_state,
     row_content_key,
 )
 
-__all__ = ["ColumnarAggregate", "ColumnarScan", "VectorPredicate"]
+__all__ = ["ColumnarAggregate", "ColumnarScan"]
 
 
 class ColumnarScan(SeqScan):
     """Height-filtered scan over the columnar replica.
 
-    Template-safe like every scan node: it stores the WHERE expression
-    and re-derives sargable bounds per execution (the bounds only drive
+    Template-safe like every scan node: it stores the WHERE clause's
+    sargs and derives their bounds per execution (the bounds only drive
     zone-map chunk pruning here — the Filter operator above applies the
     full predicate, so pruning can only skip chunks that provably hold
     no matching row)."""
@@ -87,14 +85,9 @@ class ColumnarScan(SeqScan):
         """Yield ``(chunk, visible offsets)`` pairs at the statement's
         pinned height, after zone-map and height pruning.
         ``extra_bounds`` (e.g. a LIKE-prefix range) adds prune-only
-        bounds for columns the sargable extraction did not cover."""
+        bounds for columns the scan's sargs did not bound."""
         height = self.pinned_height(rt)
-        bounds = None
-        if rt.scan_bounds is not None:
-            bounds = rt.scan_bounds.get(id(self))
-        if bounds is None:
-            bounds = extract_bounds(self.where, self.alias, rt.ctx,
-                                    rt.alias_columns)
+        bounds = self.bounds(rt)
         if extra_bounds:
             bounds = dict(bounds)
             for col, slot in extra_bounds.items():
@@ -128,29 +121,6 @@ class ColumnarScan(SeqScan):
                 f"{_order_note(self.ordered)}")
 
 
-@dataclass
-class VectorPredicate:
-    """One sargable WHERE conjunct, normalized to column-on-the-left.
-
-    ``const`` / ``low`` / ``high`` / ``items`` / ``pattern`` are
-    compiled row-free expressions evaluated once per execution
-    (parameters and PL variables resolve from the statement context).
-    Kinds: ``cmp`` (comparison against a constant), ``between``,
-    ``in`` (non-negated IN-list), ``like`` (LIKE / NOT LIKE against a
-    row-free pattern; literal prefixes additionally contribute a
-    zone-map prune range)."""
-
-    kind: str                      # "cmp" | "between" | "in" | "like"
-    column: str
-    op: str = "="
-    const: Optional[Callable[[EvalContext], Any]] = None
-    low: Optional[Callable[[EvalContext], Any]] = None
-    high: Optional[Callable[[EvalContext], Any]] = None
-    items: Optional[List[Callable[[EvalContext], Any]]] = None
-    pattern: Optional[Callable[[EvalContext], Any]] = None
-    negated: bool = False
-
-
 def _like_prefix(pattern: str) -> str:
     """Literal prefix of a LIKE pattern (up to the first wildcard)."""
     out = []
@@ -180,13 +150,16 @@ class ColumnarAggregate(PlanNode):
     ``Planner._try_columnar_aggregate``); everything else takes the
     generic ``ColumnarScan`` + Filter + HashAggregate pipeline."""
 
-    def __init__(self, scan: ColumnarScan, predicates: List[VectorPredicate],
+    def __init__(self, scan: ColumnarScan,
                  group_columns: List[str], agg_specs: List[AggSpec],
                  output_specs: List[Tuple[str, int]],
                  order_specs: List[Tuple[str, int]],
                  items: List[SelectItem], est_rows: float = 0.0):
         self.scan = scan
-        self.predicates = predicates
+        # One sarg (sql.plan.Sarg) per WHERE conjunct, every value
+        # constant — the planner routes here only then; the same
+        # objects bound the scan's zone-map pruning.
+        self.predicates = scan.sargs
         self.group_columns = list(group_columns)
         self.agg_specs = agg_specs
         self.output_specs = output_specs   # ("group"|"agg", index)
@@ -206,16 +179,15 @@ class ColumnarAggregate(PlanNode):
         impossible = False
         extra_bounds: Dict[str, Dict[str, Any]] = {}
         for pred in self.predicates:
+            values = pred.evaluate(ctx)
             if pred.kind == "cmp":
-                cmp_preds.append((pred.column, pred.op, pred.const(ctx)))
+                cmp_preds.append((pred.column, pred.op, values[0]))
             elif pred.kind == "between":
-                between_preds.append((pred.column, pred.low(ctx),
-                                      pred.high(ctx)))
+                between_preds.append((pred.column, values[0], values[1]))
             elif pred.kind == "in":
-                in_preds.append((pred.column,
-                                 [fn(ctx) for fn in pred.items]))
+                in_preds.append((pred.column, values))
             else:
-                value = pred.pattern(ctx)
+                value = values[0]
                 if value is None:
                     impossible = True   # x [NOT] LIKE NULL is never true
                     continue

@@ -62,15 +62,19 @@ class BlockAwareSSI:
         """Apply Table 2 as ``tx`` (at ``tx.block_position`` of block
         ``block_number``) enters its serial commit.
 
-        ``index`` supplies memoized rw-edge verdicts (the block
-        processor's per-block :class:`ConflictIndex`); decisions are
-        unchanged.  Returns the
-        other transactions aborted by this step; raises
+        ``index`` is the block processor's per-block
+        :class:`ConflictIndex`, whose rw-edge verdicts this step shares
+        (default: a fresh one).  Candidate lists come back from
+        ``near_conflicts`` / ``out_conflicts`` in canonical commit
+        order, so the victims below are a function of the block and the
+        edge graph, not of this node's begin order.  Returns the other
+        transactions aborted by this step; raises
         :class:`SerializationFailure` when ``tx`` itself must abort.
         """
         if candidates is None:
             candidates = self.db.concurrent_with(tx)
         candidates = [c for c in candidates if not c.is_aborted]
+        index = index or ConflictIndex()
 
         validate_ww(self.db, tx)
 

@@ -14,53 +14,34 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.mvcc.transaction import PredicateRead, TransactionContext
+from repro.mvcc.transaction import TransactionContext
 from repro.storage.index import normalize_key
 
 
-def has_rw_edge(reader: TransactionContext,
-                writer: TransactionContext) -> bool:
-    """True when there is an rw-dependency ``reader -> writer``:
-    the writer replaced/deleted a version the reader read, or wrote a row
-    image inside one of the reader's predicate-read ranges."""
-    if reader.xid == writer.xid or not writer.writes:
-        return False
-    # Direct row-version rw: writer replaced a version the reader read.
-    if reader.row_reads & writer.wrote_version_ids():
-        return True
-    # Predicate rw: any written row image (new value entering the range,
-    # old value leaving it) inside a range the reader scanned.
-    if reader.predicate_reads:
-        writes_by_table = writer.write_values_by_table()
-        for predicate in reader.predicate_reads:
-            images = writes_by_table.get(predicate.table)
-            if not images:
-                continue
-            for values in images:
-                if predicate.matches_values(values):
-                    return True
-    return False
-
-
 class ConflictIndex:
-    """Per-block cache of rw-edge structure.
+    """The rw-edge test, memoized per block.
 
-    ``has_rw_edge`` is a pure function of two transactions' frozen
-    read/write sets — state filtering (``is_aborted`` / ``is_committed``)
-    happens at decision time in the validators, never here.  That purity
-    is what makes the cache safe to fill ahead of the commit loop
-    (:meth:`warm_block`) or lazily from inside it: a cached edge answer
-    is always identical to computing it at decision time.
+    There is an rw-dependency ``reader -> writer`` when the writer
+    replaced/deleted a version the reader read, or wrote a row image
+    (new value entering the range, old value leaving it) inside one of
+    the reader's predicate-read ranges.  The verdict is a pure function
+    of two transactions' frozen read/write sets — state filtering
+    (``is_aborted`` / ``is_committed``) happens at decision time in the
+    validators, never here.  That purity is what makes the cache safe to
+    fill ahead of the commit loop (:meth:`warm_block`) or lazily from
+    inside it: a cached edge answer is always identical to computing it
+    at decision time.
 
-    Layers of memoization remove the redundant work of asking
-    ``has_rw_edge`` afresh (one ``wrote_version_ids`` /
-    ``write_values_by_table`` rebuild per candidate per validation —
-    tens of thousands of set/dict allocations per block):
+    Layers of memoization remove the redundant work of asking afresh
+    (one ``wrote_version_ids`` / ``write_values_by_table`` rebuild per
+    candidate per validation — tens of thousands of set/dict
+    allocations per block):
 
     * the (table, version_id) set of old versions each writer replaced,
     * each writer's row images grouped by table,
     * per (writer, predicate columns) *normalized index keys* of those
-      images, so a predicate-range probe is pure tuple comparison, and
+      images, so a predicate-range probe is pure tuple comparison
+      (``PredicateRead.matches_key``), and
     * the final edge verdict per (reader, writer) pair.
     """
 
@@ -105,24 +86,6 @@ class ConflictIndex:
             self._image_keys[cache_key] = keys
         return keys
 
-    @staticmethod
-    def _key_in_range(key: Tuple, predicate: PredicateRead) -> bool:
-        """``PredicateRead.matches_values`` bound logic over a
-        pre-normalized key (kept in lockstep with that method)."""
-        if predicate.low_key is not None:
-            prefix = key[:len(predicate.low_key)]
-            if prefix < predicate.low_key:
-                return False
-            if prefix == predicate.low_key and not predicate.low_inclusive:
-                return False
-        if predicate.high_key is not None:
-            prefix = key[:len(predicate.high_key)]
-            if prefix > predicate.high_key:
-                return False
-            if prefix == predicate.high_key and not predicate.high_inclusive:
-                return False
-        return True
-
     def _compute_edge(self, reader: TransactionContext,
                       writer: TransactionContext) -> bool:
         if reader.xid == writer.xid or not writer.writes:
@@ -140,13 +103,13 @@ class ConflictIndex:
                 for key in self._image_keys_for(
                         writer, predicate.table, predicate.columns,
                         values_list):
-                    if key is None or self._key_in_range(key, predicate):
+                    if key is None or predicate.matches_key(key):
                         return True
         return False
 
     def has_edge(self, reader: TransactionContext,
                  writer: TransactionContext) -> bool:
-        """Memoized :func:`has_rw_edge` (identical verdicts, cached)."""
+        """Is there an rw-dependency ``reader -> writer``?"""
         key = (reader.xid, writer.xid)
         cached = self._edges.get(key)
         if cached is None:
@@ -167,8 +130,8 @@ class ConflictIndex:
         fall back to the exact per-writer check, restricted to the
         writers with images in the predicate's table.  Every branch
         mirrors :meth:`_compute_edge` exactly, so the cached verdicts
-        are identical to lazy computation (property-tested against
-        :func:`has_rw_edge` pair-by-pair).
+        are identical to lazy computation (property-tested against the
+        lazy per-pair verdict, pair by pair).
         """
         true_pairs: Set[Tuple[int, int]] = set()
         writers = [w for w in members if w.writes]
@@ -236,7 +199,7 @@ class ConflictIndex:
                         continue
                     for ikey in self._image_keys_for(
                             w, p.table, p.columns, self.images(w)[p.table]):
-                        if ikey is None or self._key_in_range(ikey, p):
+                        if ikey is None or p.matches_key(ikey):
                             true_pairs.add((rxid, w.xid))
                             break
         edges = self._edges
@@ -248,18 +211,37 @@ class ConflictIndex:
                     edges[pair] = pair in true_pairs
 
 
+def has_rw_edge(reader: TransactionContext,
+                writer: TransactionContext) -> bool:
+    """One un-cached :meth:`ConflictIndex.has_edge` verdict."""
+    return ConflictIndex().has_edge(reader, writer)
+
+
+def _commit_order(tx: TransactionContext) -> Tuple[int, int, int, str]:
+    """Sort key every node derives alike from the block stream: ordered
+    transactions by (block, position), then the unordered by ``tx_id``."""
+    if tx.block_number is None or tx.block_position is None:
+        return (1, 0, 0, tx.tx_id)
+    return (0, tx.block_number, tx.block_position, tx.tx_id)
+
+
 def near_conflicts(tx: TransactionContext,
                    candidates: Iterable[TransactionContext],
                    index: Optional[ConflictIndex] = None
                    ) -> List[TransactionContext]:
     """Transactions N with an rw-dependency N -> ``tx`` (``tx``'s
-    inConflictList, section 3.2).  ``index`` swaps the edge test for the
-    memoized one — same verdicts, state still filtered at call time."""
-    if index is not None:
-        return [other for other in candidates
-                if not other.is_aborted and index.has_edge(other, tx)]
-    return [other for other in candidates
-            if not other.is_aborted and has_rw_edge(other, tx)]
+    inConflictList, section 3.2), state filtered at call time.
+
+    In canonical commit order, whatever order ``candidates`` came in:
+    ``Database.concurrent_with`` yields node-local begin order, and
+    Table 2's victim can depend on which farConflict is met first
+    (``BlockAwareSSI.validate``), so the list a decision iterates must
+    be a function of the block contents alone.  ``index`` shares one
+    block's memoized verdicts; without it each call starts a fresh one."""
+    has_edge = (index or ConflictIndex()).has_edge
+    return sorted((other for other in candidates
+                   if not other.is_aborted and has_edge(other, tx)),
+                  key=_commit_order)
 
 
 def out_conflicts(tx: TransactionContext,
@@ -267,22 +249,23 @@ def out_conflicts(tx: TransactionContext,
                   index: Optional[ConflictIndex] = None
                   ) -> List[TransactionContext]:
     """Transactions O with an rw-dependency ``tx`` -> O (``tx``'s
-    outConflictList)."""
-    if index is not None:
-        return [other for other in candidates
-                if not other.is_aborted and index.has_edge(tx, other)]
-    return [other for other in candidates
-            if not other.is_aborted and has_rw_edge(tx, other)]
+    outConflictList), in canonical commit order like
+    :func:`near_conflicts`."""
+    has_edge = (index or ConflictIndex()).has_edge
+    return sorted((other for other in candidates
+                   if not other.is_aborted and has_edge(tx, other)),
+                  key=_commit_order)
 
 
 def build_conflict_graph(transactions: List[TransactionContext]
                          ) -> Dict[int, List[int]]:
     """Full rw-edge adjacency (xid -> [xid]) over ``transactions`` — used
     by tests and the ablation benchmarks to check for cycles."""
+    index = ConflictIndex()
     graph: Dict[int, List[int]] = {tx.xid: [] for tx in transactions}
     for reader in transactions:
         for writer in transactions:
-            if reader.xid != writer.xid and has_rw_edge(reader, writer):
+            if index.has_edge(reader, writer):
                 graph[reader.xid].append(writer.xid)
     return graph
 

@@ -25,7 +25,6 @@ from typing import Iterable, List, Optional
 from repro.errors import SerializationFailure
 from repro.mvcc.conflicts import (
     ConflictIndex,
-    has_rw_edge,
     near_conflicts,
     out_conflicts,
 )
@@ -65,15 +64,16 @@ class AbortDuringCommitSSI:
         """Run the abort-during-commit checks as ``tx`` commits.
 
         ``candidates`` is the set of transactions to consider for conflicts
-        (defaults to everything concurrent with ``tx``).  ``index`` supplies
-        memoized rw-edge verdicts (the block processor's per-block
-        :class:`ConflictIndex`) — decisions are unchanged.  Returns the
-        list of *other* transactions this step aborted.  Raises
-        :class:`SerializationFailure` if ``tx`` itself must abort.
+        (defaults to everything concurrent with ``tx``).  ``index`` is
+        the block processor's per-block :class:`ConflictIndex`, whose
+        rw-edge verdicts this step shares (default: a fresh one).
+        Returns the list of *other* transactions this step aborted.
+        Raises :class:`SerializationFailure` if ``tx`` itself must abort.
         """
         if candidates is None:
             candidates = self.db.concurrent_with(tx)
         candidates = [c for c in candidates if not c.is_aborted]
+        index = index or ConflictIndex()
 
         validate_ww(self.db, tx)
 

@@ -54,6 +54,13 @@ class PredicateRead:
             key = normalize_key([values.get(c) for c in self.columns])
         except Exception:
             return True  # unindexable value: be conservative
+        return self.matches_key(key)
+
+    def matches_key(self, key: Tuple) -> bool:
+        """The range test itself, over a row image's normalized
+        ``columns``-key — its one implementation: :meth:`matches_values`
+        normalizes and asks here, the commit path's ``ConflictIndex``
+        normalizes each written image once and asks here per predicate."""
         if self.low_key is not None:
             prefix = key[:len(self.low_key)]
             if prefix < self.low_key:

@@ -66,13 +66,6 @@ class Counter:
     def value(self) -> float:
         return self._value
 
-    def set_for_view(self, value: float) -> None:
-        """Adopt an externally tracked monotone value (migration shim for
-        counters whose increments happen in bulk elsewhere)."""
-        with self._lock:
-            if value > self._value:
-                self._value = value
-
 
 class Gauge:
     """Point-in-time value: either explicitly ``set`` or computed by a

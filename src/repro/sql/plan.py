@@ -8,8 +8,15 @@ order can reach a result (physical order differs across nodes); a scan
 the planner marked ``ordered = False`` skips that sort — see "Row order:
 when it is observable" in docs/sql_engine.md.
 
-SSI semantics live in the scan layer here, byte-for-byte as the old
-monolithic executor did them:
+This module also owns the one reading of a WHERE clause — how it becomes
+an access path, each step written once and read by the planner, the plan
+cache, the executor and the columnar operators (docs/sql_engine.md,
+"From WHERE to access path"): :func:`sargable` normalizes a conjunct at
+plan time (:class:`Sarg`, under the constancy rule of
+:func:`is_constant`), :func:`bounds_of` evaluates the normalized list per
+execution or per outer row, :func:`index_signature` picks the index,
+:func:`scan_cost` prices it, and :func:`begin_scan` is the SSI prologue
+of every heap scan:
 
 * **SIREAD recording** — every scan records a :class:`PredicateRead`
   (index range or whole-table) and every visible row read;
@@ -20,10 +27,10 @@ monolithic executor did them:
   abort on the section 3.4.1 rules.
 
 Join operators therefore never bypass ``execute_scan``: a
-:class:`NestedLoopJoin` re-derives index bounds per outer row (recording
-narrow per-probe predicate reads, exactly like the old executor), while a
-:class:`HashJoin` scans its build side once (recording that scan's — wider
-but conservative — predicate read).
+:class:`NestedLoopJoin` derives index bounds per outer row (recording
+narrow per-probe predicate reads), while a :class:`HashJoin` scans its
+build side once (recording that scan's — wider but conservative —
+predicate read).
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from typing import (
 )
 
 from repro.errors import (
-    CatalogError,
     ExecutionError,
     MissingIndexError,
     SQLError,
@@ -111,7 +117,7 @@ class Runtime:
     alias_columns: Dict[str, Sequence[str]]  # binder output
     check_read: Callable[[str], None] = lambda table: None
     # {id(scan node): bounds} computed by plan-cache guard validation for
-    # this execution; scans fall back to extracting their own bounds.
+    # this execution; scans fall back to deriving their own bounds.
     scan_bounds: Optional[Dict[int, Dict[str, Dict[str, Any]]]] = None
     # {id(scan node): prepared state} for index-order scans: the SSI
     # side effects (predicate read, window checks) happen once at
@@ -130,37 +136,16 @@ class Runtime:
 
 
 # ---------------------------------------------------------------------------
-# Sargable-bound extraction (shared by the planner and dynamic probes)
+# From WHERE to access path: normalise -> bounds -> index signature -> cost
+# -> prologue.  Each step has its one owner in this module; the planner,
+# the plan cache, the executor and the columnar operators read them
+# (docs/sql_engine.md, "From WHERE to access path").
 # ---------------------------------------------------------------------------
 
 def conjuncts(expr: Expr) -> List[Expr]:
     if isinstance(expr, BinaryOp) and expr.op == "AND":
         return conjuncts(expr.left) + conjuncts(expr.right)
     return [expr]
-
-
-def try_eval_const(expr: Expr, ctx: EvalContext) -> Tuple[bool, Any]:
-    """Evaluate ``expr`` if it does not depend on the scanned row."""
-    if type(expr) is Literal:
-        return True, expr.value     # no closure memoized per literal
-    for node in expr.walk():
-        if isinstance(node, Star):
-            return False, None
-        if isinstance(node, FunctionCall) and \
-                node.name in functions.AGGREGATE_NAMES:
-            return False, None
-        if isinstance(node, SubqueryExpr):
-            return False, None
-        if isinstance(node, ColumnRef):
-            # Resolvable only via outer env or variables.
-            try:
-                compiled(node)(ctx)
-            except SQLError:
-                return False, None
-    try:
-        return True, compiled(expr)(ctx)
-    except SQLError:
-        return False, None
 
 
 def column_of_alias(expr: Expr, alias: str,
@@ -174,108 +159,212 @@ def column_of_alias(expr: Expr, alias: str,
     return expr.name
 
 
-def extract_bounds(where: Optional[Expr], alias: str, ctx: EvalContext,
-                   alias_columns: Dict[str, Sequence[str]],
-                   sources: Optional[Dict[str, List[Expr]]] = None
-                   ) -> Dict[str, Dict[str, Any]]:
-    """Extract per-column bounds from AND-ed conjuncts of ``where`` that
-    constrain columns of ``alias`` against values computable without the
-    row (literals, params, PL variables, outer-row columns).
+def is_constant(expr: Expr, alias_columns: Dict[str, Sequence[str]],
+                bound_aliases=()) -> bool:
+    """The constancy rule: ``expr`` has one value for a whole scan when
+    it names no star, aggregate or subquery and no column — qualified,
+    or unqualified through ``alias_columns`` — of an alias of this
+    SELECT that is not in ``bound_aliases`` (none for a FROM, hash-build
+    or DML scan; the already-joined aliases for a nested-loop probe,
+    whose outer row supplies them).  What remains is literals,
+    parameters, PL variables and an enclosing query's columns.
 
-    Returns ``{column: {"eq": v} | {"low": (v, incl), "high": (v, incl)}}``.
-    ``sources``, when given, collects the conjunct expressions that
-    produced each column's bounds (for EXPLAIN rendering).
-    """
-    bounds: Dict[str, Dict[str, Any]] = {}
+    The rule is structural on purpose: a name that belongs to this
+    SELECT is never handed to evaluation, where an unqualified name that
+    finds no row in scope falls through to a PL variable of that name —
+    a contract parameter named after a column would otherwise turn
+    ``x = y`` into an index condition."""
+    for node in expr.walk():
+        if isinstance(node, (Star, SubqueryExpr)):
+            return False
+        if isinstance(node, FunctionCall) and \
+                node.name in functions.AGGREGATE_NAMES:
+            return False
+        if isinstance(node, ColumnRef):
+            if node.table is not None:
+                if node.table in alias_columns and \
+                        node.table not in bound_aliases:
+                    return False
+            elif any(node.name in cols
+                     for alias, cols in alias_columns.items()
+                     if alias not in bound_aliases):
+                return False
+    return True
+
+
+def const_value(expr: Expr, ctx: EvalContext) -> Any:
+    """Value of a constant expression.  A bare literal is read directly:
+    no closure is memoized per literal (a genesis seed is tens of
+    thousands of them); anything else runs its node-memoized closure."""
+    return expr.value if type(expr) is Literal else compiled(expr)(ctx)
+
+
+@dataclass(frozen=True)
+class Sarg:
+    """One sargable WHERE / ON conjunct, normalized to column-on-the-left.
+
+    Built once per scan node at plan time and value-free, so it is safe
+    on a cached template: ``values`` are the constant-side *expressions*
+    (:func:`is_constant`), evaluated per execution — or per outer row,
+    for a nested-loop probe.  Kinds: ``cmp`` (``op`` already flipped to
+    read column-first, one value), ``between`` (low, high — ``None``
+    marks an end that is not constant and bounds nothing), ``in``
+    (non-negated, every item constant) and ``like`` (LIKE / NOT LIKE
+    against a constant pattern; bounds nothing by itself — the columnar
+    aggregate derives a prune range from a literal prefix).  ``source``
+    is the conjunct it came from (EXPLAIN conditions, exact-conjunct
+    elision)."""
+
+    kind: str                      # "cmp" | "between" | "in" | "like"
+    column: str
+    values: Tuple[Optional[Expr], ...]
+    source: Expr
+    op: str = "="
+    negated: bool = False
+
+    def evaluate(self, ctx: EvalContext) -> List[Any]:
+        """This execution's values; evaluation errors propagate."""
+        return [None if expr is None else const_value(expr, ctx)
+                for expr in self.values]
+
+
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def sargable(conjunct: Expr, alias: str,
+             alias_columns: Dict[str, Sequence[str]],
+             bound_aliases=()) -> Optional[Sarg]:
+    """The one reading of a conjunct as a constraint on a column of
+    ``alias``: its :class:`Sarg`, or None when it is not one."""
+    columns = alias_columns.get(alias, ())
+
+    def constant(expr: Expr) -> bool:
+        return is_constant(expr, alias_columns, bound_aliases)
+
+    if isinstance(conjunct, BinaryOp) and conjunct.op in {
+            "=", "<", "<=", ">", ">="}:
+        col, other, op = (column_of_alias(conjunct.left, alias, columns),
+                          conjunct.right, conjunct.op)
+        if col is None:
+            col, other, op = (column_of_alias(conjunct.right, alias, columns),
+                              conjunct.left, _FLIP.get(op, op))
+        if col is None or not constant(other):
+            return None
+        return Sarg("cmp", col, (other,), conjunct, op)
+    negated = False
+    if isinstance(conjunct, Between) and not conjunct.negated:
+        kind = "between"
+        values = tuple(side if constant(side) else None
+                       for side in (conjunct.low, conjunct.high))
+        usable = values != (None, None)
+    elif isinstance(conjunct, InList) and not conjunct.negated:
+        kind, values = "in", tuple(conjunct.items)
+        usable = bool(values) and all(map(constant, values))
+    elif isinstance(conjunct, Like):
+        kind, values, negated = "like", (conjunct.pattern,), conjunct.negated
+        usable = constant(conjunct.pattern)
+    else:
+        return None
+    col = column_of_alias(conjunct.operand, alias, columns)
+    if col is None or not usable:
+        return None
+    return Sarg(kind, col, values, conjunct, negated=negated)
+
+
+def sargs_of(where: Optional[Expr], alias: str,
+             alias_columns: Dict[str, Sequence[str]],
+             bound_aliases=()) -> List[Sarg]:
+    """The sargable AND-ed conjuncts of ``where`` on ``alias``."""
     if where is None:
-        return bounds
-    for conjunct in conjuncts(where):
-        _extract_bound(conjunct, alias, ctx, alias_columns, bounds, sources)
+        return []
+    found = (sargable(conjunct, alias, alias_columns, bound_aliases)
+             for conjunct in conjuncts(where))
+    return [sarg for sarg in found if sarg is not None]
+
+
+def _bound_value(expr: Optional[Expr], ctx: Optional[EvalContext]) -> Any:
+    """One value side for :func:`bounds_of`: None bounds nothing."""
+    if expr is None:
+        return None
+    if ctx is None:
+        return True
+    try:
+        return const_value(expr, ctx)
+    except SQLError:
+        return None
+
+
+def bounds_of(sargs: Sequence[Sarg], ctx: Optional[EvalContext],
+              sources: Optional[Dict[str, List[Expr]]] = None
+              ) -> Dict[str, Dict[str, Any]]:
+    """Per-column bounds of ``sargs`` under ``ctx``:
+    ``{column: {"eq": v} | {"low": (v, incl), "high": (v, incl)}}``.
+
+    A value that is NULL or fails to evaluate (``SQLError``) bounds
+    nothing.  IN (a, b, c) is not a contiguous range; it bounds by
+    min/max for index pruning (exact filtering happens later).  With
+    ``ctx`` None every value stands in as ``True``: the bound *kinds*
+    alone, which is all :func:`index_signature` reads — how the planner
+    predicts a nested-loop probe's index before any outer row exists.
+    ``sources``, when given, collects per column the conjuncts that
+    bounded it (for EXPLAIN rendering)."""
+    bounds: Dict[str, Dict[str, Any]] = {}
+    for sarg in sargs:
+        kind = sarg.kind
+        if kind == "like":
+            continue
+        values = [_bound_value(expr, ctx) for expr in sarg.values]
+        slot: Dict[str, Any] = {}
+        if kind == "cmp":
+            value, op = values[0], sarg.op
+            if value is None:
+                continue
+            if op == "=":
+                slot["eq"] = value
+            elif op in ("<", "<="):
+                slot["high"] = (value, op == "<=")
+            else:
+                slot["low"] = (value, op == ">=")
+        elif kind == "between":
+            if values[0] is not None:
+                slot["low"] = (values[0], True)
+            if values[1] is not None:
+                slot["high"] = (values[1], True)
+            if not slot:
+                continue
+        else:
+            if any(value is None for value in values):
+                continue
+            try:
+                slot["low"] = (min(values), True)
+                slot["high"] = (max(values), True)
+            except TypeError:
+                continue
+        bounds.setdefault(sarg.column, {}).update(slot)
+        if sources is not None:
+            sources.setdefault(sarg.column, []).append(sarg.source)
     return bounds
 
 
-def _note_source(sources: Optional[Dict[str, List[Expr]]], col: str,
-                 conjunct: Expr) -> None:
-    if sources is not None:
-        sources.setdefault(col, []).append(conjunct)
+# (index name, n leading equality columns, has range on next column);
+# None means no index serves the bounds (sequential scan).
+ScanSignature = Optional[Tuple[str, int, bool]]
 
 
-def _extract_bound(conjunct: Expr, alias: str, ctx: EvalContext,
-                   alias_columns: Dict[str, Sequence[str]],
-                   bounds: Dict[str, Dict[str, Any]],
-                   sources: Optional[Dict[str, List[Expr]]] = None) -> None:
-    schema_cols = alias_columns.get(alias, ())
-    if isinstance(conjunct, BinaryOp) and conjunct.op in {
-            "=", "<", "<=", ">", ">="}:
-        col = column_of_alias(conjunct.left, alias, schema_cols)
-        other = conjunct.right
-        op = conjunct.op
-        if col is None:
-            col = column_of_alias(conjunct.right, alias, schema_cols)
-            other = conjunct.left
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if col is None:
-            return
-        ok, value = try_eval_const(other, ctx)
-        if not ok or value is None:
-            return
-        slot = bounds.setdefault(col, {})
-        if op == "=":
-            slot["eq"] = value
-        elif op in {"<", "<="}:
-            slot["high"] = (value, op == "<=")
-        else:
-            slot["low"] = (value, op == ">=")
-        _note_source(sources, col, conjunct)
-        return
-    if isinstance(conjunct, Between) and not conjunct.negated:
-        col = column_of_alias(conjunct.operand, alias, schema_cols)
-        if col is None:
-            return
-        ok_low, low = try_eval_const(conjunct.low, ctx)
-        ok_high, high = try_eval_const(conjunct.high, ctx)
-        if ok_low and low is not None:
-            bounds.setdefault(col, {})["low"] = (low, True)
-            _note_source(sources, col, conjunct)
-        if ok_high and high is not None:
-            bounds.setdefault(col, {})["high"] = (high, True)
-            _note_source(sources, col, conjunct)
-        return
-    if isinstance(conjunct, InList) and not conjunct.negated:
-        # IN (a, b, c) is not a contiguous range; treat as a min/max
-        # bound for index pruning (exact filtering happens later).
-        col = column_of_alias(conjunct.operand, alias, schema_cols)
-        if col is None:
-            return
-        values = []
-        for item in conjunct.items:
-            ok, value = try_eval_const(item, ctx)
-            if not ok or value is None:
-                return
-            values.append(value)
-        if values:
-            try:
-                bounds.setdefault(col, {})["low"] = (min(values), True)
-                bounds.setdefault(col, {})["high"] = (max(values), True)
-            except TypeError:
-                return
-            _note_source(sources, col, conjunct)
-
-
-def rank_indexes(heap, slots: Dict[str, Dict[str, Any]]
-                 ) -> Optional[Tuple[Index, int, bool]]:
-    """Shared leading-column scoring (2 per equality column, 1 for a
-    range on the next column): returns (index, n_eq, has_range) for the
-    best index, or None.  ``slots`` only needs the bound *kinds*
-    ("eq"/"low"/"high") to be present — both the value-carrying planner
-    bounds and the planner's structural probe predictions use this, so
-    predicted and executed index choice cannot diverge."""
-    best = None
+def index_signature(heap, bounds: Dict[str, Dict[str, Any]]
+                    ) -> ScanSignature:
+    """The index choice for ``bounds``: leading-column scoring, 2 per
+    equality column and 1 for a range on the next column; the first
+    best-scoring index wins.  Only the bound *kinds* ("eq" / "low" /
+    "high") are read, so the planner's probe prediction
+    (``bounds_of(sargs, None)``), plan-cache guard validation and
+    execution all choose through this one function and cannot diverge."""
+    best: ScanSignature = None
     best_score = 0
     for index in heap.indexes.values():
         n_eq = 0
         for col in index.columns:
-            slot = slots.get(col)
+            slot = bounds.get(col)
             if slot and "eq" in slot:
                 n_eq += 1
             else:
@@ -283,14 +372,40 @@ def rank_indexes(heap, slots: Dict[str, Dict[str, Any]]
         score = n_eq * 2
         has_range = False
         if n_eq < len(index.columns):
-            slot = slots.get(index.columns[n_eq])
+            slot = bounds.get(index.columns[n_eq])
             if slot and ("low" in slot or "high" in slot):
                 score += 1
                 has_range = True
         if score > best_score:
             best_score = score
-            best = (index, n_eq, has_range)
+            best = (index.name, n_eq, has_range)
     return best
+
+
+def key_range(columns: Sequence[str], n_eq: int, has_range: bool,
+              bounds: Dict[str, Dict[str, Any]]
+              ) -> Optional[Tuple[Optional[Tuple], Optional[Tuple],
+                                  bool, bool]]:
+    """(low_key, high_key, low_incl, high_incl) of the walk over an
+    index on ``columns`` that binds ``n_eq`` leading columns by equality
+    and, with ``has_range``, the next one by range; None when nothing
+    is bound (a whole-index walk)."""
+    low_vals = [bounds[col]["eq"] for col in columns[:n_eq]]
+    high_vals = list(low_vals)
+    low_incl = high_incl = True
+    if has_range:
+        slot = bounds[columns[n_eq]]
+        if "low" in slot:
+            value, low_incl = slot["low"]
+            low_vals.append(value)
+        if "high" in slot:
+            value, high_incl = slot["high"]
+            high_vals.append(value)
+    if not low_vals and not high_vals:
+        return None
+    return (normalize_key(low_vals) if low_vals else None,
+            normalize_key(high_vals) if high_vals else None,
+            low_incl, high_incl)
 
 
 def scan_estimate(row_count: int, n_eq: int, has_range: bool,
@@ -326,7 +441,7 @@ def range_selectivity(db, table: str, column: Optional[str],
                       bounds: Optional[Dict[str, Dict[str, Any]]]
                       ) -> Optional[float]:
     """Histogram selectivity of the range slot on ``column`` within
-    ``bounds`` (an ``extract_bounds`` result); None when the column is
+    ``bounds`` (a :func:`bounds_of` result); None when the column is
     unknown, the slot is equality-shaped, or no histogram exists — the
     caller keeps the fixed 1/3 guess.  The histogram is anchored at the
     committed height, so the same bounds cost identically on every
@@ -360,24 +475,40 @@ def ordered_scan_sig(bounds: Dict[str, Dict[str, Any]],
     return (n_eq, has_range, False, (order_column,) if n_eq else ())
 
 
-def ordered_scan_estimates(db, table: str, cost_sig: CostSig,
-                           range_column: Optional[str] = None,
-                           bounds: Optional[Dict[str, Dict[str, Any]]]
-                           = None) -> Tuple[float, float]:
-    """(est_rows, est_cost) of an IndexOrderScan: index walk + matched
-    rows, no content sort.  The single formula both the planner's
-    candidate costing and :meth:`IndexOrderScan.recost` use — choosing
-    and rendering must never disagree, so both call sites pass the same
-    ``range_column``/``bounds`` (or neither)."""
-    stats = db.stats.table_stats(table)
+def _sort_cost(rows: float, ordered: bool) -> float:
+    """The content sort of a scan's output, paid only when it runs."""
+    return rows * _l2(rows) if ordered else 0.0
+
+
+def scan_cost(db, table: str, cost_sig: Optional[CostSig],
+              range_column: Optional[str] = None,
+              bounds: Optional[Dict[str, Dict[str, Any]]] = None,
+              ordered: bool = True) -> Tuple[float, float]:
+    """(est_rows, est_cost) of one pass over ``table`` from the
+    anchored statistics — the single formula behind every heap access
+    path, so choosing (the planner's candidate costing) and rendering
+    (each node's ``recost``) cannot disagree.
+
+    ``cost_sig`` None is the full heap walk; otherwise an index descent
+    plus the matched rows, where ``range_column`` / ``bounds`` let a
+    range slot use histogram selectivity instead of the fixed 1/3 (a
+    per-outer-row probe has no values yet and passes neither).
+    ``ordered`` adds the content sort of the output; an index-order
+    walk never pays it."""
+    row_count = db.stats.table_stats(table).row_count
+    if cost_sig is None:
+        rows = float(max(row_count, 0))
+        return rows, max(rows, 1.0) + _sort_cost(rows, ordered)
     n_eq, has_range, unique_covered, eq_cols = cost_sig
-    ndv = db.stats.ndv(table, eq_cols) if eq_cols else None
-    range_sel = None
-    if has_range:
-        range_sel = range_selectivity(db, table, range_column, bounds)
-    est = scan_estimate(stats.row_count, n_eq, has_range,
-                        unique_covered, eq_ndv=ndv, range_sel=range_sel)
-    return est, _l2(stats.row_count) + est
+    ndv = range_sel = None
+    if not unique_covered:   # else scan_estimate returns one row
+        if eq_cols:
+            ndv = db.stats.ndv(table, eq_cols)
+        if has_range:
+            range_sel = range_selectivity(db, table, range_column, bounds)
+    est = scan_estimate(row_count, n_eq, has_range, unique_covered,
+                        eq_ndv=ndv, range_sel=range_sel)
+    return est, _l2(row_count) + est + _sort_cost(est, ordered)
 
 
 @dataclass(frozen=True)
@@ -388,38 +519,6 @@ class PlanEstimate:
 
     est_rows: float
     est_cost: float
-
-
-def choose_index(heap, bounds: Dict[str, Dict[str, Any]]
-                 ) -> Optional[Tuple[Index, List[Any], Optional[Tuple],
-                                     Optional[Tuple], bool, bool]]:
-    """Pick the index binding the most leading columns.
-
-    Returns (index, eq_prefix, low_key, high_key, low_incl, high_incl)
-    or None.
-    """
-    best = rank_indexes(heap, bounds)
-    if best is None:
-        return None
-    index, n_eq, has_range = best
-    eq_prefix = [bounds[col]["eq"] for col in index.columns[:n_eq]]
-    range_low = range_high = None
-    low_incl = high_incl = True
-    if has_range:
-        slot = bounds.get(index.columns[n_eq], {})
-        if "low" in slot:
-            range_low, low_incl = slot["low"]
-        if "high" in slot:
-            range_high, high_incl = slot["high"]
-    low_vals = list(eq_prefix)
-    high_vals = list(eq_prefix)
-    if range_low is not None:
-        low_vals.append(range_low)
-    if range_high is not None:
-        high_vals.append(range_high)
-    low_key = normalize_key(low_vals) if low_vals else None
-    high_key = normalize_key(high_vals) if high_vals else None
-    return (index, eq_prefix, low_key, high_key, low_incl, high_incl)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +537,20 @@ def _by_content(row: "ScanRow") -> str:
     return row_content_key(row.values)
 
 
-def execute_scan(rt: Runtime, table_name: str, alias: str,
-                 bounds: Dict[str, Dict[str, Any]],
-                 ordered: bool = True) -> List[ScanRow]:
-    """Scan ``table_name`` returning visible rows, recording SIREAD
-    state and running the EO-flow phantom/stale checks.  Rows come back
-    in content order unless the planner proved order unobservable for
-    this scan (``ordered=False``).
+def begin_scan(rt: Runtime, table_name: str, index: Optional[Index] = None,
+               keys: Optional[Tuple] = None, key_order: bool = False
+               ) -> Tuple[List[RowVersion], Any, Optional[int], bool]:
+    """The SSI prologue of every heap scan — the access check, the
+    section 4.3 missing-index abort, the predicate read (SIREAD range)
+    and the section 3.4.1 window checks over the *candidate* versions —
+    so an SSI fix lands once.  Returns ``(candidates, snapshot, own_xid,
+    record)``: the versions to test for visibility, what to test them
+    against, and whether row reads are recorded.
+
+    ``keys`` is a :func:`key_range` over ``index``; None reads the
+    whole table — every heap version, or, when an ``index`` is given
+    anyway, that index walked end to end.  ``key_order`` asks for the
+    candidates in full key order (index-order pipelines).
 
     Time-travel executions (``rt.ctx.as_of_height`` set) read the
     immutable state at that height instead: visibility pins to
@@ -457,37 +563,55 @@ def execute_scan(rt: Runtime, table_name: str, alias: str,
     schema = rt.db.catalog.schema_of(table_name)
     heap = rt.db.catalog.heap_of(table_name)
     tx = rt.tx
-    as_of = rt.ctx.as_of_height if not tx.provenance else None
-    choice = choose_index(heap, bounds)
-
-    if choice is not None:
-        index, eq_prefix, low_key, high_key, low_incl, high_incl = choice
-        depth = max(key_depth(low_key), key_depth(high_key), 1)
-        candidate_ids = index._scan(low_key, high_key, low_incl,
-                                    high_incl, depth)
-        candidates = heap.resolve(candidate_ids)
-        predicate = PredicateRead(
-            table=table_name,
-            columns=index.columns[:depth],
-            low_key=low_key, high_key=high_key,
-            low_inclusive=low_incl, high_inclusive=high_incl)
-    else:
+    if keys is None:
         if tx.require_index and not schema.system and not tx.provenance:
             raise MissingIndexError(
                 f"no index supports the predicate on {table_name!r}; "
                 f"the execute-order-in-parallel flow requires "
                 f"index-backed predicate reads")
-        candidates = heap.all_versions()
+        candidates = heap.all_versions() if index is None \
+            else heap.resolve(index.scan_all())
         predicate = PredicateRead(table=table_name, columns=())
-
-    if as_of is None:
-        tx.record_predicate_read(predicate)
-        window_checks(rt, table_name, candidates)
-        snapshot = tx.snapshot
-        own_xid: Optional[int] = tx.xid
     else:
-        snapshot = BlockSnapshot(as_of)
-        own_xid = None  # pure committed-height semantics
+        low_key, high_key, low_incl, high_incl = keys
+        depth = max(key_depth(low_key), key_depth(high_key), 1)
+        if key_order:
+            candidate_ids = index.ordered_scan(low_key, high_key,
+                                               low_incl, high_incl)
+        else:
+            candidate_ids = index._scan(low_key, high_key, low_incl,
+                                        high_incl, depth)
+        candidates = heap.resolve(candidate_ids)
+        predicate = PredicateRead(
+            table=table_name, columns=index.columns[:depth],
+            low_key=low_key, high_key=high_key,
+            low_inclusive=low_incl, high_inclusive=high_incl)
+    if rt.ctx.as_of_height is not None and not tx.provenance:
+        # pure committed-height semantics
+        return candidates, BlockSnapshot(rt.ctx.as_of_height), None, False
+    tx.record_predicate_read(predicate)
+    window_checks(rt, table_name, candidates)
+    return candidates, tx.snapshot, tx.xid, True
+
+
+def execute_scan(rt: Runtime, table_name: str, alias: str,
+                 bounds: Dict[str, Dict[str, Any]],
+                 ordered: bool = True) -> List[ScanRow]:
+    """Scan ``table_name`` through the index :func:`index_signature`
+    picks for ``bounds`` (the whole heap when none), returning visible
+    rows and recording them as read.  Rows come back in content order
+    unless the planner proved order unobservable for this scan
+    (``ordered=False``)."""
+    heap = rt.db.catalog.heap_of(table_name)
+    signature = index_signature(heap, bounds)
+    if signature is None:
+        opened = begin_scan(rt, table_name)
+    else:
+        index = heap.indexes[signature[0]]
+        opened = begin_scan(rt, table_name, index, key_range(
+            index.columns, signature[1], signature[2], bounds))
+    candidates, snapshot, own_xid, record = opened
+    tx = rt.tx
 
     rows: List[ScanRow] = []
     if tx.provenance:
@@ -500,7 +624,6 @@ def execute_scan(rt: Runtime, table_name: str, alias: str,
             rows.append(ScanRow(values, version))
     else:
         statuses = rt.db.statuses
-        record = as_of is None
         for version in candidates:
             if not version_visible(version, snapshot, statuses, own_xid):
                 continue
@@ -797,22 +920,18 @@ def _scan_target(table: str, alias: str) -> str:
     return f"on {table}" + (f" as {alias}" if alias != table else "")
 
 
-def _sort_cost(rows: float, ordered: bool) -> float:
-    """The content sort of a scan's output, paid only when it runs."""
-    return rows * _l2(rows) if ordered else 0.0
-
-
 def _order_note(ordered: bool) -> str:
     return "" if ordered else " (any order)"
 
 
 class SeqScan(PlanNode):
-    """Full-heap scan (no usable index).
+    """Full-heap scan (no usable index), and the base of every scan.
 
-    Scan nodes are plan *templates*: they store the WHERE expression,
-    never bound values.  Bounds are re-derived from the live execution
-    context on every run, so a tree pulled from the plan cache scans —
-    and records SIREAD state — exactly as a freshly planned one would.
+    Scan nodes are plan *templates*: they store the WHERE clause as its
+    normalized sargable conjuncts (``sargs`` — value expressions, never
+    values).  Bounds are derived from the live execution context on
+    every run, so a tree pulled from the plan cache scans — and records
+    SIREAD state — exactly as a freshly planned one would.
 
     ``ordered`` is the planner's order-observability mark: False when no
     result of the statement can depend on this scan's row order, which
@@ -820,28 +939,35 @@ class SeqScan(PlanNode):
     statement, the catalog and the provenance flag only.
     """
 
-    def __init__(self, table: str, alias: str,
-                 where: Optional[Expr] = None, est_rows: float = 0.0,
+    # The structural bound shape estimates re-derive from (None: the
+    # full heap walk) and the column its range slot, if any, applies to.
+    cost_sig: Optional[CostSig] = None
+    range_column: Optional[str] = None
+
+    def __init__(self, table: str, alias: str, sargs: Sequence[Sarg] = (),
                  ordered: bool = True):
         self.table = table
         self.alias = alias
-        self.where = where
-        self.est_rows = est_rows
+        self.sargs = list(sargs)
         self.ordered = ordered
         # Costing-only bound values (NOT execution state): the planner /
-        # plan cache sets this to the statement's extracted bounds right
-        # before recost so histogram range selectivity can see them.
-        # Execution still re-derives bounds from the live context.
+        # EXPLAIN set this to the statement's bounds right before recost
+        # so histogram range selectivity can see them.
         self.live_bounds: Optional[Dict[str, Dict[str, Any]]] = None
 
-    def scan_rows(self, rt: Runtime) -> List[ScanRow]:
+    def bounds(self, rt: Runtime) -> Dict[str, Dict[str, Any]]:
+        """This execution's bounds: the ones planning or plan-cache
+        guard validation already computed under the statement context,
+        else derived now."""
         bounds = None
         if rt.scan_bounds is not None:
             bounds = rt.scan_bounds.get(id(self))
         if bounds is None:
-            bounds = extract_bounds(self.where, self.alias, rt.ctx,
-                                    rt.alias_columns)
-        return execute_scan(rt, self.table, self.alias, bounds,
+            bounds = bounds_of(self.sargs, rt.ctx)
+        return bounds
+
+    def scan_rows(self, rt: Runtime) -> List[ScanRow]:
+        return execute_scan(rt, self.table, self.alias, self.bounds(rt),
                             self.ordered)
 
     def rows(self, rt: Runtime) -> Iterator[Env]:
@@ -850,10 +976,9 @@ class SeqScan(PlanNode):
             yield {alias: row.values}
 
     def recost(self, db) -> None:
-        rows = float(max(db.stats.table_stats(self.table).row_count, 0))
-        self.est_rows = rows
-        # Full heap walk plus the content sort of the output.
-        self.est_cost = max(rows, 1.0) + _sort_cost(rows, self.ordered)
+        self.est_rows, self.est_cost = scan_cost(
+            db, self.table, self.cost_sig, self.range_column,
+            self.live_bounds, self.ordered)
 
     def describe(self) -> str:
         return (f"SeqScan {_scan_target(self.table, self.alias)}"
@@ -861,64 +986,30 @@ class SeqScan(PlanNode):
 
 
 class IndexScan(SeqScan):
-    """Index-served scan; execution re-derives the same bounds the
-    planner scored (``execute_scan`` re-runs the deterministic index
-    choice over them).
+    """Index-served scan; execution derives the same bounds the planner
+    scored (``execute_scan`` re-runs the deterministic index choice over
+    them).
 
-    ``unique_covered`` marks a point lookup (every column of a unique
-    index bound by equality) — a structural fact the planner's join
-    strategy may rely on, unlike row counts.  ``cost_sig`` carries the
-    structural bound shape so estimates re-derive from anchored
-    statistics (``recost``) without re-planning.  ``exact`` lists the
+    ``cost_sig`` carries the structural bound shape so estimates
+    re-derive from anchored statistics (``recost``) without re-planning;
+    its ``unique_covered`` marks a point lookup (every column of a
+    unique index bound by equality) — a structural fact the planner's
+    join strategy may rely on, unlike row counts.  ``exact`` lists the
     WHERE conjuncts the index range enforces exactly (every row the scan
     returns satisfies them), so a Filter above need not repeat them.
     """
 
-    def __init__(self, table: str, alias: str, where: Optional[Expr],
+    def __init__(self, table: str, alias: str, sargs: Sequence[Sarg],
                  index_name: str, conditions: Sequence[Expr],
-                 est_rows: float = 0.0, unique_covered: bool = False,
-                 cost_sig: Optional[CostSig] = None,
+                 cost_sig: CostSig, range_column: Optional[str] = None,
                  ordered: bool = True, exact: Sequence[Expr] = ()):
-        super().__init__(table, alias, where, est_rows, ordered)
+        super().__init__(table, alias, sargs, ordered)
         self.index_name = index_name
         self.conditions = list(conditions)
-        self.unique_covered = unique_covered
-        self.cost_sig = cost_sig or (0, False, unique_covered, ())
+        self.cost_sig = cost_sig
+        self.range_column = range_column
+        self.unique_covered = cost_sig[2]
         self.exact = list(exact)
-
-    def _range_column(self, db) -> Optional[str]:
-        """The index column the range bound applies to (the first one
-        past the equality prefix), for histogram selectivity."""
-        n_eq, has_range, _, _ = self.cost_sig
-        if not has_range:
-            return None
-        try:
-            heap = db.catalog.heap_of(self.table)
-        except CatalogError:
-            return None
-        index = heap.indexes.get(self.index_name)
-        if index is None or n_eq >= len(index.columns):
-            return None
-        return index.columns[n_eq]
-
-    def recost(self, db) -> None:
-        stats = db.stats.table_stats(self.table)
-        n_eq, has_range, unique_covered, eq_cols = self.cost_sig
-        ndv = range_sel = None
-        if not unique_covered:   # else scan_estimate returns one row
-            if eq_cols:
-                ndv = db.stats.ndv(self.table, eq_cols)
-            if has_range:
-                range_sel = range_selectivity(db, self.table,
-                                              self._range_column(db),
-                                              self.live_bounds)
-        est = scan_estimate(stats.row_count, n_eq, has_range,
-                            unique_covered, eq_ndv=ndv,
-                            range_sel=range_sel)
-        self.est_rows = est
-        # Index descent + matched rows + content sort of the output.
-        self.est_cost = _l2(stats.row_count) + est + \
-            _sort_cost(est, self.ordered)
 
     def describe(self) -> str:
         conds = ", ".join(expr_sql(c) for c in self.conditions)
@@ -959,41 +1050,28 @@ class Filter(PlanNode):
 
 class DynamicProbe(PlanNode):
     """Explain-only child of a NestedLoopJoin: the inner access path is
-    re-derived per outer row (outer-row values feed the index bounds).
-    ``est_rows``/``est_cost`` are *per-probe* estimates."""
+    re-derived per outer row — ``sargs`` were normalized with the
+    already-joined aliases bound, so outer-row values feed the index
+    bounds.  ``est_rows``/``est_cost`` are *per-probe* estimates
+    (``cost_sig`` None: per-row sequential rescans)."""
 
-    def __init__(self, table: str, alias: str,
+    def __init__(self, table: str, alias: str, sargs: Sequence[Sarg],
                  index_name: Optional[str], conditions: Sequence[Expr],
-                 est_rows: float = 0.0,
-                 cost_sig: Optional[CostSig] = None,
-                 ordered: bool = True):
+                 cost_sig: Optional[CostSig], ordered: bool = True):
         self.table = table
         self.alias = alias
+        self.sargs = list(sargs)
         self.index_name = index_name
         self.conditions = list(conditions)
-        self.est_rows = est_rows
-        self.cost_sig = cost_sig or (0, False, False, ())
+        self.cost_sig = cost_sig
         self.ordered = ordered   # see SeqScan
 
     def rows(self, rt: Runtime) -> Iterator:  # pragma: no cover
         raise ExecutionError("DynamicProbe is driven by NestedLoopJoin")
 
     def recost(self, db) -> None:
-        stats = db.stats.table_stats(self.table)
-        rows = float(max(stats.row_count, 0))
-        if self.index_name is None:
-            # Per-row sequential rescans, content sort included.
-            self.est_rows = rows
-            self.est_cost = max(rows, 1.0) + _sort_cost(rows, self.ordered)
-            return
-        n_eq, has_range, unique_covered, eq_cols = self.cost_sig
-        ndv = db.stats.ndv(self.table, eq_cols) \
-            if eq_cols and not unique_covered else None
-        est = scan_estimate(stats.row_count, n_eq, has_range,
-                            unique_covered, eq_ndv=ndv)
-        self.est_rows = est
-        self.est_cost = _l2(stats.row_count) + est + \
-            _sort_cost(est, self.ordered)
+        self.est_rows, self.est_cost = scan_cost(
+            db, self.table, self.cost_sig, ordered=self.ordered)
 
     def describe(self) -> str:
         note = _order_note(self.ordered)
@@ -1009,12 +1087,10 @@ class NestedLoopJoin(PlanNode):
     """Per-outer-row inner scan — byte-identical to the old executor's
     ``_apply_join``, including the narrow per-probe predicate reads."""
 
-    def __init__(self, outer: PlanNode, join: Join,
-                 combined: Optional[Expr], probe: DynamicProbe,
+    def __init__(self, outer: PlanNode, join: Join, probe: DynamicProbe,
                  est_rows: float = 0.0, binder: Optional[Binder] = None):
         self.outer = outer
         self.join = join
-        self.combined = combined   # ON AND WHERE, for inner index bounds
         self.probe = probe
         self._on = compile_predicate(join.on, binder)
         self.est_rows = est_rows
@@ -1025,6 +1101,7 @@ class NestedLoopJoin(PlanNode):
         on = self._on
         schema = rt.db.catalog.schema_of(join.table.name)
         null_row = {col: None for col in schema.column_names()}
+        sargs = self.probe.sargs
         ordered = self.probe.ordered
         row_ctx = rt.ctx.row_context()
         probe_st = None
@@ -1032,8 +1109,7 @@ class NestedLoopJoin(PlanNode):
             probe_st = rt.probe_stats.get(id(self.probe))
         for env in self.outer.rows(rt):
             row_ctx.env = env
-            bounds = extract_bounds(self.combined, alias, row_ctx,
-                                    rt.alias_columns)
+            bounds = bounds_of(sargs, row_ctx)
             if probe_st is not None:
                 t0 = time.perf_counter()
                 inner_rows = execute_scan(rt, join.table.name, alias,
@@ -1530,7 +1606,7 @@ def _row_count(clause: str, expr: Optional[Expr],
     None when absent or NULL."""
     if expr is None:
         return None
-    value = expr.value if type(expr) is Literal else compiled(expr)(ctx)
+    value = const_value(expr, ctx)
     if value is None:
         return None
     if type(value) is not int:
@@ -1612,19 +1688,18 @@ class IndexOrderScan(SeqScan):
       docs/sql_engine.md).
     """
 
-    def __init__(self, table: str, alias: str, where: Optional[Expr],
+    def __init__(self, table: str, alias: str, sargs: Sequence[Sarg],
                  index_name: str, order_column: str,
                  descending: bool = False,
                  conditions: Sequence[Expr] = (),
-                 est_rows: float = 0.0,
-                 cost_sig: Optional[CostSig] = None,
+                 cost_sig: CostSig = (0, False, False, ()),
                  ordered: bool = True):
-        super().__init__(table, alias, where, est_rows, ordered)
+        super().__init__(table, alias, sargs, ordered)
         self.index_name = index_name
-        self.order_column = order_column
+        self.order_column = self.range_column = order_column
         self.descending = descending
         self.conditions = list(conditions)
-        self.cost_sig = cost_sig or (0, False, False, ())
+        self.cost_sig = cost_sig
 
     # -- preparation (SSI side effects happen here, exactly once) --------
 
@@ -1634,63 +1709,19 @@ class IndexOrderScan(SeqScan):
         state = rt.prepared_scans.get(id(self))
         if state is not None:
             return state
-        rt.check_read(self.table)
-        schema = rt.db.catalog.schema_of(self.table)
-        heap = rt.db.catalog.heap_of(self.table)
-        index = heap.indexes.get(self.index_name)
+        index = rt.db.catalog.heap_of(self.table).indexes.get(
+            self.index_name)
         if index is None or index.columns[0] != self.order_column:
             raise ExecutionError(
                 f"index {self.index_name!r} no longer orders "
                 f"{self.table}.{self.order_column} (stale plan)")
-        tx = rt.tx
-        as_of = rt.ctx.as_of_height if not tx.provenance else None
-
-        bounds = None
-        if rt.scan_bounds is not None:
-            bounds = rt.scan_bounds.get(id(self))
-        if bounds is None:
-            bounds = extract_bounds(self.where, self.alias, rt.ctx,
-                                    rt.alias_columns)
-        slot = bounds.get(self.order_column, {})
-        low_key = high_key = None
-        low_incl = high_incl = True
-        if "eq" in slot:
-            low_key = high_key = normalize_key([slot["eq"]])
-        else:
-            if "low" in slot:
-                value, low_incl = slot["low"]
-                low_key = normalize_key([value])
-            if "high" in slot:
-                value, high_incl = slot["high"]
-                high_key = normalize_key([value])
-
-        if low_key is None and high_key is None:
-            if tx.require_index and not schema.system and \
-                    not tx.provenance:
-                raise MissingIndexError(
-                    f"no index supports the predicate on "
-                    f"{self.table!r}; the execute-order-in-parallel "
-                    f"flow requires index-backed predicate reads")
-            candidate_ids = index.scan_all()
-            predicate = PredicateRead(table=self.table, columns=())
-        else:
-            candidate_ids = index.ordered_scan(low_key, high_key, low_incl,
-                                               high_incl)
-            predicate = PredicateRead(
-                table=self.table, columns=index.columns[:1],
-                low_key=low_key, high_key=high_key,
-                low_inclusive=low_incl, high_inclusive=high_incl)
-
-        candidates = heap.resolve(candidate_ids)
-        if as_of is None:
-            tx.record_predicate_read(predicate)
-            window_checks(rt, self.table, candidates)
-            snapshot = tx.snapshot
-            own_xid: Optional[int] = tx.xid
-        else:
-            snapshot = BlockSnapshot(as_of)
-            own_xid = None
-        state = (candidates, snapshot, own_xid, as_of)
+        # Only bounds on the leading (order) column narrow the walk.
+        bounds = self.bounds(rt)
+        n_eq, has_range, _, _ = ordered_scan_sig(bounds, self.order_column)
+        state = begin_scan(
+            rt, self.table, index,
+            key_range((self.order_column,), n_eq, has_range, bounds),
+            key_order=True)
         rt.prepared_scans[id(self)] = state
         return state
 
@@ -1709,7 +1740,7 @@ class IndexOrderScan(SeqScan):
         """Rows in (key, content) order — key order only when the scan
         is marked ``ordered = False``; visibility checks and row-read
         recording happen lazily as the consumer advances."""
-        candidates, snapshot, own_xid, as_of = self.prepare(rt)
+        candidates, snapshot, own_xid, record = self.prepare(rt)
         tx = rt.tx
         statuses = rt.db.statuses
         content_runs = self.ordered or rt.content_order
@@ -1719,7 +1750,7 @@ class IndexOrderScan(SeqScan):
         for version in walk:
             if not version_visible(version, snapshot, statuses, own_xid):
                 continue
-            if as_of is None:
+            if record:
                 tx.record_row_read(self.table, version)
             row = ScanRow(version.values, version)
             if not content_runs:
@@ -1744,9 +1775,11 @@ class IndexOrderScan(SeqScan):
             yield {self.alias: row.values}
 
     def recost(self, db) -> None:
-        self.est_rows, self.est_cost = ordered_scan_estimates(
-            db, self.table, self.cost_sig,
-            range_column=self.order_column, bounds=self.live_bounds)
+        # Index walk + matched rows: the output is never content-sorted
+        # as a whole (``ordered`` only sorts within equal-key runs).
+        self.est_rows, self.est_cost = scan_cost(
+            db, self.table, self.cost_sig, self.range_column,
+            self.live_bounds, ordered=False)
 
     def describe(self) -> str:
         direction = "desc" if self.descending else "asc"

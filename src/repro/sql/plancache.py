@@ -44,10 +44,10 @@ may never change the chosen plan or the SIREAD set, or replicas would
 diverge on SSI abort decisions.  Two mechanisms guarantee this:
 
 1. Templates are split from per-execution state: scan nodes store the
-   WHERE *expression* and re-derive bound values from the live
-   ``EvalContext`` every execution, so runtime index ranges (and hence
-   predicate reads) are computed identically whether the tree came from
-   the cache or the planner.
+   WHERE clause as value-free normalized conjuncts (``plan.Sarg``) and
+   derive bound values from the live ``EvalContext`` every execution, so
+   runtime index ranges (and hence predicate reads) are computed
+   identically whether the tree came from the cache or the planner.
 2. Every template carries :class:`ScanGuard` records — one per statically
    planned scan — capturing the structural index choice the planner made.
    On lookup the guards are re-derived against the *current* context; any
@@ -72,18 +72,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError
-from repro.sql.ast_nodes import Expr, Statement
+from repro.sql.ast_nodes import Statement
 from repro.sql.expressions import EvalContext
-from repro.sql.plan import extract_bounds, rank_indexes
+from repro.sql.plan import Sarg, ScanSignature, bounds_of, index_signature
 
 __all__ = [
     "PlanCache", "PlanEntry", "ScanGuard", "context_shape",
     "statement_fingerprint", "validate_guards",
 ]
-
-# (index name, n leading equality columns, has range on next column);
-# None means no index serves the bounds (sequential scan).
-ScanSignature = Optional[Tuple[str, int, bool]]
 
 
 def statement_fingerprint(stmt: Statement) -> str:
@@ -124,15 +120,15 @@ class ScanGuard:
     Covers every bounds-dependent input to the planner's decisions: the
     scan's own SeqScan/IndexScan split, ``unique_covered`` point-lookup
     detection, and (via the build-side scan of each candidate hash join)
-    the hash-vs-nested-loop strategy choice.  ``node`` is the scan node
-    this guard validated (when it survived into the plan tree), so the
-    bounds computed during validation can be handed to execution instead
-    of being re-extracted per scan."""
+    the hash-vs-nested-loop strategy choice.  ``sargs`` are the scan's
+    own normalized conjuncts — validation evaluates them, it never reads
+    the WHERE clause again.  ``node`` is the scan node this guard
+    validated (None once the planner replaced it), so the bounds
+    computed during validation are handed to execution instead of being
+    derived a second time."""
 
     table: str
-    alias: str
-    where: Optional[Expr]
-    alias_columns: Dict[str, Sequence[str]]
+    sargs: Sequence[Sarg]
     signature: ScanSignature
     node: Any = None
     # Columnar (AS OF) scans have no index signature to re-derive — the
@@ -150,20 +146,17 @@ def validate_guards(catalog, guards: Sequence[ScanGuard],
     ``{id(scan node): bounds}`` map of the bounds computed along the way —
     statically planned scans execute with the statement context, so the
     executor threads these through :class:`Runtime` and the scans skip
-    their own extraction."""
+    their own derivation."""
     bounds_by_node: Dict[int, Dict[str, Dict[str, Any]]] = {}
     for guard in guards:
         try:
             heap = catalog.heap_of(guard.table)
         except CatalogError:
             return None
-        bounds = extract_bounds(guard.where, guard.alias, ctx,
-                                guard.alias_columns)
-        if not guard.columnar:
-            best = rank_indexes(heap, bounds)
-            sig = None if best is None else (best[0].name, best[1], best[2])
-            if sig != guard.signature:
-                return None
+        bounds = bounds_of(guard.sargs, ctx)
+        if not guard.columnar and \
+                index_signature(heap, bounds) != guard.signature:
+            return None
         if guard.node is not None:
             bounds_by_node[id(guard.node)] = bounds
     return bounds_by_node

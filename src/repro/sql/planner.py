@@ -13,10 +13,12 @@ from the *snapshot-anchored* statistics in :mod:`repro.sql.stats`
 block height — identical on every node at the same height, so cost-based
 choices cannot diverge SIREAD sets across replicas):
 
-* scans: sargable bounds (evaluated against the statement's parameters /
-  PL variables / outer row context) feed the same leading-column index
-  scoring the old executor used, so index choice — and therefore the
-  candidate set the phantom/stale window checks inspect — is unchanged;
+* scans: WHERE is normalized once per scan (``plan.sargable``); the
+  bounds of that list (evaluated against the statement's parameters /
+  PL variables / outer row context) go through ``plan.index_signature``,
+  the same function execution and plan-cache validation choose with, so
+  index choice — and therefore the candidate set the phantom/stale
+  window checks inspect — cannot differ between them;
 * joins: the planner costs a :class:`HashJoin` (build the inner side
   once, probe per outer row), an index-:class:`NestedLoopJoin` (dynamic
   per-row probes), and — when both join columns have ordering indexes —
@@ -49,21 +51,17 @@ from repro.analytics.operators import (
     AggSpec,
     ColumnarAggregate,
     ColumnarScan,
-    VectorPredicate,
 )
 from repro.sql import functions
 from repro.sql.ast_nodes import (
-    Between, BinaryOp, ColumnRef, Expr, FunctionCall, Join, Literal,
-    OrderItem, Select, SelectItem, Star, SubqueryExpr, UnaryOp,
+    BinaryOp, ColumnRef, Expr, FunctionCall, Join, Literal, OrderItem,
+    Select, Star, SubqueryExpr, UnaryOp,
 )
 from repro.sql.catalog import value_class
-from repro.sql.expressions import (
-    EvalContext,
-    compile_expr,
-    expr_fingerprint,
-)
+from repro.sql.expressions import EvalContext, expr_fingerprint
 from repro.sql.plan import (
     PROVENANCE_COLUMNS,
+    CostSig,
     DynamicProbe,
     Distinct,
     Filter,
@@ -77,20 +75,25 @@ from repro.sql.plan import (
     PlanEstimate,
     PlanNode,
     Project,
+    Sarg,
+    ScanSignature,
     SeqScan,
     Sort,
     SortMergeJoin,
     StreamingLimit,
     _l2,
+    bounds_of,
     column_of_alias,
     conjuncts,
-    extract_bounds,
+    index_signature,
+    is_constant,
     join_estimates,
-    ordered_scan_estimates,
     ordered_scan_sig,
-    rank_indexes,
     recost_plan,
     render_plan,
+    sargable,
+    sargs_of,
+    scan_cost,
 )
 from repro.sql.plancache import ScanGuard
 
@@ -121,7 +124,7 @@ class SelectPlan:
 
     The tree is a reusable *template*: operators hold compiled
     expressions and structural choices but no per-execution values
-    (scan bounds re-derive from the live context), so the plan cache can
+    (scan bounds derive from the live context), so the plan cache can
     hand the same instance to any number of executions.  ``guards``
     capture the structural access-path choices; the cache re-validates
     them before every reuse.
@@ -150,7 +153,7 @@ class Planner:
         # the plan cache replays these against each execution context.
         self.guards: List[ScanGuard] = []
         # Bounds extracted while planning, by scan-node id — handed to
-        # the first execution so scans don't re-extract them (cache hits
+        # the first execution so scans don't derive them again (cache hits
         # get the equivalent map from guard validation).
         self.scan_bounds: Dict[int, Dict[str, Dict[str, Any]]] = {}
         # Whether the scans being planned must emit content order;
@@ -254,24 +257,30 @@ class Planner:
                 and getattr(self.db, "columnstore", None) is not None
                 and self.db.columnstore.enabled)
 
-    def _plan_columnar_scan(self, table: str, alias: str,
-                            where: Optional[Expr], ctx: EvalContext,
-                            alias_columns: Dict[str, Sequence[str]]
-                            ) -> ColumnarScan:
-        """Columnar access path for an AS OF scan.  The guard records no
-        index signature (the store has none to validate) but still
-        threads the extracted bounds to execution for zone-map pruning."""
-        scan = ColumnarScan(table, alias, where, ordered=self.ordered)
-        guard = ScanGuard(table=table, alias=alias, where=where,
-                          alias_columns=alias_columns, signature=None,
-                          columnar=True)
-        guard.node = scan
-        self.guards.append(guard)
-        bounds = extract_bounds(where, alias, ctx, alias_columns)
+    def _register(self, scan: SeqScan,
+                  bounds: Dict[str, Dict[str, Any]],
+                  signature: ScanSignature,
+                  columnar: bool = False) -> SeqScan:
+        """The step every statically planned scan ends with: record the
+        :class:`ScanGuard` the plan cache replays (the structural index
+        choice under the scan's own sargs), hand the plan-time bounds to
+        the first execution and to costing, and cost the node."""
+        self.guards.append(ScanGuard(scan.table, scan.sargs, signature,
+                                     node=scan, columnar=columnar))
         self.scan_bounds[id(scan)] = bounds
         scan.live_bounds = bounds
         scan.recost(self.db)
         return scan
+
+    def _plan_columnar_scan(self, table: str, alias: str,
+                            sargs: Sequence[Sarg],
+                            ctx: EvalContext) -> ColumnarScan:
+        """Columnar access path for an AS OF scan.  The guard records no
+        index signature (the store has none to validate) but still
+        threads the bounds to execution for zone-map pruning."""
+        return self._register(
+            ColumnarScan(table, alias, sargs, ordered=self.ordered),
+            bounds_of(sargs, ctx), None, columnar=True)
 
     def plan_scan(self, table: str, alias: str, where: Optional[Expr],
                   ctx: EvalContext,
@@ -279,11 +288,10 @@ class Planner:
                   ) -> SeqScan:
         """Access path for one table: IndexScan when the sargable bounds
         (resolved against ``ctx``) are served by an index, SeqScan
-        otherwise.  The node stores the WHERE *expression* (templates
-        carry no per-execution values); execution re-derives the bounds
-        from the live context and re-runs the same deterministic index
-        scoring over them.  A :class:`ScanGuard` capturing the structural
-        choice is recorded for plan-cache validation.
+        otherwise.  WHERE is normalized here, once; the node keeps the
+        value-free :class:`Sarg` list (templates carry no per-execution
+        values), execution derives the bounds from the live context and
+        re-runs the same deterministic index choice over them.
 
         Statements pinned to an AS OF height route to the columnar
         replica instead (:class:`ColumnarScan`) whenever it is enabled —
@@ -292,45 +300,53 @@ class Planner:
         if alias_columns is None:
             schema = self.db.catalog.schema_of(table)
             alias_columns = {alias: schema.column_names()}
+        sargs = sargs_of(where, alias, alias_columns)
         if self._columnar_routing(ctx):
-            return self._plan_columnar_scan(table, alias, where, ctx,
-                                            alias_columns)
+            return self._plan_columnar_scan(table, alias, sargs, ctx)
         heap = self.db.catalog.heap_of(table)
         sources: Dict[str, List[Expr]] = {}
-        bounds = extract_bounds(where, alias, ctx, alias_columns, sources)
-        best = rank_indexes(heap, bounds)
-        guard = ScanGuard(
-            table=table, alias=alias, where=where,
-            alias_columns=alias_columns,
-            signature=None if best is None
-            else (best[0].name, best[1], best[2]))
-        self.guards.append(guard)
-        if best is None:
-            scan: SeqScan = SeqScan(table, alias, where,
+        bounds = bounds_of(sargs, ctx, sources)
+        signature = index_signature(heap, bounds)
+        if signature is None:
+            scan: SeqScan = SeqScan(table, alias, sargs,
                                     ordered=self.ordered)
         else:
-            index, n_eq, has_range = best
-            depth = n_eq + (1 if has_range else 0) or 1
-            used_cols = index.columns[:depth]
-            conditions: List[Expr] = []
-            for col in used_cols:
-                for conj in sources.get(col, []):
-                    if conj not in conditions:
-                        conditions.append(conj)
-            unique_covered = index.unique and n_eq == len(index.columns)
+            name, n_eq, has_range = signature
+            index = heap.indexes[name]
+            conditions, cost_sig = self._index_path(index, n_eq,
+                                                    has_range, sources)
             scan = IndexScan(
-                table, alias, where, index.name, conditions,
-                unique_covered=unique_covered,
-                cost_sig=(n_eq, has_range, unique_covered,
-                          tuple(index.columns[:n_eq])),
+                table, alias, sargs, name, conditions, cost_sig,
+                range_column=index.columns[n_eq] if has_range else None,
                 ordered=self.ordered,
                 exact=self._exact_conjuncts(table, index.columns[:n_eq],
                                             sources, alias_columns))
-        guard.node = scan
-        self.scan_bounds[id(scan)] = bounds
-        scan.live_bounds = bounds
-        scan.recost(self.db)
-        return scan
+        return self._register(scan, bounds, signature)
+
+    @staticmethod
+    def _index_path(index, n_eq: int, has_range: bool,
+                    sources: Dict[str, List[Expr]]
+                    ) -> Tuple[List[Expr], CostSig]:
+        """(EXPLAIN conditions, cost signature) of an index range over
+        ``n_eq`` equality columns and, with ``has_range``, the next one:
+        the conjuncts that bounded those columns, and the structural
+        shape estimates re-derive from."""
+        unique_covered = index.unique and n_eq == len(index.columns)
+        return (Planner._conditions(sources,
+                                    index.columns[:n_eq + has_range]),
+                (n_eq, has_range, unique_covered,
+                 tuple(index.columns[:n_eq])))
+
+    @staticmethod
+    def _conditions(sources: Dict[str, List[Expr]],
+                    columns: Sequence[str]) -> List[Expr]:
+        """The conjuncts that bounded ``columns``, each once."""
+        conditions: List[Expr] = []
+        for col in columns:
+            for conj in sources.get(col, []):
+                if conj not in conditions:
+                    conditions.append(conj)
+        return conditions
 
     def _exact_conjuncts(self, table: str, eq_columns: Sequence[str],
                          sources: Dict[str, List[Expr]],
@@ -369,8 +385,7 @@ class Planner:
         return exact
 
     def _plan_index_order_scan(self, table: str, alias: str,
-                               where: Optional[Expr], ctx: EvalContext,
-                               alias_columns: Dict[str, Sequence[str]],
+                               sargs: Sequence[Sarg], ctx: EvalContext,
                                index_name: str, order_column: str,
                                descending: bool = False) -> IndexOrderScan:
         """An :class:`IndexOrderScan` over ``index_name`` (whose leading
@@ -379,25 +394,16 @@ class Planner:
         the order column narrow the index walk; everything else is left
         to the Filter above."""
         sources: Dict[str, List[Expr]] = {}
-        bounds = extract_bounds(where, alias, ctx, alias_columns, sources)
-        best = rank_indexes(self.db.catalog.heap_of(table), bounds)
-        guard = ScanGuard(
-            table=table, alias=alias, where=where,
-            alias_columns=alias_columns,
-            signature=None if best is None
-            else (best[0].name, best[1], best[2]))
+        bounds = bounds_of(sargs, ctx, sources)
         scan = IndexOrderScan(
-            table, alias, where, index_name, order_column,
+            table, alias, sargs, index_name, order_column,
             descending=descending,
-            conditions=sources.get(order_column, []),
+            conditions=self._conditions(sources, [order_column]),
             cost_sig=ordered_scan_sig(bounds, order_column),
             ordered=self.ordered)
-        guard.node = scan
-        self.guards.append(guard)
-        self.scan_bounds[id(scan)] = bounds
-        scan.live_bounds = bounds
-        scan.recost(self.db)
-        return scan
+        return self._register(
+            scan, bounds,
+            index_signature(self.db.catalog.heap_of(table), bounds))
 
     def _order_index_for(self, table: str,
                          column: str) -> Optional[str]:
@@ -409,168 +415,30 @@ class Planner:
                        if index.columns and index.columns[0] == column)
         return names[0] if names else None
 
-
     # ------------------------------------------------------------------
     # Join planning
     # ------------------------------------------------------------------
 
-    def _find_equi_keys(self, combined: Optional[Expr], join: Join,
-                        planned_aliases: Set[str],
-                        alias_columns: Dict[str, Sequence[str]]
-                        ) -> List[Tuple[str, Expr]]:
-        """(inner column, probe expression) pairs from ``=`` conjuncts of
-        ON/WHERE linking the joined table to already-planned aliases."""
-        if combined is None:
-            return []
-        alias = join.table.alias
-        inner_cols = alias_columns.get(alias, ())
-        keys: List[Tuple[str, Expr]] = []
-        for conj in conjuncts(combined):
-            if not (isinstance(conj, BinaryOp) and conj.op == "="):
-                continue
-            col = column_of_alias(conj.left, alias, inner_cols)
-            other = conj.right
-            if col is None:
-                col = column_of_alias(conj.right, alias, inner_cols)
-                other = conj.left
-            if col is None:
-                continue
-            if self._probe_expr_ok(other, alias, inner_cols,
-                                   planned_aliases, alias_columns):
-                keys.append((col, other))
-        return keys
-
-    def _probe_expr_ok(self, expr: Expr, inner_alias: str,
-                       inner_cols: Sequence[str],
-                       planned_aliases: Set[str],
-                       alias_columns: Dict[str, Sequence[str]]) -> bool:
-        """True when ``expr`` can be evaluated per probe row: no stars,
-        aggregates or subqueries, no references to the inner table, and at
-        least one reference to an already-planned alias (a pure constant
-        is a build-side bound, not a join key)."""
-        references_planned = False
-        for node in expr.walk():
-            if isinstance(node, Star):
-                return False
-            if isinstance(node, FunctionCall) and \
-                    node.name in functions.AGGREGATE_NAMES:
-                return False
-            if isinstance(node, SubqueryExpr):
-                return False
-            if isinstance(node, ColumnRef):
-                if node.table == inner_alias:
-                    return False
-                if node.table is None and node.name in inner_cols:
-                    return False
-                if node.table in planned_aliases:
-                    references_planned = True
-                elif node.table is None and any(
-                        node.name in alias_columns.get(a, ())
-                        for a in planned_aliases):
-                    references_planned = True
-        return references_planned
-
-    def _predict_probe(self, combined: Optional[Expr], join: Join,
-                       planned_aliases: Set[str],
-                       alias_columns: Dict[str, Sequence[str]]
-                       ) -> Tuple[Optional[str], List[Expr], int, bool,
-                                  bool, Tuple[str, ...]]:
-        """Structural dry-run of the per-row bound extraction: which index
-        would a nested-loop probe use, given that outer-row columns become
-        constants at probe time?  Returns (index_name, condition exprs,
-        n_eq, has_range, unique_covered, eq column names)."""
-        alias = join.table.alias
-        inner_cols = alias_columns.get(alias, ())
+    def _plan_probe(self, join: Join, sargs: Sequence[Sarg]
+                    ) -> DynamicProbe:
+        """Structural dry-run of the per-row bound derivation: which
+        index would a nested-loop probe use, given that outer-row columns
+        become constants at probe time?  The bound *kinds* of the probe's
+        sargs go through the same :func:`index_signature` execution
+        uses, so predicted and executed index choice cannot diverge."""
         heap = self.db.catalog.heap_of(join.table.name)
-        shapes: Dict[str, Dict[str, Any]] = {}
         sources: Dict[str, List[Expr]] = {}
-        if combined is not None:
-            for conj in conjuncts(combined):
-                self._predict_shape(conj, alias, inner_cols, shapes,
-                                    sources)
-        best = rank_indexes(heap, shapes)
-        if best is None:
-            return None, [], 0, False, False, ()
-        index, n_eq, has_range = best
-        depth = n_eq + (1 if has_range else 0)
-        conditions: List[Expr] = []
-        for col in index.columns[:depth]:
-            for conj in sources.get(col, []):
-                if conj not in conditions:
-                    conditions.append(conj)
-        unique_covered = index.unique and n_eq == len(index.columns)
-        return (index.name, conditions, n_eq, has_range, unique_covered,
-                tuple(index.columns[:n_eq]))
-
-    def _predict_shape(self, conj: Expr, alias: str,
-                       inner_cols: Sequence[str],
-                       shapes: Dict[str, Dict[str, Any]],
-                       sources: Dict[str, List[Expr]]) -> None:
-        """One conjunct's contribution to the predicted probe-time bound
-        shapes — mirrors extract_bounds structurally (comparisons,
-        BETWEEN, IN) with outer-row columns standing in as constants."""
-        from repro.sql.ast_nodes import Between, InList
-
-        if isinstance(conj, BinaryOp) and conj.op in {
-                "=", "<", "<=", ">", ">="}:
-            col = column_of_alias(conj.left, alias, inner_cols)
-            other = conj.right
-            op = conj.op
-            if col is None:
-                col = column_of_alias(conj.right, alias, inner_cols)
-                other = conj.left
-                op = {"<": ">", "<=": ">=", ">": "<",
-                      ">=": "<="}.get(op, op)
-            if col is None or not self._row_free(other, alias, inner_cols):
-                return
-            slot = shapes.setdefault(col, {})
-            if op == "=":
-                slot["eq"] = True
-            elif op in {"<", "<="}:
-                slot["high"] = (True, True)
-            else:
-                slot["low"] = (True, True)
-            sources.setdefault(col, []).append(conj)
-            return
-        if isinstance(conj, Between) and not conj.negated:
-            col = column_of_alias(conj.operand, alias, inner_cols)
-            if col is None:
-                return
-            if self._row_free(conj.low, alias, inner_cols):
-                shapes.setdefault(col, {})["low"] = (True, True)
-                sources.setdefault(col, []).append(conj)
-            if self._row_free(conj.high, alias, inner_cols):
-                shapes.setdefault(col, {})["high"] = (True, True)
-                sources.setdefault(col, []).append(conj)
-            return
-        if isinstance(conj, InList) and not conj.negated:
-            col = column_of_alias(conj.operand, alias, inner_cols)
-            if col is None:
-                return
-            if all(self._row_free(item, alias, inner_cols)
-                   for item in conj.items) and conj.items:
-                slot = shapes.setdefault(col, {})
-                slot["low"] = (True, True)
-                slot["high"] = (True, True)
-                sources.setdefault(col, []).append(conj)
-
-    def _row_free(self, expr: Expr, inner_alias: str,
-                  inner_cols: Sequence[str]) -> bool:
-        """Structurally independent of the scanned (inner) row."""
-        for node in expr.walk():
-            if isinstance(node, Star):
-                return False
-            if isinstance(node, FunctionCall) and \
-                    node.name in functions.AGGREGATE_NAMES:
-                return False
-            if isinstance(node, SubqueryExpr):
-                return False
-            if isinstance(node, ColumnRef):
-                if node.table == inner_alias:
-                    return False
-                if node.table is None and node.name in inner_cols:
-                    return False
-        return True
+        signature = index_signature(heap, bounds_of(sargs, None, sources))
+        name, conditions, cost_sig = None, [], None
+        if signature is not None:
+            name, n_eq, has_range = signature
+            conditions, cost_sig = self._index_path(
+                heap.indexes[name], n_eq, has_range, sources)
+        probe = DynamicProbe(join.table.name, join.table.alias, sargs,
+                             name, conditions, cost_sig,
+                             ordered=self.ordered)
+        probe.recost(self.db)
+        return probe
 
     def _binder(self, alias_columns: Dict[str, Sequence[str]]):
         """Compile-time column pre-resolution input: disabled under
@@ -652,20 +520,18 @@ class Planner:
         alias = join.table.alias
         schema = self.db.catalog.schema_of(join.table.name)
 
-        keys = self._find_equi_keys(combined, join, planned_aliases,
-                                    alias_columns)
-        (probe_index, probe_conds, n_eq, has_range, unique_covered,
-         probe_eq_cols) = self._predict_probe(combined, join,
-                                              planned_aliases,
-                                              alias_columns)
+        # The probe sees the already-joined aliases as constants (its
+        # outer row supplies them).  An equi-join key is an ``=`` sarg
+        # whose value needs that outer row: a value constant without it
+        # is a build-side bound, not a key.
+        probe = self._plan_probe(join, sargs_of(
+            combined, alias, alias_columns, planned_aliases))
+        keys = [(sarg.column, sarg.values[0]) for sarg in probe.sargs
+                if sarg.kind == "cmp" and sarg.op == "="
+                and not is_constant(sarg.values[0], alias_columns)]
+        unique_covered = probe.cost_sig is not None and probe.cost_sig[2]
 
         binder = self._binder(alias_columns)
-        probe = DynamicProbe(join.table.name, alias, probe_index,
-                             probe_conds,
-                             cost_sig=(n_eq, has_range, unique_covered,
-                                       probe_eq_cols),
-                             ordered=self.ordered)
-        probe.recost(self.db)
         outer_est = max(outer.est_rows, 1.0)
         nlj_cost = outer.est_cost + outer_est * max(probe.est_cost, 1.0)
 
@@ -693,8 +559,7 @@ class Planner:
                 node: PlanNode = HashJoin(outer, join, build, keys,
                                           binder=binder)
             else:
-                node = NestedLoopJoin(outer, join, combined, probe,
-                                      binder=binder)
+                node = NestedLoopJoin(outer, join, probe, binder=binder)
             node.recost(self.db)
             return node
 
@@ -712,21 +577,18 @@ class Planner:
         smj_cost = None
         if smj is not None:
             outer_col, outer_index, inner_col, inner_index = smj
-            outer_bounds = extract_bounds(outer.where, outer.alias, ctx,
-                                          alias_columns)
-            inner_bounds = extract_bounds(combined, alias, ctx,
-                                          alias_columns)
-            # Same formulas the constructed nodes' recost would use —
-            # computed via estimate carriers so candidate costing never
-            # leaks guards for plans that are not chosen.
-            smj_outer = PlanEstimate(*ordered_scan_estimates(
+            # Same formula the constructed nodes' recost would use, over
+            # the bounds the replaced scans were planned with — computed
+            # via estimate carriers so candidate costing never leaks
+            # guards for plans that are not chosen.
+            smj_outer = PlanEstimate(*scan_cost(
                 self.db, outer.table,
-                ordered_scan_sig(outer_bounds, outer_col),
-                range_column=outer_col, bounds=outer_bounds))
-            smj_inner = PlanEstimate(*ordered_scan_estimates(
+                ordered_scan_sig(outer.live_bounds, outer_col),
+                outer_col, outer.live_bounds, ordered=False))
+            smj_inner = PlanEstimate(*scan_cost(
                 self.db, join.table.name,
-                ordered_scan_sig(inner_bounds, inner_col),
-                range_column=inner_col, bounds=inner_bounds))
+                ordered_scan_sig(build.live_bounds, inner_col),
+                inner_col, build.live_bounds, ordered=False))
             smj_rows, smj_cost = join_estimates(
                 self.db, smj_outer, smj_inner, join, (inner_col,))
             if sort_elision_order and self._order_satisfied(
@@ -749,8 +611,8 @@ class Planner:
         elif choice == "smj":
             outer_col, outer_index, inner_col, inner_index = smj
             outer_scan = self._plan_index_order_scan(
-                outer.table, outer.alias, outer.where, ctx,
-                alias_columns, outer_index, outer_col)
+                outer.table, outer.alias, outer.sargs, ctx, outer_index,
+                outer_col)
             # Thread the replaced outer scan's guard to the new node so
             # guard-validated bounds reach the scan that actually runs.
             for guard in self.guards:
@@ -758,13 +620,12 @@ class Planner:
                     guard.node = None
             self.scan_bounds.pop(id(outer), None)
             inner_scan = self._plan_index_order_scan(
-                join.table.name, alias, combined, ctx, alias_columns,
-                inner_index, inner_col)
+                join.table.name, alias, build.sargs, ctx, inner_index,
+                inner_col)
             node = SortMergeJoin(outer_scan, join, inner_scan,
                                  outer_col, inner_col, binder=binder)
         else:
-            node = NestedLoopJoin(outer, join, combined, probe,
-                                  binder=binder)
+            node = NestedLoopJoin(outer, join, probe, binder=binder)
         node.recost(self.db)
         return node
 
@@ -1117,8 +978,8 @@ class Planner:
         if index_name is None:
             return None
         scan = self._plan_index_order_scan(
-            table, alias, stmt.where, ctx, alias_columns, index_name,
-            col, descending=not item.ascending)
+            table, alias, sargs_of(stmt.where, alias, alias_columns), ctx,
+            index_name, col, descending=not item.ascending)
         binder = self._binder(alias_columns)
         source: PlanNode = scan
         if stmt.where is not None:
@@ -1149,8 +1010,11 @@ class Planner:
         row store's string "sum" concatenates in content order, which a
         vector fold cannot reproduce), GROUP BY plain columns with an
         ORDER BY covering every group column (so output order is fully
-        determined and node-independent), and a WHERE of sargable
-        conjuncts.  No HAVING / DISTINCT / joins / subqueries."""
+        determined and node-independent), and a WHERE whose every
+        conjunct is sargable with all its values constant (comparisons,
+        BETWEEN, non-negated IN-lists, LIKE / NOT LIKE — a literal
+        prefix also feeds the zone-map pruner).  No HAVING / DISTINCT /
+        joins / subqueries."""
         if stmt.joins or stmt.distinct or stmt.having is not None:
             return None
         if not aggregates:
@@ -1223,74 +1087,17 @@ class Planner:
             # two must stay byte-identical.
             return None
 
-        predicates: List[VectorPredicate] = []
+        sargs: List[Sarg] = []
         if stmt.where is not None:
             for conj in conjuncts(stmt.where):
-                pred = self._vector_predicate(conj, alias, inner_cols)
-                if pred is None:
-                    return None
-                predicates.append(pred)
+                sarg = sargable(conj, alias, alias_columns)
+                if sarg is None or None in sarg.values:
+                    return None     # a conjunct the vectors cannot test
+                sargs.append(sarg)
 
-        scan = self._plan_columnar_scan(table, alias, stmt.where, ctx,
-                                        alias_columns)
+        # The scan's sargs are the aggregate's vector predicates.
+        scan = self._plan_columnar_scan(table, alias, sargs, ctx)
         return ColumnarAggregate(
-            scan, predicates, group_cols, agg_specs, output_specs,
-            order_specs, list(stmt.items),
+            scan, group_cols, agg_specs, output_specs, order_specs,
+            list(stmt.items),
             est_rows=scan.est_rows if group_cols else 1.0)
-
-    def _vector_predicate(self, conj: Expr, alias: str,
-                          inner_cols: Sequence[str]
-                          ) -> Optional[VectorPredicate]:
-        """Lower one WHERE conjunct to a vector predicate (column-left
-        normalized), or None when its shape is not covered.  Covered
-        shapes: comparisons and BETWEEN against row-free values,
-        non-negated IN-lists of row-free items, and LIKE / NOT LIKE
-        against a row-free pattern (a literal prefix also feeds the
-        zone-map pruner)."""
-        from repro.sql.ast_nodes import InList, Like
-
-        if isinstance(conj, InList) and not conj.negated:
-            col = column_of_alias(conj.operand, alias, inner_cols)
-            if col is None or not conj.items:
-                return None
-            if not all(self._row_free(item, alias, inner_cols)
-                       for item in conj.items):
-                return None
-            return VectorPredicate(
-                "in", col,
-                items=[compile_expr(item, None) for item in conj.items])
-        if isinstance(conj, Like):
-            col = column_of_alias(conj.operand, alias, inner_cols)
-            if col is None or \
-                    not self._row_free(conj.pattern, alias, inner_cols):
-                return None
-            return VectorPredicate(
-                "like", col, pattern=compile_expr(conj.pattern, None),
-                negated=conj.negated)
-        if isinstance(conj, BinaryOp) and conj.op in {
-                "=", "<", "<=", ">", ">="}:
-            col = column_of_alias(conj.left, alias, inner_cols)
-            other = conj.right
-            op = conj.op
-            if col is None:
-                col = column_of_alias(conj.right, alias, inner_cols)
-                other = conj.left
-                op = {"<": ">", "<=": ">=", ">": "<",
-                      ">=": "<="}.get(op, op)
-            if col is None or not self._row_free(other, alias, inner_cols):
-                return None
-            return VectorPredicate("cmp", col, op=op,
-                                   const=compile_expr(other, None))
-        if isinstance(conj, Between) and not conj.negated:
-            col = column_of_alias(conj.operand, alias, inner_cols)
-            if col is None:
-                return None
-            if not self._row_free(conj.low, alias, inner_cols) or \
-                    not self._row_free(conj.high, alias, inner_cols):
-                return None
-            return VectorPredicate("between", col,
-                                   low=compile_expr(conj.low, None),
-                                   high=compile_expr(conj.high, None))
-        return None
-
-

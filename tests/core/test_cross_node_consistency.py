@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core.network import BlockchainNetwork
 from tests.conftest import make_kv_network
 
 
@@ -104,5 +105,101 @@ class TestCrossNodeConsistency:
                    for node in net.nodes}
         assert len(digests) == 1 and None not in digests
         # And nobody recorded a mismatch.
+        for node in net.nodes:
+            assert node.checkpoints.mismatches == []
+
+
+# ----------------------------------------------------------------------
+# Execute-order replicas agree on rw-conflicts (section 3.4.3, Table 2)
+# ----------------------------------------------------------------------
+
+PAY_SCHEMA = """
+CREATE TABLE accounts (
+    acc_id INT PRIMARY KEY,
+    org TEXT NOT NULL,
+    balance FLOAT NOT NULL
+);
+CREATE TABLE invoices (
+    invoice_id INT PRIMARY KEY,
+    acc_id INT NOT NULL,
+    org TEXT NOT NULL,
+    amount FLOAT NOT NULL
+);
+"""
+
+# A read and two read-modify-write UPDATEs on shared rows: rw-edges in
+# both directions between concurrent payments that share an account.
+PAY_INVOICE = """
+CREATE FUNCTION pay_invoice(inv_id INT, src INT, dst INT, org_name TEXT,
+                            amt FLOAT) RETURNS VOID AS $$
+DECLARE
+    bal FLOAT;
+BEGIN
+    SELECT balance INTO bal FROM accounts WHERE acc_id = src;
+    UPDATE accounts SET balance = balance - amt WHERE acc_id = src;
+    UPDATE accounts SET balance = balance + amt WHERE acc_id = dst;
+    INSERT INTO invoices (invoice_id, acc_id, org, amount)
+    VALUES (inv_id, src, org_name, amt);
+END $$ LANGUAGE plpgsql
+"""
+
+N_ACCOUNTS, N_HOT, N_PAYMENTS = 120, 20, 100
+
+
+def payments(seed, orgs):
+    """``N_PAYMENTS`` calls, one in five endpoints among the hot
+    accounts; call ``i`` belongs to client ``i % len(orgs)``."""
+    rng = random.Random(seed + 1)
+
+    def endpoint():
+        if rng.random() < 0.2:
+            return rng.randint(1, N_HOT)
+        return rng.randint(1, N_ACCOUNTS)
+
+    for i in range(N_PAYMENTS):
+        amount = round(rng.uniform(10, 500), 2)
+        src = dst = endpoint()
+        while dst == src:
+            dst = endpoint()
+        yield (1_000_000 + i, src, dst, orgs[i % len(orgs)], amount)
+
+
+class TestExecuteOrderAgreement:
+    """Every node executes all the payments at snapshot height 0, each
+    beginning its own clients' transactions first, before block 1
+    arrives: the edge graph is the same everywhere and only local begin
+    order differs.  Table 2's victims must not depend on it (the
+    validators' candidate lists come in canonical commit order) — at
+    block 1 of kafka seed 1 the three nodes used to abort 13 / 14 / 16
+    transactions."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("consensus,n_orgs", [
+        ("kafka", 3), ("raft", 3), ("pbft", 4)])
+    def test_eo_replicas_agree_on_conflicting_updates(self, consensus,
+                                                      n_orgs, seed):
+        orgs = [f"org{i + 1}" for i in range(n_orgs)]
+        rows = ", ".join(
+            f"({acc}, '{orgs[(acc - 1) % n_orgs]}', 50000.0)"
+            for acc in range(1, N_ACCOUNTS + 1))
+        net = BlockchainNetwork(
+            orgs, flow="execute-order", consensus=consensus,
+            block_size=50, block_timeout=0.2, seed=seed,
+            schema_sql=PAY_SCHEMA + "INSERT INTO accounts "
+            f"(acc_id, org, balance) VALUES {rows};",
+            contracts=[PAY_INVOICE])
+        clients = [net.register_client(f"client@{org}", org)
+                   for org in orgs]
+        tx_ids = [clients[i % n_orgs].invoke("pay_invoice", *args)
+                  for i, args in enumerate(payments(seed, orgs))]
+        net.settle(timeout=120.0)
+        net.assert_consistent()
+        statuses = {node.name: [(node.ledger.entry(tx_id) or
+                                 {}).get("status") for tx_id in tx_ids]
+                    for node in net.nodes}
+        reference = statuses[net.nodes[0].name]
+        assert all(s == reference for s in statuses.values()), statuses
+        # The scenario is a contended one: Table 2 fired.
+        assert "aborted" in reference and "committed" in reference
         for node in net.nodes:
             assert node.checkpoints.mismatches == []

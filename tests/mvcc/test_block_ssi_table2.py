@@ -115,6 +115,30 @@ class TestTable2Rows:
         aborted = BlockAwareSSI(db).validate(t, 2, candidates=[n])
         assert aborted == []
 
+    @pytest.mark.parametrize("later_far_position", [None, 3])
+    @pytest.mark.parametrize("far_first", ["earlier", "later"])
+    def test_pivot_between_two_fars_same_victims_in_either_order(
+            self, db, far_first, later_far_position):
+        """A pivot with one farConflict ordered before it (rows 1-2:
+        the pivot is the victim) and one after it or unordered (rows
+        1 / 3: that far is the victim).  Candidate lists arrive in
+        node-local begin order; whichever far a node happens to meet
+        first, the step must abort the same transactions — the pivot
+        alone, decided by the far that commits first."""
+        t, n, earlier = self._triple(db)
+        later = start(db, "SELECT v FROM t WHERE id = 3; "
+                          "INSERT INTO t (id, v) VALUES (7, 70)")
+        in_block(t, 2, 2)
+        in_block(n, 2, 1)
+        in_block(earlier, 2, 0)
+        if later_far_position is not None:
+            in_block(later, 2, later_far_position)
+        fars = [earlier, later] if far_first == "earlier" \
+            else [later, earlier]
+        aborted = BlockAwareSSI(db).validate(t, 2, candidates=[n] + fars)
+        assert aborted == [n]
+        assert not earlier.is_aborted and not later.is_aborted
+
     def test_committed_out_conflict_aborts_t(self, db):
         """Section 3.4.3 scenario 3: T's out-conflict committed first."""
         t = start(db, "SELECT v FROM t WHERE id = 2; "

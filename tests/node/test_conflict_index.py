@@ -3,17 +3,21 @@ whole-pipeline byte-identity against the unindexed reference.
 
 The block processor hands every validator one ``ConflictIndex`` per
 block, warmed with the in-block edges (docs/commit_pipeline.md, "The
-edge index").  Two kinds of property hold it to ``has_rw_edge``, the
-reference the validators fall back to with ``index=None``:
+edge index").  The rw-edge test has one implementation,
+``ConflictIndex._compute_edge`` over ``PredicateRead.matches_key``
+(``has_rw_edge`` is one un-cached verdict of it; tests/mvcc/test_ssi.py
+pins its semantics case by case), and two derivations whose verdicts
+must agree:
 
-1. ``ConflictIndex.has_edge`` returns exactly ``has_rw_edge`` — computed
-   lazily (first computation and memoized hit alike) or in bulk by
-   ``warm_block`` — so the cache can never change a validator's verdict.
+1. ``ConflictIndex.has_edge`` returns the lazy per-pair verdict whether
+   it is the first computation, a memoized hit, or was enumerated in
+   bulk by ``warm_block`` from inverted maps — so the cache can never
+   change a validator's verdict.
 2. Whole-pipeline runs over randomized conflicting workloads leave
    byte-identical WAL sequences, pgLedger rows, checkpoint digests,
    heap versions and column chunks when ``ConflictIndex.has_edge`` is
-   patched to call ``has_rw_edge`` — the same plan, not a second
-   pipeline.
+   patched to compute every verdict lazily on a fresh index, ignoring
+   what ``warm_block`` stored — the same plan, not a second pipeline.
 """
 
 import random
@@ -179,7 +183,7 @@ def test_randomized_workload_byte_identity(seed, monkeypatch):
 
     def reference_edge(self, reader, writer):
         asked.append((reader.xid, writer.xid))
-        return has_rw_edge(reader, writer)
+        return ConflictIndex()._compute_edge(reader, writer)
 
     monkeypatch.setattr(ConflictIndex, "has_edge", reference_edge)
     reference = _drive(plan)

@@ -34,13 +34,6 @@ class TestCounter:
         b = reg.counter("m", y="2", x="1")
         assert a is b
 
-    def test_set_for_view_is_monotone(self):
-        reg = MetricsRegistry()
-        c = reg.counter("m")
-        c.set_for_view(10)
-        c.set_for_view(3)   # lower adoptions are ignored
-        assert c.value == 10
-
 
 class TestGauge:
     def test_set_and_read(self):

@@ -53,7 +53,14 @@ CORPUS = [
     "ORDER BY invoice_id LIMIT 2 OFFSET 1",
     "SELECT acc_id FROM accounts WHERE org = $1 "
     "ORDER BY acc_id DESC LIMIT 4",
+    # Column against column: never an index condition, even when a PL
+    # variable carries the column's name (see ``shadow`` below).
+    "SELECT invoice_id FROM invoices WHERE acc_id = invoice_id",
 ]
+
+# Every column of SETUP; the property binds a variable under one of
+# these names, as a contract parameter named after a column would.
+COLUMNS = ["acc_id", "org", "balance", "invoice_id", "amount"]
 
 SETUP = """
     CREATE TABLE accounts (
@@ -97,7 +104,7 @@ def apply_noise(db, kind):
     return None
 
 
-def explain_all(db, height):
+def explain_all(db, height, variables=None):
     """EXPLAIN every corpus statement (minus the cache hit/miss line)."""
     out = []
     for sql in CORPUS:
@@ -105,7 +112,7 @@ def explain_all(db, height):
         try:
             lines = [r[0] for r in run_sql(
                 db, tx, "EXPLAIN " + sql,
-                params=("org1", height)).rows]
+                params=("org1", height), variables=variables).rows]
         finally:
             db.apply_abort(tx, reason="test")
         out.append((sql, lines[:-1]))
@@ -145,19 +152,25 @@ noise_plans = st.fixed_dictionaries({
 class TestPlanIdentity:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(noise_a=noise_plans, noise_b=noise_plans)
-    def test_interleavings_cannot_move_plans(self, noise_a, noise_b):
+    @given(noise_a=noise_plans, noise_b=noise_plans,
+           shadow=st.sampled_from(COLUMNS))
+    def test_interleavings_cannot_move_plans(self, noise_a, noise_b,
+                                             shadow):
         """Two nodes with different interleaving noise agree on every
         EXPLAIN at the shared committed height — and a warm re-EXPLAIN
-        (cache hit) on each node matches its own cold output."""
+        (cache hit) on each node matches its own cold output.  A PL
+        variable named after a column (``shadow``) is in scope
+        throughout, and moves no plan either."""
         node_a, open_a = build_node(noise_a)
         node_b, open_b = build_node(noise_b)
         try:
             height = BLOCKS and len(BLOCKS)
-            plans_a = explain_all(node_a, height)
-            plans_b = explain_all(node_b, height)
+            variables = {shadow: 3}
+            plans_a = explain_all(node_a, height, variables)
+            plans_b = explain_all(node_b, height, variables)
             assert plans_a == plans_b
             # Hit vs miss on the same node: byte-identical.
+            assert explain_all(node_a, height, variables) == plans_a
             assert explain_all(node_a, height) == plans_a
         finally:
             for tx in open_a + open_b:

@@ -325,3 +325,85 @@ class TestSIREADRecording:
         assert entry.old_version is not None
         assert entry.new_version is not None
         db.apply_abort(tx, reason="test")
+
+
+class TestVariablesNeverShadowColumns:
+    """A bound's value side is constant only if it names no column of
+    the SELECT's own tables (plan.is_constant).  The run-time reading
+    used to decide by *evaluating* the name, and an unqualified name
+    with no row in scope falls through to PL variables — so a contract
+    parameter named after a column turned ``x = y`` into an index
+    condition on the parameter's value, dropped the Filter as "exact",
+    and narrowed the predicate read to match."""
+
+    @pytest.fixture
+    def shadow_db(self):
+        database = Database()
+        tx = database.begin(allow_nondeterministic=True)
+        run_sql(database, tx, """
+            CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT);
+            CREATE INDEX t_x ON t (x);
+            CREATE TABLE u (uid INT PRIMARY KEY, amount INT);
+            INSERT INTO t (id, x, y) VALUES
+                (0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 1, 2);
+            INSERT INTO u (uid, amount) VALUES
+                (0, 1), (1, 2), (2, 3), (3, 1);
+        """)
+        database.apply_commit(tx, block_number=1)
+        return database
+
+    @staticmethod
+    def run(db, sql, variables):
+        tx = db.begin(allow_nondeterministic=True)
+        try:
+            result = run_sql(db, tx, sql, variables=variables)
+            plan = [row[0] for row in run_sql(
+                db, tx, "EXPLAIN " + sql, variables=variables).rows]
+            return result.rows, result.rowcount, tx.predicate_reads, plan
+        finally:
+            db.apply_abort(tx, reason="test")
+
+    @pytest.mark.parametrize("sql,name,rows,rowcount", [
+        ("SELECT id FROM t WHERE x = y ORDER BY id", "y",
+         [(0,), (1,), (2,)], 3),
+        ("SELECT id FROM t JOIN u ON uid = id WHERE x = amount "
+         "ORDER BY id", "amount", [(0,), (1,), (2,), (3,)], 4),
+        ("UPDATE t SET y = y WHERE x = y", "y", [], 3),
+    ], ids=["select", "join", "update"])
+    def test_same_rows_and_reads_with_and_without_the_variable(
+            self, shadow_db, sql, name, rows, rowcount):
+        plain = self.run(shadow_db, sql, None)
+        shadowed = self.run(shadow_db, sql, {name: 1})
+        assert plain[:2] == (rows, rowcount)
+        assert shadowed[:3] == plain[:3]
+        for line in plain[3] + shadowed[3]:
+            if "IndexScan" in line or "IndexProbe" in line:
+                assert f"x = {name}" not in line, line
+
+    @pytest.mark.parametrize("flow", [
+        {}, {"require_index": True, "forbid_blind_updates": True}],
+        ids=["order-execute", "execute-order"])
+    def test_contract_parameter_named_after_a_column(self, shadow_db,
+                                                     flow):
+        from repro.contracts.procedure import Procedure, ProcedureRuntime
+
+        stmt = parse_one("""
+            CREATE FUNCTION touch_diagonal(y INT) RETURNS INT AS $$
+            DECLARE n INT;
+            BEGIN
+                SELECT count(*) INTO n FROM t WHERE x = y AND id >= 0;
+                UPDATE t SET y = y WHERE x = y AND id >= 0;
+                RETURN n;
+            END $$ LANGUAGE plpgsql""")
+        procedure = Procedure.compile(stmt.name, stmt.params,
+                                      stmt.returns, stmt.body)
+        seen = []
+        for argument in (1, 2, 99):
+            tx = shadow_db.begin(**flow)
+            count = ProcedureRuntime(shadow_db).invoke(tx, procedure,
+                                                       (argument,))
+            seen.append((count, len(tx.writes), tx.predicate_reads))
+            shadow_db.apply_abort(tx, reason="test")
+        # Rows 0, 1 and 2 have x = y, whatever the argument is.
+        assert seen[0][:2] == (3, 3)
+        assert seen[1] == seen[0] and seen[2] == seen[0]
