@@ -5,14 +5,27 @@ The new-workload benchmark for the analytics subsystem: a wide
 history, executed twice on the real engine —
 
 * **columnar** — the default routing: ``ColumnarAggregate`` over the
-  column chunks (vectorized predicate + fold, zone-map pruning, no
-  per-row dict environments, no content sort);
-* **row store** — the same statements with the columnar replica
-  disabled: heap scan with BlockSnapshot visibility, a content sort
-  where row order is observable (here: the two statements with a FLOAT
+  column chunks (column-at-a-time select / partition / fold kernels,
+  zone-map pruning, no per-row dict environments, no content sort);
+* **row store** — the same statements on a second database built from
+  the same statements with the columnar replica disabled from the
+  start: heap scan with BlockSnapshot visibility, a content sort where
+  row order is observable (here: the two statements with a FLOAT
   min/max), and the one-pass row aggregate pipeline.
 
-Acceptance gate: the columnar path must be at least 2x faster.  The
+Two databases, because re-enabling a replica marks it stale and the
+next columnar statement rebuilds it from the heap: one toggled database
+times a rebuild inside every columnar pass.  The timed passes assert
+that ``columnstore.rebuilds`` did not move.
+
+The table is sized so that the kernels, not per-statement overhead, are
+what is measured: 30,000 rows in ``sensor`` order (the filtered
+statement's range is one chunk of thirty; zone maps prune the rest),
+six blocks of updates, and the last block left in an open, unsealed
+tail chunk (plain lists — the generic form of every kernel).
+
+Acceptance gate: the columnar path must be at least 20x faster (the
+per-offset loop it replaced measured 11.3x here, the kernels 51x).  The
 measured ratio is recorded into ``BENCH_analytics_scan.json`` (committed
 with the PR) and CI fails when the live ratio regresses more than 2x
 against the committed one — ratios are same-machine cold/warm style
@@ -30,10 +43,12 @@ from repro.bench.harness import format_table, registry_counter_snapshot
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
 
-ROWS = 3000
-BLOCKS = 6          # update history: ~ROWS * (1 + BLOCKS/ROWS slice) versions
+ROWS = 30000
+BLOCKS = 6          # history: ROWS + BLOCKS * UPDATES_PER_BLOCK versions
 UPDATES_PER_BLOCK = 400
-ITERATIONS = 5
+INSERT_BATCH = 500  # rows per INSERT statement
+ITERATIONS = 3
+SPEEDUP_FLOOR = 20.0
 
 QUERIES = [
     ("wide aggregate",
@@ -60,9 +75,13 @@ QUERIES = [
 ]
 
 
-def build_db(encode: bool = True) -> Database:
+def build_db(encode: bool = True, columnar: bool = True) -> Database:
+    """The benchmark history; ``columnar=False`` never builds a
+    replica (the row-store leg), ``encode=False`` keeps plain chunks
+    (the memory comparison)."""
     db = Database()
     db.columnstore.encode = encode
+    db.columnstore.set_enabled(columnar)
     # The default compaction cadence (every 16 blocks) never fires in a
     # 7-height workload — lowered so the bench exercises (and counts)
     # compaction of encoded chunks instead of reporting 0 forever.
@@ -75,24 +94,27 @@ def build_db(encode: bool = True) -> Database:
             amount FLOAT NOT NULL
         );
     """)
-    for i in range(ROWS):
+    for start in range(0, ROWS, INSERT_BATCH):
         run_sql(db, tx,
-                "INSERT INTO readings (sensor, region, amount) "
-                "VALUES ($1, $2, $3)",
-                params=(i, f"r{i % 8}", float(i % 97)))
+                "INSERT INTO readings (sensor, region, amount) VALUES "
+                + ", ".join(f"({i}, 'r{i % 8}', {float(i % 97)})"
+                            for i in range(start, start + INSERT_BATCH)))
     db.apply_commit(tx, block_number=1)
     db.committed_height = 1
     db.columnstore.on_block(db, 1)
     for block in range(2, BLOCKS + 2):
         tx = db.begin(allow_nondeterministic=True)
-        low = (block * 131) % ROWS
+        low = (block * 1931) % ROWS
         run_sql(db, tx,
                 "UPDATE readings SET amount = amount + 1.5 "
                 "WHERE sensor >= $1 AND sensor < $2",
                 params=(low, min(low + UPDATES_PER_BLOCK, ROWS)))
         db.apply_commit(tx, block_number=block)
         db.committed_height = block
-        db.columnstore.on_block(db, block)
+        if block <= BLOCKS:
+            db.columnstore.on_block(db, block)
+        # The last block stays queued: the first read ingests it into
+        # an open tail chunk, which nothing seals.
     return db
 
 
@@ -111,22 +133,22 @@ def run_pass(db: Database, heights) -> float:
 
 def test_analytics_scan_speedup(benchmark):
     db = build_db()
+    rowstore_db = build_db(columnar=False)
     heights = [1, (BLOCKS + 2) // 2, BLOCKS + 1]
 
     # Correctness cross-check before timing anything.
     for height in heights:
         for _, sql in QUERIES:
-            tx = db.begin(allow_nondeterministic=True, read_only=True)
-            columnar = run_sql(db, tx, sql, params=(height,)).rows
-            db.apply_abort(tx, reason="bench")
-            db.columnstore.set_enabled(False)
-            tx = db.begin(allow_nondeterministic=True, read_only=True)
-            rowstore = run_sql(db, tx, sql, params=(height,)).rows
-            db.apply_abort(tx, reason="bench")
-            db.columnstore.set_enabled(True)
+            answers = []
+            for leg in (db, rowstore_db):
+                tx = leg.begin(allow_nondeterministic=True, read_only=True)
+                answers.append(run_sql(leg, tx, sql, params=(height,)).rows)
+                leg.apply_abort(tx, reason="bench")
             # Bit-identical across stores, floats included: both paths
             # share the order-independent fold_sum (math.fsum).
-            assert columnar == rowstore
+            assert answers[0] == answers[1]
+    tail = db.columnstore.table("readings").chunks[-1]
+    assert not tail.sealed and len(tail)     # the open tail is read
 
     def measure():
         """The two legs alternate pass by pass and each reports its
@@ -136,25 +158,31 @@ def test_analytics_scan_speedup(benchmark):
         the ratio no longer has the margin to absorb that."""
         columnar, rowstore = [], []
         for warm in (True,) + (False,) * ITERATIONS:
-            for enabled, walls in ((True, columnar), (False, rowstore)):
-                db.columnstore.set_enabled(enabled)
-                try:
-                    wall = run_pass(db, heights[:1] if warm else heights)
-                finally:
-                    db.columnstore.set_enabled(True)
+            for leg, walls in ((db, columnar), (rowstore_db, rowstore)):
+                wall = run_pass(leg, heights[:1] if warm else heights)
                 if not warm:
                     walls.append(wall)
         return min(columnar) * ITERATIONS, min(rowstore) * ITERATIONS
 
+    rebuilds = registry_counter_snapshot(
+        db.metrics, ("columnstore.",))["columnstore.rebuilds"]
     columnar_wall, rowstore_wall = benchmark.pedantic(
         measure, rounds=1, iterations=1)
     statements = ITERATIONS * len(heights) * len(QUERIES)
     speedup = rowstore_wall / max(columnar_wall, 1e-9)
     stats = registry_counter_snapshot(db.metrics, ("columnstore.",))
+    # The replica was built once, by ingest, and never inside a pass;
+    # the row-store database never built one.
+    assert stats["columnstore.rebuilds"] == rebuilds == 1
+    assert registry_counter_snapshot(
+        rowstore_db.metrics,
+        ("columnstore.",))["columnstore.rebuilds"] == 0
 
     # Memory: encoded replica vs an unencoded build of the same history.
     encoded_mem = db.columnstore.memory_stats()
-    plain_mem = build_db(encode=False).columnstore.memory_stats()
+    plain_db = build_db(encode=False)
+    plain_db.columnstore.ensure_synced(plain_db)    # ingest the tail
+    plain_mem = plain_db.columnstore.memory_stats()
     reduction = plain_mem["bytes_per_row"] / \
         max(encoded_mem["bytes_per_row"], 1e-9)
 
@@ -176,8 +204,8 @@ def test_analytics_scan_speedup(benchmark):
           f"{stats['columnstore.compactions']}; encoded chunks: "
           f"{stats['columnstore.encoded_chunks']}")
 
-    # Acceptance: the columnar aggregate beats the row-store path >=2x.
-    assert speedup >= 2.0, \
+    # Acceptance: the columnar aggregate beats the row-store path >=20x.
+    assert speedup >= SPEEDUP_FLOOR, \
         f"columnar path only {speedup:.2f}x faster than the row store"
     # Acceptance: encoding cuts replica memory >=3x on this
     # low-cardinality TEXT workload, and compaction actually ran.

@@ -38,12 +38,15 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from operator import le, ne
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analytics.encoding import (
     DictVector,
     RLEVector,
-    rle_visible_offsets,
+    Span,
+    rle_visible_spans,
+    span_offsets,
     typed_array,
     vector_bytes,
 )
@@ -104,6 +107,19 @@ def _zone_cmp(a: Any, b: Any) -> Optional[int]:
         return None
 
 
+def zone_of(values: List[Any]) -> Tuple[Any, Any]:
+    """``(min, max)`` of the non-NULL ``values`` under the engine's
+    order (``compare_values``): NaN is equal to itself and above every
+    other number, so the pair does not depend on where in the list a
+    NaN sits — ``min()`` / ``max()`` alone skip or keep one by position.
+    Raises ``TypeError`` for an incomparable mix."""
+    if any(map(ne, values, values)):            # only NaN != itself
+        ordered = [v for v in values if v == v]
+        nan = next(v for v in values if v != v)
+        return (min(ordered) if ordered else nan, nan)
+    return min(values), max(values)
+
+
 class ColumnChunk:
     """A fixed batch of row versions in columnar form.
 
@@ -116,7 +132,7 @@ class ColumnChunk:
     __slots__ = ("data", "row_ids", "version_ids", "xmins", "xmaxs",
                  "creators", "deleters", "live_count", "min_creator",
                  "max_creator", "max_deleter", "zones", "null_counts",
-                 "sealed", "encode", "counters")
+                 "ascending", "sealed", "encode", "counters")
 
     def __init__(self, columns: Iterable[str], encode: bool = True,
                  counters: Optional[ChunkCounters] = None):
@@ -133,6 +149,9 @@ class ColumnChunk:
         self.max_deleter: Optional[int] = None
         self.zones: Dict[str, Tuple[Any, Any]] = {}
         self.null_counts: Dict[str, int] = {}
+        # Typed columns whose values never decrease down the chunk (a
+        # key in ingest order): a range predicate on one is two bisects.
+        self.ascending: Set[str] = set()
         self.sealed = False
         self.encode = encode
         self.counters = counters
@@ -178,13 +197,14 @@ class ColumnChunk:
         self.sealed = True
         self.zones = {}
         self.null_counts = {}
+        self.ascending = set()
         for col, vector in self.data.items():
             values = [v for v in vector if v is not None]
             self.null_counts[col] = len(vector) - len(values)
             if not values:
                 continue
             try:
-                self.zones[col] = (min(values), max(values))
+                self.zones[col] = zone_of(values)
             except TypeError:
                 continue
         if self.encode:
@@ -217,6 +237,11 @@ class ColumnChunk:
             typed = typed_array(vector)
             if typed is not None:
                 self.data[col] = typed
+                # NaN is unordered for ``<=``, so a column holding one
+                # is never recorded (alone in its chunk, the zone says).
+                hi = self.zones[col][1]
+                if hi == hi and all(map(le, typed, typed[1:])):
+                    self.ascending.add(col)
         if self.counters is not None:
             self.counters.encoded_chunks.inc()
 
@@ -301,27 +326,36 @@ class ColumnChunk:
 
     # -- selection ---------------------------------------------------------
 
-    def visible_offsets(self, height: int,
-                        counted: bool = True) -> List[int]:
-        """Offsets of the rows visible at ``height``.  The planner's
-        statistics reads pass ``counted=False``: ``rle_runs_scanned``
-        is query traffic."""
+    def visible_spans(self, height: int,
+                      counted: bool = True) -> List[Span]:
+        """The rows visible at ``height`` as maximal ``(start, stop)``
+        runs of offsets, ascending.  The planner's statistics reads
+        pass ``counted=False``: ``rle_runs_scanned`` is query traffic."""
         creators = self.creators
         deleters = self.deleters
+        rows = len(creators)
         if self.max_creator is not None and self.max_creator <= height \
-                and self.live_count == len(creators):
-            return list(range(len(creators)))  # append-only fast path
+                and self.live_count == rows:
+            return [(0, rows)] if rows else []  # append-only fast path
         if type(creators) is RLEVector:
             # Encoded chunk: one visibility decision per intersected
             # creator/deleter run instead of per row.
-            offsets, runs = rle_visible_offsets(creators, deleters,
-                                                height)
+            spans, runs = rle_visible_spans(
+                creators, deleters, height,
+                settled=self.max_creator <= height
+                and self.max_deleter <= height)
             if counted and self.counters is not None:
                 self.counters.rle_runs_scanned.inc(runs)
-            return offsets
-        return [i for i in range(len(creators))
-                if creators[i] <= height
-                and (deleters[i] is None or deleters[i] > height)]
+            return spans
+        spans: List[Span] = []
+        for i in range(rows):
+            if creators[i] <= height and \
+                    (deleters[i] is None or deleters[i] > height):
+                if spans and spans[-1][1] == i:
+                    spans[-1] = (spans[-1][0], i + 1)
+                else:
+                    spans.append((i, i + 1))
+        return spans
 
     def header_at(self, offset: int) -> Dict[str, Any]:
         """Provenance pseudo-columns for one row of the chunk."""
@@ -533,6 +567,13 @@ class ColumnStore:
             "columnstore.rle_runs_scanned")
         self._chunk_counters = ChunkCounters(self._encoded_chunks,
                                              self._rle_runs_scanned)
+        # Which form ColumnarAggregate folded its argument columns in:
+        # rows read from typed arrays against rows read from plain
+        # lists (a NULL, a bool or a mixed column; an unsealed chunk).
+        self._rows_folded_typed = metrics.counter(
+            "analytics.rows_folded_typed")
+        self._rows_folded_generic = metrics.counter(
+            "analytics.rows_folded_generic")
         # Live memory footprint per stored row version.
         metrics.gauge("columnstore.bytes_per_row",
                       fn=lambda: self.memory_stats()["bytes_per_row"])
@@ -697,9 +738,10 @@ class ColumnStore:
 
     def scan(self, db, table: str, height: Optional[int] = None,
              bounds: Optional[Dict[str, Dict[str, Any]]] = None):
-        """Yield ``(chunk, offsets)`` pairs for rows of ``table`` visible
+        """Yield ``(chunk, spans)`` pairs for rows of ``table`` visible
         at ``height`` (every committed version when ``height`` is None),
-        pruning chunks via the height counters and zone maps.
+        pruning chunks via the height counters and zone maps; ``spans``
+        are the visible ``(start, stop)`` runs of offsets, never empty.
 
         Raises when the replica is disabled: a disabled store is frozen
         (commits stop queueing), so serving from it would silently
@@ -721,12 +763,12 @@ class ColumnStore:
                 self._chunks_pruned.inc()
                 continue
             self._chunks_scanned.inc()
-            if height is None:
-                offsets = list(range(len(chunk)))
+            if height is not None:
+                spans = chunk.visible_spans(height)
             else:
-                offsets = chunk.visible_offsets(height)
-            if offsets:
-                yield chunk, offsets
+                spans = [(0, len(chunk))] if len(chunk) else []
+            if spans:
+                yield chunk, spans
 
     def chunks_at(self, db, table: str, height: int):
         """Yield the chunks of ``table`` that may hold rows visible at
@@ -765,7 +807,8 @@ class ColumnStore:
         for chunk in tcols.chunks:
             count = chunk.visible_count_at(height)
             if count is None:
-                count = len(chunk.visible_offsets(height, counted=False))
+                count = sum(stop - start for start, stop in
+                            chunk.visible_spans(height, counted=False))
             total += count
         return total
 
@@ -796,7 +839,8 @@ class ColumnStore:
                 for value in vectors[0].dictionary:
                     seen.add(key_of((value,)))
                 continue
-            for offset in chunk.visible_offsets(height, counted=False):
+            for offset in span_offsets(
+                    chunk.visible_spans(height, counted=False)):
                 values = tuple(vector[offset] for vector in vectors)
                 if any(v is None for v in values):
                     continue
@@ -825,7 +869,8 @@ class ColumnStore:
             vector = chunk.data.get(column)
             if vector is None:
                 continue  # chunk predates the column (re-created table)
-            for offset in chunk.visible_offsets(height, counted=False):
+            for offset in span_offsets(
+                    chunk.visible_spans(height, counted=False)):
                 value = vector[offset]
                 if value is not None:
                     out.append(value)
@@ -851,11 +896,11 @@ class ColumnStore:
         provenance ``version_chain`` query."""
         self._check_audit_target(db, table, key_column)
         out: List[Tuple[Tuple, Dict[str, Any]]] = []
-        for chunk, offsets in self.scan(db, table):
+        for chunk, spans in self.scan(db, table):
             vector = chunk.data.get(key_column)
             if vector is None:
                 continue  # chunk predates the column (re-created table)
-            for offset in offsets:
+            for offset in span_offsets(spans):
                 value = vector[offset]
                 if value is None or _zone_cmp(value, key_value) != 0:
                     continue
@@ -873,8 +918,8 @@ class ColumnStore:
         self._check_audit_target(db, table)
         created: List[Tuple[Tuple, Dict[str, Any]]] = []
         deleted: List[Tuple[Tuple, Dict[str, Any]]] = []
-        for chunk, offsets in self.scan(db, table):
-            for offset in offsets:
+        for chunk, spans in self.scan(db, table):
+            for offset in span_offsets(spans):
                 creator = chunk.creators[offset]
                 deleter = chunk.deleters[offset]
                 order = (creator, chunk.row_ids[offset],

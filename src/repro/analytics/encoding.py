@@ -16,16 +16,19 @@ sealing is the natural place to re-encode:
   columns: a sorted dictionary of distinct strings plus a typed code
   array (``-1`` = NULL).  Scans translate predicates to per-code flag
   tables once per chunk instead of comparing per row, and GROUP BY on a
-  dictionary column aggregates per code.
+  dictionary column partitions by code.
 * typed ``array`` storage for NULL-free pure-``int`` / pure-``float``
   columns (``bool`` is excluded — ``array('q')`` would collapse ``True``
   to ``1`` and break byte-identity with the row store).
 
 Every representation supports ``__len__`` / ``__getitem__`` /
 ``__iter__`` with the exact values the plain list held, so everything
-above the chunk (operators, audit reads, compaction, statistics) is
-encoding-agnostic.  :func:`vector_bytes` implements the bytes-per-row
-accounting the ``columnstore.bytes_per_row`` gauge reports.
+above the chunk that reads rows (scans, audit reads, compaction,
+statistics) is encoding-agnostic; the aggregate kernels are the one
+reader that asks which form it was handed.  Visibility leaves here as
+:data:`Span` runs (:func:`rle_visible_spans`), never as offset lists.
+:func:`vector_bytes` implements the bytes-per-row accounting the
+``columnstore.bytes_per_row`` gauge reports.
 """
 
 from __future__ import annotations
@@ -33,12 +36,27 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
-from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain, compress, repeat, starmap
+from operator import is_
+from typing import (
+    Any,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 __all__ = [
-    "DictVector", "RLEVector", "rle_visible_offsets", "typed_array",
-    "vector_bytes",
+    "DictVector", "RLEVector", "Span", "rle_visible_spans",
+    "span_offsets", "typed_array", "vector_bytes",
 ]
+
+#: A run of consecutive chunk offsets, ``start`` inclusive to ``stop``
+#: exclusive — how visibility is handed to the scan operators.
+Span = Tuple[int, int]
 
 
 def _same(a: Any, b: Any) -> bool:
@@ -76,7 +94,7 @@ class RLEVector:
 
     def run_arrays(self) -> Tuple[List[int], List[Any]]:
         """(cumulative run ends, run values) — the raw layout, for run
-        walkers like :func:`rle_visible_offsets`."""
+        walkers like :func:`rle_visible_spans`."""
         return self._ends, self._values
 
     @property
@@ -229,16 +247,29 @@ class DictVector:
                 + _payload_bytes(self.dictionary, seen))
 
 
-def rle_visible_offsets(creators: RLEVector, deleters: RLEVector,
-                        height: int) -> Tuple[List[int], int]:
-    """Visible offsets at ``height`` by intersecting the creator and
-    deleter run lists (two-pointer walk): one visibility decision per
-    intersected run instead of per row.  Returns ``(offsets, runs)``
-    where ``runs`` is the number of intersected spans inspected (the
-    ``columnstore.rle_runs_scanned`` counter)."""
+def rle_visible_spans(creators: RLEVector, deleters: RLEVector,
+                      height: int, settled: bool = False
+                      ) -> Tuple[List[Span], int]:
+    """Visible rows at ``height`` as ``(start, stop)`` spans, ascending
+    and disjoint, by intersecting the creator and deleter run lists
+    (two-pointer walk): one visibility decision per intersected run
+    instead of per row.  Returns ``(spans, runs)`` where ``runs`` is the
+    number of intersected runs (the ``columnstore.rle_runs_scanned``
+    counter).
+
+    ``settled`` says every creator and every deleter stamp is at or
+    below ``height`` — a read at the latest height, the usual one.  The
+    visible rows are then exactly the deleter runs that carry no stamp,
+    read off in one pass with no walk."""
     c_ends, c_values = creators.run_arrays()
     d_ends, d_values = deleters.run_arrays()
-    offsets: List[int] = []
+    if settled:
+        starts = [0]
+        starts += d_ends
+        return (list(compress(zip(starts, d_ends),
+                              map(is_, d_values, repeat(None)))),
+                len(d_ends) + len(set(c_ends).difference(d_ends)))
+    spans: List[Span] = []
     runs = 0
     ci = di = pos = 0
     n = c_ends[-1] if c_ends else 0
@@ -250,13 +281,22 @@ def rle_visible_offsets(creators: RLEVector, deleters: RLEVector,
         deleter = d_values[di]
         if c_values[ci] <= height and \
                 (deleter is None or deleter > height):
-            offsets.extend(range(pos, end))
+            if spans and spans[-1][1] == pos:
+                spans[-1] = (spans[-1][0], end)
+            else:
+                spans.append((pos, end))
         pos = end
         if pos == c_end:
             ci += 1
         if pos == d_end:
             di += 1
-    return offsets, runs
+    return spans, runs
+
+
+def span_offsets(spans: Iterable[Span]) -> Iterator[int]:
+    """Every offset of ``spans``, ascending — for the readers that
+    still want rows one at a time (audit, statistics, row scans)."""
+    return chain.from_iterable(starmap(range, spans))
 
 
 def typed_array(vector: Sequence[Any]) -> Optional[array]:

@@ -15,22 +15,34 @@ Two operators plug into the Volcano tree (:mod:`repro.sql.plan`):
 * :class:`ColumnarAggregate` — the vectorized fast path for eligible
   single-table aggregates (``sum``/``avg``/``min``/``max``/``count``
   over plain columns, optional ``GROUP BY`` plain columns, a WHERE of
-  sargable conjuncts — the scan's own ``sql.plan.Sarg`` list).  It never builds per-row dict environments: the
-  WHERE conjuncts evaluate straight off the column vectors with the
-  engine's comparison kernel; counts and min/max fold incrementally,
-  and ``sum``/``avg`` use the engine-shared, order-independent
-  :func:`~repro.sql.plan.fold_sum` (float inputs are ``math.fsum``-ed —
-  exactly rounded), so results are bit-identical to the row-store path
-  regardless of which store served the read or how ingest order differs
-  across nodes.  The equivalence suite pins this.
+  sargable conjuncts — the scan's own ``sql.plan.Sarg`` list).  It never
+  looks at a row: each chunk goes through three stages that make one
+  C-level pass per column (docs/analytics.md, "Aggregate kernels") —
+  visibility as ``(start, stop)`` spans cut into dense vectors, one
+  selection pass per sarg (flag tables over dictionary codes, native
+  comparisons or two bisects over typed arrays, the engine's comparison
+  kernel per value for what is genuinely untyped), then a partition by
+  group key and a fold per column.  ``sum``/``avg`` use the
+  engine-shared, order-independent :func:`~repro.sql.plan.fold_sum`
+  (float inputs are ``math.fsum``-ed — exactly rounded) and ``min`` /
+  ``max`` the engine's total order, so results are bit-identical to the
+  row-store path regardless of which store served the read or how
+  ingest order differs across nodes.  The equivalence suites pin this,
+  and ``tests/analytics/test_aggregate_kernels.py`` holds the kernels
+  to the per-offset loop they replaced.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import compress, repeat
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.analytics.encoding import DictVector
+from repro.analytics.encoding import DictVector, Span, span_offsets
 from repro.errors import ExecutionError
 from repro.sql.ast_nodes import SelectItem
 from repro.sql.expressions import (
@@ -46,8 +58,10 @@ from repro.sql.plan import (
     FOLD_MIN,
     PlanNode,
     Runtime,
+    Sarg,
     ScanRow,
     SeqScan,
+    _by_content,
     _order_note,
     _scan_target,
     bucket_key,
@@ -55,7 +69,6 @@ from repro.sql.plan import (
     finish_fold,
     fold_mode,
     new_fold_state,
-    row_content_key,
 )
 
 __all__ = ["ColumnarAggregate", "ColumnarScan"]
@@ -82,7 +95,7 @@ class ColumnarScan(SeqScan):
     def chunk_selections(self, rt: Runtime,
                          extra_bounds: Optional[Dict[str, Dict[str, Any]]]
                          = None):
-        """Yield ``(chunk, visible offsets)`` pairs at the statement's
+        """Yield ``(chunk, visible spans)`` pairs at the statement's
         pinned height, after zone-map and height pruning.
         ``extra_bounds`` (e.g. a LIKE-prefix range) adds prune-only
         bounds for columns the scan's sargs did not bound."""
@@ -98,16 +111,16 @@ class ColumnarScan(SeqScan):
     def scan_rows(self, rt: Runtime) -> List[ScanRow]:
         columns = rt.db.catalog.schema_of(self.table).column_names()
         rows: List[ScanRow] = []
-        for chunk, offsets in self.chunk_selections(rt):
+        for chunk, spans in self.chunk_selections(rt):
             data = chunk.data
-            for offset in offsets:
+            for offset in span_offsets(spans):
                 rows.append(ScanRow(
                     values={col: data[col][offset] for col in columns},
                     version=None))
         # Same content order as the heap scan: results must not depend
         # on which replica (or which store) served the read.
         if self.ordered or rt.content_order:
-            rows.sort(key=lambda r: row_content_key(r.values))
+            rows.sort(key=_by_content)
         return rows
 
     def recost(self, db) -> None:
@@ -129,6 +142,173 @@ def _like_prefix(pattern: str) -> str:
             break
         out.append(ch)
     return "".join(out)
+
+
+_KIND_ORDER = {"cmp": 0, "between": 1, "in": 2, "like": 3}
+
+_NATIVE = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
+           ">": operator.gt, ">=": operator.ge}
+
+
+class _Predicate:
+    """One sarg with this execution's constants, and the three forms a
+    column can be tested in: ``test`` is the engine's per-value
+    semantics (NULL passes nothing) — what dictionary entries and plain
+    lists are put through; ``native_mask`` and ``sorted_bounds`` serve
+    NaN-free typed arrays when ``numeric`` says every constant is an
+    exact int / float, where Python's comparisons *are*
+    ``compare_values``."""
+
+    __slots__ = ("column", "kind", "op", "consts", "numeric", "test",
+                 "last_read")
+
+    def __init__(self, sarg: Sarg, consts: List[Any], last_read: bool):
+        self.column = sarg.column
+        # Nothing applied after this predicate reads its column, so the
+        # column need not be narrowed any further.
+        self.last_read = last_read
+        self.kind = kind = sarg.kind
+        self.op = op = sarg.op
+        self.consts = consts
+        self.numeric = kind != "like" and all(
+            type(c) in (int, float) and c == c for c in consts)
+        if kind == "cmp":
+            const, = consts
+            self.test = lambda v: _compare(op, v, const) is True
+        elif kind == "between":
+            low, high = consts
+            self.test = lambda v: _compare(">=", v, low) is True \
+                and _compare("<=", v, high) is True
+        elif kind == "in":
+            self.test = lambda v: v is not None and any(
+                _compare("=", v, item) is True for item in consts)
+        else:
+            regex, = consts
+            negated = sarg.negated
+            self.test = lambda v: v is not None \
+                and bool(regex.match(str(v))) != negated
+
+    def native_mask(self, vector: array) -> List[bool]:
+        """One flag per value of a NaN-free typed ``vector``."""
+        consts = self.consts
+        if self.kind == "cmp":
+            return list(map(_NATIVE[self.op], vector, repeat(consts[0])))
+        if self.kind == "between":
+            low, high = consts
+            return [low <= v <= high for v in vector]
+        return list(map(set(consts).__contains__, vector))
+
+    def sorted_bounds(self, vector: array) -> Optional[Span]:
+        """The one run of a non-decreasing, NaN-free typed ``vector``
+        that passes, as ``(start, stop)``; None for an IN-list, which
+        need not be one run."""
+        consts = self.consts
+        if self.kind == "between":
+            return (bisect_left(vector, consts[0]),
+                    bisect_right(vector, consts[1]))
+        if self.kind != "cmp":
+            return None
+        op, const = self.op, consts[0]
+        start, stop = 0, len(vector)
+        if op in ("=", ">="):
+            start = bisect_left(vector, const)
+        elif op == ">":
+            start = bisect_right(vector, const)
+        if op in ("=", "<="):
+            stop = bisect_right(vector, const)
+        elif op == "<":
+            stop = bisect_left(vector, const)
+        return start, stop
+
+
+def _ordered(chunk, column: str) -> bool:
+    """True when Python's ``<`` / ``min`` / ``max`` are the engine's on
+    this column of ``chunk``: it is stored as a typed array — exact
+    ints, or floats whose zone map shows no NaN."""
+    if type(chunk.data[column]) is not array:
+        return False
+    hi = chunk.zones[column][1]
+    return hi == hi
+
+
+def _take(vector, spans: List[Span]):
+    """``vector`` over ``spans`` as one dense vector of the kind the
+    chunk stores (``array`` or ``list``; a dictionary column gives its
+    codes).  A span covering the chunk returns the stored vector itself
+    — callers never write to what they are given."""
+    if type(vector) is DictVector:
+        vector = vector.codes
+    if len(spans) == 1:
+        start, stop = spans[0]
+        return vector if stop - start == len(vector) \
+            else vector[start:stop]
+    out = vector[:0]
+    for start, stop in spans:
+        out += vector[start:stop]
+    return out
+
+
+def _narrow(cols: Dict[str, Any], mask: List[bool]):
+    """``(rows kept, cols)`` with every vector cut down to the rows
+    ``mask`` flags.  What comes out is a list — building an ``array``
+    from an iterator costs more than it saves on the chunk sizes seen;
+    whether a column is *typed* is read off the chunk, not off these."""
+    count = mask.count(True)
+    if count == len(mask) or not count:
+        return count, cols
+    return count, {name: list(compress(vector, mask))
+                   for name, vector in cols.items()}
+
+
+def _decoded(stored, dense):
+    """The values of a dense vector: a dictionary column's codes back
+    to strings (code -1 is NULL)."""
+    if type(stored) is not DictVector:
+        return dense
+    return list(map((stored.dictionary + [None]).__getitem__, dense))
+
+
+def _non_null(stored, values):
+    """``values`` — rows of a column the chunk holds as ``stored`` —
+    without the NULLs; a typed array has none."""
+    return values if type(stored) is array \
+        else [v for v in values if v is not None]
+
+
+def _extend_buffer(buffer, stored, values):
+    """A sum / avg buffer with ``values`` — non-NULL rows of a column
+    the chunk holds as ``stored`` — appended.  It is a typed array for
+    as long as every contribution came from typed storage of one
+    typecode — ``fold_sum`` then needs no type scan, and 8 bytes a value
+    are all it holds — and a list from the first one that did not."""
+    if type(stored) is array:
+        typecode = stored.typecode
+        if type(buffer) is array:
+            if buffer.typecode == typecode:
+                if type(values) is list:
+                    buffer.fromlist(values)     # half extend()'s cost
+                else:
+                    buffer.extend(values)
+                return buffer
+        elif not buffer:
+            return array(typecode, values)
+    if type(buffer) is array:
+        buffer = buffer.tolist()
+    buffer.extend(values)
+    return buffer
+
+
+def _extreme(mode: int, values) -> Any:
+    """``min`` / ``max`` of non-NULL ``values`` under ``compare_values``
+    (mixed numeric classes, NaN), the first of equals winning as the
+    builtins have it."""
+    values = iter(values)
+    best = next(values)
+    for value in values:
+        c = compare_values(value, best)
+        if c < 0 if mode == FOLD_MIN else c > 0:
+            best = value
+    return best
 
 
 @dataclass
@@ -166,302 +346,260 @@ class ColumnarAggregate(PlanNode):
         self.order_specs = order_specs
         self.items = items                 # for EXPLAIN only
         self.est_rows = est_rows
+        # The columns an execution reads, aggregate arguments last.
+        self._arg_columns = list(dict.fromkeys(
+            spec.column for spec in agg_specs if spec.column is not None))
+        self._columns = list(dict.fromkeys(
+            [sarg.column for sarg in scan.sargs] + self.group_columns
+            + self._arg_columns))
 
     # ------------------------------------------------------------------
 
     def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
-        ctx = rt.ctx
-        # Resolve predicate constants once per execution.
-        cmp_preds: List[Tuple[str, str, Any]] = []
-        between_preds: List[Tuple[str, Any, Any]] = []
-        in_preds: List[Tuple[str, List[Any]]] = []
-        like_preds: List[Tuple[str, Any, bool]] = []
-        impossible = False
-        extra_bounds: Dict[str, Dict[str, Any]] = {}
-        for pred in self.predicates:
-            values = pred.evaluate(ctx)
-            if pred.kind == "cmp":
-                cmp_preds.append((pred.column, pred.op, values[0]))
-            elif pred.kind == "between":
-                between_preds.append((pred.column, values[0], values[1]))
-            elif pred.kind == "in":
-                in_preds.append((pred.column, values))
-            else:
-                value = values[0]
-                if value is None:
-                    impossible = True   # x [NOT] LIKE NULL is never true
-                    continue
-                text = str(value)
-                like_preds.append((pred.column, _like_to_regex(text),
-                                   pred.negated))
-                if not pred.negated:
-                    prefix = _like_prefix(text)
-                    if prefix:
-                        slot: Dict[str, Any] = {"low": (prefix, True)}
-                        last = prefix[-1]
-                        if ord(last) < 0x10FFFF:
-                            slot["high"] = (
-                                prefix[:-1] + chr(ord(last) + 1), False)
-                        extra_bounds.setdefault(pred.column, slot)
-
-        group_cols = self.group_columns
+        predicates, extra_bounds = self._resolve_predicates(rt.ctx)
         specs = self.agg_specs
         modes = [FOLD_COUNT if spec.star else fold_mode(spec.name)
                  for spec in specs]
-        groups: List[Tuple[Tuple, List[Any]]] = []
-        group_index: Dict[Tuple, int] = {}
 
         def new_states() -> List[Any]:
             return [new_fold_state(mode) for mode in modes]
 
-        if impossible:
-            if not group_cols:
-                groups = [((), new_states())]
-            yield from self._finalize_groups(groups, specs, modes)
+        if predicates is None:              # a conjunct no row can pass
+            yield from self._finalize_groups(
+                [] if self.group_columns else [((), new_states())],
+                specs, modes)
             return
-
-        if not self.predicates and not group_cols:
+        if not predicates and not self.group_columns:
             # Unfiltered global aggregates: answer whole chunks from
             # zone maps and counters where provable (no row touch).
             yield from self._zone_fast_path(rt, specs, modes,
-                                            new_states)
+                                            new_states())
             return
 
         store = rt.db.columnstore
-        dict_hits = store._dict_hits
-        single_group = group_cols[0] if len(group_cols) == 1 else None
-
-        for chunk, offsets in self.scan.chunk_selections(
+        # bucket key -> (the group's key values, its fold states)
+        groups: Dict[Tuple, Tuple[Tuple, List[Any]]] = {}
+        for chunk, spans in self.scan.chunk_selections(
                 rt, extra_bounds or None):
-            data = chunk.data
-            compiled = self._compile_chunk_predicates(
-                data, dict_hits, cmp_preds, between_preds, in_preds,
-                like_preds)
-            if compiled is None:
-                continue   # a flag table is all-False: no row matches
-            (code_checks, cmp_vectors, between_vectors, in_vectors,
-             like_vectors) = compiled
-            group_vectors = [data[col] for col in group_cols]
-            agg_vectors = [None if spec.column is None else data[spec.column]
-                           for spec in specs]
-            # GROUP BY a dictionary column: aggregate per code, then
-            # materialize each key string exactly once per chunk.
-            group_dict = None
-            group_codes = None
-            code_states: Dict[int, List[Any]] = {}
-            if single_group is not None and \
-                    type(data[single_group]) is DictVector:
-                group_dict = data[single_group]
-                group_codes = group_dict.codes
-                dict_hits.inc()
-            for offset in offsets:
-                keep = True
-                for codes, flags in code_checks:
-                    if not flags[codes[offset]]:
-                        keep = False
-                        break
-                if keep:
-                    for vector, op, const in cmp_vectors:
-                        if _compare(op, vector[offset], const) is not True:
-                            keep = False
-                            break
-                if keep:
-                    for vector, low, high in between_vectors:
-                        value = vector[offset]
-                        if _compare(">=", value, low) is not True or \
-                                _compare("<=", value, high) is not True:
-                            keep = False
-                            break
-                if keep:
-                    for vector, values in in_vectors:
-                        value = vector[offset]
-                        if value is None or not any(
-                                _compare("=", value, item) is True
-                                for item in values):
-                            keep = False
-                            break
-                if keep:
-                    for vector, regex, negated in like_vectors:
-                        value = vector[offset]
-                        if value is None:
-                            keep = False
-                            break
-                        matched = bool(regex.match(str(value)))
-                        if matched if negated else not matched:
-                            keep = False
-                            break
-                if not keep:
-                    continue
-                if group_dict is not None:
-                    code = group_codes[offset]
-                    states = code_states.get(code)
-                    if states is None:
-                        states = new_states()
-                        code_states[code] = states
-                elif not group_vectors:
-                    if not groups:
-                        groups.append(((), new_states()))
-                    states = groups[0][1]
-                else:
-                    key = tuple(vector[offset] for vector in group_vectors)
-                    fingerprint = bucket_key(key)
-                    pos = group_index.get(fingerprint)
-                    if pos is None:
-                        group_index[fingerprint] = len(groups)
-                        groups.append((key, new_states()))
-                        pos = len(groups) - 1
-                    states = groups[pos][1]
-                for j, mode in enumerate(modes):
-                    vector = agg_vectors[j]
-                    if vector is None:           # count(*)
-                        states[j] += 1
-                        continue
-                    value = vector[offset]
-                    if value is None:
-                        continue
-                    if mode == FOLD_COUNT:
-                        states[j] += 1
-                    elif mode == FOLD_BUFFER:
-                        states[j].append(value)
-                    elif mode == FOLD_MIN:
-                        current = states[j]
-                        if current is EMPTY or \
-                                compare_values(value, current) < 0:
-                            states[j] = value
-                    else:
-                        current = states[j]
-                        if current is EMPTY or \
-                                compare_values(value, current) > 0:
-                            states[j] = value
-            if group_dict is not None:
-                # Fold the chunk's per-code partials into the global
-                # groups (sorted code order for determinism; emission
-                # order is settled by the ORDER BY the router requires,
-                # so fold order never shows in results).
-                dictionary = group_dict.dictionary
-                for code in sorted(code_states):
-                    key = (dictionary[code],) if code >= 0 else (None,)
-                    fingerprint = bucket_key(key)
-                    pos = group_index.get(fingerprint)
-                    if pos is None:
-                        group_index[fingerprint] = len(groups)
-                        groups.append((key, code_states[code]))
-                    else:
-                        self._merge_states(modes, groups[pos][1],
-                                           code_states[code])
+            selected = self._select(chunk, spans, predicates, store)
+            if selected is None:
+                continue
+            for bucket, key, count, values in self._partition(
+                    chunk, *selected, store):
+                group = groups.get(bucket)
+                if group is None:
+                    group = groups[bucket] = (key, new_states())
+                self._fold(chunk, specs, modes, group[1], count, values)
 
-        if not groups and not group_cols:
-            groups = [((), new_states())]  # global aggregate, empty input
+        if not groups and not self.group_columns:
+            groups[()] = ((), new_states())  # global aggregate, no input
+        yield from self._finalize_groups(groups.values(), specs, modes)
 
-        yield from self._finalize_groups(groups, specs, modes)
+    def _resolve_predicates(self, ctx):
+        """This execution's ``(predicates, prune-only bounds)``: each
+        sarg with its constants evaluated once, in the order the kinds
+        are applied (``cmp``, ``between``, ``in``, ``like``).
+        ``predicates`` is None when some conjunct can pass no row."""
+        resolved: List[Tuple[Sarg, List[Any]]] = []
+        extra_bounds: Dict[str, Dict[str, Any]] = {}
+        for sarg in self.predicates:
+            consts = sarg.evaluate(ctx)
+            if sarg.kind == "like":
+                if consts[0] is None:
+                    return None, {}     # x [NOT] LIKE NULL is never true
+                text = str(consts[0])
+                consts = [_like_to_regex(text)]
+                prefix = "" if sarg.negated else _like_prefix(text)
+                if prefix:
+                    slot: Dict[str, Any] = {"low": (prefix, True)}
+                    last = prefix[-1]
+                    if ord(last) < 0x10FFFF:
+                        slot["high"] = (
+                            prefix[:-1] + chr(ord(last) + 1), False)
+                    extra_bounds.setdefault(sarg.column, slot)
+            resolved.append((sarg, consts))
+        resolved.sort(key=lambda pair: _KIND_ORDER[pair[0].kind])
+        predicates: List[_Predicate] = []
+        read_later = set(self.group_columns + self._arg_columns)
+        for sarg, consts in reversed(resolved):
+            predicates.append(_Predicate(
+                sarg, consts, last_read=sarg.column not in read_later))
+            read_later.add(sarg.column)
+        predicates.reverse()
+        return predicates, extra_bounds
 
     # ------------------------------------------------------------------
-    # Encoded execution: per-code predicate flag tables
+    # Stages 1 and 2 — visible spans to dense vectors, then selection:
+    # each predicate narrows every column once
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _code_flags(dictionary: List[str],
-                    test: Callable[[Any], bool]) -> Optional[List[bool]]:
-        """Per-code flag table for a dictionary-encoded column: one
-        predicate evaluation per distinct value instead of per row.  The
-        appended ``False`` slot is what code ``-1`` (NULL) indexes via
-        Python's negative indexing — NULL never passes a sargable
-        predicate, matching the row paths' three-valued logic.  Returns
-        None when no code passes (the whole chunk is filtered out)."""
-        flags = [test(value) for value in dictionary]
-        if True not in flags:
-            return None
-        flags.append(False)
-        return flags
+    def _dense(self, chunk, spans: List[Span]):
+        """``(row count, {column: dense vector})``: the columns this
+        aggregate reads, cut to ``chunk``'s rows within ``spans``, in
+        offset order and in the form the chunk stores them."""
+        data = chunk.data
+        count = 0
+        for start, stop in spans:
+            count += stop - start
+        return count, {name: _take(data[name], spans)
+                       for name in self._columns}
 
-    def _compile_chunk_predicates(self, data, dict_hits, cmp_preds,
-                                  between_preds, in_preds, like_preds):
-        """Partition the resolved predicates for one chunk: predicates on
-        dictionary-encoded columns translate to ``(codes, flag table)``
-        checks (constant-time per row), everything else keeps the per-row
-        vector compare.  Returns None when a flag table proves the chunk
-        empty."""
-        code_checks: List[Tuple[Any, List[bool]]] = []
-        cmp_vectors: List[Tuple[Any, str, Any]] = []
-        between_vectors: List[Tuple[Any, Any, Any]] = []
-        in_vectors: List[Tuple[Any, List[Any]]] = []
-        like_vectors: List[Tuple[Any, Any, bool]] = []
-        for col, op, const in cmp_preds:
-            vector = data[col]
-            if type(vector) is DictVector:
-                dict_hits.inc()
-                flags = self._code_flags(
-                    vector.dictionary,
-                    lambda v: _compare(op, v, const) is True)
-                if flags is None:
-                    return None
-                code_checks.append((vector.codes, flags))
+    def _select(self, chunk, spans: List[Span], predicates, store):
+        """:meth:`_dense` narrowed to the rows that pass every
+        predicate (possibly none), or None when a dictionary proves
+        that no row of the chunk can.
+
+        Predicates on dictionary columns go first, as one test per
+        distinct value and a flag-table lookup per row; a flag table
+        with no True skips the chunk before any vector is read."""
+        data = chunk.data
+        coded: List[Tuple[_Predicate, List[bool]]] = []
+        plain: List[_Predicate] = []
+        for pred in predicates:
+            vector = data[pred.column]
+            if type(vector) is not DictVector:
+                plain.append(pred)
+                continue
+            store._dict_hits.inc()
+            flags = list(map(pred.test, vector.dictionary))
+            if True not in flags:
+                return None
+            # The slot that code -1 (NULL) indexes: NULL passes nothing.
+            flags.append(False)
+            coded.append((pred, flags))
+        if self._by_code(data):
+            store._dict_hits.inc()      # the group key's translation
+
+        count, cols = self._dense(chunk, spans)
+        for pred, flags in coded:
+            if not count:
+                break
+            mask = list(map(flags.__getitem__, cols[pred.column]))
+            if pred.last_read:
+                del cols[pred.column]
+            count, cols = _narrow(cols, mask)
+        for pred in plain:
+            if not count:
+                break
+            vector = cols[pred.column]
+            if pred.last_read:
+                del cols[pred.column]
+            bounds = mask = None
+            if pred.numeric and _ordered(chunk, pred.column):
+                if pred.column in chunk.ascending:
+                    bounds = pred.sorted_bounds(vector)
+                if bounds is None:
+                    mask = pred.native_mask(vector)
             else:
-                cmp_vectors.append((vector, op, const))
-        for col, low, high in between_preds:
-            vector = data[col]
-            if type(vector) is DictVector:
-                dict_hits.inc()
-                flags = self._code_flags(
-                    vector.dictionary,
-                    lambda v: _compare(">=", v, low) is True
-                    and _compare("<=", v, high) is True)
-                if flags is None:
-                    return None
-                code_checks.append((vector.codes, flags))
+                mask = list(map(pred.test, vector))
+            if bounds is None:
+                count, cols = _narrow(cols, mask)
             else:
-                between_vectors.append((vector, low, high))
-        for col, values in in_preds:
-            vector = data[col]
-            if type(vector) is DictVector:
-                dict_hits.inc()
-                flags = self._code_flags(
-                    vector.dictionary,
-                    lambda v: any(_compare("=", v, item) is True
-                                  for item in values))
-                if flags is None:
-                    return None
-                code_checks.append((vector.codes, flags))
-            else:
-                in_vectors.append((vector, values))
-        for col, regex, negated in like_preds:
-            vector = data[col]
-            if type(vector) is DictVector:
-                dict_hits.inc()
-                flags = self._code_flags(
-                    vector.dictionary,
-                    lambda v: bool(regex.match(str(v))) != negated)
-                if flags is None:
-                    return None
-                code_checks.append((vector.codes, flags))
-            else:
-                like_vectors.append((vector, regex, negated))
-        return (code_checks, cmp_vectors, between_vectors, in_vectors,
-                like_vectors)
+                start, stop = bounds
+                count = max(stop - start, 0)
+                cols = {name: vector[start:stop]
+                        for name, vector in cols.items()}
+        return count, cols
+
+    # ------------------------------------------------------------------
+    # Stage 3 — partition by group key, then fold a column at a time
+    # ------------------------------------------------------------------
+
+    def _by_code(self, data) -> bool:
+        """GROUP BY one dictionary column: its codes are the groups."""
+        group_cols = self.group_columns
+        return len(group_cols) == 1 and \
+            type(data[group_cols[0]]) is DictVector
+
+    def _partition(self, chunk, count: int, cols, store):
+        """The selected rows split by group: a list of ``(bucket key,
+        group key values, row count, {aggregated column: its non-NULL
+        values})``, made in one pass per aggregated column."""
+        if not count:
+            return ()
+        data = chunk.data
+        group_cols = self.group_columns
+        by_code = self._by_code(data)
+        names = self._arg_columns
+        values_of = {}
+        folded = store._rows_folded_typed
+        for name in names:
+            stored = data[name]
+            if type(stored) is not array:
+                folded = store._rows_folded_generic
+            values_of[name] = _decoded(stored, cols[name])
+        folded.inc(count)
+
+        if not group_cols:
+            return [((), (), count, {
+                name: _non_null(data[name], values)
+                for name, values in values_of.items()})]
+
+        # Every group gets a small integer: its dictionary code, or its
+        # rank of first appearance among the rows.
+        if by_code:
+            ids = cols[group_cols[0]]
+            key_of: Any = [(value,)
+                           for value in data[group_cols[0]].dictionary]
+            key_of.append((None,))      # code -1 counts from the end
+            bucket_of = key_of          # strings and NULL: no NaN
+            members = range(-1, len(key_of) - 1)
+        else:
+            raw = list(zip(*[_decoded(data[name], cols[name])
+                             for name in group_cols]))
+            # bucket_key only ever rewrites a NaN, and neither a
+            # dictionary nor an ordered typed column holds one.
+            buckets = raw if all(
+                type(data[name]) is DictVector or _ordered(chunk, name)
+                for name in group_cols) else map(bucket_key, raw)
+            rank: Dict[Tuple, int] = {}
+            ids = [rank.setdefault(bucket, len(rank)) for bucket in buckets]
+            bucket_of = list(rank)
+            # Its first row names a group (1 and 1.0 are one key).
+            key_of = dict(zip(reversed(ids), reversed(raw)))
+            members = range(len(rank))
+
+        parts = {}
+        counts: Any = None
+        for name, values in values_of.items():
+            part = parts[name] = [[] for _ in bucket_of]
+            put = [rows.append for rows in part]
+            for i, value in zip(ids, values):
+                put[i](value)
+            if counts is None:
+                counts = list(map(len, part))
+            if type(data[name]) is not array:
+                part[:] = [_non_null(data[name], rows) for rows in part]
+        if counts is None:                      # count(*) alone
+            counts = Counter(ids)
+        return [(bucket_of[i], key_of[i], counts[i],
+                 {name: parts[name][i] for name in names})
+                for i in members if counts[i]]
 
     @staticmethod
-    def _merge_states(modes, target, source) -> None:
-        """Fold one group's per-chunk partial states into its global
-        states.  sum/avg buffers concatenate (``fold_sum`` is
-        order-independent), counters add, min/max compare."""
+    def _fold(chunk, specs, modes, states, count: int, values_of) -> None:
+        """Fold one group's rows of ``chunk`` into its states: a count
+        is a length, a buffer extends, ``min`` / ``max`` are the
+        builtins where the column is typed and NaN-free and
+        ``compare_values`` folds elsewhere."""
         for j, mode in enumerate(modes):
+            column = specs[j].column
+            if column is None:                  # count(*)
+                states[j] += count
+                continue
+            values = values_of[column]
             if mode == FOLD_COUNT:
-                target[j] += source[j]
+                states[j] += len(values)
             elif mode == FOLD_BUFFER:
-                target[j].extend(source[j])
-            else:
-                value = source[j]
-                if value is EMPTY:
-                    continue
-                current = target[j]
-                if current is EMPTY:
-                    target[j] = value
-                elif mode == FOLD_MIN and \
-                        compare_values(value, current) < 0:
-                    target[j] = value
-                elif mode == FOLD_MAX and \
-                        compare_values(value, current) > 0:
-                    target[j] = value
+                states[j] = _extend_buffer(states[j], chunk.data[column],
+                                           values)
+            elif values:
+                if _ordered(chunk, column):
+                    best = min(values) if mode == FOLD_MIN else max(values)
+                else:
+                    best = _extreme(mode, values)
+                states[j] = best if states[j] is EMPTY \
+                    else _extreme(mode, (states[j], best))
 
     def _finalize_groups(self, groups, specs, modes
                          ) -> Iterator[Tuple[Tuple, Tuple]]:
@@ -481,7 +619,7 @@ class ColumnarAggregate(PlanNode):
     # Zone-map fast path (unfiltered global aggregates)
     # ------------------------------------------------------------------
 
-    def _zone_fast_path(self, rt: Runtime, specs, modes, new_states
+    def _zone_fast_path(self, rt: Runtime, specs, modes, states
                         ) -> Iterator[Tuple[Tuple, Tuple]]:
         """Unfiltered global aggregates fold chunk *metadata* instead of
         rows wherever the counters prove every row of the chunk visible:
@@ -489,25 +627,24 @@ class ColumnarAggregate(PlanNode):
         sealed NULL counts, ``min``/``max`` from the zone maps.  Only
         ``sum``/``avg`` still read the column vector (the shared
         order-independent ``fold_sum`` needs the values), and chunks the
-        counters cannot prove fall back to per-row visibility."""
+        counters cannot prove go through the fold stage over their
+        visible spans."""
         height = self.scan.pinned_height(rt)
         store = rt.db.columnstore
-        states = new_states()
         for chunk in store.chunks_at(rt.db, self.scan.table, height):
-            if self._zone_accumulate(chunk, height, specs, modes, states):
+            if self._zone_accumulate(chunk, height, specs, modes, states,
+                                     store):
                 store._zone_only_chunks.inc()
                 continue
             store._chunks_scanned.inc()
-            data = chunk.data
-            agg_vectors = [None if spec.column is None
-                           else data[spec.column] for spec in specs]
-            for offset in chunk.visible_offsets(height):
-                self._accumulate_row(specs, modes, states, agg_vectors,
-                                     offset)
+            for _, _, count, values in self._partition(
+                    chunk, *self._dense(chunk, chunk.visible_spans(height)),
+                    store):
+                self._fold(chunk, specs, modes, states, count, values)
         yield from self._finalize_groups([((), states)], specs, modes)
 
     def _zone_accumulate(self, chunk, height: int, specs, modes,
-                         states) -> bool:
+                         states, store) -> bool:
         """Fold ``chunk`` into ``states`` from metadata alone; False when
         the chunk needs a row scan (not sealed, not provably fully
         visible, or a min/max column lacks a zone map)."""
@@ -519,54 +656,27 @@ class ColumnarAggregate(PlanNode):
                 if chunk.zones.get(spec.column) is None and \
                         chunk.null_counts.get(spec.column) != n:
                     return False  # mixed-type column without a zone map
+        folded = store._rows_folded_typed if FOLD_BUFFER in modes else None
         for j, (spec, mode) in enumerate(zip(specs, modes)):
             if mode == FOLD_COUNT:
                 states[j] += n if spec.star \
                     else n - chunk.null_counts[spec.column]
             elif mode == FOLD_BUFFER:
-                states[j].extend(v for v in chunk.data[spec.column]
-                                 if v is not None)
+                # The one aggregate that reads the rows: all of them.
+                vector = chunk.data[spec.column]
+                if type(vector) is not array:
+                    folded = store._rows_folded_generic
+                states[j] = _extend_buffer(states[j], vector,
+                                           _non_null(vector, vector))
             else:
                 zone = chunk.zones.get(spec.column)
-                if zone is None:
-                    continue   # all-NULL column contributes nothing
-                value = zone[0] if mode == FOLD_MIN else zone[1]
-                current = states[j]
-                if current is EMPTY:
-                    states[j] = value
-                elif mode == FOLD_MIN and \
-                        compare_values(value, current) < 0:
-                    states[j] = value
-                elif mode == FOLD_MAX and \
-                        compare_values(value, current) > 0:
-                    states[j] = value
+                if zone is not None:    # else all NULL: nothing to fold
+                    best = zone[mode == FOLD_MAX]
+                    states[j] = best if states[j] is EMPTY \
+                        else _extreme(mode, (states[j], best))
+        if folded is not None:
+            folded.inc(n)
         return True
-
-    @staticmethod
-    def _accumulate_row(specs, modes, states, agg_vectors,
-                        offset: int) -> None:
-        for j, mode in enumerate(modes):
-            vector = agg_vectors[j]
-            if vector is None:           # count(*)
-                states[j] += 1
-                continue
-            value = vector[offset]
-            if value is None:
-                continue
-            if mode == FOLD_COUNT:
-                states[j] += 1
-            elif mode == FOLD_BUFFER:
-                states[j].append(value)
-            elif mode == FOLD_MIN:
-                current = states[j]
-                if current is EMPTY or \
-                        compare_values(value, current) < 0:
-                    states[j] = value
-            else:
-                current = states[j]
-                if current is EMPTY or \
-                        compare_values(value, current) > 0:
-                    states[j] = value
 
     # ------------------------------------------------------------------
 

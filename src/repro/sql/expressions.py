@@ -167,7 +167,12 @@ def _arith(op: str, left: Any, right: Any) -> Any:
 
 
 def compare_values(left: Any, right: Any) -> Optional[int]:
-    """SQL comparison: returns -1/0/1, or None when either side is NULL."""
+    """SQL comparison: returns -1/0/1, or None when either side is NULL.
+
+    A total order on numbers: NaN is equal to itself and above every
+    other number (PostgreSQL's rule, and the one ``bucket_key`` groups
+    by), so zone maps, ``min`` / ``max`` and sorts do not depend on
+    where in their input a NaN sits."""
     if left is None or right is None:
         return None
     kind = type(left)
@@ -177,7 +182,9 @@ def compare_values(left: Any, right: Any) -> Optional[int]:
         # typed column meets; nothing below would reconcile anything.
         if left == right:
             return 0
-        return -1 if left < right else 1
+        if left < right:
+            return -1
+        return 1 if left > right else _nan_order(left, right)
     if isinstance(left, IntervalValue) and isinstance(right, IntervalValue):
         left, right = left.seconds, right.seconds
     left, right = _numeric_pair(left, right)
@@ -189,11 +196,21 @@ def compare_values(left: Any, right: Any) -> Optional[int]:
     try:
         if left == right:
             return 0
-        return -1 if left < right else 1
+        if left < right:
+            return -1
+        return 1 if left > right else _nan_order(left, right)
     except TypeError:
         raise TypeMismatchError(
             f"cannot compare {type(left).__name__} with "
             f"{type(right).__name__}") from None
+
+
+def _nan_order(left: Any, right: Any) -> int:
+    """``compare_values`` for a pair that is neither ``==``, ``<`` nor
+    ``>``: at least one side is NaN."""
+    if left != left:
+        return 0 if right != right else 1
+    return -1
 
 
 def _compare(op: str, left: Any, right: Any) -> Optional[bool]:

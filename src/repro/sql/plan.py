@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -1251,8 +1252,9 @@ def bucket_key(values: Sequence[Any]) -> Tuple:
     """Hashable bucket key for GROUP BY and DISTINCT, consistent with
     the ``=`` comparator: Python already hashes and compares ``2``,
     ``2.0``, ``Decimal(2)`` and (``TRUE``, ``1``) alike, which is what
-    ``compare_values`` says of them; NaN (unequal to itself) is the one
-    value that needs a stand-in so that it forms a single group."""
+    ``compare_values`` says of them; NaN, which ``compare_values`` makes
+    equal to itself and Python does not, is the one value that needs a
+    stand-in so that it forms a single group."""
     return tuple(v if v == v else _NAN_BUCKET for v in values)
 
 
@@ -1445,25 +1447,40 @@ def fold_sum(values: Sequence[Any]) -> Any:
     "out of range" — is a function of the values alone.  Exact types
     (int/Decimal) and mixed inputs fold sequentially, where order cannot
     change the result (or, for text concatenation and int/float mixes,
-    where the planner keeps scans in content order)."""
+    where the planner keeps scans in content order).
+
+    A typed ``array`` buffer (what ``ColumnarAggregate`` hands over
+    while every chunk it read stored the column typed) is of one exact
+    type by construction and skips the per-value type scan: ``'d'`` goes
+    straight to ``fsum``, ``'q'`` to the exact integer ``sum``.  A
+    ``list`` is scanned."""
     if not values:
         return None
+    if type(values) is array:
+        return _float_sum(values) if values.typecode == "d" \
+            else sum(values)
     if all(type(v) is float for v in values):
-        try:
-            return math.fsum(values)
-        except OverflowError:
-            special = [v for v in values if not math.isfinite(v)]
-            if special:
-                return math.fsum(special)
-            try:
-                return float(sum(map(Fraction, values)))
-            except OverflowError:
-                raise ExecutionError(
-                    "float sum is out of range") from None
+        return _float_sum(values)
     total = values[0]
     for value in values[1:]:
         total = total + value
     return total
+
+
+def _float_sum(values: Sequence[float]) -> float:
+    try:
+        return math.fsum(values)
+    except ValueError:
+        return math.nan             # inf + -inf, IEEE's answer
+    except OverflowError:
+        special = [v for v in values if not math.isfinite(v)]
+        if special:
+            return _float_sum(special)
+        try:
+            return float(sum(map(Fraction, values)))
+        except OverflowError:
+            raise ExecutionError(
+                "float sum is out of range") from None
 
 
 class Project(PlanNode):

@@ -15,7 +15,8 @@ from repro.analytics.columnstore import (
 from repro.analytics.encoding import (
     DictVector,
     RLEVector,
-    rle_visible_offsets,
+    rle_visible_spans,
+    span_offsets,
     typed_array,
 )
 from repro.mvcc.database import Database
@@ -47,11 +48,11 @@ class TestChunk:
         chunk = ColumnChunk(["id", "v"])
         chunk.append({"id": 1, "v": 10}, 1, 1, 5, creator=1)
         chunk.append({"id": 2, "v": 20}, 2, 2, 5, creator=2)
-        assert chunk.visible_offsets(1) == [0]
-        assert chunk.visible_offsets(2) == [0, 1]
+        assert chunk.visible_spans(1) == [(0, 1)]
+        assert chunk.visible_spans(2) == [(0, 2)]
         chunk.mark_deleted(0, deleter=3, xmax=9)
-        assert chunk.visible_offsets(2) == [0, 1]   # deleter > 2
-        assert chunk.visible_offsets(3) == [1]      # deleter == 3 hides
+        assert chunk.visible_spans(2) == [(0, 2)]   # deleter > 2
+        assert chunk.visible_spans(3) == [(1, 2)]   # deleter == 3 hides
         assert chunk.live_count == 1
         assert chunk.max_deleter == 3
 
@@ -232,7 +233,7 @@ class TestColumnStore:
         before = counter(store, "columnstore.chunks_pruned")
         # Height 1: later per-block chunks are all created above it.
         selections = list(store.scan(db, "t", height=1))
-        assert sum(len(sel) for _, sel in selections) == 1
+        assert [spans for _, spans in selections] == [[(0, 1)]]
         assert counter(store, "columnstore.chunks_pruned") > before
 
     def test_visible_at_matches_docstring(self):
@@ -257,7 +258,8 @@ class TestColumnStore:
         rows = list(db.columnstore.scan(db, "t",
                                         height=db.committed_height))
         values = [chunk.values_at(offset, ["id", "name"])
-                  for chunk, sel in rows for offset in sel]
+                  for chunk, spans in rows
+                  for offset in span_offsets(spans)]
         assert values == [{"id": 7, "name": "new"}]
 
     def test_disabled_store_refuses_audit_reads(self):
@@ -426,15 +428,18 @@ class TestRLEVector:
             assert list(vec) == plain
         assert vec.run_count == 5   # [7][None][7,7,7][None][7]
 
-    def test_rle_visible_offsets_matches_per_row(self):
+    def test_rle_visible_spans_match_per_row(self):
         creators = RLEVector.from_list([1, 1, 2, 2, 2, 3])
         deleters = RLEVector.from_list([None, 4, 4, None, None, None])
         for height in range(0, 6):
             expected = [i for i in range(6)
                         if visible_at(creators[i], deleters[i], height)]
-            offsets, runs = rle_visible_offsets(creators, deleters,
-                                                height)
-            assert offsets == expected, height
+            spans, runs = rle_visible_spans(creators, deleters, height)
+            assert list(span_offsets(spans)) == expected, height
+            # Maximal runs: no two spans touch, none is empty.
+            assert all(a < b for a, b in spans)
+            assert all(left[1] < right[0]
+                       for left, right in zip(spans, spans[1:]))
             assert runs >= 1
 
     def test_value_equality(self):
@@ -517,8 +522,8 @@ class TestChunkEncoding:
         assert encoded.zones == plain.zones
         assert encoded.null_counts == plain.null_counts
         for height in range(0, 4):
-            assert encoded.visible_offsets(height) == \
-                plain.visible_offsets(height)
+            assert encoded.visible_spans(height) == \
+                plain.visible_spans(height)
 
     def test_late_deleter_stamp_rewrites_runs(self):
         encoded, plain = self._sealed_pair()
@@ -526,8 +531,8 @@ class TestChunkEncoding:
             chunk.mark_deleted(3, deleter=5, xmax=42)
         assert encoded.deleters[3] == 5 and encoded.xmaxs[3] == 42
         for height in (4, 5, 6):
-            assert encoded.visible_offsets(height) == \
-                plain.visible_offsets(height)
+            assert encoded.visible_spans(height) == \
+                plain.visible_spans(height)
 
     def test_encoded_chunk_is_smaller(self):
         encoded, plain = self._sealed_pair()
@@ -607,3 +612,175 @@ class TestStoreEncodingSurface:
         assert sorted(values) == sorted(i % 3 for i in range(10))
         db.columnstore.set_enabled(False)
         assert db.columnstore.column_values(db, "t", "v", height) is None
+
+
+class TestNaNHasOnePlace:
+    """NaN is equal to itself and above every other number
+    (``compare_values``): zone maps, pruning and every min / max fold
+    are built on that, so neither store's answer depends on where in
+    its input a NaN sits — and the two stores agree."""
+
+    ORDERS = ([5.0, float("nan"), 1.0], [float("nan"), 5.0, 1.0],
+              [5.0, 1.0, float("nan")])
+
+    @staticmethod
+    def _float_db(values, encode=True):
+        db = Database()
+        db.columnstore.encode = encode
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "CREATE TABLE f (id INT PRIMARY KEY, v FLOAT)")
+        for i, value in enumerate(values):
+            run_sql(db, tx, "INSERT INTO f (id, v) VALUES ($1, $2)",
+                    params=(i, value))
+        db.apply_commit(tx, block_number=1)
+        db.committed_height = 1
+        db.columnstore.on_block(db, 1)
+        return db
+
+    @staticmethod
+    def _both_stores(db, sql):
+        """``repr`` of the rows from the replica and from the heap."""
+        shown = []
+        for enabled in (True, False):
+            db.columnstore.set_enabled(enabled)
+            tx = db.begin(allow_nondeterministic=True, read_only=True)
+            try:
+                shown.append(repr(run_sql(db, tx, sql, params=(1,)).rows))
+            finally:
+                db.apply_abort(tx, reason="read-only")
+                db.columnstore.set_enabled(True)
+        return shown
+
+    def test_zone_map_is_independent_of_ingest_order(self):
+        for encode in (True, False):
+            zones = [repr(self._float_db(order, encode).columnstore
+                          .table("f").chunks[0].zones["v"])
+                     for order in self.ORDERS]
+            assert zones == ["(1.0, nan)"] * 3
+        only = self._float_db([float("nan")] * 2).columnstore.table("f")
+        assert repr(only.chunks[0].zones["v"]) == "(nan, nan)"
+
+    def test_a_chunk_holding_nan_is_not_pruned_away(self):
+        for order in self.ORDERS:
+            db = self._float_db(order + [2000.0])
+            pruned = counter(db.columnstore, "columnstore.chunks_pruned")
+            columnar, rowstore = self._both_stores(
+                db, "SELECT max(v), min(v), count(*) FROM f "
+                    "WHERE v >= 1000.0 AS OF BLOCK $1")
+            assert columnar == rowstore == "[(nan, 2000.0, 2)]"
+            assert counter(db.columnstore,
+                           "columnstore.chunks_pruned") == pruned
+
+    def test_min_max_do_not_depend_on_order_in_either_store(self):
+        for encode in (True, False):
+            for order in self.ORDERS:
+                db = self._float_db(order, encode)
+                for sql in (
+                        # zone-answered, filtered (kernels), grouped
+                        "SELECT min(v), max(v) FROM f AS OF BLOCK $1",
+                        "SELECT min(v), max(v) FROM f WHERE id >= 0 "
+                        "AS OF BLOCK $1",
+                        "SELECT id / 10, min(v), max(v) FROM f "
+                        "GROUP BY id / 10 AS OF BLOCK $1"):
+                    answers = self._both_stores(db, sql)
+                    assert answers[0] == answers[1], (order, sql)
+                    assert "1.0, nan" in answers[0], (order, sql)
+
+    def test_a_client_can_commit_nan_and_every_node_answers_alike(self):
+        """The reachable form: ``simple_insert`` takes any float."""
+        from repro.bench.harness import build_functional_network
+
+        net, clients = build_functional_network(
+            "order-execute", organizations=("org1", "org2"),
+            seed_data=False)
+        for i, amount in enumerate([5.0, float("nan"), 1.0]):
+            clients[0].invoke_and_wait("simple_insert", 100 + i, 1,
+                                       "org1", amount)
+        net.settle()
+        net.assert_consistent()
+        sql = ("SELECT max(amount), count(*) FROM invoices "
+               "WHERE amount >= 1000.0")
+        for node in net.nodes:
+            assert repr(node.query(sql).rows) == \
+                repr(node.query_as_of(sql).rows) == "[(nan, 1)]"
+        extremes = "SELECT min(amount), max(amount) FROM invoices"
+        for client in clients:
+            assert repr(client.query(extremes).rows) == \
+                repr(client.query_as_of(extremes).rows) == "[(1.0, nan)]"
+
+
+class TestFoldedRowsCounters:
+    """``analytics.rows_folded_typed`` / ``rows_folded_generic``: which
+    form ``ColumnarAggregate`` read its argument columns in.  A column
+    that stops encoding as a typed array shows up as a ratio."""
+
+    #: The four ``AS OF`` shapes of the end-to-end ``htap-mixed``
+    #: workload (benchmarks/e2e/workloads.py), on the Appendix A schema.
+    HTAP_SHAPES = (
+        ("SELECT org, count(*), sum(amount) FROM invoices GROUP BY org "
+         "ORDER BY org", ()),
+        ("SELECT count(*), min(amount), max(amount), sum(amount) "
+         "FROM invoices WHERE invoice_id BETWEEN $1 AND $2", (2, 9)),
+        ("SELECT org, count(*), sum(amount) FROM invoices "
+         "WHERE status = 'new' GROUP BY org ORDER BY org", ()),
+        ("SELECT org, count(*), sum(balance) FROM accounts GROUP BY org "
+         "ORDER BY org", ()),
+    )
+
+    @staticmethod
+    def _folded(store):
+        return (counter(store, "analytics.rows_folded_typed"),
+                counter(store, "analytics.rows_folded_generic"))
+
+    def test_htap_shapes_fold_typed_arrays_only(self):
+        """Between blocks every chunk is sealed, and ``amount`` /
+        ``balance`` are NOT NULL floats: nothing takes the generic
+        form, on any node."""
+        from repro.bench.harness import build_functional_network
+
+        net, clients = build_functional_network(
+            "order-execute", organizations=("org1", "org2"))
+        for client in clients:
+            store = client.peer.db.columnstore
+            for sql, params in self.HTAP_SHAPES:
+                assert client.query_as_of(sql, params=params).rows
+            typed, generic = self._folded(store)
+            # 8 accounts x 3 invoices: three shapes read the invoices
+            # (one of them 8 of the 24), one the accounts.
+            assert (typed, generic) == (24 + 8 + 24 + 8, 0)
+            assert all(chunk.sealed for tcols in store.tables.values()
+                       for chunk in tcols.chunks)
+
+    def test_generic_share_is_the_open_chunk_and_the_null(self):
+        db = make_db()
+        commit_block(db, [("INSERT INTO t (id, v) VALUES ($1, $2)", (i, i))
+                          for i in range(6)])
+        store = db.columnstore
+        sql = "SELECT sum(v), count(*) FROM t WHERE id >= 0 AS OF BLOCK $1"
+
+        def run():
+            tx = db.begin(allow_nondeterministic=True, read_only=True)
+            try:
+                return run_sql(db, tx, sql,
+                               params=(db.committed_height,)).rows
+            finally:
+                db.apply_abort(tx, reason="read-only")
+
+        assert run() == [(15, 6)]
+        assert self._folded(store) == (6, 0)
+        # A block committed but not yet sealed: the read ingests it
+        # into an open chunk of plain lists.
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "INSERT INTO t (id, v) VALUES (6, 6), (7, 7)")
+        db.apply_commit(tx, block_number=2)
+        db.committed_height = 2
+        assert run() == [(28, 8)]
+        assert self._folded(store) == (12, 2)
+        # Sealed, the same rows are typed; one NULL and its chunk is
+        # a plain list again.
+        store.on_block(db, 2)
+        assert run() == [(28, 8)]
+        assert self._folded(store) == (20, 2)
+        commit_block(db, [("INSERT INTO t (id, v) VALUES (8, NULL)", ())])
+        assert run() == [(28, 9)]
+        assert self._folded(store) == (28, 3)

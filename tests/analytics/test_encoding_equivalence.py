@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
-from tests.conftest import counter
+from repro.errors import ExecutionError
+from tests.conftest import counter, same_outcome
 
 KEYS = list(range(6))
 GROUPS = ["g1", "g2", "g3"]
@@ -193,8 +194,7 @@ class TestEncodingEquivalence:
             pla, _ = run_as_of(plain_db, sql, height)
             assert enc.rows == pla.rows
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
-                              min_value=-1e9, max_value=1e9),
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
                     min_size=1, max_size=25))
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -215,8 +215,10 @@ class TestEncodingEquivalence:
             db.apply_commit(setup, block_number=1)
             db.committed_height = 1
             db.columnstore.on_block(db, 1)
-            result, _ = run_as_of(
-                db, "SELECT sum(v), avg(v), min(v), max(v), v FROM f "
-                    "GROUP BY v ORDER BY v AS OF BLOCK $1", 1)
-            results.append(result.rows)
-        assert results[0] == results[1]
+            try:
+                results.append(run_as_of(
+                    db, "SELECT sum(v), avg(v), min(v), max(v), v FROM f "
+                        "GROUP BY v ORDER BY v AS OF BLOCK $1", 1)[0].rows)
+            except ExecutionError as exc:   # a sum out of float range
+                results.append(str(exc))
+        assert same_outcome(*results)

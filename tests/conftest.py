@@ -65,6 +65,18 @@ def gauge(owner, name: str):
     return value
 
 
+def same_outcome(left, right) -> bool:
+    """``left == right`` for two statement outcomes — result rows, or
+    the text of the error raised instead — with NaN reading equal to
+    NaN (and, as with ``==``, 0.0 equal to -0.0)."""
+    if isinstance(left, str) or isinstance(right, str):
+        return left == right
+    return len(left) == len(right) and all(
+        len(a) == len(b) and all(x == y or (x != x and y != y)
+                                 for x, y in zip(a, b))
+        for a, b in zip(left, right))
+
+
 @contextmanager
 def structural_planning(db):
     """Plan ``db``'s statements by the pre-costing structural rules — the

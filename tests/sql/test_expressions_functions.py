@@ -3,6 +3,8 @@ evaluator every node runs (``compile_expr`` closures), with and without
 the planner's binder pre-resolution."""
 
 from decimal import Decimal
+from itertools import product
+from math import inf, nan
 
 import pytest
 
@@ -149,6 +151,37 @@ class TestCompareValues:
     def test_incomparable_types(self):
         with pytest.raises(TypeMismatchError):
             compare_values("a", 1)
+
+    #: Numbers of every class a column can hold, the unordered and the
+    #: twice-represented ones among them.  Two NaN objects: equality
+    #: must not come from identity.
+    NUMBERS = [nan, float("nan"), inf, -inf, 0.0, -0.0, 1.5, -2.5, 1e308,
+               0, 1, -3, 2 ** 70, True, False, Decimal("1.5"), Decimal(2)]
+
+    def test_total_order_on_numbers(self):
+        """NaN is equal to itself and above every other number, so the
+        comparator is a total preorder: antisymmetric, transitive, and
+        every pair is ordered — what zone maps, min / max folds and
+        sorts need for their answer not to depend on input order."""
+        numbers = self.NUMBERS
+        for a, b in product(numbers, repeat=2):
+            assert compare_values(a, b) == -compare_values(b, a), (a, b)
+            if a != a:
+                assert compare_values(a, b) == (0 if b != b else 1)
+        for a, b, c in product(numbers, repeat=3):
+            if compare_values(a, b) <= 0 and compare_values(b, c) <= 0:
+                assert compare_values(a, c) <= 0, (a, b, c)
+            if compare_values(a, b) == 0:
+                # Equal values order alike against everything.
+                assert compare_values(a, c) == compare_values(b, c)
+
+    def test_where_sees_nan_above_every_number(self):
+        ctx = EvalContext(params=[nan])
+        for sql, expected in (("$1 > 1e308", True), ("$1 = $1", True),
+                              ("$1 <= 5", False), ("$1 <> $1", False),
+                              ("$1 BETWEEN 0 AND $1", True)):
+            expr = Parser(sql).parse_expr()
+            assert compile_predicate(expr)(ctx) is expected, sql
 
 
 class TestColumnResolution:
