@@ -12,6 +12,12 @@ emitted — so a change to the SQL layer can be sized from this table
 instead of from a cProfile run.  Each query runs ``--repeats`` times
 after one warm-up and the fastest execution is the one reported.
 
+It also prints, and asserts, two counts no host can move: the SIREAD
+ranges one execution records (its predicate reads — one per scan, so
+``complex_join`` records one for the accounts scan plus one per
+invoices probe, ``complex_group`` one), and ``sql.probe_fallbacks``,
+which must stay 0: every probe keeps the index it was planned with.
+
 It imports the seed from ``benchmarks/e2e/workloads.py`` and the engine
 from ``src/`` of this checkout, builds one plain ``Database`` (no
 network, no consensus) and changes nothing.
@@ -67,14 +73,16 @@ def seeded_database(accounts: int, seed: int) -> Database:
     return db
 
 
-def analyze(db: Database, sql: str, org: str) -> List[str]:
+def analyze(db: Database, sql: str, org: str) -> Tuple[List[str], int]:
+    """The EXPLAIN ANALYZE lines of one execution and the number of
+    predicate reads (SIREAD ranges) it recorded."""
     tx = db.begin(allow_nondeterministic=True)
     try:
         result = run_sql(db, tx, "EXPLAIN ANALYZE " + sql,
                          variables={"org_name": org})
     finally:
         db.apply_abort(tx, reason="row_pipeline")
-    return [row[0] for row in result.rows]
+    return [row[0] for row in result.rows], len(tx.predicate_reads)
 
 
 def execution_ms(lines: List[str]) -> float:
@@ -96,6 +104,17 @@ def operators(lines: List[str]) -> List[Tuple[int, str, int, int, float]]:
                         int(match.group("loops")),
                         float(match.group("ms"))))
     return out
+
+
+def check_siread(name: str, lines: List[str], sireads: int) -> None:
+    """One SIREAD range per scan: the FROM scan's, plus one per probe."""
+    probes = sum(loops for _d, what, _r, loops, _ms in operators(lines)
+                 if "(per outer row)" in what)
+    print(f"{name}: {sireads} SIREAD ranges per execution "
+          f"(1 + {probes} probes)")
+    if sireads != 1 + probes:
+        raise SystemExit(f"{name}: {sireads} predicate reads, expected "
+                         f"{1 + probes}")
 
 
 def report(name: str, lines: List[str]) -> None:
@@ -130,10 +149,15 @@ def main(argv=None) -> int:
           f"{args.accounts * 20} invoices, 3 orgs")
     for name, sql in QUERIES:
         analyze(db, sql, "org1")    # plan, compile, fill the caches
-        best = min((analyze(db, sql, "org1")
-                    for _ in range(max(1, args.repeats))),
-                   key=execution_ms)
+        best, sireads = min((analyze(db, sql, "org1")
+                             for _ in range(max(1, args.repeats))),
+                            key=lambda run: execution_ms(run[0]))
         report(name, best)
+        check_siread(name, best, sireads)
+    fallbacks = db.sql_probe_fallbacks.value
+    print(f"sql.probe_fallbacks: {fallbacks:g}")
+    if fallbacks:
+        raise SystemExit("a probe left its planned index")
     return 0
 
 

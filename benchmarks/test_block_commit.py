@@ -32,7 +32,8 @@ from repro.bench.harness import format_table, registry_counter_snapshot
 from repro.chain.block import Block
 from repro.chain.transaction import ProcedureCall, Transaction
 from repro.core.network import BlockchainNetwork
-from repro.storage.visibility import latest_committed_visible
+from repro.storage.snapshot import SeqSnapshot
+from repro.storage.visibility import visible_versions
 
 SCHEMA = """
 CREATE TABLE readings (
@@ -136,11 +137,14 @@ def artifacts(net, node):
     db = node.db
 
     def versions(table):
+        heap = db.catalog.heap_of(table).all_versions()
+        if table == "pgledger":     # the latest committed state
+            heap = visible_versions(
+                heap, SeqSnapshot(db.statuses.current_commit_seq),
+                db.statuses, None)
         return [(v.version_id, v.row_id, v.xmin, v.xmax_winner,
                  v.creator_block, v.deleter_block, sorted(v.values.items()))
-                for v in db.catalog.heap_of(table).all_versions()
-                if table != "pgledger"
-                or latest_committed_visible(v, db.statuses)]
+                for v in heap]
 
     return {
         "wal": [(r.lsn, r.kind, r.payload) for r in db.wal._records],

@@ -88,7 +88,7 @@ def visible_at(creator: Optional[int], deleter: Optional[int],
     """Row visibility for committed versions at block ``height``.
 
     This is the columnar twin of the row store's
-    ``version_visible(..., BlockSnapshot(height), ...)`` for committed
+    ``visible_versions(..., BlockSnapshot(height), ...)`` for committed
     versions: created at or below the height, and not deleted at or
     below it.  Boundary semantics (``creator == h`` visible,
     ``deleter == h`` invisible, ``deleter > h`` visible) are shared with

@@ -262,11 +262,11 @@ class BlockchainNetwork:
 
     @staticmethod
     def _table_fingerprint(node: DatabaseNode, table: str):
-        from repro.storage.visibility import latest_committed_visible
-        heap = node.db.catalog.heap_of(table)
-        rows = []
-        for version in heap.all_versions():
-            if latest_committed_visible(version, node.db.statuses):
-                rows.append(tuple(sorted(version.values.items(),
-                                         key=lambda kv: kv[0])))
-        return sorted(rows, key=repr)
+        from repro.storage.snapshot import SeqSnapshot
+        from repro.storage.visibility import visible_versions
+        statuses = node.db.statuses
+        latest = visible_versions(
+            node.db.catalog.heap_of(table).all_versions(),
+            SeqSnapshot(statuses.current_commit_seq), statuses, None)
+        return sorted((tuple(sorted(version.values.items()))
+                       for version in latest), key=repr)

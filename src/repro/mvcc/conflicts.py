@@ -21,23 +21,20 @@ from repro.storage.index import normalize_key
 class ConflictIndex:
     """The rw-edge test, memoized per block.
 
-    There is an rw-dependency ``reader -> writer`` when the writer
-    replaced/deleted a version the reader read, or wrote a row image
-    (new value entering the range, old value leaving it) inside one of
-    the reader's predicate-read ranges.  The verdict is a pure function
-    of two transactions' frozen read/write sets — state filtering
-    (``is_aborted`` / ``is_committed``) happens at decision time in the
-    validators, never here.  That purity is what makes the cache safe to
-    fill ahead of the commit loop (:meth:`warm_block`) or lazily from
-    inside it: a cached edge answer is always identical to computing it
-    at decision time.
+    There is an rw-dependency ``reader -> writer`` when the writer wrote
+    a row image (new value entering the range, old value leaving it)
+    inside one of the reader's predicate-read ranges.  The verdict is a
+    pure function of two transactions' frozen read/write sets — state
+    filtering (``is_aborted`` / ``is_committed``) happens at decision
+    time in the validators, never here.  That purity is what makes the
+    cache safe to fill ahead of the commit loop (:meth:`warm_block`) or
+    lazily from inside it: a cached edge answer is always identical to
+    computing it at decision time.
 
     Layers of memoization remove the redundant work of asking afresh
-    (one ``wrote_version_ids`` / ``write_values_by_table`` rebuild per
-    candidate per validation — tens of thousands of set/dict
-    allocations per block):
+    (one ``write_values_by_table`` rebuild per candidate per validation
+    — tens of thousands of dict allocations per block):
 
-    * the (table, version_id) set of old versions each writer replaced,
     * each writer's row images grouped by table,
     * per (writer, predicate columns) *normalized index keys* of those
       images, so a predicate-range probe is pure tuple comparison
@@ -47,17 +44,9 @@ class ConflictIndex:
 
     def __init__(self) -> None:
         self._edges: Dict[Tuple[int, int], bool] = {}
-        self._wrote: Dict[int, Set[Tuple[str, int]]] = {}
         self._images: Dict[int, Dict[str, List[Dict]]] = {}
         self._image_keys: Dict[Tuple[int, str, Tuple[str, ...]],
                                List[Optional[Tuple]]] = {}
-
-    def wrote(self, tx: TransactionContext) -> Set[Tuple[str, int]]:
-        cached = self._wrote.get(tx.xid)
-        if cached is None:
-            cached = tx.wrote_version_ids()
-            self._wrote[tx.xid] = cached
-        return cached
 
     def images(self, tx: TransactionContext) -> Dict[str, List[Dict]]:
         cached = self._images.get(tx.xid)
@@ -88,23 +77,21 @@ class ConflictIndex:
 
     def _compute_edge(self, reader: TransactionContext,
                       writer: TransactionContext) -> bool:
-        if reader.xid == writer.xid or not writer.writes:
+        if reader.xid == writer.xid or not writer.writes \
+                or not reader.predicate_reads:
             return False
-        if reader.row_reads & self.wrote(writer):
-            return True
-        if reader.predicate_reads:
-            images = self.images(writer)
-            for predicate in reader.predicate_reads:
-                values_list = images.get(predicate.table)
-                if not values_list:
-                    continue
-                if not predicate.columns:
-                    return True  # full-table predicate matches any write
-                for key in self._image_keys_for(
-                        writer, predicate.table, predicate.columns,
-                        values_list):
-                    if key is None or predicate.matches_key(key):
-                        return True
+        images = self.images(writer)
+        for predicate in reader.predicate_reads:
+            values_list = images.get(predicate.table)
+            if not values_list:
+                continue
+            if not predicate.columns:
+                return True  # full-table predicate matches any write
+            for key in self._image_keys_for(
+                    writer, predicate.table, predicate.columns,
+                    values_list):
+                if key is None or predicate.matches_key(key):
+                    return True
         return False
 
     def has_edge(self, reader: TransactionContext,
@@ -122,31 +109,18 @@ class ConflictIndex:
         time and store it in the edge cache.
 
         Instead of the O(n²) pairwise :meth:`_compute_edge` sweep, edges
-        are *enumerated* from inverted maps: a (table, version_id) map
-        answers direct rw hits (writer replaced a version the reader
-        read), and point predicates — equality probes, the dominant
-        shape — hash-join against per-(table, columns) buckets of
-        normalized image-key prefixes.  Range and unindexable shapes
-        fall back to the exact per-writer check, restricted to the
-        writers with images in the predicate's table.  Every branch
-        mirrors :meth:`_compute_edge` exactly, so the cached verdicts
-        are identical to lazy computation (property-tested against the
-        lazy per-pair verdict, pair by pair).
+        are *enumerated* from inverted maps: point predicates — equality
+        probes, the dominant shape — hash-join against per-(table,
+        columns) buckets of normalized image-key prefixes.  Range and
+        unindexable shapes fall back to the exact per-writer check,
+        restricted to the writers with images in the predicate's table.
+        Every branch mirrors :meth:`_compute_edge` exactly, so the cached
+        verdicts are identical to lazy computation (property-tested
+        against the lazy per-pair verdict, pair by pair).
         """
         true_pairs: Set[Tuple[int, int]] = set()
         writers = [w for w in members if w.writes]
-        # Direct rw: writer replaced/deleted a version the reader read.
-        writers_of_version: Dict[Tuple[str, int], List[int]] = {}
-        for w in writers:
-            for vkey in self.wrote(w):
-                writers_of_version.setdefault(vkey, []).append(w.xid)
-        for r in members:
-            rxid = r.xid
-            for vkey in r.row_reads:
-                for wxid in writers_of_version.get(vkey, ()):
-                    if wxid != rxid:
-                        true_pairs.add((rxid, wxid))
-        # Predicate rw: a written row image inside a scanned range.
+        # A written row image inside a scanned range.
         images_by_table: Dict[str, List[TransactionContext]] = {}
         for w in writers:
             for table, values_list in self.images(w).items():

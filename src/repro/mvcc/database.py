@@ -72,6 +72,8 @@ class Database:
         # is the number of statements.
         self.sql_plan_seconds = metrics.histogram("sql.plan_seconds")
         self.sql_exec_seconds = metrics.histogram("sql.exec_seconds")
+        # Outer rows whose nested-loop probe left its planned index.
+        self.sql_probe_fallbacks = metrics.counter("sql.probe_fallbacks")
         self.catalog = Catalog()
         # Statement fast path: physical plan templates keyed by
         # (fingerprint, shape, catalog version); DDL/stats-drift bumps

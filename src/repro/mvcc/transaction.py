@@ -2,10 +2,11 @@
 
 A :class:`TransactionContext` is the analogue of a PostgreSQL backend's
 transaction state: an xid, a snapshot, and — because we run under SSI — the
-SIREAD bookkeeping: which row versions were read, which predicate (index
-range) reads were performed, and which versions were written.  The SSI
-validators (:mod:`repro.mvcc.ssi`, :mod:`repro.mvcc.block_ssi`) derive
-rw-antidependency edges from these sets.
+SIREAD bookkeeping: which predicate (index range or whole-table) reads were
+performed, and which versions were written.  The SSI validators
+(:mod:`repro.mvcc.ssi`, :mod:`repro.mvcc.block_ssi`) derive
+rw-antidependency edges from these sets.  There is no per-row read set:
+docs/sql_engine.md, "Where the SSI hooks live", says why none is needed.
 """
 
 from __future__ import annotations
@@ -140,8 +141,6 @@ class TransactionContext:
         self.provenance = provenance
 
         # SIREAD bookkeeping
-        self.row_reads: Set[Tuple[str, int]] = set()        # (table, version)
-        self.row_reads_by_row: Set[Tuple[str, int]] = set()  # (table, row_id)
         self.predicate_reads: List[PredicateRead] = []
         self.writes: List[WriteSetEntry] = []
         self.tables_written: Set[str] = set()
@@ -170,10 +169,6 @@ class TransactionContext:
                 f"transaction {self.tx_id or self.xid} is "
                 f"{self.state.value}")
 
-    def record_row_read(self, table: str, version: RowVersion) -> None:
-        self.row_reads.add((table, version.version_id))
-        self.row_reads_by_row.add((table, version.row_id))
-
     def record_predicate_read(self, predicate: PredicateRead) -> None:
         self.predicate_reads.append(predicate)
 
@@ -194,15 +189,6 @@ class TransactionContext:
     @property
     def has_writes(self) -> bool:
         return bool(self.writes)
-
-    def wrote_version_ids(self) -> Set[Tuple[str, int]]:
-        """(table, version_id) pairs of *old* versions this tx replaced or
-        deleted — the targets of rw-edges from readers."""
-        out: Set[Tuple[str, int]] = set()
-        for entry in self.writes:
-            if entry.old_version is not None:
-                out.add((entry.table, entry.old_version.version_id))
-        return out
 
     def write_values_by_table(self) -> Dict[str, List[Dict[str, Any]]]:
         """All row images (old and new) this tx touched, for predicate-range

@@ -32,7 +32,7 @@ from repro.mvcc.database import Database
 from repro.mvcc.transaction import TransactionContext, WriteSetEntry
 from repro.sql.catalog import ColumnDef, TableSchema, coerce_value
 from repro.storage.snapshot import SeqSnapshot
-from repro.storage.visibility import version_visible
+from repro.storage.visibility import visible_versions
 
 LEDGER_TABLE = "pgledger"
 
@@ -104,10 +104,10 @@ class Ledger:
         heap = self._heap()
         if snapshot is None:
             snapshot = SeqSnapshot(self.db.statuses.current_commit_seq)
-        for version in heap.resolve(self._pk_index().scan_eq([tx_id])):
-            if version_visible(version, snapshot, self.db.statuses, own_xid):
-                return version
-        return None
+        visible = visible_versions(
+            heap.resolve(self._pk_index().scan_eq([tx_id])), snapshot,
+            self.db.statuses, own_xid)
+        return visible[0] if visible else None
 
     def _coerced(self, values: Dict[str, Any]) -> Dict[str, Any]:
         """Apply the same per-column type coercions the SQL INSERT/UPDATE
@@ -234,10 +234,9 @@ class Ledger:
         heap = self._heap()
         index = heap.indexes[f"{LEDGER_TABLE}_block_idx"]
         snapshot = SeqSnapshot(self.db.statuses.current_commit_seq)
-        rows = [version.values
-                for version in heap.resolve(index.scan_eq([block_number]))
-                if version_visible(version, snapshot, self.db.statuses,
-                                   None)]
+        rows = [version.values for version in visible_versions(
+            heap.resolve(index.scan_eq([block_number])), snapshot,
+            self.db.statuses, None)]
         rows.sort(key=lambda values: values["blockposition"])
         return [{col: values.get(col) for col in _STATUS_COLUMNS}
                 for values in rows]
@@ -248,7 +247,8 @@ class Ledger:
         snapshot = SeqSnapshot(self.db.statuses.current_commit_seq)
         last: Optional[int] = None
         for version in reversed(heap.resolve(index.scan_all())):
-            if version_visible(version, snapshot, self.db.statuses, None):
+            if visible_versions((version,), snapshot, self.db.statuses,
+                                None):
                 last = version.values["blocknumber"]
                 break
         return last

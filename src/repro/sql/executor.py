@@ -69,7 +69,7 @@ from repro.sql.plan import (
 from repro.sql.plancache import PlanCache, PlanEntry
 from repro.sql.planner import Planner, SelectPlan, timed
 from repro.storage.index import normalize_key
-from repro.storage.visibility import version_visible
+from repro.storage.visibility import visible_versions
 
 __all__ = [
     "AccessChecker", "Executor", "PROVENANCE_COLUMNS", "Result", "run_sql",
@@ -587,8 +587,8 @@ class Executor:
                 if exclude_row is not None and \
                         version.row_id == exclude_row:
                     continue
-                if version_visible(version, self.tx.snapshot,
-                                   self.db.statuses, self.tx.xid):
+                if visible_versions((version,), self.tx.snapshot,
+                                    self.db.statuses, self.tx.xid):
                     raise ConstraintViolation(
                         f"duplicate key value violates unique constraint "
                         f"{index.name!r}", constraint=index.name,

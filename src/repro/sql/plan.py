@@ -18,15 +18,15 @@ execution or per outer row, :func:`index_signature` picks the index,
 :func:`scan_cost` prices it, and :func:`begin_scan` is the SSI prologue
 of every heap scan:
 
-* **SIREAD recording** — every scan records a :class:`PredicateRead`
-  (index range or whole-table) and every visible row read;
+* **SIREAD recording** — every scan records one :class:`PredicateRead`
+  (index range or whole-table): its whole read set;
 * **EO missing-index abort** — under ``tx.require_index`` a scan that no
   index can serve raises :class:`MissingIndexError` (paper section 4.3);
 * **phantom / stale-window checks** — scans running below the node's
   committed height inspect the window over their *candidate* versions and
   abort on the section 3.4.1 rules.
 
-Join operators therefore never bypass ``execute_scan``: a
+Join operators therefore never bypass :func:`begin_scan`: a
 :class:`NestedLoopJoin` derives index bounds per outer row (recording
 narrow per-probe predicate reads), while a :class:`HashJoin` scans its
 build side once (recording that scan's — wider but conservative —
@@ -86,7 +86,7 @@ from repro.storage.snapshot import BlockSnapshot
 from repro.storage.visibility import (
     version_committed_in_window,
     version_deleted_in_window,
-    version_visible,
+    visible_versions,
 )
 
 PROVENANCE_COLUMNS = ("xmin", "xmax", "creator", "deleter", "row_id")
@@ -337,14 +337,17 @@ def bounds_of(sargs: Sequence[Sarg], ctx: Optional[EvalContext],
             if any(value is None for value in values):
                 continue
             try:
-                slot["low"] = (min(values), True)
-                slot["high"] = (max(values), True)
-            except TypeError:
+                slot["low"] = (min(values, key=_SQL_ORDER), True)
+                slot["high"] = (max(values, key=_SQL_ORDER), True)
+            except TypeMismatchError:
                 continue
         bounds.setdefault(sarg.column, {}).update(slot)
         if sources is not None:
             sources.setdefault(sarg.column, []).append(sarg.source)
     return bounds
+
+
+_SQL_ORDER = functools.cmp_to_key(compare_values)
 
 
 # (index name, n leading equality columns, has range on next column);
@@ -540,13 +543,13 @@ def _by_content(row: "ScanRow") -> str:
 
 def begin_scan(rt: Runtime, table_name: str, index: Optional[Index] = None,
                keys: Optional[Tuple] = None, key_order: bool = False
-               ) -> Tuple[List[RowVersion], Any, Optional[int], bool]:
+               ) -> Tuple[List[RowVersion], Any, Optional[int]]:
     """The SSI prologue of every heap scan — the access check, the
     section 4.3 missing-index abort, the predicate read (SIREAD range)
     and the section 3.4.1 window checks over the *candidate* versions —
-    so an SSI fix lands once.  Returns ``(candidates, snapshot, own_xid,
-    record)``: the versions to test for visibility, what to test them
-    against, and whether row reads are recorded.
+    so an SSI fix lands once.  Returns ``(candidates, snapshot,
+    own_xid)``: the versions to test for visibility (all inside the
+    predicate read) and what to test them against.
 
     ``keys`` is a :func:`key_range` over ``index``; None reads the
     whole table — every heap version, or, when an ``index`` is given
@@ -589,33 +592,37 @@ def begin_scan(rt: Runtime, table_name: str, index: Optional[Index] = None,
             low_inclusive=low_incl, high_inclusive=high_incl)
     if rt.ctx.as_of_height is not None and not tx.provenance:
         # pure committed-height semantics
-        return candidates, BlockSnapshot(rt.ctx.as_of_height), None, False
+        return candidates, BlockSnapshot(rt.ctx.as_of_height), None
     tx.record_predicate_read(predicate)
     window_checks(rt, table_name, candidates)
-    return candidates, tx.snapshot, tx.xid, True
+    return candidates, tx.snapshot, tx.xid
 
 
 def execute_scan(rt: Runtime, table_name: str, alias: str,
                  bounds: Dict[str, Dict[str, Any]],
                  ordered: bool = True) -> List[ScanRow]:
     """Scan ``table_name`` through the index :func:`index_signature`
-    picks for ``bounds`` (the whole heap when none), returning visible
-    rows and recording them as read.  Rows come back in content order
-    unless the planner proved order unobservable for this scan
-    (``ordered=False``)."""
+    picks for ``bounds`` (the whole heap when none), returning its
+    visible rows.  Rows come back in content order unless the planner
+    proved order unobservable for this scan (``ordered=False``)."""
     heap = rt.db.catalog.heap_of(table_name)
-    signature = index_signature(heap, bounds)
-    if signature is None:
-        opened = begin_scan(rt, table_name)
-    else:
-        index = heap.indexes[signature[0]]
-        opened = begin_scan(rt, table_name, index, key_range(
-            index.columns, signature[1], signature[2], bounds))
-    candidates, snapshot, own_xid, record = opened
-    tx = rt.tx
+    return signature_scan(rt, table_name, heap, index_signature(heap, bounds),
+                          bounds, ordered)
 
-    rows: List[ScanRow] = []
-    if tx.provenance:
+
+def signature_scan(rt: Runtime, table_name: str, heap,
+                   signature: ScanSignature, bounds: Dict[str, Dict[str, Any]],
+                   ordered: bool) -> List[ScanRow]:
+    """:func:`execute_scan` once ``signature`` is chosen: :func:`begin_scan`
+    over the key range of ``bounds`` on that index (the whole heap for
+    None), then :func:`visible_versions`."""
+    index = keys = None
+    if signature is not None:
+        index = heap.indexes[signature[0]]
+        keys = key_range(index.columns, signature[1], signature[2], bounds)
+    candidates, snapshot, own_xid = begin_scan(rt, table_name, index, keys)
+    if rt.tx.provenance:
+        rows: List[ScanRow] = []
         for version in candidates:
             if not _provenance_visible(rt, version):
                 continue
@@ -624,13 +631,9 @@ def execute_scan(rt: Runtime, table_name: str, alias: str,
                 values.setdefault(key, val)
             rows.append(ScanRow(values, version))
     else:
-        statuses = rt.db.statuses
-        for version in candidates:
-            if not version_visible(version, snapshot, statuses, own_xid):
-                continue
-            if record:
-                tx.record_row_read(table_name, version)
-            rows.append(ScanRow(version.values, version))
+        rows = [ScanRow(version.values, version)
+                for version in visible_versions(
+                    candidates, snapshot, rt.db.statuses, own_xid)]
     if ordered or rt.content_order:
         rows.sort(key=_by_content)
     return rows
@@ -1050,15 +1053,17 @@ class Filter(PlanNode):
 
 
 class DynamicProbe(PlanNode):
-    """Explain-only child of a NestedLoopJoin: the inner access path is
-    re-derived per outer row — ``sargs`` were normalized with the
+    """Explain-only child of a NestedLoopJoin: the inner access path
+    follows each outer row's bounds — ``sargs`` were normalized with the
     already-joined aliases bound, so outer-row values feed the index
-    bounds.  ``est_rows``/``est_cost`` are *per-probe* estimates
-    (``cost_sig`` None: per-row sequential rescans)."""
+    bounds.  ``signature`` is the index the bound kinds predict,
+    ``exact`` the ON conjuncts it enforces; ``est_rows``/``est_cost``
+    are *per-probe* (``cost_sig`` None: per-row sequential rescans)."""
 
     def __init__(self, table: str, alias: str, sargs: Sequence[Sarg],
                  index_name: Optional[str], conditions: Sequence[Expr],
-                 cost_sig: Optional[CostSig], ordered: bool = True):
+                 cost_sig: Optional[CostSig], ordered: bool = True,
+                 exact: Sequence[Expr] = ()):
         self.table = table
         self.alias = alias
         self.sargs = list(sargs)
@@ -1066,6 +1071,9 @@ class DynamicProbe(PlanNode):
         self.conditions = list(conditions)
         self.cost_sig = cost_sig
         self.ordered = ordered   # see SeqScan
+        self.signature: ScanSignature = None if index_name is None \
+            else (index_name, cost_sig[0], cost_sig[1])
+        self.exact = list(exact)
 
     def rows(self, rt: Runtime) -> Iterator:  # pragma: no cover
         raise ExecutionError("DynamicProbe is driven by NestedLoopJoin")
@@ -1085,8 +1093,11 @@ class DynamicProbe(PlanNode):
 
 
 class NestedLoopJoin(PlanNode):
-    """Per-outer-row inner scan — byte-identical to the old executor's
-    ``_apply_join``, including the narrow per-probe predicate reads."""
+    """Per-outer-row inner scan with narrow per-probe predicate reads.
+    Each outer row's bounds pick the signature of its one scan; while
+    that is the planned one, only the ON conjuncts ``probe.exact``
+    leaves are evaluated (none: no closure at all), else (a NULL outer
+    key bounds nothing) the full ON, counting ``sql.probe_fallbacks``."""
 
     def __init__(self, outer: PlanNode, join: Join, probe: DynamicProbe,
                  est_rows: float = 0.0, binder: Optional[Binder] = None):
@@ -1094,41 +1105,49 @@ class NestedLoopJoin(PlanNode):
         self.join = join
         self.probe = probe
         self._on = compile_predicate(join.on, binder)
+        residual = without(join.on, probe.exact)
+        self._residual_on = None if residual is None \
+            else compile_predicate(residual, binder)
         self.est_rows = est_rows
 
     def rows(self, rt: Runtime) -> Iterator[Env]:
         join = self.join
         alias = join.table.alias
-        on = self._on
-        schema = rt.db.catalog.schema_of(join.table.name)
+        table = join.table.name
+        left = join.kind == "LEFT"
+        schema = rt.db.catalog.schema_of(table)
         null_row = {col: None for col in schema.column_names()}
-        sargs = self.probe.sargs
-        ordered = self.probe.ordered
+        heap = rt.db.catalog.heap_of(table)
+        probe = self.probe
+        sargs, ordered, planned = probe.sargs, probe.ordered, probe.signature
+        fallbacks = rt.db.sql_probe_fallbacks
         row_ctx = rt.ctx.row_context()
-        probe_st = None
-        if rt.probe_stats is not None:
-            probe_st = rt.probe_stats.get(id(self.probe))
+        probe_st = (rt.probe_stats or {}).get(id(probe))
         for env in self.outer.rows(rt):
             row_ctx.env = env
             bounds = bounds_of(sargs, row_ctx)
             if probe_st is not None:
                 t0 = time.perf_counter()
-                inner_rows = execute_scan(rt, join.table.name, alias,
-                                          bounds, ordered)
+            signature = index_signature(heap, bounds)
+            if signature == planned:
+                on = self._residual_on
+            else:
+                fallbacks.inc()
+                on = self._on
+            inner_rows = signature_scan(rt, table, heap, signature, bounds,
+                                        ordered)
+            if probe_st is not None:
                 probe_st.loops += 1
                 probe_st.rows += len(inner_rows)
                 probe_st.seconds += time.perf_counter() - t0
-            else:
-                inner_rows = execute_scan(rt, join.table.name, alias,
-                                          bounds, ordered)
             matched = False
             for inner in inner_rows:
                 candidate_env = {**env, alias: inner.values}
                 row_ctx.env = candidate_env
-                if on(row_ctx):
+                if on is None or on(row_ctx):
                     matched = True
                     yield candidate_env
-            if join.kind == "LEFT" and not matched:
+            if left and not matched:
                 yield {**env, alias: dict(null_row)}
 
     def children(self) -> List[PlanNode]:
@@ -1144,6 +1163,18 @@ class NestedLoopJoin(PlanNode):
         on = f" on ({expr_sql(self.join.on)})" if self.join.on is not None \
             else ""
         return f"NestedLoopJoin {self.join.kind}{on}"
+
+
+def without(expr: Optional[Expr], exact: Sequence[Expr]) -> Optional[Expr]:
+    """``expr`` minus its conjuncts that are (by identity) in ``exact``:
+    ``expr`` itself when none is, None when nothing is left."""
+    parts = [] if expr is None else conjuncts(expr)
+    kept = [conj for conj in parts
+            if not any(conj is enforced for enforced in exact)]
+    if len(kept) == len(parts):
+        return expr
+    return functools.reduce(lambda left, right: BinaryOp(
+        "AND", left, right), kept) if kept else None
 
 
 def _join_key(values: Sequence[Any]) -> Tuple:
@@ -1260,6 +1291,22 @@ def bucket_key(values: Sequence[Any]) -> Tuple:
 
 _NAN_BUCKET = ("NaN",)
 
+
+def group_key_fn(fns: Sequence[Callable]) -> Callable[[Any], Any]:
+    """The GROUP BY key function of compiled group expressions, chosen
+    once: ``()``, the one value (NaN as :func:`bucket_key` has it), or
+    :func:`bucket_key` of several."""
+    if not fns:
+        return lambda row_ctx: ()
+    if len(fns) == 1:
+        fn = fns[0]
+
+        def single(row_ctx):
+            value = fn(row_ctx)
+            return value if value == value else _NAN_BUCKET
+        return single
+    return lambda row_ctx: bucket_key([fn(row_ctx) for fn in fns])
+
 # How one aggregate folds its non-NULL argument values.
 FOLD_COUNT = 0     # int state
 FOLD_BUFFER = 1    # list state: sum / avg / DISTINCT, folded at the end
@@ -1309,8 +1356,10 @@ class HashAggregate(PlanNode):
     """GROUP BY / global aggregation, HAVING, and grouped projection.
 
     Emits ``(order_keys, output_row)`` pairs for Sort/Distinct/Limit.
-    One pass over the child: each row is bucketed by its
-    :func:`bucket_key` and folded into its group's per-aggregate states.
+    One pass over the child: each row is bucketed by its group key —
+    :func:`bucket_key`'s notion of equal, through a key function chosen
+    once per plan (:func:`group_key_fn`) — and folded into its group's
+    per-aggregate states by fold steps built when the first group forms.
     Groups emit in first-encounter order, and a group's non-aggregate
     expressions evaluate against its first row.
     """
@@ -1326,7 +1375,8 @@ class HashAggregate(PlanNode):
         self.items = list(items)
         self.order_items = list(order_items)
         self.est_rows = est_rows
-        self._group_fns = [compile_expr(g, binder) for g in self.group_by]
+        self._group_key = group_key_fn(
+            [compile_expr(g, binder) for g in self.group_by])
         # (fingerprint, call, compiled single argument or None) — the
         # arity/star errors stay runtime errors, raised when the first
         # group forms, not while planning.
@@ -1342,39 +1392,38 @@ class HashAggregate(PlanNode):
         self._order_fns = [compile_expr(o.expr, binder)
                            for o in self.order_items]
 
-    def _folds(self) -> List[Tuple[int, Any]]:
-        """(mode, argument closure or None for ``count(*)``) per
-        aggregate; raises the call-shape errors."""
+    def _folds(self) -> List[Tuple[int, int, Any]]:
+        """The fold steps: (state slot, mode, argument closure or None
+        for ``count(*)``) per aggregate; raises the call-shape errors."""
         folds = []
-        for _, call, arg_fn in self._agg_specs:
+        for slot, (_, call, arg_fn) in enumerate(self._agg_specs, 1):
             if call.star:
                 if call.name != "count":
                     raise ExecutionError(f"{call.name}(*) is not valid")
-                folds.append((FOLD_COUNT, None))
+                folds.append((slot, FOLD_COUNT, None))
                 continue
             if arg_fn is None:
                 raise ExecutionError(
                     f"aggregate {call.name}() takes exactly one argument")
-            folds.append((fold_mode(call.name, call.distinct), arg_fn))
+            folds.append((slot, fold_mode(call.name, call.distinct), arg_fn))
         return folds
 
     def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
         row_ctx = rt.ctx.row_context()
-        group_fns = self._group_fns
-        folds: Optional[List[Tuple[int, Any]]] = None
-        # bucket key -> [first env, one fold state per aggregate]
-        groups: Dict[Tuple, List[Any]] = {}
+        group_key = self._group_key
+        folds: List[Tuple[int, int, Any]] = []
+        # group key -> [first env, one fold state per aggregate]
+        groups: Dict[Any, List[Any]] = {}
         for env in self.child.rows(rt):
             row_ctx.env = env
-            key = bucket_key([fn(row_ctx) for fn in group_fns]) \
-                if group_fns else ()
+            key = group_key(row_ctx)
             group = groups.get(key)
             if group is None:
-                if folds is None:
+                if not groups:
                     folds = self._folds()
                 group = groups[key] = [env]
-                group.extend(new_fold_state(mode) for mode, _ in folds)
-            for slot, (mode, arg_fn) in enumerate(folds, 1):
+                group.extend(new_fold_state(mode) for _, mode, _ in folds)
+            for slot, mode, arg_fn in folds:
                 if arg_fn is None:                  # count(*)
                     group[slot] += 1
                     continue
@@ -1396,7 +1445,7 @@ class HashAggregate(PlanNode):
         if not groups and not self.group_by:
             # Global aggregate over empty input.
             folds = self._folds()
-            groups[()] = [{}] + [new_fold_state(mode) for mode, _ in folds]
+            groups[()] = [{}] + [new_fold_state(mode) for _, mode, _ in folds]
 
         specs = self._agg_specs
         for group in groups.values():
@@ -1404,7 +1453,7 @@ class HashAggregate(PlanNode):
             row_ctx.aggregate_values = {
                 fingerprint: finish_fold(call.name, mode, state,
                                          call.distinct)
-                for (fingerprint, call, _), (mode, _), state
+                for (fingerprint, call, _), (_, mode, _), state
                 in zip(specs, folds, group[1:])}
             if self._having is not None and not self._having(row_ctx):
                 continue
@@ -1699,10 +1748,9 @@ class IndexOrderScan(SeqScan):
       window checks over every candidate, and the EO missing-index
       abort — happen eagerly in :meth:`prepare`, *before* the first row
       is consumed, so a streaming Limit that stops early (or consumes
-      nothing) still performs them exactly once.  Row reads are
-      recorded only for rows actually streamed; the predicate read
-      covers the whole scanned range, so SSI stays conservative (see
-      docs/sql_engine.md).
+      nothing) still performs them exactly once.  The predicate read
+      covers the whole scanned range, rows past the limit included (see
+      docs/sql_engine.md, "Streaming and SSI").
     """
 
     def __init__(self, table: str, alias: str, sargs: Sequence[Sarg],
@@ -1755,20 +1803,18 @@ class IndexOrderScan(SeqScan):
 
     def stream_rows(self, rt: Runtime) -> Iterator[ScanRow]:
         """Rows in (key, content) order — key order only when the scan
-        is marked ``ordered = False``; visibility checks and row-read
-        recording happen lazily as the consumer advances."""
-        candidates, snapshot, own_xid, record = self.prepare(rt)
-        tx = rt.tx
+        is marked ``ordered = False``; visibility runs per candidate as
+        the consumer advances."""
+        candidates, snapshot, own_xid = self.prepare(rt)
         statuses = rt.db.statuses
         content_runs = self.ordered or rt.content_order
         walk = reversed(candidates) if self.descending else candidates
         buffer: List[ScanRow] = []
         current_key = None
         for version in walk:
-            if not version_visible(version, snapshot, statuses, own_xid):
+            if not visible_versions((version,), snapshot, statuses,
+                                    own_xid):
                 continue
-            if record:
-                tx.record_row_read(self.table, version)
             row = ScanRow(version.values, version)
             if not content_runs:
                 yield row
@@ -1963,8 +2009,8 @@ class StreamingLimit(Limit):
     instead: :meth:`IndexOrderScan.prepare` records the predicate read
     and runs the candidate window checks before the first row is
     consumed, even for ``LIMIT 0``.  Rows past the slice are never
-    *read* (no row-read records) — the predicate read already covers
-    them, so SSI conflict detection stays conservative.
+    read, but the predicate read covers them, so SSI conflict detection
+    stays conservative.
     """
 
     def __init__(self, child: PlanNode, limit: Optional[Expr],

@@ -94,6 +94,7 @@ from repro.sql.plan import (
     sargable,
     sargs_of,
     scan_cost,
+    without,
 )
 from repro.sql.plancache import ScanGuard
 
@@ -357,12 +358,13 @@ class Planner:
         on those rows cannot raise.  That holds for a ``column = value``
         conjunct that is the only source of its column's bound, on a
         column whose declared type keeps one exactly-comparable Python
-        class in the index key (int, text, bool): an equal key is then
-        an ``=`` match whatever the value's own type, and a value of
+        class in the index key (int, text, bool): an equal key of a
+        non-Decimal value is then an ``=`` match, and a value of
         another rank matches no key.  FLOAT (NaN), NUMERIC (keys go
         through float) and system tables (values are not coerced) stay
         with the Filter, and so does an unqualified name two joined
-        tables share (the Filter is what reports the ambiguity)."""
+        tables share (the Filter is what reports the ambiguity).  A
+        Decimal WHERE parameter is ROADMAP item 7 (vi)."""
         schema = self.db.catalog.schema_of(table)
         if schema.system:
             return []
@@ -419,24 +421,34 @@ class Planner:
     # Join planning
     # ------------------------------------------------------------------
 
-    def _plan_probe(self, join: Join, sargs: Sequence[Sarg]
-                    ) -> DynamicProbe:
+    def _plan_probe(self, join: Join, sargs: Sequence[Sarg],
+                    alias_columns: Dict[str, Sequence[str]],
+                    tables: Dict[str, str]) -> DynamicProbe:
         """Structural dry-run of the per-row bound derivation: which
         index would a nested-loop probe use, given that outer-row columns
         become constants at probe time?  The bound *kinds* of the probe's
         sargs go through the same :func:`index_signature` execution
-        uses, so predicted and executed index choice cannot diverge."""
+        uses, so predicted and executed index choice cannot diverge.
+        The join may skip the prefix's exact conjuncts whose value side
+        is statically exact too (a NUMERIC one keys through float)."""
         heap = self.db.catalog.heap_of(join.table.name)
         sources: Dict[str, List[Expr]] = {}
         signature = index_signature(heap, bounds_of(sargs, None, sources))
-        name, conditions, cost_sig = None, [], None
+        name, conditions, cost_sig, exact = None, [], None, []
         if signature is not None:
             name, n_eq, has_range = signature
+            index = heap.indexes[name]
             conditions, cost_sig = self._index_path(
-                heap.indexes[name], n_eq, has_range, sources)
+                index, n_eq, has_range, sources)
+            value_of = {id(sarg.source): sarg.values[0] for sarg in sargs}
+            exact = [conj for conj in self._exact_conjuncts(
+                         join.table.name, index.columns[:n_eq], sources,
+                         alias_columns)
+                     if self._static_class(value_of[id(conj)], alias_columns,
+                                           tables) in _EXACT_CLASSES]
         probe = DynamicProbe(join.table.name, join.table.alias, sargs,
                              name, conditions, cost_sig,
-                             ordered=self.ordered)
+                             ordered=self.ordered, exact=exact)
         probe.recost(self.db)
         return probe
 
@@ -488,6 +500,7 @@ class Planner:
     def plan_join(self, outer: PlanNode, join: Join, where: Optional[Expr],
                   ctx: EvalContext, planned_aliases: Set[str],
                   alias_columns: Dict[str, Sequence[str]],
+                  tables: Dict[str, str],
                   sort_elision_order: Optional[Sequence[OrderItem]] = None,
                   filtered: bool = False) -> PlanNode:
         """Join strategy for one joined table.
@@ -525,7 +538,8 @@ class Planner:
         # whose value needs that outer row: a value constant without it
         # is a build-side bound, not a key.
         probe = self._plan_probe(join, sargs_of(
-            combined, alias, alias_columns, planned_aliases))
+            combined, alias, alias_columns, planned_aliases), alias_columns,
+            tables)
         keys = [(sarg.column, sarg.values[0]) for sarg in probe.sargs
                 if sarg.kind == "cmp" and sarg.op == "="
                 and not is_constant(sarg.values[0], alias_columns)]
@@ -855,11 +869,13 @@ class Planner:
                                     alias_columns)
             planned = {stmt.from_table.alias}
             filtered = self._residual(stmt.where, source) is not None
+            tables = {ref.alias: ref.name for ref in
+                      [stmt.from_table] + [join.table for join in stmt.joins]}
             for position, join in enumerate(stmt.joins):
                 last = position == len(stmt.joins) - 1
                 source = self.plan_join(
                     source, join, stmt.where, ctx, planned, alias_columns,
-                    sort_elision_order=elision_order if last else None,
+                    tables, sort_elision_order=elision_order if last else None,
                     filtered=filtered)
                 planned.add(join.table.alias)
         join_root = source
@@ -892,20 +908,10 @@ class Planner:
         Only that scan counts — every row of it reaches the Filter as
         it was read, whereas a joined table's rows may have been
         NULL-extended, and probe bounds are re-derived per outer row."""
-        if where is None:
-            return None
         leaf = source
         while isinstance(leaf, (NestedLoopJoin, HashJoin)):
             leaf = leaf.outer
-        exact = leaf.exact if type(leaf) is IndexScan else ()
-        if not exact:
-            return where
-        residual: Optional[Expr] = None
-        for conj in conjuncts(where):
-            if not any(conj is enforced for enforced in exact):
-                residual = conj if residual is None \
-                    else BinaryOp("AND", residual, conj)
-        return residual
+        return without(where, leaf.exact if type(leaf) is IndexScan else ())
 
     def _finish(self, top: PlanNode, columns: List[str],
                 alias_columns: Dict[str, Sequence[str]]) -> SelectPlan:

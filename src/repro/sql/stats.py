@@ -38,6 +38,7 @@ height, which keeps that over-sensitivity off the execution path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -126,8 +127,8 @@ class ColumnHistogram:
 
 
 def _build_histogram(values) -> Optional[ColumnHistogram]:
-    """Histogram over the numeric values of a column (exact ``int`` /
-    ``float`` only — ``bool`` and other comparable-but-odd types keep
+    """Histogram over the finite numeric values of a column (exact ``int``
+    / ``float`` only — ``bool`` and other comparable-but-odd types keep
     the fixed-fraction fallback); None when nothing is histogrammable."""
     numeric = []
     for value in values:
@@ -136,6 +137,7 @@ def _build_histogram(values) -> Optional[ColumnHistogram]:
                 numeric.append(float(value))
             except OverflowError:
                 return None
+    numeric = [value for value in numeric if math.isfinite(value)]
     if not numeric:
         return None
     lo = min(numeric)

@@ -13,10 +13,9 @@ from repro.storage.snapshot import (
 )
 from repro.storage.table import HeapTable
 from repro.storage.visibility import (
-    latest_committed_visible,
     version_committed_in_window,
     version_deleted_in_window,
-    version_visible,
+    visible_versions,
 )
 from repro.storage.wal import (
     WAL_ABORT,
@@ -35,9 +34,9 @@ from repro.storage.wal import (
 __all__ = [
     "BlockStore", "Index", "normalize_key", "normalize_key_part",
     "RowVersion", "BlockSnapshot", "SeqSnapshot", "TxRecord", "TxStatus",
-    "TxStatusTable", "HeapTable", "latest_committed_visible",
+    "TxStatusTable", "HeapTable",
     "version_committed_in_window", "version_deleted_in_window",
-    "version_visible", "WALRecord", "WriteAheadLog",
+    "visible_versions", "WALRecord", "WriteAheadLog",
     "WAL_ABORT", "WAL_BEGIN", "WAL_BLOCK_END", "WAL_BLOCK_START",
     "WAL_CHECKPOINT", "WAL_COMMIT", "WAL_DELETE", "WAL_INSERT", "WAL_UPDATE",
 ]

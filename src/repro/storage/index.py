@@ -7,7 +7,8 @@ indexes here point at *row versions* (every version gets an entry; dead
 versions are filtered by visibility at scan time).
 
 Keys are normalized so heterogeneous values order deterministically across
-nodes (None < booleans < numbers < strings).  A key is one flat tuple,
+nodes (None < booleans < numbers < NaN < strings: NaN where
+``compare_values`` puts it, equal to itself).  A key is one flat tuple,
 ``(rank, value, rank, value, ...)`` — two slots per indexed column, the
 value itself rather than a float copy of it (Python compares ``int`` with
 ``float`` exactly) — and equal keys of a non-unique index share one
@@ -44,11 +45,14 @@ from repro.errors import TypeMismatchError
 _RANK_NONE = 0
 _RANK_BOOL = 1
 _RANK_NUM = 2
-_RANK_STR = 3
+_RANK_NAN = 3
+_RANK_STR = 4
+
+_NAN_PART = (_RANK_NAN, 0)   # every NaN: one key, above every number
 
 #: Sorts above every rank: ``key + _POS_INF`` is the exclusive upper
 #: probe of "every key starting with ``key``".
-_POS_INF = (4,)
+_POS_INF = (5,)
 
 #: Pending entries auto-merge past this size so the tail stays cheap to
 #: bisect even on paths that never reach a block boundary.
@@ -57,15 +61,15 @@ AUTO_MERGE_THRESHOLD = 1024
 
 def normalize_key_part(value: Any) -> Tuple:
     """Map a single value to a ``(rank, value)`` pair that compares
-    deterministically."""
+    deterministically: a total order (NaN too), which ``bisect`` needs."""
     if value is None:
         return (_RANK_NONE, None)
     if isinstance(value, bool):
         return (_RANK_BOOL, int(value))
     if isinstance(value, (int, float)):
-        return (_RANK_NUM, value)
+        return (_RANK_NUM, value) if value == value else _NAN_PART
     if isinstance(value, Decimal):
-        return (_RANK_NUM, float(value))
+        return normalize_key_part(float(value))
     if isinstance(value, str):
         return (_RANK_STR, value)
     raise TypeMismatchError(f"unindexable value type {type(value).__name__}")

@@ -157,15 +157,9 @@ class SeqSnapshot:
 
     seq: int
 
-    def includes_commit(self, commit_seq: Optional[int]) -> bool:
-        return commit_seq is not None and commit_seq <= self.seq
-
 
 @dataclass(frozen=True)
 class BlockSnapshot:
     """Sees the committed state as of block ``height`` (inclusive)."""
 
     height: int
-
-    def includes_block(self, block_number: Optional[int]) -> bool:
-        return block_number is not None and block_number <= self.height

@@ -11,7 +11,7 @@ transaction."
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.storage.row import RowVersion
 from repro.storage.snapshot import (
@@ -27,48 +27,46 @@ Snapshot = Union[SeqSnapshot, BlockSnapshot]
 # positive, and an xid past the end was never begun (see TxStatusTable).
 
 
-def version_visible(version: RowVersion, snapshot: Snapshot,
-                    statuses: TxStatusTable, own_xid: Optional[int]) -> bool:
-    """Return True when ``version`` is visible to a transaction running with
-    ``snapshot`` whose transaction id is ``own_xid``.
+def visible_versions(candidates: Iterable[RowVersion], snapshot: Snapshot,
+                     statuses: TxStatusTable,
+                     own_xid: Optional[int]) -> List[RowVersion]:
+    """The versions of ``candidates`` visible to a transaction running
+    with ``snapshot`` whose transaction id is ``own_xid``, in candidate
+    order — the one implementation of the rules (a single version is
+    asked about as a one-element tuple).  Mirroring PostgreSQL's
+    HeapTupleSatisfiesMVCC, extended with block heights:
 
-    Rules (mirroring PostgreSQL's HeapTupleSatisfiesMVCC, extended with
-    block heights):
+    * a version the reader marked deleted (candidate or winner) is
+      invisible to it; one it created itself is otherwise visible;
+    * otherwise the creating transaction must be committed *within* the
+      snapshot (by commit-seq or by creator block height), and its delete
+      winner must be absent, aborted, uncommitted or outside the snapshot.
 
-    * A version created by the reader itself is visible unless the reader
-      also deleted it.
-    * Otherwise the creating transaction must be committed *within* the
-      snapshot (by commit-seq or by creator block height).
-    * The version must not be deleted within the snapshot: its delete winner
-      must be absent, aborted, uncommitted, outside the snapshot — and the
-      reader itself must not have marked it deleted.
-    """
-    if own_xid is not None and version.xmin == own_xid:
-        # Own insert: invisible only if we deleted it ourselves.
-        return not version.deleted_by(own_xid)
+    The snapshot kind and the status array are read once per call, not
+    once per version."""
     seqs = statuses._seqs
-    xmin = version.xmin
-    creator_seq = seqs[xmin] if xmin < len(seqs) else 0
-    if creator_seq <= 0:
-        return False
-    if isinstance(snapshot, SeqSnapshot):
-        if not snapshot.includes_commit(creator_seq):
-            return False
-    else:
-        if not snapshot.includes_block(version.creator_block):
-            return False
-    # Deletion check: our own pending delete hides the row from ourselves.
-    if own_xid is not None and version.deleted_by(own_xid):
-        return False
-    winner = version.xmax_winner
-    if winner is None:
-        return True
-    deleter_seq = seqs[winner] if winner < len(seqs) else 0
-    if deleter_seq <= 0:
-        return True
-    if isinstance(snapshot, SeqSnapshot):
-        return not snapshot.includes_commit(deleter_seq)
-    return not snapshot.includes_block(version.deleter_block)
+    n = len(seqs)
+    own = -1 if own_xid is None else own_xid   # no version names xid -1
+    by_seq = isinstance(snapshot, SeqSnapshot)
+    limit = snapshot.seq if by_seq else snapshot.height
+    out: List[RowVersion] = []
+    for version in candidates:
+        if own in version.xmax_candidates or version.xmax_winner == own:
+            continue
+        xmin = version.xmin
+        if xmin != own:
+            seq = seqs[xmin] if xmin < n else 0
+            created = seq if by_seq else version.creator_block
+            if seq <= 0 or created is None or created > limit:
+                continue
+            winner = version.xmax_winner
+            if winner is not None:
+                seq = seqs[winner] if winner < n else 0
+                deleted = seq if by_seq else version.deleter_block
+                if seq > 0 and deleted is not None and deleted <= limit:
+                    continue
+        out.append(version)
+    return out
 
 
 def version_committed_in_window(version: RowVersion, statuses: TxStatusTable,
@@ -95,14 +93,3 @@ def version_deleted_in_window(version: RowVersion, statuses: TxStatusTable,
     if winner >= len(seqs) or seqs[winner] <= 0:
         return False
     return low_height < version.deleter_block <= high_height
-
-
-def latest_committed_visible(version: RowVersion,
-                             statuses: TxStatusTable) -> bool:
-    """Visibility against the *latest* committed state (used by the commit
-    validator and by provenance's "currently active" checks)."""
-    seqs, xmin = statuses._seqs, version.xmin
-    if xmin >= len(seqs) or seqs[xmin] <= 0:
-        return False
-    winner = version.xmax_winner
-    return winner is None or winner >= len(seqs) or seqs[winner] <= 0

@@ -88,7 +88,7 @@ def run_as_of(db, sql, height):
     tx = db.begin(allow_nondeterministic=True, read_only=True)
     try:
         result = run_sql(db, tx, sql, params=(height,))
-        ssi_state = (len(tx.predicate_reads), len(tx.row_reads))
+        ssi_state = tuple(tx.predicate_reads)
         return result, ssi_state
     finally:
         db.apply_abort(tx, reason="read-only")
@@ -125,8 +125,8 @@ class TestAsOfEquivalence:
         assert columnar.rows == rowstore.rows
         # Time travel reads immutable state: no SSI bookkeeping on
         # either path.
-        assert columnar_ssi == (0, 0)
-        assert rowstore_ssi == (0, 0)
+        assert columnar_ssi == ()
+        assert rowstore_ssi == ()
 
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
                     min_size=1, max_size=30))

@@ -39,7 +39,8 @@ from repro.node.ledger import (
 )
 from repro.sql.executor import Executor, run_sql
 from repro.sql.parser import parse_one
-from repro.storage.visibility import latest_committed_visible
+from repro.storage.snapshot import SeqSnapshot
+from repro.storage.visibility import visible_versions
 from tests.conftest import (
     KV_CONTRACTS,
     KV_SCHEMA,
@@ -128,9 +129,10 @@ def wal_dump(db):
 
 
 def ledger_dump(node):
-    heap = node.db.catalog.heap_of("pgledger")
-    rows = [dict(v.values) for v in heap.all_versions()
-            if latest_committed_visible(v, node.db.statuses)]
+    statuses = node.db.statuses
+    rows = [dict(v.values) for v in visible_versions(
+        node.db.catalog.heap_of("pgledger").all_versions(),
+        SeqSnapshot(statuses.current_commit_seq), statuses, None)]
     rows.sort(key=lambda r: (r["blocknumber"], r["blockposition"]))
     return rows
 

@@ -1,26 +1,35 @@
-"""The per-block ``ConflictIndex``: memoized-edge equivalence, and
-whole-pipeline byte-identity against the unindexed reference.
+"""The per-block ``ConflictIndex``: edge verdicts against the row-level
+reference, and whole-pipeline byte-identity against it.
 
 The block processor hands every validator one ``ConflictIndex`` per
 block, warmed with the in-block edges (docs/commit_pipeline.md, "The
 edge index").  The rw-edge test has one implementation,
 ``ConflictIndex._compute_edge`` over ``PredicateRead.matches_key``
 (``has_rw_edge`` is one un-cached verdict of it; tests/mvcc/test_ssi.py
-pins its semantics case by case), and two derivations whose verdicts
-must agree:
+pins its semantics case by case).  It reads predicate reads only: the
+per-row read set and its direct-rw branch ("the writer replaced or
+deleted a version the reader read") left ``src/`` because every row a
+scan returns is a candidate its predicate read covers, so the old image
+the writer leaves is inside that range.  That branch lives here, as the
+reference (:func:`reference_edge`), over a row-read set recorded from
+outside (:class:`RowReads`), and three derivations must agree with it:
 
-1. ``ConflictIndex.has_edge`` returns the lazy per-pair verdict whether
-   it is the first computation, a memoized hit, or was enumerated in
-   bulk by ``warm_block`` from inverted maps — so the cache can never
-   change a validator's verdict.
-2. Whole-pipeline runs over randomized conflicting workloads leave
+1. ``ConflictIndex.has_edge``, lazy — the first computation and the
+   memoized hit;
+2. the verdicts ``warm_block`` enumerates in bulk from inverted maps;
+3. whole-pipeline runs over randomized conflicting workloads leave
    byte-identical WAL sequences, pgLedger rows, checkpoint digests,
    heap versions and column chunks when ``ConflictIndex.has_edge`` is
-   patched to compute every verdict lazily on a fresh index, ignoring
-   what ``warm_block`` stored — the same plan, not a second pipeline.
+   patched to the reference, computed fresh for every question.
+
+The generated in-block workloads read by point, range, secondary-index
+range, IN list, full-table scan and index-order ``LIMIT`` stream, and
+write by value update, by updates that move a row out of a range (a
+secondary key or the primary key), by DELETE and by INSERT.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +40,7 @@ from repro.chain.transaction import ProcedureCall, Transaction
 from repro.core.network import BlockchainNetwork
 from repro.mvcc.conflicts import ConflictIndex, has_rw_edge
 from repro.mvcc.database import Database
+from repro.sql import plan as plan_module
 from repro.sql.executor import run_sql
 from tests.conftest import KV_CONTRACTS, KV_SCHEMA
 from tests.node.test_commit_pipeline import (
@@ -40,71 +50,144 @@ from tests.node.test_commit_pipeline import (
     wal_dump,
 )
 
+
+class RowReads:
+    """The per-row read set ``src/`` no longer keeps: every version a
+    scan's visibility pass returned, per reader xid (a superset of the
+    rows a LIMIT stream consumed — a stricter reference)."""
+
+    def __init__(self):
+        self.by_xid = {}
+
+    @contextmanager
+    def recording(self):
+        real = plan_module.visible_versions
+
+        def recorded(candidates, snapshot, statuses, own_xid):
+            visible = real(candidates, snapshot, statuses, own_xid)
+            if own_xid is not None:
+                reads = self.by_xid.setdefault(own_xid, {})
+                for version in visible:
+                    reads[id(version)] = version
+            return visible
+
+        plan_module.visible_versions = recorded
+        try:
+            yield self
+        finally:
+            plan_module.visible_versions = real
+
+    def direct_rw(self, reader, writer) -> bool:
+        """The deleted branch: ``writer`` replaced or deleted a version
+        ``reader`` read."""
+        read = self.by_xid.get(reader.xid, {})
+        return reader.xid != writer.xid and any(
+            id(entry.old_version) in read for entry in writer.writes
+            if entry.old_version is not None)
+
+
+def reference_edge(reads: RowReads, reader, writer) -> bool:
+    """The rw-edge test as it was: direct row reads, or a written image
+    inside a predicate-read range."""
+    return reads.direct_rw(reader, writer) or \
+        ConflictIndex()._compute_edge(reader, writer)
+
+
 # ----------------------------------------------------------------------
-# Synthetic in-block workloads with real read/write sets: each op is
-# (range_read?, read key, write key) over a 5-row table — point and
-# predicate reads, overlapping updates (rw edges + ww overlaps).
+# Synthetic in-block workloads with real read/write sets over a 6-row
+# table t (id, g indexed, v): each op is (read kind, key, write kind,
+# key), all transactions concurrent, nothing decided.
 # ----------------------------------------------------------------------
 
+READS = {
+    "point": "SELECT v FROM t WHERE id = $1",
+    "range": "SELECT v FROM t WHERE id >= $1",
+    "secondary": "SELECT id FROM t WHERE g BETWEEN $1 AND $1 + 1",
+    "in": "SELECT v FROM t WHERE id IN ($1, $1 + 2)",
+    "full": "SELECT count(*) FROM t WHERE v >= 0",
+    "stream": "SELECT id FROM t WHERE id >= $1 ORDER BY id LIMIT 1",
+}
+WRITES = {
+    "bump": "UPDATE t SET v = v + 1 WHERE id = $1",
+    "move": "UPDATE t SET g = g + 10 WHERE id = $1",
+    "rekey": "UPDATE t SET id = id + 100 WHERE id = $1",
+    "delete": "DELETE FROM t WHERE id = $1",
+    "insert": "INSERT INTO t (id, g, v) VALUES ($1 + 200, $1, 0)",
+}
+
+keys = st.integers(min_value=1, max_value=6)
 ops_strategy = st.lists(
-    st.tuples(st.booleans(),
-              st.integers(min_value=1, max_value=5),
-              st.integers(min_value=1, max_value=5)),
+    st.tuples(st.sampled_from(sorted(READS)), keys,
+              st.sampled_from(sorted(WRITES)), keys),
     min_size=1, max_size=8)
 
 
-def _executed_block(ops):
+def _executed_block(ops, reads: RowReads):
     """Execute ``ops`` as concurrent transactions; returns the active
     contexts in block order (frozen read/write sets, nothing decided)."""
     db = Database()
     setup = db.begin(allow_nondeterministic=True)
-    run_sql(db, setup, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-    for key in range(1, 6):
-        run_sql(db, setup, "INSERT INTO t (id, v) VALUES ($1, 0)",
+    run_sql(db, setup, "CREATE TABLE t (id INT PRIMARY KEY, g INT, v INT);"
+                       "CREATE INDEX t_g ON t(g)")
+    for key in range(1, 7):
+        run_sql(db, setup, "INSERT INTO t (id, g, v) VALUES ($1, $1, 0)",
                 params=(key,))
     db.apply_commit(setup, block_number=1)
 
     txs = []
-    for range_read, read_key, write_key in ops:
-        tx = db.begin(allow_nondeterministic=True)
-        if range_read:
-            run_sql(db, tx, "SELECT v FROM t WHERE id >= $1",
-                    params=(read_key,))
-        else:
-            run_sql(db, tx, "SELECT v FROM t WHERE id = $1",
-                    params=(read_key,))
-        run_sql(db, tx, "UPDATE t SET v = v + 1 WHERE id = $1",
-                params=(write_key,))
-        txs.append(tx)
+    with reads.recording():
+        for position, (read, read_key, write, write_key) in enumerate(ops):
+            tx = db.begin(allow_nondeterministic=True)
+            run_sql(db, tx, READS[read], params=(read_key,))
+            key = write_key + 10 * position if write == "insert" \
+                else write_key
+            run_sql(db, tx, WRITES[write], params=(key,))
+            txs.append(tx)
     return txs
 
 
 class TestConflictIndexProperties:
     @given(ops_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_conflict_index_matches_has_rw_edge(self, ops):
-        txs = _executed_block(ops)
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_verdicts_match_the_row_level_reference(self, ops):
+        reads = RowReads()
+        txs = _executed_block(ops, reads)
         index = ConflictIndex()
         for a in txs:
             for b in txs:
-                expect = has_rw_edge(a, b)
+                expect = reference_edge(reads, a, b)
+                assert has_rw_edge(a, b) == expect
                 assert index.has_edge(a, b) == expect   # first computation
                 assert index.has_edge(a, b) == expect   # memoized hit
 
     @given(ops_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_warm_block_verdicts_match_has_rw_edge(self, ops):
+    @settings(max_examples=60, deadline=None)
+    def test_warm_block_verdicts_match_the_row_level_reference(self, ops):
         """The bulk inverted-map derivation (``warm_block``) fills the
-        edge cache with exactly the verdicts lazy per-pair computation
-        would produce — point *and* range predicates."""
-        txs = _executed_block(ops)
+        edge cache with exactly the reference verdicts — point, range,
+        IN-list, full-table and streamed reads alike."""
+        reads = RowReads()
+        txs = _executed_block(ops, reads)
         index = ConflictIndex()
         index.warm_block(txs)
         index._compute_edge = None   # every verdict must come from warm
         for a in txs:
             for b in txs:
                 if a.xid != b.xid:
-                    assert index.has_edge(a, b) == has_rw_edge(a, b)
+                    assert index.has_edge(a, b) == \
+                        reference_edge(reads, a, b)
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    @pytest.mark.parametrize("write", ["bump", "move", "rekey", "delete"])
+    def test_every_read_shape_meets_every_replacement(self, read, write):
+        """Each read shape, against a writer replacing or deleting a row
+        it read: the reference sees the direct rw edge, and the
+        predicate read alone reaches the same verdict."""
+        reads = RowReads()
+        reader, writer = _executed_block(
+            [(read, 1, "insert", 1), ("point", 6, write, 1)], reads)
+        assert reads.direct_rw(reader, writer)
+        assert has_rw_edge(reader, writer)
 
 
 # ----------------------------------------------------------------------
@@ -180,13 +263,15 @@ def test_randomized_workload_byte_identity(seed, monkeypatch):
     indexed = _drive(plan)
 
     asked = []
+    reads = RowReads()
 
-    def reference_edge(self, reader, writer):
+    def row_level_edge(self, reader, writer):
         asked.append((reader.xid, writer.xid))
-        return ConflictIndex()._compute_edge(reader, writer)
+        return reference_edge(reads, reader, writer)
 
-    monkeypatch.setattr(ConflictIndex, "has_edge", reference_edge)
-    reference = _drive(plan)
+    monkeypatch.setattr(ConflictIndex, "has_edge", row_level_edge)
+    with reads.recording():
+        reference = _drive(plan)
 
     # The index is what the validators ask, and the hot keys made them
     # ask about real conflicts: some transactions aborted.

@@ -8,13 +8,17 @@ three-organisation order-execute network, sampled from block 4 to block
 per recorded transaction plus the last block's superseded ``pending``
 ones, every index holds exactly one entry per version it indexes, the
 repeated index keys are shared tuples, and the comb cache holds the
-network's handful of identities.
+network's handful of identities.  A reader's side is pinned the same
+way: what its transaction context holds after a scan does not grow with
+the rows the scan read.
 
 Counts, not ``tracemalloc``: bigint arithmetic under tracemalloc is ~20x
 slower, and `benchmarks/retained_bytes.py` reports the bytes.
 """
 
 from repro.common.crypto import KEY_TABLES_MAX, key_tables_cached
+from repro.mvcc.database import Database
+from repro.sql.executor import run_sql
 from tests.conftest import make_kv_network
 
 BLOCK_SIZE = 5
@@ -89,3 +93,35 @@ def test_retained_objects_per_transaction_are_flat(key_combs):
         # Clients, peers, orderers and admins: a handful, far below the
         # bound at which the cache would start evicting.
         assert 0 < steady[-1]["key_tables"] < KEY_TABLES_MAX
+
+
+def _containers(tx):
+    """Size of every container a transaction context holds."""
+    return {name: len(value) for name, value in vars(tx).items()
+            if isinstance(value, (list, set, dict, tuple))}
+
+
+def test_a_scan_retains_its_predicate_read_not_its_rows():
+    """A reader's SIREAD state is its predicate reads (docs/sql_engine.md,
+    "Where the SSI hooks live"): one scan over 2,000 rows leaves one
+    ``PredicateRead`` and nothing per row — the same containers, of the
+    same sizes, as a scan over two rows."""
+    db = Database()
+    tx = db.begin(allow_nondeterministic=True)
+    run_sql(db, tx, "CREATE TABLE t (id INT PRIMARY KEY, g INT NOT NULL); "
+                    "CREATE INDEX t_g ON t(g)")
+    for i in range(2002):
+        run_sql(db, tx, "INSERT INTO t (id, g) VALUES ($1, $2)",
+                params=(i, 1 if i < 2000 else 2))
+    db.apply_commit(tx, block_number=1)
+
+    held = {}
+    for g, rows in ((1, 2000), (2, 2)):
+        reader = db.begin(allow_nondeterministic=True)
+        result = run_sql(db, reader, "SELECT id FROM t WHERE g = $1",
+                         params=(g,))
+        assert len(result.rows) == rows
+        assert len(reader.predicate_reads) == 1
+        held[rows] = _containers(reader)
+        db.apply_abort(reader, reason="test")
+    assert held[2000] == held[2]

@@ -293,10 +293,19 @@ class TestEOFlowRules:
 
 
 class TestSIREADRecording:
-    def test_row_reads_recorded(self, db):
+    def test_returned_rows_covered_by_predicate_read(self, db):
+        """Every row a scan returns lies inside the predicate read it
+        recorded — the predicate reads are the whole SIREAD set, so a
+        writer that replaces one of those rows conflicts with the scan
+        through its old image."""
         tx = db.begin(allow_nondeterministic=True)
-        run_sql(db, tx, "SELECT * FROM emp WHERE id = 1")
-        assert any(t == "emp" for t, _ in tx.row_reads)
+        result = run_sql(db, tx, "SELECT * FROM emp WHERE id = 1")
+        predicates = [p for p in tx.predicate_reads if p.table == "emp"]
+        assert len(predicates) == 1 and predicates[0].columns == ("id",)
+        assert len(result.rows) == 1
+        assert predicates[0].matches_values(
+            dict(zip(result.columns, result.rows[0])))
+        assert not predicates[0].matches_values({"id": 2})
         db.apply_abort(tx, reason="test")
 
     def test_predicate_read_recorded_with_range(self, db):

@@ -552,8 +552,12 @@ class TestPlannedSemanticsUnchanged:
         predicates = [p for p in tx.predicate_reads
                       if p.table == "invoices" and p.columns]
         assert predicates and predicates[0].matches_values({"org": "org1"})
-        assert any(t == "invoices" for t, _ in tx.row_reads)
         db.apply_abort(tx, reason="test")
+        # Every row the LIMIT dropped is inside that read.
+        rows = q(db, "SELECT * FROM invoices WHERE org = 'org1'")
+        assert rows.rows
+        for row in rows.rows:
+            assert predicates[0].matches_values(dict(zip(rows.columns, row)))
 
     def test_query_timings_recorded(self, db):
         plan, execute = db.sql_plan_seconds, db.sql_exec_seconds

@@ -1,0 +1,301 @@
+"""Nested-loop probes skip the ON conjuncts their index enforces exactly.
+
+``Planner._plan_probe`` runs ``_exact_conjuncts`` over the probe's
+predicted equality prefix; ``NestedLoopJoin`` then evaluates only the
+residual ON while an outer row's bounds keep the planned index, and
+falls back to re-deriving the access path with the full ON when they do
+not — an outer value that is NULL, or does not evaluate, bounds nothing
+(docs/sql_engine.md, "Where the SSI hooks live").  Every case here must
+return the rows of the same plan evaluating the full ON, which is what
+``full_on`` plans (``_exact_conjuncts`` patched to enforce nothing);
+the fallbacks are counted by ``sql.probe_fallbacks`` on the database's
+scope.
+"""
+
+from contextlib import contextmanager
+from decimal import Decimal
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.bench.contracts_appendix_a import SCHEMA_SQL
+from repro.mvcc.database import Database
+from repro.sql.executor import run_sql
+from repro.sql.expressions import EvalContext
+from repro.sql.parser import parse_one
+from repro.sql.plan import NestedLoopJoin
+from repro.sql.planner import Planner
+from tests.conftest import counter
+
+NAN = float("nan")
+
+#: (id, ref, s, f, d) outer rows: a NULL key, a key no inner row has,
+#: a TEXT value against the INT probe column, NaN against FLOAT.
+ACC = [
+    (1, 1, "1", 0.5, Decimal("1.5")),
+    (2, 2, "x", NAN, Decimal("2")),
+    (3, None, None, None, None),
+    (4, 99, "99", 7.0, Decimal("99")),
+    (5, 3, "3", 1.5, Decimal("0.5")),
+]
+INNER_ROWS = 200
+
+
+def build_db():
+    db = Database()
+    tx = db.begin(allow_nondeterministic=True)
+    run_sql(db, tx, """
+        CREATE TABLE acc (id INT PRIMARY KEY, ref INT, s TEXT, f FLOAT,
+                          d NUMERIC);
+        CREATE TABLE inv (inv_id INT PRIMARY KEY, acc_id INT NOT NULL,
+                          amount INT NOT NULL, fx FLOAT, nx NUMERIC);
+        CREATE INDEX inv_acc_idx ON inv(acc_id);
+        CREATE INDEX inv_fx_idx ON inv(fx);
+        CREATE INDEX inv_nx_idx ON inv(nx);
+    """)
+    for row in ACC:
+        run_sql(db, tx, "INSERT INTO acc (id, ref, s, f, d) VALUES "
+                        "($1, $2, $3, $4, $5)", params=row)
+    for i in range(INNER_ROWS):
+        fx = NAN if i % 37 == 0 else (i % 20) / 2
+        run_sql(db, tx, "INSERT INTO inv (inv_id, acc_id, amount, fx, nx) "
+                        "VALUES ($1, $2, $3, $4, $5)",
+                params=(i, i % 20, i, fx, Decimal(i % 20) / 2))
+    db.apply_commit(tx, block_number=1)
+    db.committed_height = 1
+    return db
+
+
+@pytest.fixture(scope="module")
+def db():
+    return build_db()
+
+
+def rows(db, sql, **tx_kwargs):
+    tx = db.begin(allow_nondeterministic=True, **tx_kwargs)
+    try:
+        return sorted(run_sql(db, tx, sql).rows, key=repr)
+    finally:
+        db.apply_abort(tx, reason="test")
+
+
+def fallbacks(db):
+    return counter(db, "sql.probe_fallbacks")
+
+
+@contextmanager
+def full_on(db):
+    """Plan as if no probe conjunct were exact: the reference nested
+    loop, which evaluates the full ON on every probed row."""
+    original = Planner._exact_conjuncts
+    Planner._exact_conjuncts = lambda self, *args: []
+    db.plan_cache.clear()
+    try:
+        yield
+    finally:
+        Planner._exact_conjuncts = original
+        db.plan_cache.clear()
+
+
+def nested_loop(db, sql, **tx_kwargs) -> NestedLoopJoin:
+    """The NestedLoopJoin ``sql`` plans to (fails if it plans another
+    join operator)."""
+    tx = db.begin(allow_nondeterministic=True, **tx_kwargs)
+    try:
+        plan = Planner(db, tx).plan_select(parse_one(sql), EvalContext())
+    finally:
+        db.apply_abort(tx, reason="test")
+    node = plan.root
+    while not isinstance(node, NestedLoopJoin):
+        children = node.children()
+        assert children, f"no NestedLoopJoin in the plan of {sql!r}"
+        node = children[0]
+    return node
+
+
+def check(db, sql, expected_fallbacks, **tx_kwargs):
+    """``sql`` answers like the full-ON reference, counting
+    ``expected_fallbacks`` probes that left the planned index."""
+    nested_loop(db, sql, **tx_kwargs)
+    before = fallbacks(db)
+    got = rows(db, sql, **tx_kwargs)
+    assert fallbacks(db) - before == expected_fallbacks
+    with full_on(db):
+        assert rows(db, sql, **tx_kwargs) == got
+    return got
+
+
+KEY_JOIN = "FROM acc a JOIN inv i ON i.acc_id = a.ref"
+
+
+class TestExactProbe:
+    def test_key_conjunct_is_not_evaluated(self, db):
+        join = nested_loop(db, "SELECT a.id, i.inv_id " + KEY_JOIN)
+        assert len(join.probe.exact) == 1
+        assert join.probe.exact[0] is join.join.on
+        assert join._residual_on is None
+        with full_on(db):
+            assert nested_loop(db, "SELECT a.id, i.inv_id " + KEY_JOIN
+                               )._residual_on is not None
+
+    def test_null_outer_key_joins_nothing(self, db):
+        got = check(db, "SELECT a.id, i.inv_id " + KEY_JOIN, 1)
+        assert {row[0] for row in got} == {1, 2, 5}
+        assert len(got) == 3 * INNER_ROWS // 20
+
+    def test_left_join_with_and_without_a_match(self, db):
+        got = check(db, "SELECT a.id, i.inv_id FROM acc a "
+                        "LEFT JOIN inv i ON i.acc_id = a.ref", 1)
+        assert (3, None) in got and (4, None) in got
+        assert len(got) == 3 * INNER_ROWS // 20 + 2
+
+    def test_outer_value_of_another_rank(self, db):
+        # A TEXT value matches no key of the INT probe column; the ON
+        # (which could not compare the two) is never asked.
+        got = check(db, "SELECT a.id, i.inv_id FROM acc a "
+                        "JOIN inv i ON i.acc_id = a.s", 1)
+        assert got == []
+
+    @pytest.mark.parametrize("column, outer", [("fx", "f"), ("nx", "d")])
+    def test_float_and_numeric_probe_columns_keep_their_on(
+            self, db, column, outer):
+        sql = (f"SELECT a.id, i.inv_id FROM acc a "
+               f"JOIN inv i ON i.{column} = a.{outer}")
+        join = nested_loop(db, sql)
+        assert join.probe.index_name == f"inv_{column}_idx"
+        assert join.probe.exact == []
+        assert join._residual_on is not None
+        got = check(db, sql, 1)
+        assert got
+        if column == "fx":     # NaN = NaN through the index
+            assert {row[0] for row in got} >= {2}
+
+    def test_numeric_outer_value_keeps_the_on(self):
+        # A Decimal keys through float: 2**60 + 1 and 2.00000000000000001
+        # find the INT keys 2**60 and 2, which the ON says are unequal.
+        db = Database()
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "CREATE TABLE o (id INT PRIMARY KEY, d NUMERIC);"
+                        "CREATE TABLE n (id INT PRIMARY KEY, k INT NOT NULL);"
+                        "CREATE INDEX n_k ON n(k)")
+        outer = [Decimal(2 ** 60 + 1), Decimal("2.00000000000000001"),
+                 Decimal(2 ** 60), Decimal("2.0")]
+        for i, value in enumerate(outer):
+            run_sql(db, tx, "INSERT INTO o (id, d) VALUES ($1, $2)",
+                    params=(i, value))
+        for i, key in enumerate([2 ** 60, 2] + list(range(3, INNER_ROWS))):
+            run_sql(db, tx, "INSERT INTO n (id, k) VALUES ($1, $2)",
+                    params=(i, key))
+        db.apply_commit(tx, block_number=1)
+        db.committed_height = 1
+        sql = "SELECT o.id, n.id FROM o JOIN n ON n.k = o.d"
+        join = nested_loop(db, sql)
+        assert join.probe.index_name == "n_k"
+        assert join.probe.exact == []
+        assert check(db, sql, 0) == [(2, 0), (3, 1)]
+
+    def test_residual_conjunct_is_evaluated(self, db):
+        sql = ("SELECT a.id, i.inv_id FROM acc a JOIN inv i "
+               "ON i.acc_id = a.ref AND i.amount > 100")
+        join = nested_loop(db, sql)
+        assert len(join.probe.exact) == 1
+        assert join._residual_on is not None
+        got = check(db, sql, 1)
+        assert got and all(row[1] > 100 for row in got)
+
+    def test_execute_order_flow(self, db):
+        sql = "SELECT a.id, i.inv_id " + KEY_JOIN + " WHERE a.id = 1"
+        # The FROM scan and every probe stay index-backed (section 4.3).
+        got = check(db, sql, 0, require_index=True)
+        assert len(got) == INNER_ROWS // 20
+
+    def test_explain_text_is_unchanged(self, db):
+        def explain():
+            tx = db.begin(allow_nondeterministic=True)
+            try:
+                result = run_sql(db, tx, "EXPLAIN SELECT a.id, i.inv_id "
+                                 + KEY_JOIN)
+            finally:
+                db.apply_abort(tx, reason="test")
+            return [row[0] for row in result.rows
+                    if not row[0].startswith("Plan Cache")]
+
+        lines = explain()
+        with full_on(db):
+            assert explain() == lines
+        assert lines[0].startswith("Project")
+        assert lines[1].startswith("  -> NestedLoopJoin INNER on "
+                                   "(i.acc_id = a.ref)")
+
+
+class TestAppendixA:
+    """Both Appendix-A contracts' SELECTs probe without a fallback, and
+    the join evaluates no ON at all."""
+
+    QUERIES = (
+        "SELECT sum(i.amount), count(*) FROM accounts a "
+        "JOIN invoices i ON i.acc_id = a.acc_id WHERE a.org = 'org1'",
+        "SELECT sum(amount) FROM invoices WHERE org = 'org1' "
+        "GROUP BY acc_id ORDER BY sum(amount) DESC, acc_id ASC LIMIT 1",
+    )
+
+    def test_no_probe_fallbacks(self):
+        db = Database()
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, SCHEMA_SQL)
+        for acc in range(30):
+            run_sql(db, tx, "INSERT INTO accounts (acc_id, org, balance) "
+                            "VALUES ($1, $2, 10.0)",
+                    params=(acc, f"org{acc % 3}"))
+            for n in range(20):
+                run_sql(db, tx, "INSERT INTO invoices (invoice_id, acc_id, "
+                                "org, amount, status) VALUES "
+                                "($1, $2, $3, $4, 'new')",
+                        params=(acc * 20 + n, acc, f"org{acc % 3}",
+                                float(n)))
+        db.apply_commit(tx, block_number=1)
+        db.committed_height = 1
+        assert nested_loop(db, self.QUERIES[0])._residual_on is None
+        for flags in ({}, {"require_index": True}):
+            for sql in self.QUERIES:
+                assert rows(db, sql, **flags)
+        assert fallbacks(db) == 0
+
+
+class TestRandomData:
+    """Random outer keys — NULL, absent from the inner table, present —
+    over an inner key column holding NULLs answer like the full-ON
+    reference, INNER and LEFT, with and without a residual conjunct,
+    and every outer row whose key is NULL counts as one fallback."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(refs=st.lists(st.one_of(st.none(), st.integers(-2, 22)),
+                         min_size=1, max_size=6),
+           left=st.booleans(), residual=st.booleans())
+    def test_matches_full_on(self, refs, left, residual):
+        db = Database()
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "CREATE TABLE o (id INT PRIMARY KEY, r INT);"
+                        "CREATE TABLE n (id INT PRIMARY KEY, k INT, "
+                        "v INT NOT NULL); CREATE INDEX n_k ON n(k)")
+        for i, ref in enumerate(refs):
+            run_sql(db, tx, "INSERT INTO o (id, r) VALUES ($1, $2)",
+                    params=(i, ref))
+        for i in range(120):
+            run_sql(db, tx, "INSERT INTO n (id, k, v) VALUES ($1, $2, $3)",
+                    params=(i, None if i % 11 == 0 else i % 20, i))
+        db.apply_commit(tx, block_number=1)
+        db.committed_height = 1
+        sql = ("SELECT o.id, n.id FROM o " + ("LEFT " if left else "") +
+               "JOIN n ON n.k = o.r" + (" AND n.v > 30" if residual else ""))
+        got = check(db, sql, sum(ref is None for ref in refs))
+        expected = [(i, j) for i, ref in enumerate(refs) for j in range(120)
+                    if ref is not None and j % 11 and j % 20 == ref
+                    and (j > 30 or not residual)]
+        if left:
+            matched = {i for i, _ in expected}
+            expected += [(i, None) for i in range(len(refs))
+                         if i not in matched]
+        assert got == sorted(expected, key=repr)

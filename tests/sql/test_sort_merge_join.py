@@ -282,15 +282,19 @@ class TestStreamingLimit:
         assert any(p.table == "events" for p in tx.predicate_reads)
         db.apply_abort(tx, reason="test")
 
-    def test_streamed_rows_recorded_unread_rows_not(self, db):
+    def test_stream_predicate_read_covers_unread_rows(self, db):
+        """The stream consumes a prefix of the walk; its one predicate
+        read covers every row of it, the ones past the LIMIT included
+        (conservative SSI)."""
         tx = db.begin(allow_nondeterministic=True)
-        run_sql(db, tx, STREAM_SQL)
-        read_events = {t for t, _ in tx.row_reads if t == "events"}
-        assert read_events
-        # Only the consumed prefix is recorded as row reads; the
-        # predicate read covers the rest (conservative SSI).
-        assert len([1 for t, _ in tx.row_reads if t == "events"]) < 60
+        assert len(run_sql(db, tx, STREAM_SQL).rows) == 5
+        predicates = [p for p in tx.predicate_reads if p.table == "events"]
         db.apply_abort(tx, reason="test")
+        assert len(predicates) == 1
+        every = q(db, "SELECT * FROM events")
+        assert len(every.rows) >= 60
+        for row in every.rows:
+            assert predicates[0].matches_values(dict(zip(every.columns, row)))
 
     def test_cache_hit_matches_miss(self, db):
         first = q(db, STREAM_SQL).rows

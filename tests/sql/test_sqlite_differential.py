@@ -3,8 +3,11 @@ the standard library's ``sqlite3`` (ROADMAP item 4 ii, first slice).
 
 Hypothesis draws the rows (NULLs included) and a threshold; both engines
 load the same tables and answer the same statements.  Covered shapes:
-global aggregates, ``GROUP BY`` + ``ORDER BY`` + ``LIMIT``, and
-equi-join + aggregate — the shapes whose scans no longer sort.
+global aggregates, ``GROUP BY`` + ``ORDER BY`` + ``LIMIT``,
+equi-join + aggregate — the shapes whose scans no longer sort — and
+joins on a nullable outer key, whose NULLs must join nothing, planned
+both ways (a nested-loop probe leaves its index on a NULL key and
+re-derives its access path; a hash join drops the key).
 
 Comparison policy, stated once:
 
@@ -29,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
+from tests.conftest import counter, structural_planning
 
 FLOAT_TOLERANCE = 1e-9
 
@@ -64,6 +68,13 @@ STATEMENTS = [
      "GROUP BY u.k ORDER BY u.k", True),
     ("SELECT u.tag, count(*), avg(t.v) FROM t JOIN u ON u.k = t.k "
      "GROUP BY u.tag ORDER BY u.tag LIMIT 2", True),
+]
+
+#: Joins on ``t.n``, which holds NULLs, probing ``u``'s primary key.
+NULL_KEY_STATEMENTS = [
+    "SELECT t.id, u.tag FROM t JOIN u ON u.k = t.n",
+    "SELECT t.id, u.tag, u.w FROM t LEFT JOIN u ON u.k = t.n",
+    "SELECT count(*), sum(u.w) FROM t JOIN u ON u.k = t.n WHERE t.k > $1",
 ]
 
 sixtyfourths = st.integers(-64_000_000, 64_000_000).map(lambda i: i / 64.0)
@@ -152,6 +163,37 @@ class TestAgainstSqlite:
                     sql.replace("$1", "?1"),
                     (threshold,) if "$1" in sql else ()).fetchall()
                 assert_same(sql, ours, theirs, ordered)
+        finally:
+            conn.close()
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(t_data=t_rows, u_data=u_rows, threshold=st.integers(-5, 5))
+    def test_null_outer_keys_join_nothing(self, t_data, u_data, threshold):
+        db = load_ours(t_data, u_data)
+        conn = load_sqlite(t_data, u_data)
+
+        def ours(sql):
+            tx = db.begin(allow_nondeterministic=True)
+            try:
+                return run_sql(db, tx, sql, params=(threshold,)).rows
+            finally:
+                db.apply_abort(tx, reason="test")
+
+        try:
+            for sql in NULL_KEY_STATEMENTS:
+                theirs = conn.execute(
+                    sql.replace("$1", "?1"),
+                    (threshold,) if "$1" in sql else ()).fetchall()
+                assert_same(sql, ours(sql), theirs, ordered=False)
+                with structural_planning(db):
+                    plan = [row[0] for row in ours("EXPLAIN " + sql)]
+                    assert any("NestedLoopJoin" in line for line in plan)
+                    before = counter(db, "sql.probe_fallbacks")
+                    assert_same(sql, ours(sql), theirs, ordered=False)
+                    nulls = sum(row[2] is None for row in t_data
+                                if "$1" not in sql or row[0] > threshold)
+                    assert counter(db, "sql.probe_fallbacks") - before == nulls
         finally:
             conn.close()
 

