@@ -40,8 +40,9 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from typing import (
     Any,
     Callable,
@@ -66,6 +67,7 @@ from repro.sql.ast_nodes import (
     IntervalLiteral, IsNull, Join, Like, Literal, OrderItem, Param,
     SelectItem, Star, SubqueryExpr, UnaryOp,
 )
+from repro.sql.catalog import value_class
 from repro.sql.expressions import (
     Binder,
     EvalContext,
@@ -77,8 +79,8 @@ from repro.sql.expressions import (
 )
 from repro.storage.index import (
     Index,
+    exact_key_part,
     key_depth,
-    normalize_key,
     normalize_key_part,
 )
 from repro.storage.row import RowVersion
@@ -386,14 +388,27 @@ def index_signature(heap, bounds: Dict[str, Dict[str, Any]]
     return best
 
 
-def key_range(columns: Sequence[str], n_eq: int, has_range: bool,
+def key_range(schema, columns: Sequence[str], n_eq: int, has_range: bool,
               bounds: Dict[str, Dict[str, Any]]
               ) -> Optional[Tuple[Optional[Tuple], Optional[Tuple],
                                   bool, bool]]:
     """(low_key, high_key, low_incl, high_incl) of the walk over an
-    index on ``columns`` that binds ``n_eq`` leading columns by equality
-    and, with ``has_range``, the next one by range; None when nothing
-    is bound (a whole-index walk)."""
+    index on ``columns`` of ``schema`` that binds ``n_eq`` leading
+    columns by equality and, with ``has_range``, the next one by range;
+    None when nothing is bound (a whole-index walk).  A bound keys as
+    ``=`` compares it with the column's values: a Decimal on an INT
+    column exactly (:func:`exact_key_part`), anything else as the index
+    keys its entries."""
+    def key(values: List[Any]) -> Tuple:
+        parts: Tuple = ()
+        for col, value in zip(columns, values):
+            if type(value) is Decimal and \
+                    value_class(schema.column(col).type_name) == "int":
+                parts += exact_key_part(value)
+            else:
+                parts += normalize_key_part(value)
+        return parts
+
     low_vals = [bounds[col]["eq"] for col in columns[:n_eq]]
     high_vals = list(low_vals)
     low_incl = high_incl = True
@@ -407,8 +422,8 @@ def key_range(columns: Sequence[str], n_eq: int, has_range: bool,
             high_vals.append(value)
     if not low_vals and not high_vals:
         return None
-    return (normalize_key(low_vals) if low_vals else None,
-            normalize_key(high_vals) if high_vals else None,
+    return (key(low_vals) if low_vals else None,
+            key(high_vals) if high_vals else None,
             low_incl, high_incl)
 
 
@@ -515,16 +530,6 @@ def scan_cost(db, table: str, cost_sig: Optional[CostSig],
     return est, _l2(row_count) + est + _sort_cost(est, ordered)
 
 
-@dataclass(frozen=True)
-class PlanEstimate:
-    """Lightweight (est_rows, est_cost) carrier so cost helpers like
-    :func:`join_estimates` serve both real plan nodes and the planner's
-    not-yet-constructed candidates."""
-
-    est_rows: float
-    est_cost: float
-
-
 # ---------------------------------------------------------------------------
 # The scan runtime — SSI hooks live here
 # ---------------------------------------------------------------------------
@@ -619,7 +624,8 @@ def signature_scan(rt: Runtime, table_name: str, heap,
     index = keys = None
     if signature is not None:
         index = heap.indexes[signature[0]]
-        keys = key_range(index.columns, signature[1], signature[2], bounds)
+        keys = key_range(rt.db.catalog.schema_of(table_name), index.columns,
+                         signature[1], signature[2], bounds)
     candidates, snapshot, own_xid = begin_scan(rt, table_name, index, keys)
     if rt.tx.provenance:
         rows: List[ScanRow] = []
@@ -832,10 +838,11 @@ def instrument_plan(root: PlanNode) -> Dict[int, OpStats]:
     class behaviour of a cached, shared plan template is untouched and
     :func:`deinstrument_plan` restores the tree exactly.  Operators that
     are consumed through a side entry point get that wrapped instead of
-    ``rows``: a HashJoin pulls its build side via ``scan_rows``, a
-    SortMergeJoin pulls both inputs via ``stream_rows``, and a
-    DynamicProbe never runs at all (NestedLoopJoin drives it per outer
-    row and reports through ``Runtime.probe_stats``).  Timing covers
+    ``rows``: a scan's ``rows`` reads through ``scan_rows``, which is
+    also where a HashJoin pulls its build side (an IndexOrderScan has
+    ``rows`` alone), and a DynamicProbe never runs at all
+    (NestedLoopJoin drives it per outer row and reports through
+    ``Runtime.probe_stats``).  Timing covers
     time spent *inside* the operator's iterator (children inclusive,
     consumers exclusive), Postgres-style.
     """
@@ -879,9 +886,8 @@ def instrument_plan(root: PlanNode) -> Dict[int, OpStats]:
         stats[id(node)] = OpStats()
         if isinstance(node, DynamicProbe):
             pass    # counted by NestedLoopJoin via rt.probe_stats
-        elif isinstance(node, IndexOrderScan):
-            wrap_iter(node, "stream_rows")
-        elif isinstance(node, SeqScan):
+        elif isinstance(node, SeqScan) and \
+                not isinstance(node, IndexOrderScan):
             wrap_list(node, "scan_rows")
         else:
             wrap_iter(node, "rows")
@@ -896,7 +902,7 @@ def deinstrument_plan(root: PlanNode) -> None:
     """Remove :func:`instrument_plan`'s instance-level wrappers — the
     template may live in the (possibly shared) plan cache."""
     def visit(node: PlanNode) -> None:
-        for attr in ("rows", "scan_rows", "stream_rows"):
+        for attr in ("rows", "scan_rows"):
             node.__dict__.pop(attr, None)
         for child in node.children():
             visit(child)
@@ -1192,11 +1198,11 @@ def _join_key(values: Sequence[Any]) -> Tuple:
 def join_estimates(db, outer: PlanNode, inner: PlanNode, join,
                    inner_key_cols: Tuple[str, ...]
                    ) -> Tuple[float, float]:
-    """(est_rows, est_cost) for a both-sides-read-once equi-join (hash
-    or sort-merge): output is the classic ``|outer|·|inner| / NDV(key)``
+    """(est_rows, est_cost) of a :class:`HashJoin`, which reads both
+    sides once: output is the classic ``|outer|·|inner| / NDV(key)``
     over the anchored distinct-key count of the inner join columns; cost
-    is both inputs plus one pass over each side's rows (build+probe for
-    hash, merge for sort-merge — the same first-order shape)."""
+    is both inputs plus one pass over each side's rows (build, then
+    probe)."""
     ndv = db.stats.ndv(join.table.name, inner_key_cols) \
         if inner_key_cols else 1
     outer_rows = max(outer.est_rows, 1.0)
@@ -1727,11 +1733,12 @@ class Limit(PlanNode):
 
 
 # ---------------------------------------------------------------------------
-# Index-order streaming: ordered scans, sort-merge join, streaming Limit
+# Index-order streaming: the ordered scan and the streaming Limit over it
 # ---------------------------------------------------------------------------
 
 class IndexOrderScan(SeqScan):
-    """Scan that emits rows in *index order* instead of content order.
+    """Scan that emits rows in *index order* instead of content order —
+    the source of a :class:`StreamingLimit`, read through ``rows`` only.
 
     The candidate versions come from walking an index whose leading
     column is ``order_column`` (a range walk when the execution-time
@@ -1757,9 +1764,8 @@ class IndexOrderScan(SeqScan):
                  index_name: str, order_column: str,
                  descending: bool = False,
                  conditions: Sequence[Expr] = (),
-                 cost_sig: CostSig = (0, False, False, ()),
-                 ordered: bool = True):
-        super().__init__(table, alias, sargs, ordered)
+                 cost_sig: CostSig = (0, False, False, ())):
+        super().__init__(table, alias, sargs)
         self.index_name = index_name
         self.order_column = self.range_column = order_column
         self.descending = descending
@@ -1785,61 +1791,33 @@ class IndexOrderScan(SeqScan):
         n_eq, has_range, _, _ = ordered_scan_sig(bounds, self.order_column)
         state = begin_scan(
             rt, self.table, index,
-            key_range((self.order_column,), n_eq, has_range, bounds),
+            key_range(rt.db.catalog.schema_of(self.table),
+                      (self.order_column,), n_eq, has_range, bounds),
             key_order=True)
         rt.prepared_scans[id(self)] = state
         return state
 
     # -- ordered iteration ------------------------------------------------
 
-    @staticmethod
-    def _order_key(value: Any):
-        if value is None:
-            return (_ORDER_NULL,)
-        try:
-            return _join_key((value,))
-        except TypeMismatchError:
-            return (_ORDER_NULL, repr(value))
-
-    def stream_rows(self, rt: Runtime) -> Iterator[ScanRow]:
-        """Rows in (key, content) order — key order only when the scan
-        is marked ``ordered = False``; visibility runs per candidate as
-        the consumer advances."""
+    def rows(self, rt: Runtime) -> Iterator[Env]:
+        """Rows in (key, content) order: each run of equal index keys
+        content-sorted; visibility runs per candidate as the consumer
+        advances."""
         candidates, snapshot, own_xid = self.prepare(rt)
         statuses = rt.db.statuses
-        content_runs = self.ordered or rt.content_order
+        alias, column = self.alias, self.order_column
         walk = reversed(candidates) if self.descending else candidates
-        buffer: List[ScanRow] = []
-        current_key = None
-        for version in walk:
-            if not visible_versions((version,), snapshot, statuses,
-                                    own_xid):
-                continue
-            row = ScanRow(version.values, version)
-            if not content_runs:
-                yield row
-                continue
-            key = self._order_key(row.values.get(self.order_column))
-            if buffer and key != current_key:
-                buffer.sort(key=_by_content)
-                yield from buffer
-                buffer = []
-            current_key = key
-            buffer.append(row)
-        if buffer:
-            buffer.sort(key=_by_content)
-            yield from buffer
-
-    def scan_rows(self, rt: Runtime) -> List[ScanRow]:
-        return list(self.stream_rows(rt))
-
-    def rows(self, rt: Runtime) -> Iterator[Env]:
-        for row in self.stream_rows(rt):
-            yield {self.alias: row.values}
+        visible = (version.values for version in walk
+                   if visible_versions((version,), snapshot, statuses,
+                                       own_xid))
+        for _, run in groupby(visible, key=lambda values:
+                              normalize_key_part(values.get(column))):
+            for values in sorted(run, key=row_content_key):
+                yield {alias: values}
 
     def recost(self, db) -> None:
         # Index walk + matched rows: the output is never content-sorted
-        # as a whole (``ordered`` only sorts within equal-key runs).
+        # as a whole, only within equal-key runs.
         self.est_rows, self.est_cost = scan_cost(
             db, self.table, self.cost_sig, self.range_column,
             self.live_bounds, ordered=False)
@@ -1850,153 +1828,7 @@ class IndexOrderScan(SeqScan):
         cond_note = f" ({conds})" if conds else ""
         return (f"IndexOrderScan {_scan_target(self.table, self.alias)} "
                 f"using {self.index_name}{cond_note} "
-                f"(order by {self.order_column} {direction})"
-                f"{_order_note(self.ordered)}")
-
-
-_ORDER_NULL = -1   # sorts a NULL/unindexable marker below every rank
-
-
-class SortMergeJoin(PlanNode):
-    """Merge two index-ordered scans on one equi-key pair.
-
-    Both inputs arrive in (join key, content) order from
-    :class:`IndexOrderScan`, so matching is a single linear merge: no
-    hash build, no per-outer-row probes, and the output is itself
-    ordered by the join key — when an ``ORDER BY <join key> ASC``
-    follows, the planner elides the Sort entirely.
-
-    Output order is outer-major within each equal-key group (each outer
-    row pairs with the inner group in the inner's content order), which
-    is exactly the order the hash/nested-loop pipelines feed into a Sort
-    on the join key — so plan-shape changes never change result bytes.
-    The full ON clause re-evaluates per candidate pair (NULL-key and
-    residual semantics match the other join operators; normalized-key
-    collisions behave like hash-bucket collisions).  Predicate reads are
-    the two scans' own — whole-range, conservative for SSI, exactly like
-    a hash join's build scan.
-
-    Both inputs *stream*: the scans' SSI side effects run eagerly in
-    ``prepare`` (outer first, matching the old materializing order), and
-    the merge then pulls rows incrementally, buffering only the current
-    equal-key group on each side — never the whole candidate lists.
-    Both streams are non-decreasing in normalized key, so a single
-    forward pass suffices; inner rows with NULL/unmatchable keys are
-    dropped as they are encountered (they can never satisfy ``=``).
-    """
-
-    def __init__(self, outer_scan: IndexOrderScan, join: Join,
-                 inner_scan: IndexOrderScan, outer_key: str,
-                 inner_key: str, est_rows: float = 0.0,
-                 binder: Optional[Binder] = None):
-        self.outer = outer_scan
-        self.join = join
-        self.inner = inner_scan
-        self.outer_key = outer_key
-        self.inner_key = inner_key
-        self._on = compile_predicate(join.on, binder)
-        self.est_rows = est_rows
-
-    def rows(self, rt: Runtime) -> Iterator[Env]:
-        join = self.join
-        outer_alias = self.outer.alias
-        inner_alias = join.table.alias
-        on = self._on
-        left = join.kind == "LEFT"
-        schema = rt.db.catalog.schema_of(join.table.name)
-        null_row = {col: None for col in schema.column_names()}
-        row_ctx = rt.ctx.row_context()
-
-        def merge_key(values: Dict[str, Any], column: str):
-            value = values.get(column)
-            if value is None:
-                return None
-            try:
-                return _join_key((value,))
-            except TypeMismatchError:
-                return None   # unindexable values never match '='
-
-        # SSI side effects (predicate reads, window checks, EO aborts)
-        # happen before the first row streams, in the order the old
-        # materializing implementation performed them.
-        self.outer.prepare(rt)
-        self.inner.prepare(rt)
-
-        outer_stream = self.outer.stream_rows(rt)
-        inner_stream = self.inner.stream_rows(rt)
-
-        def next_inner() -> Optional[Tuple[Any, ScanRow]]:
-            """Next inner (key, row) pair; NULL/unmatchable keys can
-            never join and are dropped as encountered."""
-            for row in inner_stream:
-                key = merge_key(row.values, self.inner_key)
-                if key is not None:
-                    return (key, row)
-            return None
-
-        inner_next = next_inner()   # one-row lookahead
-
-        def inner_group_for(okey) -> List[ScanRow]:
-            """Advance the inner cursor to ``okey`` and collect its
-            equal-key group (buffered: one outer group joins every row
-            of it)."""
-            nonlocal inner_next
-            matches: List[ScanRow] = []
-            while inner_next is not None and inner_next[0] < okey:
-                inner_next = next_inner()
-            while inner_next is not None and inner_next[0] == okey:
-                matches.append(inner_next[1])
-                inner_next = next_inner()
-            return matches
-
-        # Outer side: buffer one equal-key group at a time.
-        group: List[ScanRow] = []
-        group_key: Any = None
-
-        def emit(okey, rows: List[ScanRow]) -> Iterator[Env]:
-            matches = inner_group_for(okey) if okey is not None else []
-            for outer_row in rows:
-                env = {outer_alias: outer_row.values}
-                matched = False
-                for inner_row in matches:
-                    candidate = {**env, inner_alias: inner_row.values}
-                    row_ctx.env = candidate
-                    if on(row_ctx):
-                        matched = True
-                        yield candidate
-                if left and not matched:
-                    yield {**env, inner_alias: dict(null_row)}
-
-        for outer_row in outer_stream:
-            okey = merge_key(outer_row.values, self.outer_key)
-            if group and okey != group_key:
-                yield from emit(group_key, group)
-                group = []
-            group_key = okey
-            group.append(outer_row)
-        if group:
-            yield from emit(group_key, group)
-
-    def sorted_columns(self) -> List[Tuple[str, str]]:
-        """(alias, column) pairs the output is ascending-ordered by.
-        The inner key only qualifies for INNER joins: LEFT emits NULL
-        inner columns on unmatched outer rows."""
-        out = [(self.outer.alias, self.outer_key)]
-        if self.join.kind != "LEFT":
-            out.append((self.join.table.alias, self.inner_key))
-        return out
-
-    def children(self) -> List[PlanNode]:
-        return [self.outer, self.inner]
-
-    def recost(self, db) -> None:
-        self.est_rows, self.est_cost = join_estimates(
-            db, self.outer, self.inner, self.join, (self.inner_key,))
-
-    def describe(self) -> str:
-        return (f"SortMergeJoin {self.join.kind} "
-                f"({self.join.table.alias}.{self.inner_key} = "
-                f"{self.outer.alias}.{self.outer_key})")
+                f"(order by {self.order_column} {direction})")
 
 
 class StreamingLimit(Limit):

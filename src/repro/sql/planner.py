@@ -20,19 +20,16 @@ choices cannot diverge SIREAD sets across replicas):
   index choice — and therefore the candidate set the phantom/stale
   window checks inspect — cannot differ between them;
 * joins: the planner costs a :class:`HashJoin` (build the inner side
-  once, probe per outer row), an index-:class:`NestedLoopJoin` (dynamic
-  per-row probes), and — when both join columns have ordering indexes —
-  a :class:`SortMergeJoin` over :class:`IndexOrderScan` inputs, crediting
-  the merge join with the downstream Sort it makes unnecessary when an
-  ``ORDER BY <join key>`` follows.  The decision is a pure function of
+  once, probe per outer row) against an index-:class:`NestedLoopJoin`
+  (dynamic per-row probes).  The decision is a pure function of
   (statement fingerprint, anchored statistics), and the plan cache keys
   on the stats anchor, so every node planning at one committed height
   picks the same plan.  Under ``tx.require_index`` (the
   execute-order-in-parallel flow) the pre-costing structural rules apply
   unchanged: a hash build whose scan no index can serve is never chosen —
   the nested-loop probes keep every predicate read index-backed,
-  preserving the paper's section 4.3 rule — and the full-index walks of
-  the merge/streaming operators are never planned;
+  preserving the paper's section 4.3 rule — and the full-index walk of
+  the streaming Limit is never planned;
 * Limit-only pipelines (single table, ``ORDER BY <indexed column>
   LIMIT n``) stream through an :class:`IndexOrderScan` +
   :class:`StreamingLimit` instead of materialize-and-sort.
@@ -72,16 +69,13 @@ from repro.sql.plan import (
     Limit,
     NestedLoopJoin,
     OneRow,
-    PlanEstimate,
     PlanNode,
     Project,
     Sarg,
     ScanSignature,
     SeqScan,
     Sort,
-    SortMergeJoin,
     StreamingLimit,
-    _l2,
     bounds_of,
     column_of_alias,
     conjuncts,
@@ -93,7 +87,6 @@ from repro.sql.plan import (
     render_plan,
     sargable,
     sargs_of,
-    scan_cost,
     without,
 )
 from repro.sql.plancache import ScanGuard
@@ -358,13 +351,13 @@ class Planner:
         on those rows cannot raise.  That holds for a ``column = value``
         conjunct that is the only source of its column's bound, on a
         column whose declared type keeps one exactly-comparable Python
-        class in the index key (int, text, bool): an equal key of a
-        non-Decimal value is then an ``=`` match, and a value of
-        another rank matches no key.  FLOAT (NaN), NUMERIC (keys go
-        through float) and system tables (values are not coerced) stay
-        with the Filter, and so does an unqualified name two joined
-        tables share (the Filter is what reports the ambiguity).  A
-        Decimal WHERE parameter is ROADMAP item 7 (vi)."""
+        class in the index key (int, text, bool): an equal key is then
+        an ``=`` match (a Decimal bound on an INT column keys exactly,
+        ``plan.key_range``), and a value of another rank matches no key.
+        FLOAT (NaN), NUMERIC (keys go through float) and system tables
+        (values are not coerced) stay with the Filter, and so does an
+        unqualified name two joined tables share (the Filter is what
+        reports the ambiguity)."""
         schema = self.db.catalog.schema_of(table)
         if schema.system:
             return []
@@ -401,8 +394,7 @@ class Planner:
             table, alias, sargs, index_name, order_column,
             descending=descending,
             conditions=self._conditions(sources, [order_column]),
-            cost_sig=ordered_scan_sig(bounds, order_column),
-            ordered=self.ordered)
+            cost_sig=ordered_scan_sig(bounds, order_column))
         return self._register(
             scan, bounds,
             index_signature(self.db.catalog.heap_of(table), bounds))
@@ -430,7 +422,7 @@ class Planner:
         sargs go through the same :func:`index_signature` execution
         uses, so predicted and executed index choice cannot diverge.
         The join may skip the prefix's exact conjuncts whose value side
-        is statically exact too (a NUMERIC one keys through float)."""
+        is statically exact too (int, text or bool; not NUMERIC)."""
         heap = self.db.catalog.heap_of(join.table.name)
         sources: Dict[str, List[Expr]] = {}
         signature = index_signature(heap, bounds_of(sargs, None, sources))
@@ -465,57 +457,16 @@ class Planner:
         miss and a hit."""
         return not self.tx.require_index
 
-    def _smj_candidate(self, outer: PlanNode, join: Join,
-                       keys: List[Tuple[str, Expr]],
-                       ctx: EvalContext,
-                       alias_columns: Dict[str, Sequence[str]]
-                       ) -> Optional[Tuple[str, str, str, str]]:
-        """Structural sort-merge eligibility: a single equi-key pair of
-        plain columns, the outer side still a base heap scan, and an
-        ordering index (leading column = join column) on each side.
-        Returns (outer column, outer index, inner column, inner index)
-        or None."""
-        if len(keys) != 1 or join.kind not in ("INNER", "LEFT"):
-            return None
-        if self.tx.provenance or ctx.as_of_height is not None:
-            return None
-        if not isinstance(outer, (SeqScan, IndexScan)) or \
-                isinstance(outer, ColumnarScan):
-            return None
-        inner_col, probe_expr = keys[0]
-        if not isinstance(probe_expr, ColumnRef):
-            return None
-        outer_cols = alias_columns.get(outer.alias, ())
-        if probe_expr.table is not None and probe_expr.table != outer.alias:
-            return None
-        if probe_expr.table is None and probe_expr.name not in outer_cols:
-            return None
-        outer_col = probe_expr.name
-        outer_index = self._order_index_for(outer.table, outer_col)
-        inner_index = self._order_index_for(join.table.name, inner_col)
-        if outer_index is None or inner_index is None:
-            return None
-        return outer_col, outer_index, inner_col, inner_index
-
     def plan_join(self, outer: PlanNode, join: Join, where: Optional[Expr],
                   ctx: EvalContext, planned_aliases: Set[str],
                   alias_columns: Dict[str, Sequence[str]],
                   tables: Dict[str, str],
-                  sort_elision_order: Optional[Sequence[OrderItem]] = None,
                   filtered: bool = False) -> PlanNode:
         """Join strategy for one joined table.
 
         ``filtered`` says a residual Filter will sit above the joins
         even if the FROM table's scan survives; every candidate is then
-        charged one predicate evaluation per row it emits.  A
-        SortMergeJoin replaces that scan with a whole-index walk, so
-        whenever there is a WHERE it pays for the Filter that re-checks
-        the discarded bounds, over its un-narrowed output.
-
-        ``sort_elision_order`` is the statement's effective ORDER BY when
-        this is the last join and no aggregation/grouping reorders rows
-        above it — a SortMergeJoin that satisfies that order makes the
-        downstream Sort unnecessary, and the costing credits it.
+        charged one predicate evaluation per row it emits.
 
         Determinism: every cost input is snapshot-anchored (sql/stats.py)
         and every structural input is part of the plan-cache key, so the
@@ -580,112 +531,20 @@ class Planner:
         # ---- cost-based choice -----------------------------------------
         nlj_rows = outer_est * max(probe.est_rows, 1.0)
         candidates: List[Tuple[float, int, str]] = [
-            (nlj_cost + (nlj_rows if filtered else 0.0), 2, "nlj")]
+            (nlj_cost + (nlj_rows if filtered else 0.0), 1, "nlj")]
         if build is not None:
             hash_rows, hash_cost = join_estimates(
                 self.db, outer, build, join, tuple(c for c, _ in keys))
             candidates.append(
                 (hash_cost + (hash_rows if filtered else 0.0), 0, "hash"))
 
-        smj = self._smj_candidate(outer, join, keys, ctx, alias_columns)
-        smj_cost = None
-        if smj is not None:
-            outer_col, outer_index, inner_col, inner_index = smj
-            # Same formula the constructed nodes' recost would use, over
-            # the bounds the replaced scans were planned with — computed
-            # via estimate carriers so candidate costing never leaks
-            # guards for plans that are not chosen.
-            smj_outer = PlanEstimate(*scan_cost(
-                self.db, outer.table,
-                ordered_scan_sig(outer.live_bounds, outer_col),
-                outer_col, outer.live_bounds, ordered=False))
-            smj_inner = PlanEstimate(*scan_cost(
-                self.db, join.table.name,
-                ordered_scan_sig(build.live_bounds, inner_col),
-                inner_col, build.live_bounds, ordered=False))
-            smj_rows, smj_cost = join_estimates(
-                self.db, smj_outer, smj_inner, join, (inner_col,))
-            if sort_elision_order and self._order_satisfied(
-                    [(outer.alias, outer_col)] +
-                    ([(alias, inner_col)] if join.kind != "LEFT" else []),
-                    {outer.alias: outer.table, alias: join.table.name},
-                    sort_elision_order, alias_columns,
-                    emitted_nulls_first=(join.kind == "LEFT")):
-                # Every other strategy pays the Sort this join elides.
-                sort_cost = smj_rows * _l2(smj_rows)
-                candidates = [(cost + sort_cost, rank, kind)
-                              for cost, rank, kind in candidates]
-            if where is not None:
-                smj_cost += smj_rows
-            candidates.append((smj_cost, 1, "smj"))
-
         _, _, choice = min(candidates)
         if choice == "hash":
             node = HashJoin(outer, join, build, keys, binder=binder)
-        elif choice == "smj":
-            outer_col, outer_index, inner_col, inner_index = smj
-            outer_scan = self._plan_index_order_scan(
-                outer.table, outer.alias, outer.sargs, ctx, outer_index,
-                outer_col)
-            # Thread the replaced outer scan's guard to the new node so
-            # guard-validated bounds reach the scan that actually runs.
-            for guard in self.guards:
-                if guard.node is outer:
-                    guard.node = None
-            self.scan_bounds.pop(id(outer), None)
-            inner_scan = self._plan_index_order_scan(
-                join.table.name, alias, build.sargs, ctx, inner_index,
-                inner_col)
-            node = SortMergeJoin(outer_scan, join, inner_scan,
-                                 outer_col, inner_col, binder=binder)
         else:
             node = NestedLoopJoin(outer, join, probe, binder=binder)
         node.recost(self.db)
         return node
-
-    # ------------------------------------------------------------------
-    # Order-satisfaction (Sort elision)
-    # ------------------------------------------------------------------
-
-    #: Declared types whose index-key order provably matches the Sort
-    #: comparator.  NUMERIC/DECIMAL is excluded: index keys normalize
-    #: Decimals through float, which can collapse values the comparator
-    #: distinguishes.
-    _ORDER_SAFE_TYPES = frozenset({
-        "INT", "INTEGER", "BIGINT", "SERIAL", "INT4", "INT8",
-        "FLOAT", "DOUBLE", "REAL", "TIMESTAMP", "BOOLEAN",
-        "TEXT", "VARCHAR", "CHAR",
-    })
-
-    def _order_satisfied(self, sorted_cols: List[Tuple[str, str]],
-                         tables_by_alias: Dict[str, str],
-                         order_items: Sequence[OrderItem],
-                         alias_columns: Dict[str, Sequence[str]],
-                         emitted_nulls_first: bool = True) -> bool:
-        """True when a single ascending ORDER BY item names one of the
-        ``sorted_cols`` an index-order operator already emits, with
-        type/NULL rules that make index order provably equal to the Sort
-        comparator's order (NULLS LAST): the column's declared type must
-        be order-safe, and — since index order puts NULLs first — the
-        column must be NOT NULL unless the operator can never emit a
-        NULL key (INNER-join keys)."""
-        if len(order_items) != 1:
-            return False
-        item = order_items[0]
-        if not item.ascending or not isinstance(item.expr, ColumnRef):
-            return False
-        for alias, col in sorted_cols:
-            if column_of_alias(item.expr, alias,
-                               alias_columns.get(alias, ())) != col:
-                continue
-            table = tables_by_alias[alias]
-            column = self.db.catalog.schema_of(table).column(col)
-            if column.type_name.upper() not in self._ORDER_SAFE_TYPES:
-                return False
-            if emitted_nulls_first and not column.not_null:
-                return False
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Order observability (docs/sql_engine.md, "Row order: when it is
@@ -854,13 +713,6 @@ class Planner:
         if stream is not None:
             return stream
 
-        # No aggregation/grouping above the joins means the last join's
-        # output order survives to the Sort — a SortMergeJoin satisfying
-        # the ORDER BY then elides it (the costing credit and the
-        # structural elision below use the same predicate).
-        elision_order = (order_items if not stmt.group_by
-                         and not aggregates else None)
-
         if stmt.from_table is None:
             source: PlanNode = OneRow()
         else:
@@ -871,14 +723,11 @@ class Planner:
             filtered = self._residual(stmt.where, source) is not None
             tables = {ref.alias: ref.name for ref in
                       [stmt.from_table] + [join.table for join in stmt.joins]}
-            for position, join in enumerate(stmt.joins):
-                last = position == len(stmt.joins) - 1
+            for join in stmt.joins:
                 source = self.plan_join(
                     source, join, stmt.where, ctx, planned, alias_columns,
-                    tables, sort_elision_order=elision_order if last else None,
-                    filtered=filtered)
+                    tables, filtered=filtered)
                 planned.add(join.table.alias)
-        join_root = source
         binder = self._binder(alias_columns)
         residual = self._residual(stmt.where, source)
         if residual is not None:
@@ -891,8 +740,7 @@ class Planner:
         else:
             top = Project(source, stmt.items, order_items, columns,
                           est_rows=source.est_rows, binder=binder)
-        if stmt.order_by and not self._sorted_by_merge(
-                join_root, elision_order, alias_columns):
+        if stmt.order_by:
             top = Sort(top, order_items)
         if stmt.distinct:
             top = Distinct(top)
@@ -920,25 +768,19 @@ class Planner:
                           alias_columns=alias_columns,
                           guards=self.guards, ordered=self.ordered)
 
-    def _sorted_by_merge(self, join_root: PlanNode,
-                         elision_order: Optional[Sequence[OrderItem]],
-                         alias_columns: Dict[str, Sequence[str]]) -> bool:
-        """True when the ORDER BY is already satisfied by a top-level
-        SortMergeJoin's emission order (Filter/Project/Distinct/Limit all
-        preserve it)."""
-        if elision_order is None or not isinstance(join_root,
-                                                   SortMergeJoin):
-            return False
-        return self._order_satisfied(
-            join_root.sorted_columns(),
-            {join_root.outer.alias: join_root.outer.table,
-             join_root.join.table.alias: join_root.join.table.name},
-            elision_order, alias_columns,
-            emitted_nulls_first=(join_root.join.kind == "LEFT"))
-
     # ------------------------------------------------------------------
     # Streaming Limit pipelines (index-order scan, no materialize/sort)
     # ------------------------------------------------------------------
+
+    #: Declared types whose index-key order provably matches the Sort
+    #: comparator.  NUMERIC/DECIMAL is excluded: index keys normalize
+    #: Decimals through float, which can collapse values the comparator
+    #: distinguishes.
+    _ORDER_SAFE_TYPES = frozenset({
+        "INT", "INTEGER", "BIGINT", "SERIAL", "INT4", "INT8",
+        "FLOAT", "DOUBLE", "REAL", "TIMESTAMP", "BOOLEAN",
+        "TEXT", "VARCHAR", "CHAR",
+    })
 
     def _try_streaming_limit(self, stmt: Select, ctx: EvalContext,
                              alias_columns: Dict[str, Sequence[str]],
@@ -948,9 +790,9 @@ class Planner:
         """``SELECT ... FROM t [WHERE ...] ORDER BY <indexed column>
         LIMIT n`` streams through an IndexOrderScan + StreamingLimit
         instead of materialize-and-sort, when the ordering column has an
-        ordering index and index order provably equals the Sort order
-        (see ``_order_satisfied``; DESC flips the walk, and NULLS-LAST
-        then matches even for nullable columns).  Eligibility is purely
+        ordering index and index order provably equals the Sort order:
+        the column's declared type is in ``_ORDER_SAFE_TYPES``, and it
+        is NOT NULL or the order is descending.  Eligibility is purely
         structural, so every node (and cache hit) agrees."""
         if not self._cost_based():
             return None

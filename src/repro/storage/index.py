@@ -69,10 +69,22 @@ def normalize_key_part(value: Any) -> Tuple:
     if isinstance(value, (int, float)):
         return (_RANK_NUM, value) if value == value else _NAN_PART
     if isinstance(value, Decimal):
-        return normalize_key_part(float(value))
+        # ``=`` compares a Decimal with a float through float.
+        return _NAN_PART if value.is_nan() else (_RANK_NUM, float(value))
     if isinstance(value, str):
         return (_RANK_STR, value)
     raise TypeMismatchError(f"unindexable value type {type(value).__name__}")
+
+
+def exact_key_part(value: Any) -> Tuple:
+    """:func:`normalize_key_part` of a bound on a column that ``=``
+    compares with a Decimal exactly (INT): a finite Decimal keys as
+    itself, which Python orders against ints exactly (``Decimal(2)``
+    equals the key ``2``), so it never rounds through float onto a
+    neighbouring integer."""
+    if isinstance(value, Decimal) and value.is_finite():
+        return (_RANK_NUM, value)
+    return normalize_key_part(value)
 
 
 def normalize_key(values: Sequence[Any]) -> Tuple:

@@ -80,7 +80,7 @@ READS = [
     "SELECT * FROM accounts ORDER BY acc_id",
     "SELECT a.*, i.* FROM accounts a LEFT JOIN invoices i "
     "ON i.acc_id = a.acc_id ORDER BY a.acc_id, i.invoice_id",
-    # hash join and sort-merge join null-extension
+    # hash join and nested-loop join null-extension
     "SELECT a.acc_id, i.amount FROM accounts a LEFT JOIN invoices i "
     "ON i.amount = a.balance",
     "SELECT a.acc_id, i.invoice_id FROM accounts a LEFT JOIN invoices i "

@@ -124,30 +124,33 @@ class TestExplainGolden:
         ]
 
     def test_hash_join_chosen_for_unindexed_equi_key(self, db):
-        """Costing hashes when neither ordered-merge nor index probes can
-        serve the key: one build + stream beats per-outer-row sequential
-        rescans."""
+        """Costing hashes when no index probe can serve the key: one
+        build + stream beats per-outer-row sequential rescans."""
         lines = explain(db, "SELECT count(*) FROM invoices i "
                             "JOIN accounts a ON a.balance = i.amount")
         assert any("HashJoin INNER (a.balance = i.amount)" in line
                    for line in lines)
 
-    def test_sort_merge_join_for_indexed_keys_both_sides(self, db):
-        """Both join columns carry ordering indexes and both sides are
-        large relative to their tables: the merge join (no hash build,
-        no per-row probes, no content sorts) wins, and an ORDER BY on
-        the join key elides the Sort entirely."""
+    def test_indexed_keys_both_sides_probe_instead_of_merge(self, db):
+        """Both join columns carry ordering indexes.  This golden lost
+        its SortMergeJoin (two IndexOrderScans, Sort elided) when that
+        operator was retired: index probes and a Sort now answer it."""
         sql = ("SELECT a.acc_id, i.invoice_id FROM accounts a "
                "JOIN invoices i ON i.acc_id = a.acc_id "
                "ORDER BY a.acc_id")
-        lines = explain(db, sql)
-        assert any("SortMergeJoin INNER (i.acc_id = a.acc_id)" in line
-                   for line in lines)
-        assert not any(line.lstrip("-> ").startswith("Sort ")
-                       for line in lines)
+        assert explain(db, sql) == [
+            "Sort (a.acc_id ASC) (cost~432 rows~36)",
+            "  -> Project (acc_id, invoice_id) (cost~246 rows~36)",
+            "    -> NestedLoopJoin INNER on (i.acc_id = a.acc_id) "
+            "(cost~210 rows~36)",
+            "      -> SeqScan on accounts as a (cost~55 rows~12)",
+            "      -> IndexProbe on invoices as i using invoices_acc_idx "
+            "(i.acc_id = a.acc_id) (per outer row) (cost~12 rows~3)",
+            "Plan Cache: miss",
+        ]
         rows = q(db, sql).rows
         assert [r[0] for r in rows] == sorted(r[0] for r in rows)
-        # Byte-identical to the legacy hash+Sort pipeline.
+        # Byte-identical to the hash+Sort pipeline.
         with structural_planning(db):
             assert q(db, sql).rows == rows
 
@@ -163,7 +166,6 @@ class TestExplainGolden:
             "invoices_acc_idx (i.acc_id = a.acc_id) (per outer row)")
             for l in lines)
         assert not any("HashJoin" in line for line in lines)
-        assert not any("SortMergeJoin" in line for line in lines)
 
     def test_point_lookup_join_prefers_index_probes(self, db):
         """A unique-key outer (1 row) probing an indexed inner is cheaper
@@ -256,19 +258,6 @@ class TestExplainAnalyzeGolden:
             "Execution Time: <t> ms",
         ]
 
-    def test_sort_merge_inputs_counted_through_streams(self, db):
-        """SortMergeJoin consumes its scans via ``stream_rows``; the
-        instrumentation must count that entry point, not ``rows``."""
-        lines = masked(explain_analyze(
-            db, "SELECT a.acc_id, i.invoice_id FROM accounts a "
-                "JOIN invoices i ON i.acc_id = a.acc_id "
-                "ORDER BY a.acc_id"))
-        assert lines[1] == (
-            "  -> SortMergeJoin INNER (i.acc_id = a.acc_id) "
-            "(cost~104 rows~36) (actual rows=36 loops=1 time=<t>)")
-        assert "(actual rows=12 loops=1 time=<t>)" in lines[2]   # accounts
-        assert "(actual rows=36 loops=1 time=<t>)" in lines[3]   # invoices
-
     def test_root_actual_rows_match_returned_rowcount(self, db):
         """Acceptance criterion: the root operator's actual row count
         equals the row count the plain SELECT returns."""
@@ -333,8 +322,8 @@ class TestJoinStrategies:
 
     def test_left_join_emits_null_rows(self, db):
         """Both LEFT strategies emit null-extended rows for unmatched
-        outers: the cost-based choice (sort-merge here — both join
-        columns have ordering indexes) and the legacy hash path."""
+        outers: the cost-based choice (index probes here; a SortMergeJoin
+        LEFT until that operator was retired) and the hash path."""
         tx = db.begin(allow_nondeterministic=True)
         run_sql(db, tx, "INSERT INTO accounts (acc_id, org, balance) "
                         "VALUES (50, 'lonely', 0.0)")
@@ -342,7 +331,7 @@ class TestJoinStrategies:
                "LEFT JOIN invoices i ON i.acc_id = a.acc_id "
                "ORDER BY a.acc_id")
         lines = [row[0] for row in run_sql(db, tx, "EXPLAIN " + sql).rows]
-        assert any("SortMergeJoin LEFT" in line for line in lines)
+        assert any("NestedLoopJoin LEFT" in line for line in lines)
         result = run_sql(db, tx, sql)
         assert result.rows[-1] == (50, None)
         with structural_planning(db):
@@ -350,6 +339,27 @@ class TestJoinStrategies:
                      run_sql(db, tx, "EXPLAIN " + sql).rows]
             assert any("HashJoin LEFT" in line for line in lines)
             assert run_sql(db, tx, sql).rows == result.rows
+        db.apply_abort(tx, reason="test")
+
+    def test_predicate_reads_cover_both_tables(self, db):
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "SELECT a.acc_id, i.invoice_id FROM accounts a "
+                        "JOIN invoices i ON i.acc_id = a.acc_id "
+                        "ORDER BY a.acc_id")
+        tables = {p.table for p in tx.predicate_reads}
+        assert {"accounts", "invoices"} <= tables
+        db.apply_abort(tx, reason="test")
+
+    def test_sees_own_uncommitted_writes(self, db):
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "INSERT INTO invoices (invoice_id, acc_id, org, "
+                        "amount, status) VALUES (900, 3, 'org3', 1.0, "
+                        "'mine')")
+        rows = run_sql(db, tx, "SELECT a.acc_id, i.invoice_id, i.amount "
+                               "FROM accounts a JOIN invoices i "
+                               "ON i.acc_id = a.acc_id "
+                               "ORDER BY a.acc_id").rows
+        assert (3, 900, 1.0) in rows
         db.apply_abort(tx, reason="test")
 
     def test_eo_flow_unindexed_join_still_aborts(self, db):
@@ -700,8 +710,8 @@ class TestComplexJoinAtBenchmarkSize:
     def test_ordered_variant_is_charged_for_the_discarded_bound(
             self, accounts):
         """Where row order is observable (a projection) the scans pay
-        their sorts and the merge is close; the Filter charge keeps the
-        index probes on both sides of the old flip."""
+        their sorts; the index probes still win on both sides of the old
+        flip, and no Filter repeats the bound they enforce."""
         database = self.seeded(accounts)
         tx = database.begin(allow_nondeterministic=True)
         lines = [row[0] for row in run_sql(

@@ -26,6 +26,7 @@ from repro.sql.expressions import EvalContext
 from repro.sql.parser import parse_one
 from repro.sql.plan import NestedLoopJoin
 from repro.sql.planner import Planner
+from repro.storage.index import exact_key_part, normalize_key_part
 from tests.conftest import counter
 
 NAN = float("nan")
@@ -299,3 +300,83 @@ class TestRandomData:
             expected += [(i, None) for i in range(len(refs))
                          if i not in matched]
         assert got == sorted(expected, key=repr)
+
+
+class TestDecimalBounds:
+    """A Decimal bound on an INT index keys exactly.  Through float,
+    ``2**60 + 1`` and ``2.00000000000000001`` rounded onto the keys
+    ``2**60`` and ``2``, and an IndexScan, which drops ``v = $1`` as
+    exact, returned those rows.  An IndexScan, a nested-loop probe and a
+    scan no index serves must give the answer ``=`` gives — on a FLOAT
+    index too, where ``=`` compares a Decimal through float."""
+
+    INT_ROWS = [(1, 2 ** 60), (2, 2), (3, 3)]
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database()
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "CREATE TABLE t (id INT PRIMARY KEY, v INT NOT NULL);"
+                        "CREATE INDEX t_v ON t(v);"
+                        "CREATE TABLE fl (id INT PRIMARY KEY, "
+                        "v FLOAT NOT NULL);"
+                        "CREATE INDEX fl_v ON fl(v);"
+                        "CREATE TABLE one (id INT PRIMARY KEY);"
+                        "INSERT INTO one (id) VALUES (1);"
+                        "INSERT INTO fl (id, v) VALUES (1, 0.1), (2, 2.5)")
+        for row in self.INT_ROWS:
+            run_sql(db, tx, "INSERT INTO t (id, v) VALUES ($1, $2)",
+                    params=row)
+        db.apply_commit(tx, block_number=1)
+        db.committed_height = 1
+        return db
+
+    @staticmethod
+    def answers(db, table, op, value):
+        """{access path in the plan: rows} for ``v <op> $1`` read three
+        ways."""
+        forms = {
+            f"IndexScan on {table} using {table}_v":
+                f"SELECT id FROM {table} WHERE v {op} $1",
+            f"IndexProbe on {table} using {table}_v":
+                f"SELECT {table}.id FROM one JOIN {table} "
+                f"ON {table}.v {op} $1",
+            f"SeqScan on {table}":
+                f"SELECT id FROM {table} WHERE v + 0 {op} $1",
+        }
+        out = {}
+        for path, sql in forms.items():
+            tx = db.begin(allow_nondeterministic=True)
+            try:
+                plan = [r[0] for r in run_sql(db, tx, "EXPLAIN " + sql,
+                                              params=(value,)).rows]
+                assert any(path in line for line in plan), plan
+                out[path] = sorted(run_sql(db, tx, sql,
+                                           params=(value,)).rows)
+            finally:
+                db.apply_abort(tx, reason="test")
+        return out
+
+    @pytest.mark.parametrize("op, value, ids", [
+        ("=", Decimal(2 ** 60 + 1), []),
+        ("=", Decimal("2.00000000000000001"), []),
+        ("=", Decimal(2 ** 60), [1]),
+        ("=", Decimal("2.0"), [2]),
+        (">", Decimal(2 ** 60 - 1), [1]),
+        ("<=", Decimal("2.99999999999999999"), [2]),
+    ])
+    def test_int_index(self, db, op, value, ids):
+        got = self.answers(db, "t", op, value)
+        assert all(rows == [(i,) for i in ids] for rows in got.values()), got
+
+    @pytest.mark.parametrize("value, ids", [
+        (Decimal("0.1"), [1]), (Decimal("2.5"), [2]), (Decimal(3), []),
+    ])
+    def test_float_index(self, db, value, ids):
+        got = self.answers(db, "fl", "=", value)
+        assert all(rows == [(i,) for i in ids] for rows in got.values()), got
+
+    def test_decimal_nan_keys_as_nan(self):
+        for key_part in (normalize_key_part, exact_key_part):
+            assert key_part(Decimal("NaN")) == \
+                key_part(Decimal("sNaN")) == key_part(NAN)

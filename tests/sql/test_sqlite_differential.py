@@ -7,14 +7,18 @@ global aggregates, ``GROUP BY`` + ``ORDER BY`` + ``LIMIT``,
 equi-join + aggregate — the shapes whose scans no longer sort — and
 joins on a nullable outer key, whose NULLs must join nothing, planned
 both ways (a nested-loop probe leaves its index on a NULL key and
-re-derives its access path; a hash join drops the key).
+re-derives its access path; a hash join drops the key).  INNER and LEFT
+joins between two indexed key columns (INT against FLOAT, NULL outer
+keys, a residual ON conjunct, ORDER BY either key ascending and
+descending) run under every planning mode, so each join operator is
+checked against sqlite rather than against another of ours.
 
 Comparison policy, stated once:
 
 * results compare **as multisets** unless the statement's ORDER BY is
-  total over NOT NULL keys, in which case they compare as lists (SQLite
-  sorts NULLs first, we sort them last, so a NULL never appears in a
-  compared ORDER BY key);
+  total, in which case they compare as lists.  SQLite treats NULL as
+  the smallest value and we sort it last in both directions, so a
+  compared ORDER BY key may hold a NULL only when it is descending;
 * ``int``, ``str`` and ``None`` must be equal and of the same type;
 * a ``float`` must be within ``FLOAT_TOLERANCE`` relative (and the same
   absolute, for sums near zero) of SQLite's: SQLite adds doubles left
@@ -27,9 +31,11 @@ import math
 import sqlite3
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MissingIndexError
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
 from tests.conftest import counter, structural_planning
@@ -77,6 +83,39 @@ NULL_KEY_STATEMENTS = [
     "SELECT count(*), sum(u.w) FROM t JOIN u ON u.k = t.n WHERE t.k > $1",
 ]
 
+#: Equi-joins between two indexed key columns — INT ``a.k`` (NULLs
+#: included) and FLOAT ``b.k`` — the shapes a sort-merge join used to
+#: take.  Each is (statement, ordered, outer table); the outer scan's
+#: ``id >= 0`` keeps it index-backed for the execute-order flow.
+JOIN_SCHEMA = [
+    "CREATE TABLE a (id INT PRIMARY KEY, k INT, x INT NOT NULL)",
+    "CREATE INDEX a_k ON a(k)",
+    "CREATE TABLE b (id INT PRIMARY KEY, k FLOAT NOT NULL, w INT NOT NULL)",
+    "CREATE INDEX b_k ON b(k)",
+]
+INDEXED_JOIN_STATEMENTS = [
+    ("SELECT a.id, b.id, a.k, b.k FROM a JOIN b ON b.k = a.k "
+     "WHERE a.id >= 0 ORDER BY a.k, a.id, b.id", True, "a"),
+    ("SELECT a.id, b.id FROM a JOIN b ON b.k = a.k "
+     "WHERE a.id >= 0 ORDER BY b.k DESC, a.id, b.id", True, "a"),
+    ("SELECT a.id, b.id, b.w FROM a LEFT JOIN b ON b.k = a.k "
+     "WHERE a.id >= 0 ORDER BY a.k DESC, a.id, b.id", True, "a"),
+    ("SELECT a.id, a.k, b.id FROM a LEFT JOIN b ON b.k = a.k "
+     "WHERE a.id >= 0 ORDER BY a.k", False, "a"),
+    ("SELECT a.id, b.id FROM a JOIN b ON b.k = a.k AND b.w > $1 "
+     "WHERE a.id >= 0 ORDER BY a.id, b.id", True, "a"),
+    ("SELECT a.id, b.id FROM a LEFT JOIN b ON b.k = a.k AND b.w > $1 "
+     "WHERE a.id >= 0 ORDER BY a.id, b.id", True, "a"),
+    ("SELECT a.id, b.id FROM a JOIN b ON b.k = a.k "
+     "WHERE a.id >= 0 AND b.w < $1 ORDER BY b.id, a.id", True, "a"),
+    ("SELECT b.id, a.id, b.k FROM b JOIN a ON a.k = b.k "
+     "WHERE b.id >= 0 ORDER BY b.k, b.id, a.id", True, "b"),
+    ("SELECT b.id, a.id FROM b LEFT JOIN a ON a.k = b.k AND a.x > $1 "
+     "WHERE b.id >= 0 ORDER BY b.k DESC, b.id, a.id", True, "b"),
+    ("SELECT count(*), sum(b.w), count(b.id) FROM a LEFT JOIN b "
+     "ON b.k = a.k WHERE a.id >= 0", False, "a"),
+]
+
 sixtyfourths = st.integers(-64_000_000, 64_000_000).map(lambda i: i / 64.0)
 t_rows = st.lists(
     st.tuples(st.integers(0, 5),                                  # k
@@ -89,32 +128,48 @@ u_rows = st.lists(
               st.one_of(st.none(), sixtyfourths),
               st.sampled_from("ab")),
     max_size=8, unique_by=lambda row: row[0])
+a_rows = st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 6)),  # k
+                            st.integers(-5, 5)),                      # x
+                  max_size=12)
+b_rows = st.lists(st.tuples(st.integers(0, 12).map(lambda i: i / 2.0),  # k
+                            st.integers(-5, 5)),                        # w
+                  max_size=12)
 
 
-def load_ours(t_data, u_data):
+def with_ids(rows):
+    """``rows`` numbered by an ``id`` in front."""
+    return [(i,) + tuple(row) for i, row in enumerate(rows)]
+
+
+def load_ours(tables, schema=SCHEMA):
+    """A database of ``schema`` holding ``tables`` ({name: rows})."""
     db = Database()
     tx = db.begin(allow_nondeterministic=True)
-    for ddl in SCHEMA:
+    for ddl in schema:
         run_sql(db, tx, ddl)
-    for i, row in enumerate(t_data):
-        run_sql(db, tx, "INSERT INTO t (id, k, g, n, v) VALUES "
-                        "($1, $2, $3, $4, $5)", params=(i,) + row)
-    for row in u_data:
-        run_sql(db, tx, "INSERT INTO u (k, w, tag) VALUES ($1, $2, $3)",
-                params=row)
+    for table, rows in tables.items():
+        for row in rows:
+            run_sql(db, tx, f"INSERT INTO {table} VALUES (" + ", ".join(
+                f"${i + 1}" for i in range(len(row))) + ")", params=row)
     db.apply_commit(tx, block_number=1)
     db.committed_height = 1
     return db
 
 
-def load_sqlite(t_data, u_data):
+def load_sqlite(tables, schema=SCHEMA):
     conn = sqlite3.connect(":memory:")
-    for ddl in SCHEMA:
+    for ddl in schema:
         conn.execute(ddl)
-    conn.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?)",
-                     [(i,) + row for i, row in enumerate(t_data)])
-    conn.executemany("INSERT INTO u VALUES (?, ?, ?)", u_data)
+    for table, rows in tables.items():
+        if rows:
+            conn.executemany(f"INSERT INTO {table} VALUES (" + ", ".join(
+                "?" * len(rows[0])) + ")", rows)
     return conn
+
+
+def sqlite_rows(conn, sql, threshold):
+    return conn.execute(sql.replace("$1", "?1"),
+                        (threshold,) if "$1" in sql else ()).fetchall()
 
 
 def same_value(ours, theirs) -> bool:
@@ -150,8 +205,9 @@ class TestAgainstSqlite:
     @given(t_data=t_rows, u_data=u_rows, threshold=st.integers(-5, 5))
     def test_aggregates_groups_and_joins_agree(self, t_data, u_data,
                                                threshold):
-        db = load_ours(t_data, u_data)
-        conn = load_sqlite(t_data, u_data)
+        tables = {"t": with_ids(t_data), "u": u_data}
+        db = load_ours(tables)
+        conn = load_sqlite(tables)
         try:
             for sql, ordered in STATEMENTS:
                 tx = db.begin(allow_nondeterministic=True)
@@ -159,10 +215,8 @@ class TestAgainstSqlite:
                     ours = run_sql(db, tx, sql, params=(threshold,)).rows
                 finally:
                     db.apply_abort(tx, reason="test")
-                theirs = conn.execute(
-                    sql.replace("$1", "?1"),
-                    (threshold,) if "$1" in sql else ()).fetchall()
-                assert_same(sql, ours, theirs, ordered)
+                assert_same(sql, ours, sqlite_rows(conn, sql, threshold),
+                            ordered)
         finally:
             conn.close()
 
@@ -170,8 +224,9 @@ class TestAgainstSqlite:
               suppress_health_check=[HealthCheck.too_slow])
     @given(t_data=t_rows, u_data=u_rows, threshold=st.integers(-5, 5))
     def test_null_outer_keys_join_nothing(self, t_data, u_data, threshold):
-        db = load_ours(t_data, u_data)
-        conn = load_sqlite(t_data, u_data)
+        tables = {"t": with_ids(t_data), "u": u_data}
+        db = load_ours(tables)
+        conn = load_sqlite(tables)
 
         def ours(sql):
             tx = db.begin(allow_nondeterministic=True)
@@ -182,9 +237,7 @@ class TestAgainstSqlite:
 
         try:
             for sql in NULL_KEY_STATEMENTS:
-                theirs = conn.execute(
-                    sql.replace("$1", "?1"),
-                    (threshold,) if "$1" in sql else ()).fetchall()
+                theirs = sqlite_rows(conn, sql, threshold)
                 assert_same(sql, ours(sql), theirs, ordered=False)
                 with structural_planning(db):
                     plan = [row[0] for row in ours("EXPLAIN " + sql)]
@@ -194,6 +247,50 @@ class TestAgainstSqlite:
                     nulls = sum(row[2] is None for row in t_data
                                 if "$1" not in sql or row[0] > threshold)
                     assert counter(db, "sql.probe_fallbacks") - before == nulls
+        finally:
+            conn.close()
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(a_data=a_rows, b_data=b_rows, threshold=st.integers(-5, 5))
+    def test_indexed_key_joins_under_every_planning_mode(
+            self, a_data, b_data, threshold):
+        """Each remaining join operator against sqlite: the cost-based
+        plan, the structural rules (HashJoin) and the execute-order flow
+        (NestedLoopJoin probes).  There a NULL outer key bounds nothing,
+        so its probe would read the whole inner table: the section 4.3
+        rule aborts the statement instead."""
+        tables = {"a": with_ids(a_data), "b": with_ids(b_data)}
+        db = load_ours(tables, JOIN_SCHEMA)
+        conn = load_sqlite(tables, JOIN_SCHEMA)
+        eo = {"require_index": True}
+
+        def ours(sql, **tx_kwargs):
+            tx = db.begin(allow_nondeterministic=True, **tx_kwargs)
+            try:
+                return run_sql(db, tx, sql, params=(threshold,)).rows
+            finally:
+                if not tx.is_aborted:
+                    db.apply_abort(tx, reason="test")
+
+        def operators(sql, **tx_kwargs):
+            return " ".join(row[0] for row in ours("EXPLAIN " + sql,
+                                                   **tx_kwargs))
+
+        null_outer = any(k is None for k, _ in a_data)
+        try:
+            for sql, ordered, outer in INDEXED_JOIN_STATEMENTS:
+                theirs = sqlite_rows(conn, sql, threshold)
+                assert_same(sql, ours(sql), theirs, ordered)
+                with structural_planning(db):
+                    assert "HashJoin" in operators(sql)
+                    assert_same(sql, ours(sql), theirs, ordered)
+                assert "NestedLoopJoin" in operators(sql, **eo)
+                if outer == "a" and null_outer:
+                    with pytest.raises(MissingIndexError):
+                        ours(sql, **eo)
+                else:
+                    assert_same(sql, ours(sql, **eo), theirs, ordered)
         finally:
             conn.close()
 
