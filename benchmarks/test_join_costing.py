@@ -22,6 +22,10 @@ both shapes.  The measured ratios are committed to
 ``BENCH_join_costing.json`` and CI fails when a live ratio regresses
 more than 2x against the committed one (ratios are same-machine A/B
 comparisons, so they port across CI hardware where absolute ms do not).
+Each leg is timed as the fastest of ``BLOCKS`` blocks of ``ITERATIONS``
+statements, the two modes alternating: the cost-based LIMIT leg is
+~15 ms a block, short enough for one slow stretch of a shared host to
+halve its ratio.
 """
 
 import time
@@ -40,6 +44,7 @@ EVENTS = 4000
 ORGS = 64
 REGIONS = 8
 ITERATIONS = 60
+BLOCKS = 5
 
 JOIN_SQL = ("SELECT sum(e.weight), count(*) FROM orgs o "
             "JOIN events e ON e.org_id = o.org_id WHERE o.region = $1")
@@ -78,43 +83,42 @@ def build_db() -> Database:
     return db
 
 
-def run_workload(db: Database, sql: str, params=()) -> float:
-    started = time.perf_counter()
-    for _ in range(ITERATIONS):
-        tx = db.begin(allow_nondeterministic=True)
-        try:
-            run_sql(db, tx, sql, params=params)
-        finally:
-            db.apply_abort(tx, reason="bench")
-    return time.perf_counter() - started
-
-
-def explain_lines(db, sql, params=()):
+def execute(db: Database, sql: str, params=()) -> list:
     tx = db.begin(allow_nondeterministic=True)
     try:
-        return [r[0] for r in
-                run_sql(db, tx, "EXPLAIN " + sql, params=params).rows]
+        return run_sql(db, tx, sql, params=params).rows
     finally:
         db.apply_abort(tx, reason="bench")
 
 
-def ab_compare(db, sql, params=()):
-    """(cost-based wall, structural wall) with identical results
-    verified and caches warmed per mode."""
-    tx = db.begin(allow_nondeterministic=True)
-    cost_rows = run_sql(db, tx, sql, params=params).rows
-    db.apply_abort(tx, reason="bench")
-    with structural_planning(db):
-        tx = db.begin(allow_nondeterministic=True)
-        legacy_rows = run_sql(db, tx, sql, params=params).rows
-        db.apply_abort(tx, reason="bench")
-    assert cost_rows == legacy_rows
+def timed_block(db: Database, sql: str, params=()):
+    """(rows, wall seconds of ``ITERATIONS`` executions).  The rows come
+    from one untimed execution first, which plans: switching the
+    planning mode empties the plan cache."""
+    rows = execute(db, sql, params)
+    started = time.perf_counter()
+    for _ in range(ITERATIONS):
+        execute(db, sql, params)
+    return rows, time.perf_counter() - started
 
-    run_workload(db, sql, params)                     # warm
-    cost_wall = run_workload(db, sql, params)
-    with structural_planning(db):
-        run_workload(db, sql, params)                 # warm
-        legacy_wall = run_workload(db, sql, params)
+
+def explain_lines(db, sql, params=()):
+    return [r[0] for r in execute(db, "EXPLAIN " + sql, params)]
+
+
+def ab_compare(db, sql, params=()):
+    """(cost-based wall, structural wall), each the fastest of
+    ``BLOCKS`` blocks, with identical results verified.  The modes
+    alternate block by block, so a slow stretch of the host costs a
+    block of each, not every block of the short cost-based leg."""
+    cost_wall = legacy_wall = float("inf")
+    for _ in range(BLOCKS):
+        cost_rows, wall = timed_block(db, sql, params)
+        cost_wall = min(cost_wall, wall)
+        with structural_planning(db):
+            legacy_rows, wall = timed_block(db, sql, params)
+        legacy_wall = min(legacy_wall, wall)
+        assert cost_rows == legacy_rows
     return cost_wall, legacy_wall
 
 

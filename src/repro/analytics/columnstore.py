@@ -468,6 +468,32 @@ class TableColumns:
         chunk.mark_deleted(offset, deleter, xmax)
         return True
 
+    def drop_versions(self, version_ids: Iterable[int]) -> None:
+        """Take ingested ``version_ids`` out: the chunks from the one
+        holding the first of them on are rebuilt without them, every
+        other row in its order.  They were appended since the last block
+        boundary, so this rebuilds a tail, not the table."""
+        drop = set(version_ids)
+        first = min(self._ordinals[version_id] for version_id in drop)
+        index = bisect_right(self._chunk_starts, first) - 1
+        tail = self.chunks[index:]
+        self._rows = self._chunk_starts[index]
+        del self.chunks[index:], self._chunk_starts[index:]
+        for chunk in tail:
+            for offset in range(len(chunk)):
+                version_id = chunk.version_ids[offset]
+                self._ordinals[version_id] = -1
+                if version_id in drop:
+                    continue
+                self.append_version(
+                    chunk.values_at(offset, self.columns),
+                    chunk.row_ids[offset], version_id, chunk.xmins[offset],
+                    chunk.creators[offset])
+                deleter = chunk.deleters[offset]
+                if deleter is not None:
+                    self.mark_deleted(version_id, deleter,
+                                      chunk.xmaxs[offset])
+
     # -- compaction --------------------------------------------------------
 
     def compact(self) -> int:
@@ -673,39 +699,61 @@ class ColumnStore:
         return tcols
 
     def _ingest(self, db) -> None:
-        """Drain the pending queue into the column chunks."""
+        """Drain the pending queue into the column chunks.
+
+        A version the row store queued for reclaim at its retirement
+        horizon (``Database.reclaim_queued``) is neither appended nor
+        stamped deleted — no block height sees it.  One appended before
+        it was queued, by a read that synced the replica (or rebuilt it)
+        mid-block, is dropped here."""
         pending, self._pending = self._pending, []
+        if not pending:
+            return
+        withheld = db.reclaim_queued()
         for writes in pending:
             for entry in writes:
                 tcols = self._table_for(db, entry.table)
                 if tcols is None:
                     continue  # table dropped since the commit
                 new = entry.new_version
-                if new is not None and new.creator_block is not None:
+                if new is not None and new.creator_block is not None \
+                        and (entry.table, new.version_id) not in withheld:
                     tcols.append_version(
                         new.values, new.row_id, new.version_id, new.xmin,
                         new.creator_block)
                     self._ingested_versions.inc()
                 old = entry.old_version
-                if old is not None and old.deleter_block is not None:
+                if old is not None and old.deleter_block is not None \
+                        and (entry.table, old.version_id) not in withheld:
                     if tcols.mark_deleted(old.version_id, old.deleter_block,
                                           old.xmax_winner):
                         self._deleter_updates.inc()
+        appended: Dict[str, List[int]] = {}
+        for table, version_id in withheld:
+            tcols = self.tables.get(table)
+            if tcols is not None and tcols.locate(version_id) is not None:
+                appended.setdefault(table, []).append(version_id)
+        for table, version_ids in appended.items():
+            self.tables[table].drop_versions(version_ids)
 
     def rebuild(self, db) -> None:
         """Reconstruct the store from the heap's committed versions (used
         at first access, after recovery rollback, and after re-enable).
         History already vacuumed from the heap is gone here too — the
-        executor's retained-height gate keeps such reads un-servable."""
+        executor's retained-height gate keeps such reads un-servable, and
+        versions queued for reclaim are left out as :meth:`_ingest`
+        leaves them."""
         self.tables = {}
         self._pending.clear()
         statuses = db.statuses
+        withheld = db.reclaim_queued()
         for name in db.catalog.table_names():
             tcols = self._table_for(db, name)
             heap = db.catalog.heap_of(name)
             for version in heap.all_versions():
                 if version.creator_block is None or \
-                        not statuses.is_committed(version.xmin):
+                        not statuses.is_committed(version.xmin) or \
+                        (name, version.version_id) in withheld:
                     continue
                 tcols.append_version(
                     version.values, version.row_id, version.version_id,

@@ -133,12 +133,14 @@ Comb = Tuple[Optional[Tuple[int, int]], ...]
 #: Teeth of the one comb for the generator ``G``: 255 points, ~45 KB,
 #: ~5 ms to build on first use; 32 columns per multiplication.
 _G_TEETH = 8
-#: Teeth of a cached per-public-key comb.  Not a knob: the largest of
-#: {2, 4, 8} the end-to-end memory budget pays for, see "Choosing the
-#: comb height" in docs/crypto.md.
-_KEY_TEETH = 4
-#: Public keys with a cached comb; the oldest goes first beyond it.
-KEY_TABLES_MAX = 128
+#: Teeth of a cached per-public-key comb: ``G``'s height, so ``verify``
+#: walks the 32 columns of both combs together.  Not a knob: the
+#: largest of {2, 4, 8} the end-to-end memory budget pays for, see
+#: "Choosing the comb height" in docs/crypto.md.
+_KEY_TEETH = _G_TEETH
+#: Public keys with a cached comb (~48 KB each, ~1.5 MB at the bound);
+#: the oldest goes first beyond it.
+KEY_TABLES_MAX = 32
 
 
 def _build_comb(px: int, py: int, teeth: int) -> Comb:
@@ -265,20 +267,18 @@ class PublicKey:
         """Verify ``signature`` over ``message``; raise
         :class:`InvalidSignature` on failure.
 
-        ``u1*G + u2*Q`` is one joint pass over the columns of this
-        key's cached comb, with the columns of ``G``'s taller comb
-        joining for the last 32, and the result is compared
-        projectively, so the only inversion is ``s`` mod N
-        (docs/crypto.md)."""
+        ``u1*G + u2*Q`` is one joint pass over the 32 columns of
+        ``G``'s comb and this key's cached comb of the same height,
+        and the result is compared projectively, so the only inversion
+        is ``s`` mod N (docs/crypto.md)."""
         r, s = signature.r, signature.s
         if not (1 <= r < N and 1 <= s < N):
             raise InvalidSignature("signature components out of range")
         e = int.from_bytes(sha256(message), "big") % N
         w = _inv_mod(s, N)
-        g_addends = _comb_addends(e * w % N, _g_comb())
-        q_addends = _comb_addends(r * w % N, _key_comb(self.x, self.y))
-        lead = [None] * (len(q_addends) - len(g_addends))
-        x, _y, z = _sum_columns(zip(lead + g_addends, q_addends))
+        x, _y, z = _sum_columns(zip(
+            _comb_addends(e * w % N, _g_comb()),
+            _comb_addends(r * w % N, _key_comb(self.x, self.y))))
         if z == 0:
             raise InvalidSignature("verification produced point at infinity")
         # x/z^2 mod N == r without the inversion: the affine x is r or,

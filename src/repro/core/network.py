@@ -11,7 +11,9 @@ example drives the whole network deterministically with
 
 from __future__ import annotations
 
+import hashlib
 import os
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.chain.block import make_genesis
@@ -250,23 +252,50 @@ class BlockchainNetwork:
         for table in table_names:
             want = self._table_fingerprint(reference, table)
             for node in live[1:]:
-                got = self._table_fingerprint(node, table)
-                if want != got:
-                    raise AssertionError(
-                        f"table {table!r} diverged between "
-                        f"{reference.name} and {node.name}:\n"
-                        f"  {want}\n  {got}")
+                if self._table_fingerprint(node, table) != want:
+                    raise AssertionError(self._divergence(
+                        table, reference, node))
         heights = {n.name: n.db.committed_height for n in live}
         if len(set(heights.values())) > 1:
             raise AssertionError(f"nodes at different heights: {heights}")
 
     @staticmethod
-    def _table_fingerprint(node: DatabaseNode, table: str):
+    def _table_rows(node: DatabaseNode, table: str) -> List[str]:
+        """The ``repr`` of every latest committed row of ``table`` (its
+        items sorted by column), sorted."""
         from repro.storage.snapshot import SeqSnapshot
         from repro.storage.visibility import visible_versions
         statuses = node.db.statuses
         latest = visible_versions(
             node.db.catalog.heap_of(table).all_versions(),
             SeqSnapshot(statuses.current_commit_seq), statuses, None)
-        return sorted((tuple(sorted(version.values.items()))
-                       for version in latest), key=repr)
+        return sorted(repr(sorted(version.values.items()))
+                      for version in latest)
+
+    @classmethod
+    def _table_fingerprint(cls, node: DatabaseNode, table: str) -> bytes:
+        """SHA-256 over :meth:`_table_rows`: a node's table is held as
+        one list of strings while it hashes, never two copies of its
+        rows.  ``repr`` equality is stricter than ``=`` (``1`` and
+        ``1.0`` differ) and makes a NaN row equal to itself."""
+        digest = hashlib.sha256()
+        for row in cls._table_rows(node, table):
+            digest.update(row.encode())
+            digest.update(b"\n")   # repr escapes every newline it holds
+        return digest.digest()
+
+    @classmethod
+    def _divergence(cls, table: str, reference: DatabaseNode,
+                    node: DatabaseNode) -> str:
+        """The message naming the rows of ``table`` the two nodes do not
+        share (rebuilt only once the fingerprints differ)."""
+        want = Counter(cls._table_rows(reference, table))
+        got = Counter(cls._table_rows(node, table))
+
+        def listed(rows: Counter) -> str:
+            return "".join(f"\n    {row}" for row in sorted(rows.elements()))
+
+        return (f"table {table!r} diverged between {reference.name} and "
+                f"{node.name}:\n"
+                f"  only on {reference.name}:{listed(want - got)}\n"
+                f"  only on {node.name}:{listed(got - want)}")

@@ -414,11 +414,19 @@ class Database:
         sees them — for physical removal by :meth:`retire_finished` after
         block ``block_number``.  pgLedger's ``pending`` rows (paper
         section 4.2's two-step write) are the case: the paper's own
-        answer to them is a vacuum on creator/deleter (section 7)."""
+        answer to them is a vacuum on creator/deleter (section 7).  The
+        columnar replica never appends them (:meth:`reclaim_queued`)."""
         if versions:
             self._reclaimable.append(
                 (block_number, self.statuses.current_commit_seq, table,
                  versions))
+
+    def reclaim_queued(self) -> Set[Tuple[str, int]]:
+        """``(table, version id)`` of every version
+        :meth:`reclaim_at_horizon` queued that is not reclaimed yet."""
+        return {(table, version.version_id)
+                for _block, _seq, table, versions in self._reclaimable
+                for version in versions}
 
     def reclaim_versions(self, table: str,
                          versions: List[RowVersion]) -> None:

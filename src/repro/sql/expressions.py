@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutionError, TypeMismatchError
@@ -117,6 +117,9 @@ def _resolve_column(ref: ColumnRef, ctx: EvalContext) -> Any:
     raise ExecutionError(f"unknown column or variable {ref.name!r}")
 
 
+_NAN = float("nan")
+
+
 def _numeric_pair(left: Any, right: Any):
     """Reconcile Decimal/float mixes for arithmetic and comparison."""
     if isinstance(left, Decimal) and isinstance(right, float):
@@ -139,8 +142,8 @@ def _arith(op: str, left: Any, right: Any) -> Any:
         if op == "+" and isinstance(left, str) and isinstance(right, str):
             raise TypeMismatchError("use || for string concatenation")
         raise TypeMismatchError(f"cannot apply {op} to strings")
-    left, right = _numeric_pair(left, right)
     try:
+        left, right = _numeric_pair(left, right)
         if op == "+":
             return left + right
         if op == "-":
@@ -163,6 +166,11 @@ def _arith(op: str, left: Any, right: Any) -> Any:
         raise TypeMismatchError(
             f"cannot apply {op} to {type(left).__name__} and "
             f"{type(right).__name__}") from None
+    except (InvalidOperation, ValueError):
+        # Decimal's invalid operations (a signaling NaN, inf - inf, ...),
+        # and float() of a signaling NaN.
+        raise ExecutionError(
+            f"{op} has no NUMERIC result for these operands") from None
     raise ExecutionError(f"unknown arithmetic operator {op!r}")
 
 
@@ -187,6 +195,12 @@ def compare_values(left: Any, right: Any) -> Optional[int]:
         return 1 if left > right else _nan_order(left, right)
     if isinstance(left, IntervalValue) and isinstance(right, IntervalValue):
         left, right = left.seconds, right.seconds
+    # A Decimal NaN (sNaN too) orders as float NaN does; Decimal itself
+    # would raise InvalidOperation at ``<``.
+    if isinstance(left, Decimal) and left.is_nan():
+        left = _NAN
+    if isinstance(right, Decimal) and right.is_nan():
+        right = _NAN
     left, right = _numeric_pair(left, right)
     if isinstance(left, bool) != isinstance(right, bool):
         if isinstance(left, (int, float, Decimal)) and \

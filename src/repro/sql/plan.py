@@ -81,6 +81,7 @@ from repro.storage.index import (
     Index,
     exact_key_part,
     key_depth,
+    normalize_key,
     normalize_key_part,
 )
 from repro.storage.row import RowVersion
@@ -1183,18 +1184,6 @@ def without(expr: Optional[Expr], exact: Sequence[Expr]) -> Optional[Expr]:
         "AND", left, right), kept) if kept else None
 
 
-def _join_key(values: Sequence[Any]) -> Tuple:
-    """Hash-bucket key consistent with the ``=`` comparator: SQL's
-    ``compare_values`` treats TRUE = 1, so booleans bucket as numbers
-    (index keys rank them separately, which would make the hash join
-    miss pairs the nested loop matches).  False positives from bucket
-    collisions are removed by the ON / WHERE re-evaluation."""
-    return tuple(
-        normalize_key_part(float(v)) if isinstance(v, bool)
-        else normalize_key_part(v)
-        for v in values)
-
-
 def join_estimates(db, outer: PlanNode, inner: PlanNode, join,
                    inner_key_cols: Tuple[str, ...]
                    ) -> Tuple[float, float]:
@@ -1219,7 +1208,9 @@ class HashJoin(PlanNode):
 
     The equi-key pairs come from ON/WHERE conjuncts; the full ON clause is
     still re-evaluated per candidate pair, so NULL-key and residual
-    semantics match the nested loop exactly.  Output order also matches:
+    semantics match the nested loop exactly.  Buckets are index keys,
+    which rank values as ``=`` compares them (TRUE = 1, 1 = 1.0); the
+    ON re-evaluation removes bucket collisions.  Output order also matches:
     probe rows stream in outer order, bucket entries preserve the build
     scan's content-sorted order.
     """
@@ -1247,7 +1238,8 @@ class HashJoin(PlanNode):
         table: Dict[Tuple, List[ScanRow]] = {}
         for inner in self.build.scan_rows(rt):
             try:
-                key = _join_key([inner.values.get(c) for c in inner_cols])
+                key = normalize_key([inner.values.get(c)
+                                     for c in inner_cols])
             except TypeMismatchError:
                 continue  # unindexable key value can never equal a probe
             table.setdefault(key, []).append(inner)
@@ -1257,7 +1249,7 @@ class HashJoin(PlanNode):
             row_ctx.env = env
             probe_vals = [fn(row_ctx) for fn in probe_fns]
             try:
-                candidates = table.get(_join_key(probe_vals), ())
+                candidates = table.get(normalize_key(probe_vals), ())
             except TypeMismatchError:
                 candidates = ()
             matched = False

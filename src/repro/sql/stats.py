@@ -60,8 +60,6 @@ def stats_key_part(value: Any) -> Any:
     must count as one distinct key.  Unindexable value types fall back
     to ``repr`` (typed columns make that unreachable in practice)."""
     try:
-        if isinstance(value, bool):
-            return normalize_key_part(float(value))
         return normalize_key_part(value)
     except Exception:
         return repr(value)

@@ -7,8 +7,9 @@ indexes here point at *row versions* (every version gets an entry; dead
 versions are filtered by visibility at scan time).
 
 Keys are normalized so heterogeneous values order deterministically across
-nodes (None < booleans < numbers < NaN < strings: NaN where
-``compare_values`` puts it, equal to itself).  A key is one flat tuple,
+nodes (None < numbers < NaN < strings: a boolean is the number ``=``
+compares it as, NaN sits where ``compare_values`` puts it, equal to
+itself).  A key is one flat tuple,
 ``(rank, value, rank, value, ...)`` — two slots per indexed column, the
 value itself rather than a float copy of it (Python compares ``int`` with
 ``float`` exactly) — and equal keys of a non-unique index share one
@@ -43,16 +44,15 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import TypeMismatchError
 
 _RANK_NONE = 0
-_RANK_BOOL = 1
-_RANK_NUM = 2
-_RANK_NAN = 3
-_RANK_STR = 4
+_RANK_NUM = 1
+_RANK_NAN = 2
+_RANK_STR = 3
 
 _NAN_PART = (_RANK_NAN, 0)   # every NaN: one key, above every number
 
 #: Sorts above every rank: ``key + _POS_INF`` is the exclusive upper
 #: probe of "every key starting with ``key``".
-_POS_INF = (5,)
+_POS_INF = (4,)
 
 #: Pending entries auto-merge past this size so the tail stays cheap to
 #: bisect even on paths that never reach a block boundary.
@@ -61,11 +61,12 @@ AUTO_MERGE_THRESHOLD = 1024
 
 def normalize_key_part(value: Any) -> Tuple:
     """Map a single value to a ``(rank, value)`` pair that compares
-    deterministically: a total order (NaN too), which ``bisect`` needs."""
+    deterministically: a total order (NaN too), which ``bisect`` needs.
+    A boolean keys as the number ``=`` says it equals (``TRUE = 1``)."""
     if value is None:
         return (_RANK_NONE, None)
     if isinstance(value, bool):
-        return (_RANK_BOOL, int(value))
+        return (_RANK_NUM, int(value))
     if isinstance(value, (int, float)):
         return (_RANK_NUM, value) if value == value else _NAN_PART
     if isinstance(value, Decimal):

@@ -25,8 +25,12 @@ class HeapTable:
 
     def __init__(self, name: str):
         self.name = name
-        self._versions: Dict[int, RowVersion] = {}
-        self._version_counter = itertools.count(1)
+        # The version directory, indexed by version id: ids are
+        # allocated as its length (from 1; slot 0 is never used), so it
+        # is dense, and a reclaimed or aborted version leaves a ``None``
+        # hole.  ``_live`` counts the versions it holds.
+        self._versions: List[Optional[RowVersion]] = [None]
+        self._live = 0
         self._row_counter = itertools.count(1)
         self._indexes: Dict[str, Index] = {}
         # xid -> version ids created / versions delete-marked by that
@@ -54,7 +58,7 @@ class HeapTable:
             raise ExecutionError(f"index {index.name!r} already exists")
         self._indexes[index.name] = index
         if backfill:
-            for version in self._versions.values():
+            for version in self.all_versions():
                 index.insert(version.values, version.version_id)
             index.merge_pending()
 
@@ -86,20 +90,25 @@ class HeapTable:
     # ------------------------------------------------------------------
 
     def get_version(self, version_id: int) -> RowVersion:
-        return self._versions[version_id]
+        version = self.maybe_version(version_id)
+        if version is None:
+            raise KeyError(version_id)
+        return version
 
     def maybe_version(self, version_id: int) -> Optional[RowVersion]:
-        return self._versions.get(version_id)
+        versions = self._versions
+        return versions[version_id] if 0 < version_id < len(versions) \
+            else None
 
     def all_versions(self) -> List[RowVersion]:
         """All versions in insertion (version id) order — deterministic."""
-        return [self._versions[vid] for vid in sorted(self._versions)]
+        return [version for version in self._versions if version is not None]
 
     def versions_of_row(self, row_id: int) -> List[RowVersion]:
         return [v for v in self.all_versions() if v.row_id == row_id]
 
     def __len__(self) -> int:
-        return len(self._versions)
+        return self._live
 
     # ------------------------------------------------------------------
     # Mutation (always via a transaction xid)
@@ -112,12 +121,13 @@ class HeapTable:
         if row_id is None:
             self.live_rows += 1  # fresh logical row (updates inherit)
         version = RowVersion(
-            version_id=next(self._version_counter),
+            version_id=len(self._versions),
             row_id=row_id if row_id is not None else next(self._row_counter),
             values=dict(values),
             xmin=xid,
         )
-        self._versions[version.version_id] = version
+        self._versions.append(version)
+        self._live += 1
         self._created_by_xid.setdefault(xid, []).append(version.version_id)
         for index in self._indexes.values():
             index.insert(version.values, version.version_id)
@@ -164,7 +174,7 @@ class HeapTable:
     def remove_version(self, version_id: int) -> bool:
         """Physically reclaim one version together with its index
         entries; returns True when the version existed."""
-        version = self._versions.pop(version_id, None)
+        version = self._discard(version_id)
         if version is None:
             return False
         for index in self._indexes.values():
@@ -172,6 +182,15 @@ class HeapTable:
         self.vacuumed_versions += 1
         self.commit_stamps += 1
         return True
+
+    def _discard(self, version_id: int) -> Optional[RowVersion]:
+        """Punch ``version_id``'s hole in the directory; returns the
+        version it held, if any."""
+        version = self.maybe_version(version_id)
+        if version is not None:
+            self._versions[version_id] = None
+            self._live -= 1
+        return version
 
     # ------------------------------------------------------------------
     # Abort / recovery cleanup
@@ -181,7 +200,7 @@ class HeapTable:
         """Physically remove versions created by ``xid`` and clear its xmax
         candidacies.  Called when a transaction aborts."""
         for version_id in self._created_by_xid.pop(xid, []):
-            self._versions.pop(version_id, None)
+            self._discard(version_id)
         for version in self._marked_by_xid.pop(xid, []):
             version.clear_delete_candidate(xid)
         # Note: index entries for removed versions are left behind and
@@ -199,7 +218,7 @@ class HeapTable:
         block can be re-executed.  Removes created versions and reverses
         delete winners."""
         for version_id in self._created_by_xid.pop(xid, []):
-            self._versions.pop(version_id, None)
+            self._discard(version_id)
         for version in self._marked_by_xid.pop(xid, []):
             if version.xmax_winner == xid:
                 version.deleter_block = None
@@ -212,10 +231,15 @@ class HeapTable:
 
     def resolve(self, version_ids: Iterable[int]) -> List[RowVersion]:
         """Map version ids to live version objects, skipping entries whose
-        versions were physically removed by abort cleanup."""
+        versions were physically removed by abort cleanup.  Indexes the
+        directory inline (scan candidates run through here by the
+        thousand); ids are positive, so only the upper end is checked."""
+        versions = self._versions
+        size = len(versions)
         out: List[RowVersion] = []
         for version_id in version_ids:
-            version = self._versions.get(version_id)
-            if version is not None:
-                out.append(version)
+            if version_id < size:
+                version = versions[version_id]
+                if version is not None:
+                    out.append(version)
         return out

@@ -50,6 +50,30 @@ class TestCrossNodeConsistency:
                         for node in net.nodes}
             assert len(set(statuses.values())) == 1, statuses
 
+    def test_a_row_edited_on_one_node_is_named(self):
+        """Replicas are compared by digest; on a mismatch both row lists
+        are rebuilt, so the error names the table, both nodes and the
+        rows only one of them holds."""
+        net = make_kv_network("order-execute")
+        client = net.register_client("alice", "org1")
+        for key, value in (("a", 1), ("b", 2)):
+            client.invoke_and_wait("set_kv", key, value)
+        net.assert_consistent()
+        reference, edited = net.nodes[0], net.nodes[-1]
+        row = next(version for version in
+                   edited.db.catalog.heap_of("kv").all_versions()
+                   if version.values["k"] == "b")
+        row.values["v"] = 2.0      # equal under =, not under repr
+        with pytest.raises(AssertionError) as excinfo:
+            net.assert_consistent()
+        assert str(excinfo.value) == (
+            f"table 'kv' diverged between {reference.name} and "
+            f"{edited.name}:\n"
+            f"  only on {reference.name}:\n    [('k', 'b'), ('v', 2)]\n"
+            f"  only on {edited.name}:\n    [('k', 'b'), ('v', 2.0)]")
+        row.values["v"] = 2
+        net.assert_consistent()
+
     @pytest.mark.parametrize("consensus,orgs", [
         ("kafka", ["org1", "org2", "org3"]),
         ("raft", ["org1", "org2", "org3"]),

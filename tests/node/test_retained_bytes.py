@@ -6,7 +6,8 @@ side of the retirement horizon is pinned here by *object counts* on a
 three-organisation order-execute network, sampled from block 4 to block
 24: the WAL holds a block or two of records, pgLedger holds one version
 per recorded transaction plus the last block's superseded ``pending``
-ones, every index holds exactly one entry per version it indexes, the
+ones (its columnar replica only the one), every index holds exactly one
+entry per version it indexes, the
 repeated index keys are shared tuples, and the comb cache holds the
 network's handful of identities.  A reader's side is pinned the same
 way: what its transaction context holds after a scan does not grow with
@@ -35,6 +36,7 @@ def _sample(node, block_txs):
     kv = db.catalog.heap_of("kv")
     block_index = ledger.indexes["pgledger_block_idx"]
     user_index = ledger.indexes["pgledger_user_idx"]
+    recorded = len({v.values["tx_id"] for v in ledger.all_versions()})
     return {
         "height": db.committed_height,
         "wal_records": len(db.wal),
@@ -43,8 +45,11 @@ def _sample(node, block_txs):
         "reclaim_queue": len(db._reclaimable),
         # One version per recorded transaction, plus the last block's
         # pending ones.
-        "ledger_extra_versions": len(ledger) - len(
-            {v.values["tx_id"] for v in ledger.all_versions()}),
+        "ledger_extra_versions": len(ledger) - recorded,
+        # The replica holds one per recorded transaction: a pending
+        # version is reclaimed, so it is never appended there.
+        "ledger_replica_extra": len(db.columnstore.table("pgledger"))
+        - recorded,
         "ledger_index_excess": sum(
             len(index) - len(ledger) for index in ledger.indexes.values()),
         "kv_index_excess": sum(
@@ -77,6 +82,7 @@ def test_retained_objects_per_transaction_are_flat(key_combs):
         for s in steady:
             # Exact figures, the same at block 4 and block 24.
             assert s["ledger_extra_versions"] == BLOCK_SIZE, (name, s)
+            assert s["ledger_replica_extra"] == 0, (name, s)
             assert s["ledger_index_excess"] == 0, (name, s)
             assert s["kv_index_excess"] == 0, (name, s)
             assert s["kv_versions_per_tx"] == 1.0, (name, s)
@@ -87,6 +93,7 @@ def test_retained_objects_per_transaction_are_flat(key_combs):
             assert s["wal_records"] <= 4 * (BLOCK_SIZE + 2), (name, s)
             assert s["block_keys"] == s["height"], (name, s)
             assert s["user_keys"] == len(clients), (name, s)
+            assert s["key_tables"] <= KEY_TABLES_MAX, (name, s)
         for figure in ("wal_records", "key_tables"):
             values = [s[figure] for s in steady]
             assert max(values) == min(values), (name, figure, values)

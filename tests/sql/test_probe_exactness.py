@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.contracts_appendix_a import SCHEMA_SQL
+from repro.errors import ExecutionError
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
 from repro.sql.expressions import EvalContext
@@ -27,7 +28,7 @@ from repro.sql.parser import parse_one
 from repro.sql.plan import NestedLoopJoin
 from repro.sql.planner import Planner
 from repro.storage.index import exact_key_part, normalize_key_part
-from tests.conftest import counter
+from tests.conftest import counter, structural_planning
 
 NAN = float("nan")
 
@@ -302,6 +303,37 @@ class TestRandomData:
         assert got == sorted(expected, key=repr)
 
 
+def answers(db, table, op, value, unindexed="v + 0"):
+    """{access path in the plan: rows} for ``v <op> $1`` read three
+    ways: an IndexScan, a nested-loop index probe, and a scan no index
+    serves (``unindexed <op> $1``, an expression over ``v``).  An ``<>``
+    serves no index, so its first two forms are only answers."""
+    forms = {
+        f"IndexScan on {table} using {table}_v":
+            f"SELECT id FROM {table} WHERE v {op} $1",
+        f"IndexProbe on {table} using {table}_v":
+            f"SELECT {table}.id FROM one JOIN {table} "
+            f"ON {table}.v {op} $1",
+        f"SeqScan on {table}":
+            f"SELECT id FROM {table} WHERE {unindexed} {op} $1",
+    }
+    out = {}
+    for path, sql in forms.items():
+        tx = db.begin(allow_nondeterministic=True)
+        try:
+            plan = [r[0] for r in run_sql(db, tx, "EXPLAIN " + sql,
+                                          params=(value,)).rows]
+            assert op == "<>" or any(path in line for line in plan), plan
+            out[path] = sorted(run_sql(db, tx, sql, params=(value,)).rows)
+        finally:
+            db.apply_abort(tx, reason="test")
+    return out
+
+
+def agree_on(got, ids):
+    return all(rows == [(i,) for i in ids] for rows in got.values())
+
+
 class TestDecimalBounds:
     """A Decimal bound on an INT index keys exactly.  Through float,
     ``2**60 + 1`` and ``2.00000000000000001`` rounded onto the keys
@@ -331,32 +363,6 @@ class TestDecimalBounds:
         db.committed_height = 1
         return db
 
-    @staticmethod
-    def answers(db, table, op, value):
-        """{access path in the plan: rows} for ``v <op> $1`` read three
-        ways."""
-        forms = {
-            f"IndexScan on {table} using {table}_v":
-                f"SELECT id FROM {table} WHERE v {op} $1",
-            f"IndexProbe on {table} using {table}_v":
-                f"SELECT {table}.id FROM one JOIN {table} "
-                f"ON {table}.v {op} $1",
-            f"SeqScan on {table}":
-                f"SELECT id FROM {table} WHERE v + 0 {op} $1",
-        }
-        out = {}
-        for path, sql in forms.items():
-            tx = db.begin(allow_nondeterministic=True)
-            try:
-                plan = [r[0] for r in run_sql(db, tx, "EXPLAIN " + sql,
-                                              params=(value,)).rows]
-                assert any(path in line for line in plan), plan
-                out[path] = sorted(run_sql(db, tx, sql,
-                                           params=(value,)).rows)
-            finally:
-                db.apply_abort(tx, reason="test")
-        return out
-
     @pytest.mark.parametrize("op, value, ids", [
         ("=", Decimal(2 ** 60 + 1), []),
         ("=", Decimal("2.00000000000000001"), []),
@@ -366,17 +372,92 @@ class TestDecimalBounds:
         ("<=", Decimal("2.99999999999999999"), [2]),
     ])
     def test_int_index(self, db, op, value, ids):
-        got = self.answers(db, "t", op, value)
-        assert all(rows == [(i,) for i in ids] for rows in got.values()), got
+        got = answers(db, "t", op, value)
+        assert agree_on(got, ids), got
 
     @pytest.mark.parametrize("value, ids", [
         (Decimal("0.1"), [1]), (Decimal("2.5"), [2]), (Decimal(3), []),
     ])
     def test_float_index(self, db, value, ids):
-        got = self.answers(db, "fl", "=", value)
-        assert all(rows == [(i,) for i in ids] for rows in got.values()), got
+        got = answers(db, "fl", "=", value)
+        assert agree_on(got, ids), got
 
     def test_decimal_nan_keys_as_nan(self):
         for key_part in (normalize_key_part, exact_key_part):
             assert key_part(Decimal("NaN")) == \
                 key_part(Decimal("sNaN")) == key_part(NAN)
+
+    @pytest.mark.parametrize("op, ids", [
+        ("=", []), ("<>", [1, 2, 3]), ("<", [1, 2, 3]), ("<=", [1, 2, 3]),
+        (">", []), (">=", []),
+    ])
+    @pytest.mark.parametrize("nan", [Decimal("NaN"), Decimal("sNaN"), NAN],
+                             ids=["NaN", "sNaN", "float"])
+    def test_decimal_nan_compares_as_float_nan(self, db, op, ids, nan):
+        """A Decimal NaN answers as float NaN does — it sorts above every
+        number and equals only NaN — instead of escaping as
+        ``decimal.InvalidOperation``."""
+        got = answers(db, "t", op, nan)
+        assert agree_on(got, ids), got
+
+    @pytest.mark.parametrize("sql", ["SELECT $1 + 0 FROM one",
+                                     "SELECT $1 * 1.5 FROM one"])
+    def test_signaling_nan_arithmetic_raises_an_engine_error(self, db, sql):
+        tx = db.begin(allow_nondeterministic=True)
+        try:
+            with pytest.raises(ExecutionError, match="no NUMERIC result"):
+                run_sql(db, tx, sql, params=(Decimal("sNaN"),))
+        finally:
+            db.apply_abort(tx, reason="test")
+
+
+class TestBoolKeys:
+    """``=`` says TRUE = 1, so an index must key a boolean as that
+    number: ``v = $1`` with ``$1 = True`` on an INT index, and a BOOLEAN
+    index probed with ``1``, answer as a scan no index serves."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database()
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "CREATE TABLE t (id INT PRIMARY KEY, v INT NOT NULL);"
+                        "CREATE INDEX t_v ON t(v);"
+                        "CREATE TABLE bo (id INT PRIMARY KEY, "
+                        "v BOOLEAN NOT NULL);"
+                        "CREATE INDEX bo_v ON bo(v);"
+                        "CREATE TABLE one (id INT PRIMARY KEY);"
+                        "INSERT INTO one (id) VALUES (1);"
+                        "INSERT INTO t (id, v) VALUES (1, 0), (2, 1), (3, 2);"
+                        "INSERT INTO bo (id, v) VALUES (1, FALSE), (2, TRUE)")
+        db.apply_commit(tx, block_number=1)
+        db.committed_height = 1
+        return db
+
+    @pytest.mark.parametrize("op, value, ids", [
+        ("=", True, [2]), ("=", False, [1]), ("<", True, [1]),
+        (">=", True, [2, 3]), ("<>", True, [1, 3]),
+    ])
+    def test_int_index_probed_with_a_boolean(self, db, op, value, ids):
+        got = answers(db, "t", op, value)
+        assert agree_on(got, ids), got
+
+    @pytest.mark.parametrize("op, value, ids", [
+        ("=", 1, [2]), ("=", 0, [1]), ("=", 1.0, [2]), ("=", 2, []),
+        ("<", 1, [1]), (">", 0, [2]), ("=", True, [2]),
+    ])
+    def test_boolean_index_probed_with_a_number(self, db, op, value, ids):
+        # ``v + 0`` would reject a boolean operand: ``OR`` serves no
+        # index either.
+        got = answers(db, "bo", op, value, unindexed="id < 0 OR v")
+        assert agree_on(got, ids), got
+
+    def test_hash_join_buckets_booleans_with_numbers(self, db):
+        sql = "SELECT t.id, bo.id FROM t JOIN bo ON bo.v = t.v"
+        with structural_planning(db):
+            tx = db.begin(allow_nondeterministic=True)
+            try:
+                plan = [r[0] for r in run_sql(db, tx, "EXPLAIN " + sql).rows]
+                assert any("HashJoin" in line for line in plan), plan
+                assert sorted(run_sql(db, tx, sql).rows) == [(1, 1), (2, 2)]
+            finally:
+                db.apply_abort(tx, reason="test")

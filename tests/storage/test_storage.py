@@ -86,9 +86,14 @@ class TestIndex:
     def test_keys_are_flat_and_keep_the_value(self):
         big = 2 ** 53 + 1   # float(big) == float(big - 1): no boxing
         assert normalize_key([big, None, True, "s"]) == (
-            2, big, 0, None, 1, 1, 4, "s")
+            1, big, 0, None, 1, 1, 3, "s")
         assert normalize_key([big]) > normalize_key([big - 1])
         assert normalize_key([1]) == normalize_key([1.0])
+        # A boolean keys as the number ``=`` says it equals.
+        assert normalize_key([True]) == normalize_key([1.0])
+        assert normalize_key([False]) == normalize_key([0])
+        assert normalize_key([False]) < normalize_key([True]) < \
+            normalize_key([2])
         assert key_depth(normalize_key([1, "a"])) == 2
         assert key_depth(None) == 0
 
@@ -302,6 +307,66 @@ class TestHeapTable:
         v = heap.insert_version({"x": 1}, xid=9)
         heap.cleanup_aborted(9)
         assert heap.resolve([v.version_id]) == []
+
+
+class TestVersionDirectory:
+    """The heap's version directory is a list indexed by version id:
+    ids are dense from 1, every way a version leaves — reclaim, abort
+    cleanup, recovery rollback — leaves a hole, and ``len`` counts the
+    versions still held."""
+
+    @staticmethod
+    def directory(heap):
+        """``(len, ids of all_versions)``, checked against each other."""
+        ids = [v.version_id for v in heap.all_versions()]
+        assert ids == sorted(ids) and len(ids) == len(heap)
+        return len(heap), ids
+
+    def test_insert_allocates_dense_ids(self):
+        heap = HeapTable("t")
+        versions = [heap.insert_version({"x": i}, xid=1) for i in range(4)]
+        assert [v.version_id for v in versions] == [1, 2, 3, 4]
+        assert self.directory(heap) == (4, [1, 2, 3, 4])
+        assert all(heap.get_version(v.version_id) is v for v in versions)
+
+    def test_every_way_out_leaves_a_hole(self):
+        heap = HeapTable("t")
+        heap.add_index(Index("i", "t", ["x"]))
+        base = [heap.insert_version({"x": i}, xid=1) for i in range(3)]
+        aborted = heap.insert_version({"x": 10}, xid=2)
+        rolled = heap.update_version(base[2], {"x": 20}, xid=3)
+        assert self.directory(heap) == (5, [1, 2, 3, 4, 5])
+
+        assert heap.remove_version(base[0].version_id)        # reclaim
+        heap.cleanup_aborted(2)                                # abort
+        rolled_back = rolled.version_id
+        base[2].set_delete_winner(3, block_number=4)
+        heap.rollback_committed(3)                             # recovery
+        assert self.directory(heap) == (2, [2, 3])
+        assert base[2].xmax_winner is None
+
+        # Ids keep counting past the holes: none is reused.
+        fresh = heap.insert_version({"x": 30}, xid=4)
+        assert fresh.version_id == 6
+        assert self.directory(heap) == (3, [2, 3, 6])
+
+        for hole in (base[0].version_id, aborted.version_id, rolled_back):
+            assert heap.maybe_version(hole) is None
+            with pytest.raises(KeyError):
+                heap.get_version(hole)
+            assert not heap.remove_version(hole)
+        assert len(heap) == 3
+
+    def test_resolve_skips_holes_and_unallocated_ids(self):
+        heap = HeapTable("t")
+        a, b, c = (heap.insert_version({"x": i}, xid=1) for i in range(3))
+        heap.remove_version(b.version_id)
+        ids = [c.version_id, 0, b.version_id, 99, a.version_id, 4]
+        assert heap.resolve(ids) == [c, a]
+        assert heap.maybe_version(0) is None
+        assert heap.maybe_version(99) is None
+        with pytest.raises(KeyError):
+            heap.get_version(99)
 
 
 class TestVisibility:
