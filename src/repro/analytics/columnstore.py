@@ -27,11 +27,11 @@ h)``.  State at or below the node's committed height is immutable, so
 columnar reads need no SSI bookkeeping at all.
 
 Consistency model: the store is an exact replica of the heap's committed
-versions.  Anything that mutates committed history out-of-band (recovery
-rollback, re-enabling a disabled store) marks it **stale**; the next
-access rebuilds it from the heap.  Vacuum does *not* touch the store —
-pruned history stays queryable here up to the retained-height horizon
-the executor enforces.
+versions; every node keeps one, and every chunk encodes when it seals.
+Anything that mutates committed history out-of-band (recovery rollback,
+a dropped table) marks it **stale**; the next access rebuilds it from
+the heap.  Vacuum does *not* touch the store — pruned history stays
+queryable here up to the retained-height horizon the executor enforces.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.analytics.encoding import (
     typed_array,
     vector_bytes,
 )
-from repro.errors import AnalyticsDisabledError, CatalogError
+from repro.errors import CatalogError
 from repro.sql.expressions import compare_values
 
 #: Rows per chunk before it seals and zone maps are computed.
@@ -123,18 +123,18 @@ def zone_of(values: List[Any]) -> Tuple[Any, Any]:
 class ColumnChunk:
     """A fixed batch of row versions in columnar form.
 
-    Unsealed chunks hold plain Python lists; :meth:`seal` additionally
-    re-encodes the frozen vectors (dictionary / RLE / typed arrays, see
-    :mod:`repro.analytics.encoding`) unless ``encode`` is False.  Every
+    Unsealed chunks hold plain Python lists; :meth:`seal` re-encodes the
+    frozen vectors (dictionary / RLE / typed arrays, see
+    :mod:`repro.analytics.encoding`).  Every
     representation is read through the same ``vector[offset]`` protocol,
     so consumers never branch on the encoding."""
 
     __slots__ = ("data", "row_ids", "version_ids", "xmins", "xmaxs",
                  "creators", "deleters", "live_count", "min_creator",
                  "max_creator", "max_deleter", "zones", "null_counts",
-                 "ascending", "sealed", "encode", "counters")
+                 "ascending", "sealed", "counters")
 
-    def __init__(self, columns: Iterable[str], encode: bool = True,
+    def __init__(self, columns: Iterable[str],
                  counters: Optional[ChunkCounters] = None):
         self.data: Dict[str, List[Any]] = {col: [] for col in columns}
         self.row_ids: List[int] = []
@@ -153,7 +153,6 @@ class ColumnChunk:
         # key in ingest order): a range predicate on one is two bisects.
         self.ascending: Set[str] = set()
         self.sealed = False
-        self.encode = encode
         self.counters = counters
 
     def __len__(self) -> int:
@@ -189,11 +188,11 @@ class ColumnChunk:
 
     def seal(self) -> None:
         """Freeze the chunk and compute per-column min/max zone maps and
-        NULL counts.  Columns with incomparable value mixes get no zone
-        map (scans fall back to reading the chunk — conservative, never
-        wrong).  Zone maps stay in *value* space — computed before the
-        vectors re-encode — so encoded and plain chunks make identical
-        pruning decisions."""
+        NULL counts, then re-encode the vectors.  Columns with
+        incomparable value mixes get no zone map (scans fall back to
+        reading the chunk — conservative, never wrong).  Zone maps stay
+        in *value* space — computed before the vectors re-encode — so
+        bounds compare against values, never dictionary codes."""
         self.sealed = True
         self.zones = {}
         self.null_counts = {}
@@ -207,8 +206,7 @@ class ColumnChunk:
                 self.zones[col] = zone_of(values)
             except TypeError:
                 continue
-        if self.encode:
-            self._encode_vectors()
+        self._encode_vectors()
 
     def _encode_vectors(self) -> None:
         """Re-encode the sealed vectors: creators/deleters/xmins/xmaxs
@@ -390,12 +388,10 @@ class TableColumns:
 
     def __init__(self, table: str, columns: Iterable[str],
                  target_chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 encode: bool = True,
                  counters: Optional[ChunkCounters] = None):
         self.table = table
         self.columns = list(columns)
         self.target_chunk_rows = target_chunk_rows
-        self.encode = encode
         self.counters = counters
         self.chunks: List[ColumnChunk] = []
         # The version locator — late deleter stamps land on rows ingested
@@ -416,8 +412,7 @@ class TableColumns:
     # -- ingest ------------------------------------------------------------
 
     def _new_chunk(self) -> ColumnChunk:
-        return ColumnChunk(self.columns, encode=self.encode,
-                           counters=self.counters)
+        return ColumnChunk(self.columns, counters=self.counters)
 
     def _open_chunk(self) -> ColumnChunk:
         if self.chunks and not self.chunks[-1].sealed:
@@ -551,15 +546,9 @@ class ColumnStore:
 
     def __init__(self, target_chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  compact_every: int = DEFAULT_COMPACT_EVERY,
-                 metrics=None, encode: bool = True):
-        self.enabled = True
+                 metrics=None):
         self.target_chunk_rows = target_chunk_rows
         self.compact_every = max(1, compact_every)
-        # Seal-time vector encoding (dictionary/RLE/typed arrays).  Off,
-        # chunks keep plain lists — the reference representation the
-        # equivalence suite compares against; results are byte-identical
-        # either way.
-        self.encode = encode
         self.tables: Dict[str, TableColumns] = {}
         # Committed-but-not-yet-ingested write sets, in commit order.
         self._pending: List[list] = []
@@ -616,16 +605,9 @@ class ColumnStore:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def set_enabled(self, enabled: bool) -> None:
-        """Toggle columnar routing.  Re-enabling marks the store stale:
-        commits made while disabled were never queued."""
-        if enabled and not self.enabled:
-            self.mark_stale()
-        self.enabled = enabled
-
     def mark_stale(self) -> None:
-        """Committed history changed out-of-band (recovery rollback,
-        re-enable): drop pending deltas and rebuild on next access."""
+        """Committed history changed out-of-band (recovery rollback, a
+        dropped table): drop pending deltas and rebuild on next access."""
         self._stale = True
         self._pending.clear()
 
@@ -639,7 +621,7 @@ class ColumnStore:
         """Hot-path hook from ``Database.apply_commit``: queue the
         committed write set for lazy ingestion (one list append — the
         OLTP commit path pays nothing else)."""
-        if not self.enabled or self._stale or not tx.writes:
+        if self._stale or not tx.writes:
             return
         self._pending.append(list(tx.writes))
 
@@ -648,7 +630,7 @@ class ColumnStore:
         block's committed write sets in commit order with one pass.  The
         resulting pending queue is identical to per-transaction
         ``note_commit`` calls (tests/node/test_commit_pipeline.py)."""
-        if not self.enabled or self._stale:
+        if self._stale:
             return
         self._pending.extend(list(tx.writes) for tx in committed
                              if tx.writes)
@@ -657,8 +639,6 @@ class ColumnStore:
         """Bring the store up to date with the heap's committed state:
         full rebuild when stale, otherwise drain the pending delta
         queue."""
-        if not self.enabled:
-            return
         if self._stale:
             self.rebuild(db)
         else:
@@ -669,8 +649,6 @@ class ColumnStore:
         calls it too): bring the replica up to block ``height``.  A stale
         store rebuilds from the live heaps, which already hold the
         block, and is left with no deltas to ingest."""
-        if not self.enabled:
-            return
         if self._stale:
             self.rebuild(db)
         self.ingest_block(db, height)
@@ -693,7 +671,6 @@ class ColumnStore:
                 return None
             columns = db.catalog.schema_of(name).column_names()
             tcols = TableColumns(name, columns, self.target_chunk_rows,
-                                 encode=self.encode,
                                  counters=self._chunk_counters)
             self.tables[name] = tcols
         return tcols
@@ -738,7 +715,7 @@ class ColumnStore:
 
     def rebuild(self, db) -> None:
         """Reconstruct the store from the heap's committed versions (used
-        at first access, after recovery rollback, and after re-enable).
+        at first access and after recovery rollback or a dropped table).
         History already vacuumed from the heap is gone here too — the
         executor's retained-height gate keeps such reads un-servable, and
         versions queued for reclaim are left out as :meth:`_ingest`
@@ -789,15 +766,7 @@ class ColumnStore:
         """Yield ``(chunk, spans)`` pairs for rows of ``table`` visible
         at ``height`` (every committed version when ``height`` is None),
         pruning chunks via the height counters and zone maps; ``spans``
-        are the visible ``(start, stop)`` runs of offsets, never empty.
-
-        Raises when the replica is disabled: a disabled store is frozen
-        (commits stop queueing), so serving from it would silently
-        return stale or empty history.  SQL routing already avoids this
-        path when disabled; the audit APIs surface it as an error."""
-        if not self.enabled:
-            raise AnalyticsDisabledError(
-                "the columnar replica is disabled on this node")
+        are the visible ``(start, stop)`` runs of offsets, never empty."""
         self.ensure_synced(db)
         tcols = self.tables.get(table)
         if tcols is None:
@@ -822,9 +791,6 @@ class ColumnStore:
         """Yield the chunks of ``table`` that may hold rows visible at
         ``height`` (height-pruned only — callers that can answer from
         chunk metadata avoid computing per-row offsets entirely)."""
-        if not self.enabled:
-            raise AnalyticsDisabledError(
-                "the columnar replica is disabled on this node")
         self.ensure_synced(db)
         tcols = self.tables.get(table)
         if tcols is None:
@@ -837,20 +803,14 @@ class ColumnStore:
 
     # -- planner statistics (snapshot-anchored, see sql/stats.py) ----------
 
-    def committed_rows(self, db, table: str, height: int) -> Optional[int]:
+    def committed_rows(self, db, table: str, height: int) -> int:
         """Exact committed-row count visible at ``height``, answered from
         the creator/deleter vectors (chunk counters where they prove the
-        count, per-row visibility otherwise).  Returns None when the
-        replica cannot serve (disabled or the table is unknown to it and
-        absent from the catalog)."""
-        if not self.enabled:
-            return None
+        count, per-row visibility otherwise)."""
         self.ensure_synced(db)
-        if not self.enabled or self._stale:
-            return None
         tcols = self.tables.get(table)
         if tcols is None:
-            return 0 if db.catalog.has_table(table) else None
+            return 0
         total = 0
         for chunk in tcols.chunks:
             count = chunk.visible_count_at(height)
@@ -861,19 +821,14 @@ class ColumnStore:
         return total
 
     def distinct_count(self, db, table: str, columns: Tuple[str, ...],
-                       height: int, key_of) -> Optional[int]:
+                       height: int, key_of) -> int:
         """Number of distinct non-NULL ``columns`` tuples over the rows
-        visible at ``height``; ``key_of(values tuple)`` normalizes the
-        tuple the same way the caller's heap fallback does, so both
-        stores count identically.  None when the replica cannot serve."""
-        if not self.enabled:
-            return None
+        visible at ``height``; ``key_of(values tuple)`` normalizes each
+        tuple so values ``=`` calls equal count once."""
         self.ensure_synced(db)
-        if not self.enabled or self._stale:
-            return None
         tcols = self.tables.get(table)
         if tcols is None:
-            return 0 if db.catalog.has_table(table) else None
+            return 0
         seen = set()
         for chunk in tcols.chunks:
             vectors = [chunk.data.get(col) for col in columns]
@@ -894,35 +849,6 @@ class ColumnStore:
                     continue
                 seen.add(key_of(values))
         return len(seen)
-
-    def column_values(self, db, table: str, column: str,
-                      height: int) -> Optional[List[Any]]:
-        """Non-NULL ``column`` values over the rows visible at
-        ``height`` — the input to the planner's equi-width histograms
-        (:meth:`StatisticsManager.histogram`).  Walks chunks directly
-        (no scan-counter traffic: statistics reads must not perturb the
-        pruning counters benchmarks pin).  None when the replica cannot
-        serve; the caller's heap fallback computes the identical
-        multiset."""
-        if not self.enabled:
-            return None
-        self.ensure_synced(db)
-        if not self.enabled or self._stale:
-            return None
-        tcols = self.tables.get(table)
-        if tcols is None:
-            return [] if db.catalog.has_table(table) else None
-        out: List[Any] = []
-        for chunk in tcols.chunks:
-            vector = chunk.data.get(column)
-            if vector is None:
-                continue  # chunk predates the column (re-created table)
-            for offset in span_offsets(
-                    chunk.visible_spans(height, counted=False)):
-                value = vector[offset]
-                if value is not None:
-                    out.append(value)
-        return out
 
     # -- provenance helpers (the audit path rides the replica) ------------
 

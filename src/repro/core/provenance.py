@@ -89,18 +89,9 @@ class ProvenanceAuditor:
         committed versions with creator/deleter vectors are exactly what
         the chunks store, so the audit never scans the transactional
         heap — and keeps working for history that vacuum has already
-        pruned from the row store.  Falls back to the provenance SQL
-        path when the replica is disabled."""
-        from repro.errors import AnalyticsDisabledError
-
-        try:
-            return self.client.peer.row_history(
-                table, key_column, key_value, username=self.client.name)
-        except AnalyticsDisabledError:
-            sql = (f"SELECT t.* FROM {table} t WHERE t.{key_column} = $1 "
-                   f"ORDER BY t.creator, t.row_id")
-            return self.client.provenance_query(
-                sql, params=(key_value,)).as_dicts()
+        pruned from the row store."""
+        return self.client.peer.row_history(
+            table, key_column, key_value, username=self.client.name)
 
     def state_as_of(self, table: str, height: int) -> List[Dict[str, Any]]:
         """The full committed contents of ``table`` as of block
@@ -113,23 +104,9 @@ class ProvenanceAuditor:
         """Rows created and rows deleted in ``(low_height,
         high_height]`` with MVCC headers — the block-window audit,
         computed from the columnar creator/deleter vectors instead of a
-        full provenance scan.  Falls back to provenance SQL when the
-        replica is disabled."""
-        from repro.errors import AnalyticsDisabledError
-
-        try:
-            return self.client.peer.block_diff(
-                table, low_height, high_height, username=self.client.name)
-        except AnalyticsDisabledError:
-            created = self.client.provenance_query(
-                f"SELECT t.* FROM {table} t WHERE t.creator > $1 "
-                f"AND t.creator <= $2 ORDER BY t.creator, t.row_id",
-                params=(low_height, high_height)).as_dicts()
-            deleted = self.client.provenance_query(
-                f"SELECT t.* FROM {table} t WHERE t.deleter > $1 "
-                f"AND t.deleter <= $2 ORDER BY t.deleter, t.row_id",
-                params=(low_height, high_height)).as_dicts()
-            return {"created": created, "deleted": deleted}
+        full provenance scan."""
+        return self.client.peer.block_diff(
+            table, low_height, high_height, username=self.client.name)
 
     def transactions_of_user(self, username: str) -> List[Dict[str, Any]]:
         """Every ledger entry recorded for ``username``."""

@@ -184,11 +184,3 @@ class StuckNodeError(NodeError):
     """A live node stopped making progress: its block buffer holds blocks
     it cannot process (a delivery gap the sync layer could not heal, or a
     head block that fails verification) past a settle deadline."""
-
-
-# ---------------------------------------------------------------------------
-# Analytics (columnar replica)
-# ---------------------------------------------------------------------------
-
-class AnalyticsDisabledError(NodeError):
-    """The columnar replica is disabled and cannot serve the request."""

@@ -341,7 +341,7 @@ class Executor:
         cache = self.db.plan_cache
         version = self.db.catalog.version_token
         key = PlanCache.key_for(
-            stmt, ctx, self.tx, version, self.db.columnstore.enabled,
+            stmt, ctx, self.tx, version,
             stats_anchor=self.db.stats.anchor)
         got = cache.get(key, self.db, ctx)
         if got is not None:
@@ -419,23 +419,22 @@ class Executor:
             return self._execute_explain_analyze(inner, ctx)
         cache_note = "bypass"
         if isinstance(inner, Select):
-            plan, hit, bounds = self._plan_select_cached(inner, ctx)
-            self._recost_template(plan.root, hit, bounds)
+            plan, hit, _ = self._plan_select_cached(inner, ctx)
+            self._recost_template(plan.root, hit)
             lines = plan.explain()
             cache_note = "hit" if hit else "miss"
         elif isinstance(inner, (Update, Delete)):
             verb = "Update" if isinstance(inner, Update) else "Delete"
-            scan, hit, bounds = self._plan_dml_scan_cached(inner, ctx)
-            self._recost_template(scan, hit, bounds)
+            scan, hit, _ = self._plan_dml_scan_cached(inner, ctx)
+            self._recost_template(scan, hit)
             lines = [f"{verb} on {inner.table}"]
             render_plan(scan, depth=1, lines=lines)
             cache_note = "hit" if hit else "miss"
         elif isinstance(inner, Insert):
             lines = [f"Insert on {inner.table}"]
             if inner.select is not None:
-                plan, hit, bounds = \
-                    self._plan_select_cached(inner.select, ctx)
-                self._recost_template(plan.root, hit, bounds)
+                plan, hit, _ = self._plan_select_cached(inner.select, ctx)
+                self._recost_template(plan.root, hit)
                 render_plan(plan.root, depth=1, lines=lines)
                 cache_note = "hit" if hit else "miss"
             else:
@@ -449,17 +448,15 @@ class Executor:
                       rows=[(line,) for line in lines],
                       rowcount=len(lines))
 
-    def _recost_template(self, root, hit: bool,
-                         scan_bounds: Optional[Dict[int, Dict]]) -> None:
+    def _recost_template(self, root, hit: bool) -> None:
         """EXPLAIN is the one reader of ``cost~``/``rows~``, so it is
         where a cached template's estimates are brought up to the
         anchored statistics (committed state can move under one anchor:
         a standalone database commits without advancing its height).  A
-        hit then renders what a cold re-plan at the same anchor would,
-        histogram selectivity of this execution's range bounds
-        included; a miss was costed by the planner a moment ago."""
+        hit then renders what a cold re-plan at the same anchor would;
+        a miss was costed by the planner a moment ago."""
         if hit:
-            recost_plan(root, self.db, scan_bounds)
+            recost_plan(root, self.db)
 
     def _execute_explain_analyze(self, inner: Statement,
                                  ctx: EvalContext) -> Result:
@@ -479,7 +476,7 @@ class Executor:
                 f"data)")
         with timed() as plan_t:
             plan, hit, scan_bounds = self._plan_select_cached(inner, ctx)
-            self._recost_template(plan.root, hit, scan_bounds)
+            self._recost_template(plan.root, hit)
         stats = instrument_plan(plan.root)
         try:
             with timed() as exec_t:

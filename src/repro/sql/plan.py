@@ -430,16 +430,13 @@ def key_range(schema, columns: Sequence[str], n_eq: int, has_range: bool,
 
 def scan_estimate(row_count: int, n_eq: int, has_range: bool,
                   unique_covered: bool,
-                  eq_ndv: Optional[int] = None,
-                  range_sel: Optional[float] = None) -> float:
+                  eq_ndv: Optional[int] = None) -> float:
     """Selectivity estimate over the snapshot-anchored committed row
     count.  Equality prefixes divide by the anchored distinct-key count
     of the bound columns when the caller supplies it (``eq_ndv``),
-    falling back to the System-R 1/4 guess; ranges use the anchored
-    histogram selectivity (``range_sel``) when the caller derived one,
-    falling back to the classic 1/3.  (Lives here, beside the index
-    scoring, so a plan node can recost itself without importing the
-    planner.)"""
+    falling back to the System-R 1/4 guess; a range keeps the classic
+    1/3.  (Lives here, beside the index scoring, so a plan node can
+    recost itself without importing the planner.)"""
     base = float(max(row_count, 1))
     if unique_covered:
         return 1.0
@@ -450,29 +447,8 @@ def scan_estimate(row_count: int, n_eq: int, has_range: bool,
         else:
             est = max(1.0, est / 4.0)
     if has_range:
-        if range_sel is not None:
-            est = max(1.0, est * range_sel)
-        else:
-            est = max(1.0, est / 3.0)
+        est = max(1.0, est / 3.0)
     return est
-
-
-def range_selectivity(db, table: str, column: Optional[str],
-                      bounds: Optional[Dict[str, Dict[str, Any]]]
-                      ) -> Optional[float]:
-    """Histogram selectivity of the range slot on ``column`` within
-    ``bounds`` (a :func:`bounds_of` result); None when the column is
-    unknown, the slot is equality-shaped, or no histogram exists — the
-    caller keeps the fixed 1/3 guess.  The histogram is anchored at the
-    committed height, so the same bounds cost identically on every
-    node."""
-    if column is None or not bounds:
-        return None
-    slot = bounds.get(column)
-    if not slot or "eq" in slot \
-            or ("low" not in slot and "high" not in slot):
-        return None
-    return db.stats.range_selectivity(table, column, slot)
 
 
 def _l2(x: float) -> float:
@@ -501,8 +477,6 @@ def _sort_cost(rows: float, ordered: bool) -> float:
 
 
 def scan_cost(db, table: str, cost_sig: Optional[CostSig],
-              range_column: Optional[str] = None,
-              bounds: Optional[Dict[str, Dict[str, Any]]] = None,
               ordered: bool = True) -> Tuple[float, float]:
     """(est_rows, est_cost) of one pass over ``table`` from the
     anchored statistics — the single formula behind every heap access
@@ -510,24 +484,20 @@ def scan_cost(db, table: str, cost_sig: Optional[CostSig],
     (each node's ``recost``) cannot disagree.
 
     ``cost_sig`` None is the full heap walk; otherwise an index descent
-    plus the matched rows, where ``range_column`` / ``bounds`` let a
-    range slot use histogram selectivity instead of the fixed 1/3 (a
-    per-outer-row probe has no values yet and passes neither).
-    ``ordered`` adds the content sort of the output; an index-order
-    walk never pays it."""
+    plus the matched rows.  Estimates depend on the bound *shape* only,
+    never on bound values, so a cached template and a fresh plan of the
+    same statement cost alike.  ``ordered`` adds the content sort of
+    the output; an index-order walk never pays it."""
     row_count = db.stats.table_stats(table).row_count
     if cost_sig is None:
         rows = float(max(row_count, 0))
         return rows, max(rows, 1.0) + _sort_cost(rows, ordered)
     n_eq, has_range, unique_covered, eq_cols = cost_sig
-    ndv = range_sel = None
-    if not unique_covered:   # else scan_estimate returns one row
-        if eq_cols:
-            ndv = db.stats.ndv(table, eq_cols)
-        if has_range:
-            range_sel = range_selectivity(db, table, range_column, bounds)
+    ndv = None
+    if eq_cols and not unique_covered:   # else scan_estimate returns 1
+        ndv = db.stats.ndv(table, eq_cols)
     est = scan_estimate(row_count, n_eq, has_range, unique_covered,
-                        eq_ndv=ndv, range_sel=range_sel)
+                        eq_ndv=ndv)
     return est, _l2(row_count) + est + _sort_cost(est, ordered)
 
 
@@ -782,18 +752,10 @@ class PlanNode:
         return None
 
 
-def recost_plan(node: PlanNode, db,
-                scan_bounds: Optional[Dict[int, Any]] = None) -> None:
-    """Bottom-up estimate refresh over a plan tree (children first).
-
-    ``scan_bounds`` (keyed by ``id(scan node)``, as the plan cache's
-    guard validation produces) refreshes each scan's ``live_bounds``
-    first, so histogram-based range selectivity of a cached template
-    sees the same bound values a cold plan of the statement would."""
+def recost_plan(node: PlanNode, db) -> None:
+    """Bottom-up estimate refresh over a plan tree (children first)."""
     for child in node.children():
-        recost_plan(child, db, scan_bounds)
-    if scan_bounds is not None and isinstance(node, SeqScan):
-        node.live_bounds = scan_bounds.get(id(node))
+        recost_plan(child, db)
     node.recost(db)
 
 
@@ -951,9 +913,8 @@ class SeqScan(PlanNode):
     """
 
     # The structural bound shape estimates re-derive from (None: the
-    # full heap walk) and the column its range slot, if any, applies to.
+    # full heap walk).
     cost_sig: Optional[CostSig] = None
-    range_column: Optional[str] = None
 
     def __init__(self, table: str, alias: str, sargs: Sequence[Sarg] = (),
                  ordered: bool = True):
@@ -961,10 +922,6 @@ class SeqScan(PlanNode):
         self.alias = alias
         self.sargs = list(sargs)
         self.ordered = ordered
-        # Costing-only bound values (NOT execution state): the planner /
-        # EXPLAIN set this to the statement's bounds right before recost
-        # so histogram range selectivity can see them.
-        self.live_bounds: Optional[Dict[str, Dict[str, Any]]] = None
 
     def bounds(self, rt: Runtime) -> Dict[str, Dict[str, Any]]:
         """This execution's bounds: the ones planning or plan-cache
@@ -988,8 +945,7 @@ class SeqScan(PlanNode):
 
     def recost(self, db) -> None:
         self.est_rows, self.est_cost = scan_cost(
-            db, self.table, self.cost_sig, self.range_column,
-            self.live_bounds, self.ordered)
+            db, self.table, self.cost_sig, self.ordered)
 
     def describe(self) -> str:
         return (f"SeqScan {_scan_target(self.table, self.alias)}"
@@ -1012,13 +968,12 @@ class IndexScan(SeqScan):
 
     def __init__(self, table: str, alias: str, sargs: Sequence[Sarg],
                  index_name: str, conditions: Sequence[Expr],
-                 cost_sig: CostSig, range_column: Optional[str] = None,
-                 ordered: bool = True, exact: Sequence[Expr] = ()):
+                 cost_sig: CostSig, ordered: bool = True,
+                 exact: Sequence[Expr] = ()):
         super().__init__(table, alias, sargs, ordered)
         self.index_name = index_name
         self.conditions = list(conditions)
         self.cost_sig = cost_sig
-        self.range_column = range_column
         self.unique_covered = cost_sig[2]
         self.exact = list(exact)
 
@@ -1759,7 +1714,7 @@ class IndexOrderScan(SeqScan):
                  cost_sig: CostSig = (0, False, False, ())):
         super().__init__(table, alias, sargs)
         self.index_name = index_name
-        self.order_column = self.range_column = order_column
+        self.order_column = order_column
         self.descending = descending
         self.conditions = list(conditions)
         self.cost_sig = cost_sig
@@ -1811,8 +1766,7 @@ class IndexOrderScan(SeqScan):
         # Index walk + matched rows: the output is never content-sorted
         # as a whole, only within equal-key runs.
         self.est_rows, self.est_cost = scan_cost(
-            db, self.table, self.cost_sig, self.range_column,
-            self.live_bounds, ordered=False)
+            db, self.table, self.cost_sig, ordered=False)
 
     def describe(self) -> str:
         direction = "desc" if self.descending else "asc"

@@ -196,17 +196,14 @@ class PlanCache:
     @staticmethod
     def key_for(stmt: Statement, ctx: EvalContext, tx,
                 catalog_version: Any,
-                columnar_enabled: bool = False,
                 stats_anchor: int = 0) -> Tuple:
         # AS OF statements additionally key on the *presence* of a
-        # height pin and on whether columnar routing was available:
-        # pinning changes the chosen operators (ColumnarScan vs heap
-        # scans), and so does toggling the replica.  The height value
-        # itself is deliberately NOT part of the key — templates are
-        # height-free (operators read ``ctx.as_of_height`` per
-        # execution), so `AS OF BLOCK $1` at a thousand heights, or a
-        # dashboard pinning to every new committed height, reuses one
-        # template instead of churning the LRU.
+        # height pin: pinning changes the chosen operators (ColumnarScan
+        # vs heap scans).  The height value itself is deliberately NOT
+        # part of the key — templates are height-free (operators read
+        # ``ctx.as_of_height`` per execution), so `AS OF BLOCK $1` at a
+        # thousand heights, or a dashboard pinning to every new committed
+        # height, reuses one template instead of churning the LRU.
         #
         # ``stats_anchor`` is the committed height the planner's
         # statistics were pinned to: cost-based strategy choice reads
@@ -218,7 +215,7 @@ class PlanCache:
         return (statement_fingerprint(stmt), context_shape(ctx),
                 catalog_version, int(stats_anchor), bool(tx.require_index),
                 bool(tx.provenance), bool(ctx.allow_nondeterministic),
-                pinned, bool(columnar_enabled) if pinned else None)
+                pinned)
 
     # -- lookup / store ----------------------------------------------------
 

@@ -244,12 +244,9 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _columnar_routing(self, ctx: EvalContext) -> bool:
-        """True when this statement executes at a pinned AS OF height and
-        the node's columnar replica may serve its scans."""
-        return (ctx.as_of_height is not None
-                and not self.tx.provenance
-                and getattr(self.db, "columnstore", None) is not None
-                and self.db.columnstore.enabled)
+        """True when this statement executes at a pinned AS OF height, so
+        the node's columnar replica serves its scans."""
+        return ctx.as_of_height is not None and not self.tx.provenance
 
     def _register(self, scan: SeqScan,
                   bounds: Dict[str, Dict[str, Any]],
@@ -258,11 +255,10 @@ class Planner:
         """The step every statically planned scan ends with: record the
         :class:`ScanGuard` the plan cache replays (the structural index
         choice under the scan's own sargs), hand the plan-time bounds to
-        the first execution and to costing, and cost the node."""
+        the first execution, and cost the node."""
         self.guards.append(ScanGuard(scan.table, scan.sargs, signature,
                                      node=scan, columnar=columnar))
         self.scan_bounds[id(scan)] = bounds
-        scan.live_bounds = bounds
         scan.recost(self.db)
         return scan
 
@@ -288,8 +284,8 @@ class Planner:
         re-runs the same deterministic index choice over them.
 
         Statements pinned to an AS OF height route to the columnar
-        replica instead (:class:`ColumnarScan`) whenever it is enabled —
-        reads below the committed height have no SSI obligations, so the
+        replica instead (:class:`ColumnarScan`) — reads below the
+        committed height have no SSI obligations, so the
         index-backed-predicate rules don't apply there."""
         if alias_columns is None:
             schema = self.db.catalog.schema_of(table)
@@ -311,7 +307,6 @@ class Planner:
                                                     has_range, sources)
             scan = IndexScan(
                 table, alias, sargs, name, conditions, cost_sig,
-                range_column=index.columns[n_eq] if has_range else None,
                 ordered=self.ordered,
                 exact=self._exact_conjuncts(table, index.columns[:n_eq],
                                             sources, alias_columns))

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import repro.sql.planner as planner_module
 from repro.analytics.encoding import DictVector, RLEVector
 from repro.analytics.operators import ColumnarAggregate, _like_prefix
-from repro.errors import AnalyticsDisabledError, ReproError
+from repro.errors import ReproError
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
 from repro.sql.expressions import _compare, _like_to_regex, compare_values
@@ -107,15 +107,7 @@ def scan(self, db, table: str, height: Optional[int] = None,
          bounds: Optional[Dict[str, Dict[str, Any]]] = None):  # self: store
     """Yield ``(chunk, offsets)`` pairs for rows of ``table`` visible
     at ``height`` (every committed version when ``height`` is None),
-    pruning chunks via the height counters and zone maps.
-
-    Raises when the replica is disabled: a disabled store is frozen
-    (commits stop queueing), so serving from it would silently
-    return stale or empty history.  SQL routing already avoids this
-    path when disabled; the audit APIs surface it as an error."""
-    if not self.enabled:
-        raise AnalyticsDisabledError(
-            "the columnar replica is disabled on this node")
+    pruning chunks via the height counters and zone maps."""
     self.ensure_synced(db)
     tcols = self.tables.get(table)
     if tcols is None:

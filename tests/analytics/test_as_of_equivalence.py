@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import ExecutionError
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
-from tests.conftest import same_outcome
+from tests.conftest import row_store_as_of, same_outcome
 
 KEYS = list(range(6))
 GROUPS = ["g1", "g2", "g3"]
@@ -115,11 +115,8 @@ class TestAsOfEquivalence:
         sql = QUERIES[query_pick]
 
         columnar, columnar_ssi = run_as_of(db, sql, height)
-        db.columnstore.set_enabled(False)
-        try:
+        with row_store_as_of(db):
             rowstore, rowstore_ssi = run_as_of(db, sql, height)
-        finally:
-            db.columnstore.set_enabled(True)
 
         assert columnar.columns == rowstore.columns
         assert columnar.rows == rowstore.rows
@@ -150,11 +147,8 @@ class TestAsOfEquivalence:
         db.columnstore.on_block(db, 1)
         sql = "SELECT sum(v), avg(v), min(v), max(v) FROM f AS OF BLOCK $1"
         columnar = outcome(db, sql, 1)
-        db.columnstore.set_enabled(False)
-        try:
+        with row_store_as_of(db):
             rowstore = outcome(db, sql, 1)
-        finally:
-            db.columnstore.set_enabled(True)
         assert same_outcome(columnar, rowstore)  # exact, not approx
 
     @given(operations)
@@ -188,9 +182,6 @@ class TestAsOfEquivalence:
         again, _ = run_as_of(db, sql, height)     # warm hit, same height
         assert first.rows == again.rows
         cached_lower, _ = run_as_of(db, sql, lower)  # warm hit, h-1
-        db.columnstore.set_enabled(False)
-        try:
+        with row_store_as_of(db):
             reference_lower, _ = run_as_of(db, sql, lower)
-        finally:
-            db.columnstore.set_enabled(True)
         assert cached_lower.rows == reference_lower.rows

@@ -11,6 +11,7 @@ from repro.analytics.columnstore import (
     TableColumns,
     dict_ndv_threshold,
     visible_at,
+    zone_of,
 )
 from repro.analytics.encoding import (
     DictVector,
@@ -21,7 +22,7 @@ from repro.analytics.encoding import (
 )
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
-from tests.conftest import counter, gauge
+from tests.conftest import counter, row_store_as_of
 
 
 def make_db():
@@ -201,16 +202,6 @@ class TestColumnStore:
         assert not db.columnstore.stale
         assert len(db.columnstore.table("t") or []) == 0
 
-    def test_disabled_store_queues_nothing(self):
-        db = make_db()
-        db.columnstore.set_enabled(False)
-        commit_block(db, [("INSERT INTO t (id, v) VALUES (1, 10)", ())])
-        assert gauge(db, "columnstore.pending_commits") == 0
-        # Re-enabling rebuilds from the heap, so nothing is lost.
-        db.columnstore.set_enabled(True)
-        db.columnstore.ensure_synced(db)
-        assert len(db.columnstore.table("t")) == 1
-
     def test_history_and_diff(self):
         db = make_db()
         commit_block(db, [("INSERT INTO t (id, v) VALUES (1, 10)", ())])
@@ -262,17 +253,6 @@ class TestColumnStore:
                   for offset in span_offsets(spans)]
         assert values == [{"id": 7, "name": "new"}]
 
-    def test_disabled_store_refuses_audit_reads(self):
-        from repro.errors import AnalyticsDisabledError
-
-        db = make_db()
-        commit_block(db, [("INSERT INTO t (id, v) VALUES (1, 10)", ())])
-        db.columnstore.set_enabled(False)
-        with pytest.raises(AnalyticsDisabledError):
-            db.columnstore.history(db, "t", "id", 1)
-        with pytest.raises(AnalyticsDisabledError):
-            db.columnstore.diff(db, "t", 0, 1)
-
     def test_history_rejects_unknown_table_and_column(self):
         from repro.errors import CatalogError
 
@@ -309,13 +289,6 @@ class TestStatisticsSurface:
             db, "t", ("v",), h1, key_of) == 6
         assert db.columnstore.distinct_count(
             db, "t", ("v",), h2, key_of) == 4
-
-    def test_disabled_store_returns_none(self):
-        db = make_db()
-        commit_block(db, [("INSERT INTO t (id, v) VALUES (1, 1)", ())])
-        db.columnstore.set_enabled(False)
-        assert db.columnstore.committed_rows(
-            db, "t", db.committed_height) is None
 
 
 class TestZoneOnlyAggregates:
@@ -495,14 +468,16 @@ class TestChunkEncoding:
     ROWS = 256
 
     def _sealed_pair(self):
-        """The same rows sealed into an encoding and a plain chunk."""
+        """The same rows in a sealed (encoded) chunk and in an open one,
+        which still holds the plain lists ingest appends to."""
         chunks = []
-        for encode in (True, False):
-            chunk = ColumnChunk(["g", "v"], encode=encode)
+        for sealed in (True, False):
+            chunk = ColumnChunk(["g", "v"])
             for i in range(self.ROWS):
                 chunk.append({"g": f"g{i % 2}", "v": float(i)}, i, i, 1,
                              creator=1 + i // (self.ROWS // 2))
-            chunk.seal()
+            if sealed:
+                chunk.seal()
             chunks.append(chunk)
         return chunks
 
@@ -519,8 +494,10 @@ class TestChunkEncoding:
 
     def test_zones_and_visibility_identical(self):
         encoded, plain = self._sealed_pair()
-        assert encoded.zones == plain.zones
-        assert encoded.null_counts == plain.null_counts
+        # Zones are taken from the values, before they re-encode.
+        assert encoded.zones == {col: zone_of(vector)
+                                 for col, vector in plain.data.items()}
+        assert encoded.null_counts == {"g": 0, "v": 0}
         for height in range(0, 4):
             assert encoded.visible_spans(height) == \
                 plain.visible_spans(height)
@@ -544,7 +521,7 @@ class TestChunkEncoding:
         assert dict_ndv_threshold(10 ** 9) == 32767   # code-width cap
 
     def test_high_cardinality_text_stays_plain(self):
-        chunk = ColumnChunk(["g"], encode=True)
+        chunk = ColumnChunk(["g"])
         for i in range(8):   # 8 distinct values > threshold floor? no —
             chunk.append({"g": f"u{i}"}, i, i, 1, creator=1)
         chunk.seal()
@@ -553,16 +530,15 @@ class TestChunkEncoding:
 
 
 class TestStoreEncodingSurface:
-    def _store_db(self, encode):
+    def _store_db(self):
         db = make_db()
-        db.columnstore.encode = encode
         commit_block(db, [
             ("INSERT INTO t (id, v) VALUES ($1, $2)", (i, i % 3))
             for i in range(10)])
         return db
 
     def test_memory_stats_and_gauge(self):
-        db = self._store_db(encode=True)
+        db = self._store_db()
         stats = db.columnstore.memory_stats()
         assert stats["rows"] == 10
         assert stats["bytes"] > 0
@@ -572,47 +548,33 @@ class TestStoreEncodingSurface:
         assert snap["gauges"]["columnstore.bytes_per_row"] > 0
 
     def test_encoded_chunks_counter_and_stats_keys(self):
-        db = self._store_db(encode=True)
+        db = self._store_db()
         assert counter(db.columnstore, "columnstore.encoded_chunks") >= 1
-
-    def test_encode_toggle_disables_encoding(self):
-        db = self._store_db(encode=False)
-        tcols = db.columnstore.table("t")
-        assert all(isinstance(c.creators, list) for c in tcols.chunks)
-        assert counter(db.columnstore, "columnstore.encoded_chunks") == 0
 
     def test_distinct_count_served_from_dictionary(self):
         """NDV on a dictionary column comes from len(dictionary) without
-        walking rows — and agrees with the plain computation."""
+        walking rows — and agrees with the heap oracle."""
         from repro.sql.stats import stats_key_part
+        from tests.sql.test_stats import heap_ndv
 
         def key_of(values):
             return tuple(stats_key_part(v) for v in values)
 
-        dbs = [make_db(), make_db()]
-        for encode, db in zip((True, False), dbs):
-            db.columnstore.encode = encode
-            tx = db.begin(allow_nondeterministic=True)
-            run_sql(db, tx, "CREATE TABLE s (id INT PRIMARY KEY, g TEXT)")
-            for i in range(9):
-                run_sql(db, tx,
-                        "INSERT INTO s (id, g) VALUES ($1, $2)",
-                        params=(i, f"g{i % 4}"))
-            db.apply_commit(tx, block_number=1)
-            db.committed_height = 1
-            db.columnstore.on_block(db, 1)
-        counts = [db.columnstore.distinct_count(db, "s", ("g",), 1, key_of)
-                  for db in dbs]
-        assert counts == [4, 4]
-
-    def test_column_values_matches_heap(self):
-        db = self._store_db(encode=True)
-        height = db.committed_height
-        values = db.columnstore.column_values(db, "t", "v", height)
-        assert sorted(values) == sorted(i % 3 for i in range(10))
-        db.columnstore.set_enabled(False)
-        assert db.columnstore.column_values(db, "t", "v", height) is None
-
+        db = make_db()
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "CREATE TABLE s (id INT PRIMARY KEY, g TEXT)")
+        for i in range(9):
+            run_sql(db, tx, "INSERT INTO s (id, g) VALUES ($1, $2)",
+                    params=(i, f"g{i % 4}"))
+        db.apply_commit(tx, block_number=1)
+        db.committed_height = 1
+        db.columnstore.on_block(db, 1)
+        chunk, = db.columnstore.table("s").chunks
+        assert type(chunk.data["g"]) is DictVector
+        assert chunk.fully_visible_at(1)
+        assert db.columnstore.distinct_count(db, "s", ("g",), 1,
+                                             key_of) == 4
+        assert heap_ndv(db, "s", ("g",), 1) == 4
 
 class TestNaNHasOnePlace:
     """NaN is equal to itself and above every other number
@@ -624,9 +586,8 @@ class TestNaNHasOnePlace:
               [5.0, 1.0, float("nan")])
 
     @staticmethod
-    def _float_db(values, encode=True):
+    def _float_db(values):
         db = Database()
-        db.columnstore.encode = encode
         tx = db.begin(allow_nondeterministic=True)
         run_sql(db, tx, "CREATE TABLE f (id INT PRIMARY KEY, v FLOAT)")
         for i, value in enumerate(values):
@@ -640,23 +601,22 @@ class TestNaNHasOnePlace:
     @staticmethod
     def _both_stores(db, sql):
         """``repr`` of the rows from the replica and from the heap."""
-        shown = []
-        for enabled in (True, False):
-            db.columnstore.set_enabled(enabled)
+        def show():
             tx = db.begin(allow_nondeterministic=True, read_only=True)
             try:
-                shown.append(repr(run_sql(db, tx, sql, params=(1,)).rows))
+                return repr(run_sql(db, tx, sql, params=(1,)).rows)
             finally:
                 db.apply_abort(tx, reason="read-only")
-                db.columnstore.set_enabled(True)
-        return shown
+
+        columnar = show()
+        with row_store_as_of(db):
+            return [columnar, show()]
 
     def test_zone_map_is_independent_of_ingest_order(self):
-        for encode in (True, False):
-            zones = [repr(self._float_db(order, encode).columnstore
-                          .table("f").chunks[0].zones["v"])
-                     for order in self.ORDERS]
-            assert zones == ["(1.0, nan)"] * 3
+        zones = [repr(self._float_db(order).columnstore
+                      .table("f").chunks[0].zones["v"])
+                 for order in self.ORDERS]
+        assert zones == ["(1.0, nan)"] * 3
         only = self._float_db([float("nan")] * 2).columnstore.table("f")
         assert repr(only.chunks[0].zones["v"]) == "(nan, nan)"
 
@@ -672,19 +632,18 @@ class TestNaNHasOnePlace:
                            "columnstore.chunks_pruned") == pruned
 
     def test_min_max_do_not_depend_on_order_in_either_store(self):
-        for encode in (True, False):
-            for order in self.ORDERS:
-                db = self._float_db(order, encode)
-                for sql in (
-                        # zone-answered, filtered (kernels), grouped
-                        "SELECT min(v), max(v) FROM f AS OF BLOCK $1",
-                        "SELECT min(v), max(v) FROM f WHERE id >= 0 "
-                        "AS OF BLOCK $1",
-                        "SELECT id / 10, min(v), max(v) FROM f "
-                        "GROUP BY id / 10 AS OF BLOCK $1"):
-                    answers = self._both_stores(db, sql)
-                    assert answers[0] == answers[1], (order, sql)
-                    assert "1.0, nan" in answers[0], (order, sql)
+        for order in self.ORDERS:
+            db = self._float_db(order)
+            for sql in (
+                    # zone-answered, filtered (kernels), grouped
+                    "SELECT min(v), max(v) FROM f AS OF BLOCK $1",
+                    "SELECT min(v), max(v) FROM f WHERE id >= 0 "
+                    "AS OF BLOCK $1",
+                    "SELECT id / 10, min(v), max(v) FROM f "
+                    "GROUP BY id / 10 AS OF BLOCK $1"):
+                answers = self._both_stores(db, sql)
+                assert answers[0] == answers[1], (order, sql)
+                assert "1.0, nan" in answers[0], (order, sql)
 
     def test_a_client_can_commit_nan_and_every_node_answers_alike(self):
         """The reachable form: ``simple_insert`` takes any float."""

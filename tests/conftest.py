@@ -40,6 +40,13 @@ KV_CONTRACTS = [
 ]
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--replay-seeds", default="1",
+        help="comma-separated seeds of the ledger-replay matrix "
+             "(tests/core/test_cross_node_consistency.py)")
+
+
 def _registered(kind: str, owner, name: str) -> list:
     scope = getattr(owner, "metrics", owner)
     values = [value for key, value in scope.snapshot()[kind].items()
@@ -91,6 +98,24 @@ def structural_planning(db):
         yield
     finally:
         Planner._cost_based = original
+        db.plan_cache.clear()
+
+
+@contextmanager
+def row_store_as_of(db):
+    """Serve ``db``'s ``AS OF`` statements from the row store — the
+    reference the columnar replica's answers are compared against.
+    ``src/`` has no switch (the replica serves every pinned statement),
+    so this patches :meth:`Planner._columnar_routing` and clears the
+    plan cache on the way in and out, as :func:`structural_planning`
+    does."""
+    original = Planner._columnar_routing
+    Planner._columnar_routing = lambda self, ctx: False
+    db.plan_cache.clear()
+    try:
+        yield
+    finally:
+        Planner._columnar_routing = original
         db.plan_cache.clear()
 
 

@@ -116,25 +116,26 @@ class TestProvenanceNewPath:
         assert [d["v"] for d in diff["created"]] == [11, 111]
         assert [d["v"] for d in diff["deleted"]] == [1, 11]
 
-    def test_auditor_falls_back_to_sql_when_replica_disabled(self):
+    def test_audits_match_provenance_sql(self):
+        """The replica's audits equal what provenance SQL over the row
+        store answers: every field of every version, in the same
+        order."""
         net, alice = loaded_network()
-        store = alice.peer.db.columnstore
         auditor = ProvenanceAuditor(alice)
-        columnar_chain = auditor.version_chain("kv", "k", "k")
-        columnar_diff = auditor.diff_between("kv", 1, 3)
-        store.set_enabled(False)
-        try:
-            sql_chain = auditor.version_chain("kv", "k", "k")
-            sql_diff = auditor.diff_between("kv", 1, 3)
-        finally:
-            store.set_enabled(True)
-        assert [(c["v"], c["creator"], c["deleter"]) for c in sql_chain] \
-            == [(c["v"], c["creator"], c["deleter"])
-                for c in columnar_chain]
-        assert [d["v"] for d in sql_diff["created"]] == \
-            [d["v"] for d in columnar_diff["created"]]
-        assert [d["v"] for d in sql_diff["deleted"]] == \
-            [d["v"] for d in columnar_diff["deleted"]]
+        sql_chain = alice.provenance_query(
+            "SELECT t.* FROM kv t WHERE t.k = $1 "
+            "ORDER BY t.creator, t.row_id", params=("k",)).as_dicts()
+        sql_diff = {
+            "created": alice.provenance_query(
+                "SELECT t.* FROM kv t WHERE t.creator > $1 "
+                "AND t.creator <= $2 ORDER BY t.creator, t.row_id",
+                params=(1, 3)).as_dicts(),
+            "deleted": alice.provenance_query(
+                "SELECT t.* FROM kv t WHERE t.deleter > $1 "
+                "AND t.deleter <= $2 ORDER BY t.deleter, t.row_id",
+                params=(1, 3)).as_dicts()}
+        assert auditor.version_chain("kv", "k", "k") == sql_chain
+        assert auditor.diff_between("kv", 1, 3) == sql_diff
 
 
 class TestRecoveryRebuild:

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from repro.core.network import BlockchainNetwork
+from repro.core.provenance import ProvenanceAuditor
+from repro.net.transport import LatencyModel
 from tests.conftest import make_kv_network
 
 
@@ -227,3 +229,103 @@ class TestExecuteOrderAgreement:
         assert "aborted" in reference and "committed" in reference
         for node in net.nodes:
             assert node.checkpoints.mismatches == []
+
+
+# ----------------------------------------------------------------------
+# Replaying the ledger reproduces every replica (section 3.6)
+# ----------------------------------------------------------------------
+
+#: Columns of an audit row that do not depend on the node: the row's
+#: values and its creator / deleter heights.  ``xmin`` / ``xmax`` /
+#: ``row_id`` are node-local (aborted executions burn ids).
+AUDIT_FIELDS = ("k", "v", "creator", "deleter")
+
+
+def pytest_generate_tests(metafunc):
+    """Seeds of the replay matrix: 1 in tier-1, ``--replay-seeds 1,2,3``
+    in the chaos CI legs (tests/conftest.py defines the option)."""
+    if "replay_seed" in metafunc.fixturenames:
+        seeds = metafunc.config.getoption("--replay-seeds")
+        metafunc.parametrize("replay_seed",
+                             [int(seed) for seed in seeds.split(",")])
+
+
+def audit_rows(rows):
+    return [{field: row.get(field) for field in AUDIT_FIELDS}
+            for row in rows]
+
+
+def audits(node, client, height):
+    """Everything the auditor answers about ``kv`` at ``height``, from
+    ``node``'s replica, reduced to node-independent fields."""
+    client.use_peer(node)
+    auditor = ProvenanceAuditor(client)
+    diff = auditor.diff_between("kv", height - 1, height)
+    keys = sorted({row["k"] for row in auditor.state_as_of("kv", height)}
+                  | {row["k"] for rows in diff.values() for row in rows})
+    return {
+        "state": auditor.state_as_of("kv", height),
+        "diff": {side: audit_rows(rows) for side, rows in diff.items()},
+        "chains": {key: audit_rows(auditor.version_chain("kv", "k", key))
+                   for key in keys},
+    }
+
+
+class TestReplayReproducesReplicas:
+    """One peer crashes right after genesis and restarts once the run
+    has settled, so it replays the whole ledger through the sync path
+    (``RecoveryManager.catch_up`` → ``on_block``).  A second peer, of
+    another organization, hears its peers late (its ``tx_forward``s
+    arrive after their blocks).  Every node must still agree — on each
+    transaction's status, on every table, on every checkpoint digest —
+    and the replayer's replica must answer every audit, at every
+    height, as a live node's does."""
+
+    @pytest.mark.parametrize("flow", ["order-execute", "execute-order"])
+    @pytest.mark.parametrize("consensus,n_orgs", [
+        ("kafka", 2), ("raft", 3), ("pbft", 4)])
+    def test_replay_reproduces_every_replica(self, consensus, n_orgs,
+                                             flow, replay_seed):
+        seed = replay_seed
+        orgs = [f"org{i + 1}" for i in range(n_orgs)]
+        net = make_kv_network(flow, consensus=consensus, orgs=orgs,
+                              block_size=4, block_timeout=0.15,
+                              peers_per_org=2, seed=seed)
+        replayer, laggard = net.node_of(orgs[0], 1), net.node_of(orgs[1], 1)
+        replayer.crash()
+        lag = LatencyModel(base_latency=(0.05, 0.3)[seed % 2], jitter=0.0,
+                           bandwidth_bytes_per_sec=5e9 / 8)
+        for node in net.nodes:
+            if node is not laggard:
+                net.network.set_link(node.name, laggard.name, lag)
+
+        clients, tx_ids = run_contention(net, n_clients=n_orgs,
+                                         n_rounds=16, seed=seed)
+        tx_ids.append(clients[0].invoke("del_kv", "k0"))
+        net.settle(timeout=120.0, expect_progress=False)
+        if flow == "execute-order":   # the laggard executed at block time
+            assert sum(block.missing_txs
+                       for block in laggard.processor.metrics) > 0
+        assert replayer.db.committed_height == 0
+        replayer.restart()
+        net.settle(timeout=120.0)
+
+        net.assert_consistent()
+        for tx_id in tx_ids:
+            statuses = {node.name: (node.ledger.entry(tx_id) or
+                                    {}).get("status")
+                        for node in net.nodes}
+            assert len(set(statuses.values())) == 1, statuses
+        height = net.nodes[0].db.committed_height
+        assert height == replayer.db.committed_height
+        for h in range(1, height + 1):
+            digests = {node.checkpoints.local_digest(h)
+                       for node in net.nodes}
+            assert len(digests) == 1 and None not in digests, h
+        for node in net.nodes:
+            assert node.checkpoints.mismatches == []
+
+        live, auditor = net.nodes[0], clients[0]
+        for h in sorted({1, height // 2, height - 1, height} - {0}):
+            assert audits(replayer, auditor, h) == \
+                audits(live, auditor, h), h

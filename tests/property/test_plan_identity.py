@@ -3,8 +3,7 @@
 The cost-based optimizer is only safe because its every input is a pure
 function of the committed block sequence: N nodes replaying the same
 blocks — under *different* commit interleavings, with different
-in-flight noise transactions burning xids/version ids, with the
-columnar replica enabled on some nodes and disabled on others, warm
+in-flight noise transactions burning xids/version ids, with warm
 plan caches on some and cold on others — must produce **byte-identical
 EXPLAIN output** for every statement at every anchored height.  A
 divergence here is exactly the SIREAD-set divergence the ROADMAP warned
@@ -98,9 +97,6 @@ def apply_noise(db, kind):
         db.plan_cache.clear()
         db.stats.invalidate()
         return None
-    if kind == "columnar-off":
-        db.columnstore.set_enabled(False)
-        return None
     return None
 
 
@@ -142,8 +138,7 @@ def build_node(noise_plan):
 
 
 noise_kinds = st.lists(
-    st.sampled_from(["inflight", "aborted", "cache-cleared",
-                     "columnar-off", "none"]),
+    st.sampled_from(["inflight", "aborted", "cache-cleared", "none"]),
     min_size=0, max_size=2)
 noise_plans = st.fixed_dictionaries({
     1: noise_kinds, 2: noise_kinds, 3: noise_kinds})

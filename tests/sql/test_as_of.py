@@ -7,7 +7,7 @@ from repro.mvcc.database import Database
 from repro.sql.ast_nodes import Literal, Param, Select
 from repro.sql.executor import Executor, run_sql
 from repro.sql.parser import parse_one
-from tests.conftest import counter
+from tests.conftest import counter, row_store_as_of
 
 
 def build_db():
@@ -274,10 +274,11 @@ class TestExplainAndCache:
         assert not any("Columnar" in line for line in unpinned_lines)
         assert unpinned_lines[-1] == "Plan Cache: hit"
 
-    def test_disabled_store_falls_back_to_row_scans(self):
+    def test_row_store_reference_takes_the_row_path(self):
+        """``row_store_as_of`` — the reference leg of every replica
+        equivalence test — really plans heap scans, and answers alike."""
         db = build_db()
-        db.columnstore.set_enabled(False)
-        try:
+        with row_store_as_of(db):
             lines = [row[0] for row in query(
                 db, "EXPLAIN SELECT v FROM accounts WHERE id = 1 "
                     "AS OF BLOCK 2").rows]
@@ -286,5 +287,3 @@ class TestExplainAndCache:
             rows = query(db, "SELECT v FROM accounts WHERE id = 1 "
                              "AS OF BLOCK 2").rows
             assert rows == [(20,)]
-        finally:
-            db.columnstore.set_enabled(True)

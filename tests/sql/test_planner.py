@@ -469,68 +469,6 @@ class TestCatalogStatistics:
         assert db.catalog.stats_of("accounts").live_rows == 12
 
 
-class TestRangeHistograms:
-    """Equi-width histograms (satellite of the encoding PR): range
-    predicates cost from bucket interpolation instead of the fixed 1/3,
-    the histogram is anchored at committed height, and a warm plan-cache
-    hit recosts when the bound value changes."""
-
-    @pytest.fixture
-    def hist_db(self):
-        database = Database()
-        tx = database.begin(allow_nondeterministic=True)
-        run_sql(database, tx, """
-            CREATE TABLE m (id INT PRIMARY KEY, v INT);
-            CREATE INDEX m_v_idx ON m(v);
-        """)
-        for i in range(100):
-            run_sql(database, tx,
-                    "INSERT INTO m (id, v) VALUES ($1, $2)", params=(i, i))
-        database.apply_commit(tx, block_number=1)
-        database.committed_height = 1
-        database.columnstore.on_block(database, 1)
-        return database
-
-    def test_histogram_shape_and_columnar_heap_identity(self, hist_db):
-        """The histogram covers the committed value range, and the
-        columnstore fast path produces the same buckets the heap walk
-        does — selectivity (hence plan choice) cannot depend on whether
-        the columnar replica happens to be enabled."""
-        columnar = hist_db.stats.histogram("m", "v")
-        assert columnar is not None
-        assert (columnar.lo, columnar.hi) == (0.0, 99.0)
-        assert columnar.total == 100
-        assert sum(columnar.counts) == 100
-
-        hist_db.columnstore.set_enabled(False)
-        hist_db.stats.invalidate()
-        heap = hist_db.stats.histogram("m", "v")
-        assert heap == columnar
-
-    def test_range_predicate_rows_follow_histogram(self, hist_db):
-        """`v >= 90` on a uniform 0..99 column estimates ~10 rows, not
-        the legacy fixed third (33)."""
-        narrow = explain(hist_db, "SELECT id, v FROM m WHERE v >= 90")
-        wide = explain(hist_db, "SELECT id, v FROM m WHERE v >= 10")
-        assert any(re.search(r"IndexScan .*rows~(9|10|11)\)$", line)
-                   for line in narrow), narrow
-        assert any(re.search(r"IndexScan .*rows~(89|90|91)\)$", line)
-                   for line in wide), wide
-
-    def test_warm_plan_hit_recosts_on_new_bounds(self, hist_db):
-        """Planting the cached plan with a selective bound must not
-        freeze its row estimates: a hit with a different parameter
-        re-derives selectivity from the live bound value."""
-        sql = "EXPLAIN SELECT id, v FROM m WHERE v >= $1"
-        first = [r[0] for r in q(hist_db, sql, params=(90,)).rows]
-        assert "Plan Cache: miss" in first
-        assert any("rows~9)" in line for line in first), first
-
-        second = [r[0] for r in q(hist_db, sql, params=(10,)).rows]
-        assert "Plan Cache: hit" in second
-        assert any("rows~89)" in line for line in second), second
-
-
 class TestPlannedSemanticsUnchanged:
     def test_ssi_predicate_reads_still_recorded_through_plans(self, db):
         tx = db.begin(allow_nondeterministic=True)

@@ -2,8 +2,10 @@
 
 The determinism contract: ``row_count`` and ``ndv`` are pure functions
 of (table, committed block sequence, anchor height) — in-flight
-transactions, abort noise, and which store answers (columnar replica vs
-heap fallback) must never move them.
+transactions and abort noise must never move them.  The columnar
+replica answers every statistic; the heap oracle below filters the row
+store's version store with the committed-at-anchor predicate, and the
+two must agree to the row.
 """
 
 import pytest
@@ -15,7 +17,47 @@ from repro.sql.executor import run_sql
 from repro.sql.stats import StatisticsManager
 from repro.storage.vacuum import vacuum_database
 from repro.errors import CatalogError
+from repro.sql.stats import stats_key_part
 from tests.conftest import counter
+
+
+# ---------------------------------------------------------------------------
+# The heap oracle: the same statistics, read from the row store
+# ---------------------------------------------------------------------------
+
+def visible_at_anchor(db, version, anchor: int) -> bool:
+    """The committed-at-anchor predicate over a heap version, the twin
+    of the replica's ``visible_at``: created by a committed transaction
+    at or below the anchor, and not deleted by a committed transaction
+    at or below it."""
+    statuses = db.statuses
+    if version.creator_block is None or version.creator_block > anchor:
+        return False
+    if not statuses.is_committed(version.xmin):
+        return False
+    return not (version.deleter_block is not None
+                and version.xmax_winner is not None
+                and statuses.is_committed(version.xmax_winner)
+                and version.deleter_block <= anchor)
+
+
+def heap_row_count(db, table: str, anchor: int) -> int:
+    return sum(1 for version in db.catalog.heap_of(table).all_versions()
+               if visible_at_anchor(db, version, anchor))
+
+
+def heap_ndv(db, table: str, columns, anchor: int) -> int:
+    """Distinct non-NULL ``columns`` tuples, keyed as ``ndv`` keys them
+    (the raw count: ``StatisticsManager.ndv`` floors it at 1)."""
+    seen = set()
+    for version in db.catalog.heap_of(table).all_versions():
+        if not visible_at_anchor(db, version, anchor):
+            continue
+        values = tuple(version.values.get(col) for col in columns)
+        if any(v is None for v in values):
+            continue
+        seen.add(tuple(stats_key_part(v) for v in values))
+    return len(seen)
 
 
 def build_db():
@@ -72,22 +114,17 @@ class TestAnchoredRowCounts:
         assert stats.anchor == 2
         assert stats.row_count == 20
 
-    def test_columnar_and_heap_fallback_agree(self, db):
+    def test_replica_and_heap_oracle_agree(self, db):
         tx = db.begin(allow_nondeterministic=True)
         run_sql(db, tx, "UPDATE readings SET amount = 99.0 "
                         "WHERE sensor >= 20")
         db.apply_commit(tx, block_number=2)
         db.committed_height = 2
         db.columnstore.on_block(db, 2)
-        columnar = db.stats.table_stats("readings")
-        db.stats.invalidate()
-        db.columnstore.set_enabled(False)
-        try:
-            heap = db.stats.table_stats("readings")
-        finally:
-            db.columnstore.set_enabled(True)
-            db.stats.invalidate()
-        assert columnar == heap
+        for anchor in (1, 2):
+            db.committed_height = anchor
+            assert db.stats.table_stats("readings").row_count == \
+                heap_row_count(db, "readings", anchor)
 
     def test_unknown_table_raises(self, db):
         with pytest.raises(CatalogError):
@@ -104,17 +141,10 @@ class TestAnchoredNdv:
         # sensors 0, 10, 20 have NULL amounts.
         assert db.stats.ndv("readings", ("amount",)) == 27
 
-    def test_columnar_and_heap_agree(self, db):
+    def test_replica_and_heap_oracle_agree(self, db):
         for cols in [("region",), ("amount",), ("region", "sensor")]:
-            columnar = db.stats.ndv("readings", cols)
-            db.stats.invalidate()
-            db.columnstore.set_enabled(False)
-            try:
-                heap = db.stats.ndv("readings", cols)
-            finally:
-                db.columnstore.set_enabled(True)
-                db.stats.invalidate()
-            assert columnar == heap, cols
+            assert db.stats.ndv("readings", cols) == \
+                heap_ndv(db, "readings", cols, 1), cols
 
     def test_equal_numeric_values_count_once(self, db):
         """1 and 1.0 compare equal under '=', so they are one key."""
@@ -168,20 +198,36 @@ class TestCaching:
 # Property: the memo is never stale
 # ---------------------------------------------------------------------------
 
-PROBES = [
-    lambda stats: stats.table_stats("readings"),
-    lambda stats: stats.ndv("readings", ("region",)),
-    lambda stats: stats.ndv("readings", ("sensor",)),
-    lambda stats: stats.ndv("readings", ("region", "amount")),
-    lambda stats: stats.histogram("readings", "amount"),
-]
+#: ``None`` probes the row count, a column tuple its distinct count.
+PROBES = [None, ("region",), ("sensor",), ("region", "amount")]
 
 
-def assert_memo_fresh(db):
-    """Every memoized statistic equals a recompute from scratch."""
+def probe(stats, columns):
+    if columns is None:
+        return stats.table_stats("readings")
+    return stats.ndv("readings", columns)
+
+
+def oracle(db, columns) -> int:
+    anchor = db.committed_height
+    if columns is None:
+        return heap_row_count(db, "readings", anchor)
+    return max(1, heap_ndv(db, "readings", columns, anchor))
+
+
+def assert_memo_fresh(db, settled: bool = True):
+    """Every memoized statistic equals a recompute from scratch and,
+    when ``settled``, the heap oracle.  Inside a block's batch the heap
+    is half-stamped (a deleter stamps at commit, its successor's
+    creator only at ``apply_block``), so the oracle waits for the
+    batch to close."""
     fresh = StatisticsManager(db)
-    for probe in PROBES:
-        assert probe(db.stats) == probe(fresh)
+    for columns in PROBES:
+        memo = probe(db.stats, columns)
+        assert memo == probe(fresh, columns), columns
+        if settled:
+            value = memo.row_count if columns is None else memo
+            assert value == oracle(db, columns), columns
 
 
 class Churn:
@@ -190,9 +236,8 @@ class Churn:
     recovery rollback, vacuum, reclaim, DDL) and everything that cannot
     (uncommitted writes, aborts), checking the memo after each step."""
 
-    def __init__(self, columnar):
+    def __init__(self):
         self.db = build_db()
-        self.db.columnstore.set_enabled(columnar)
         self.open = []            # uncommitted transactions, oldest first
         self.last_commit = None   # newest commit, while rollback is sound
         self.fresh_ids = iter(range(1000, 10 ** 6))
@@ -248,7 +293,7 @@ class Churn:
         batch = db.begin_block_apply(height)
         for tx in self.open:
             self._commit(tx, block_number=height, batch=batch)
-            assert_memo_fresh(db)
+            assert_memo_fresh(db, settled=False)
         self.open = []
         db.apply_block(batch)
         assert_memo_fresh(db)
@@ -316,27 +361,28 @@ CHURN_OPS = ["insert", "update", "delete", "abort", "commit_block",
 
 
 class TestMemoNeverStale:
-    @pytest.mark.parametrize("columnar", [True, False],
-                             ids=["columnar", "heap-fallback"])
     @settings(max_examples=60, deadline=None)
     @given(steps=st.lists(st.tuples(st.sampled_from(CHURN_OPS),
                                     st.integers(0, 29)), max_size=30))
-    def test_memo_equals_recompute_after_any_history(self, columnar, steps):
-        churn = Churn(columnar)
+    def test_memo_equals_recompute_after_any_history(self, steps):
+        churn = Churn()
         for op, k in steps:
             churn.step(op, k)
 
     def test_physical_removal_moves_the_token(self, db):
         """Whatever removes a version the anchor still sees (a vacuum
-        told to retain nothing) must not leave the old count behind."""
-        db.columnstore.set_enabled(False)
+        told to retain nothing) moves the freshness token: the next read
+        recomputes instead of serving the memo.  (The count itself stays
+        30 — the replica keeps reclaimed history.)"""
         assert db.stats.table_stats("readings").row_count == 30
+        before = counter(db, "stats.computations")
         heap = db.catalog.heap_of("readings")
         db.reclaim_versions("readings", heap.all_versions()[:4])
-        assert db.stats.table_stats("readings").row_count == 26
+        db.stats.table_stats("readings")
+        assert counter(db, "stats.computations") == before + 1
 
     def test_uncommitted_churn_and_aborts_recompute_nothing(self):
-        churn = Churn(columnar=True)
+        churn = Churn()
         before = counter(churn.db, "stats.computations")
         for k in range(30):
             churn.step(("insert", "update", "delete", "abort")[k % 4], k)
