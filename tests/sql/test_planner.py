@@ -469,6 +469,80 @@ class TestCatalogStatistics:
         assert db.catalog.stats_of("accounts").live_rows == 12
 
 
+class TestRangeCosting:
+    """A range predicate costs at the classic fixed 1/3 of the anchored
+    committed row count, whatever its bound value; an equality prefix
+    divides by the anchored distinct-key count first."""
+
+    @pytest.fixture
+    def range_db(self):
+        database = Database()
+        tx = database.begin(allow_nondeterministic=True)
+        run_sql(database, tx, """
+            CREATE TABLE m (id INT PRIMARY KEY, g INT, v INT);
+            CREATE INDEX m_v_idx ON m(v);
+            CREATE INDEX m_gv_idx ON m(g, v);
+        """)
+        for i in range(99):
+            run_sql(database, tx,
+                    "INSERT INTO m (id, g, v) VALUES ($1, $2, $3)",
+                    params=(i, i % 3, i))
+        database.apply_commit(tx, block_number=1)
+        database.committed_height = 1
+        database.columnstore.on_block(database, 1)
+        return database
+
+    @staticmethod
+    def scan_rows(lines):
+        """The ``rows~`` estimate of the plan's single index scan."""
+        found = [re.search(r"IndexScan .*rows~(\d+)\)$", line)
+                 for line in lines]
+        found = [m for m in found if m]
+        assert len(found) == 1, lines
+        return int(found[0].group(1))
+
+    def test_range_estimate_ignores_the_bound_value(self, range_db):
+        narrow = explain(range_db, "SELECT id, v FROM m WHERE v >= 90")
+        wide = explain(range_db, "SELECT id, v FROM m WHERE v >= 10")
+        assert self.scan_rows(narrow) == self.scan_rows(wide) == 33
+
+    def test_range_estimate_follows_committed_rows_only(self, range_db):
+        """Uncommitted inserts leave the estimate alone; a committed
+        block moves it to a third of the new anchored count."""
+        sql = "SELECT id, v FROM m WHERE v >= 10"
+        tx = range_db.begin(allow_nondeterministic=True)
+        for i in range(99, 150):
+            run_sql(range_db, tx,
+                    "INSERT INTO m (id, g, v) VALUES ($1, $2, $3)",
+                    params=(i, i % 3, i))
+        assert self.scan_rows(explain(range_db, sql)) == 33
+        range_db.apply_commit(tx, block_number=2)
+        range_db.committed_height = 2
+        range_db.columnstore.on_block(range_db, 2)
+        assert self.scan_rows(explain(range_db, sql)) == 50
+
+    def test_equality_prefix_then_range_divides_by_ndv(self, range_db):
+        """``g = 1 AND v >= 10`` on (g, v): 99 rows / 3 distinct g / 3."""
+        lines = explain(range_db,
+                        "SELECT id FROM m WHERE g = 1 AND v >= 10")
+        assert any("m_gv_idx" in line for line in lines), lines
+        assert self.scan_rows(lines) == 11
+
+    def test_warm_plan_hit_reads_the_new_bound(self, range_db):
+        """A plan cached under one bound serves another with the same
+        estimate and the rows of the new bound."""
+        sql = "SELECT id, v FROM m WHERE v >= $1"
+        first = [r[0] for r in q(range_db, "EXPLAIN " + sql,
+                                 params=(90,)).rows]
+        assert "Plan Cache: miss" in first
+        second = [r[0] for r in q(range_db, "EXPLAIN " + sql,
+                                  params=(10,)).rows]
+        assert "Plan Cache: hit" in second
+        assert self.scan_rows(first) == self.scan_rows(second) == 33
+        assert len(q(range_db, sql, params=(90,)).rows) == 9
+        assert len(q(range_db, sql, params=(10,)).rows) == 89
+
+
 class TestPlannedSemanticsUnchanged:
     def test_ssi_predicate_reads_still_recorded_through_plans(self, db):
         tx = db.begin(allow_nondeterministic=True)
