@@ -49,8 +49,19 @@ def record_baseline(section: str, data: dict,
     retries) across commits.  Sections committed before the metrics
     registry existed adopt it once — a backfill write, committed with
     the PR that introduced it — never overwriting a recorded snapshot.
+    A recorded snapshot must name exactly the counters the live
+    registry has: a counter one side lacks fails here, so the committed
+    names cannot drift from the engine unseen.
     """
     baseline = load_baseline(path)
+    committed = baseline.get(section, {}).get("registry")
+    if registry is not None and committed is not None:
+        gone = sorted(set(committed) - set(registry))
+        new = sorted(set(registry) - set(committed))
+        assert not gone and not new, (
+            f"{path.name} [{section}] registry snapshot is stale: it "
+            f"names counters the engine lacks {gone} and lacks counters "
+            f"the engine has {new}")
     if registry is not None:
         data = dict(data, registry=registry)
     if section not in baseline:

@@ -12,11 +12,15 @@ emitted — so a change to the SQL layer can be sized from this table
 instead of from a cProfile run.  Each query runs ``--repeats`` times
 after one warm-up and the fastest execution is the one reported.
 
-It also prints, and asserts, two counts no host can move: the SIREAD
+It also prints, and asserts, three counts no host can move: the SIREAD
 ranges one execution records (its predicate reads — one per scan, so
 ``complex_join`` records one for the accounts scan plus one per
-invoices probe, ``complex_group`` one), and ``sql.probe_fallbacks``,
-which must stay 0: every probe keeps the index it was planned with.
+invoices probe, ``complex_group`` one); ``sql.probe_fallbacks``, which
+must stay 0: every probe keeps the index it was planned with; and
+``stats.computations`` across ``--blocks`` blocks that write only
+``summaries``, replanning both queries at each height, which must not
+grow: no block wrote the tables the queries read, so no statistic of
+theirs is recounted.
 
 It imports the seed from ``benchmarks/e2e/workloads.py`` and the engine
 from ``src/`` of this checkout, builds one plain ``Database`` (no
@@ -61,13 +65,15 @@ _EXECUTION = re.compile(r"^Execution Time: ([0-9.]+) ms$")
 
 def seeded_database(accounts: int, seed: int) -> Database:
     """One database holding the ``oe-complex`` genesis rows, committed
-    as block 1 the way a node's genesis does."""
+    as block 1 the way a node's genesis does (index tails folded)."""
     w = replace(workloads.WORKLOADS["oe-complex"], accounts=accounts)
     sql, _counts = workloads.genesis_sql(w, seed)
     db = Database()
     tx = db.begin(allow_nondeterministic=True)
     run_sql(db, tx, sql)
     db.apply_commit(tx, block_number=1)
+    for table in tx.tables_written:
+        db.catalog.heap_of(table).merge_pending_indexes()
     db.committed_height = 1
     db.columnstore.on_block(db, 1)
     return db
@@ -83,6 +89,33 @@ def analyze(db: Database, sql: str, org: str) -> Tuple[List[str], int]:
     finally:
         db.apply_abort(tx, reason="row_pipeline")
     return [row[0] for row in result.rows], len(tx.predicate_reads)
+
+
+def check_recounts(db: Database, blocks: int) -> None:
+    """Commit ``blocks`` blocks that write only ``summaries`` the way
+    the block processor does, replanning both queries at each height
+    (the plan cache keys on it); fail if any statistic was recounted."""
+    computations = db.metrics.counter("stats.computations")
+    before = computations.value
+    for k in range(blocks):
+        height = db.committed_height + 1
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "INSERT INTO summaries (summary_id, org, total, "
+                        "cnt) VALUES ($1, 'org1', 1.0, 1)",
+                params=(f"row_pipeline-{k}",))
+        batch = db.begin_block_apply(height)
+        db.apply_commit(tx, block_number=height, batch=batch)
+        db.apply_block(batch)
+        db.committed_height = height
+        db.columnstore.on_block(db, height)
+        for _name, sql in QUERIES:
+            analyze(db, sql, "org1")
+    grown = computations.value - before
+    print(f"stats.computations over {blocks} summaries-only blocks: "
+          f"+{grown:g}")
+    if grown:
+        raise SystemExit("a block that wrote neither accounts nor "
+                         "invoices recounted their statistics")
 
 
 def execution_ms(lines: List[str]) -> float:
@@ -142,6 +175,9 @@ def main(argv=None) -> int:
                         help="accounts in the seed (x 20 invoices each)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--blocks", type=int, default=5,
+                        help="summaries-only blocks of the statistics "
+                             "check")
     args = parser.parse_args(argv)
 
     db = seeded_database(args.accounts, args.seed)
@@ -158,6 +194,7 @@ def main(argv=None) -> int:
     print(f"sql.probe_fallbacks: {fallbacks:g}")
     if fallbacks:
         raise SystemExit("a probe left its planned index")
+    check_recounts(db, args.blocks)
     return 0
 
 

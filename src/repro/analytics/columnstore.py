@@ -598,11 +598,6 @@ class ColumnStore:
                       fn=lambda: sum(len(t.chunks)
                                      for t in self.tables.values()))
 
-    def note_zone_only_chunk(self) -> None:
-        """Called by ColumnarAggregate when a chunk's contribution came
-        from zone maps/counters alone."""
-        self._zone_only_chunks.inc()
-
     # -- lifecycle ---------------------------------------------------------
 
     def mark_stale(self) -> None:

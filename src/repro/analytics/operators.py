@@ -22,12 +22,14 @@ Two operators plug into the Volcano tree (:mod:`repro.sql.plan`):
   selection pass per sarg (flag tables over dictionary codes, native
   comparisons or two bisects over typed arrays, the engine's comparison
   kernel per value for what is genuinely untyped), then a partition by
-  group key and a fold per column.  ``sum``/``avg`` use the
-  engine-shared, order-independent :func:`~repro.sql.plan.fold_sum`
-  (float inputs are ``math.fsum``-ed — exactly rounded) and ``min`` /
-  ``max`` the engine's total order, so results are bit-identical to the
-  row-store path regardless of which store served the read or how
-  ingest order differs across nodes.  The equivalence suites pin this,
+  group key and a fold per column — the kernels of
+  :mod:`repro.sql.aggregate`, which ``HashAggregate`` folds with too.
+  ``sum``/``avg`` end in the order-independent
+  :func:`~repro.sql.aggregate.fold_sum` (float inputs are
+  ``math.fsum``-ed — exactly rounded) and ``min`` / ``max`` in the
+  engine's total order, so results are bit-identical to the row-store
+  path regardless of which store served the read or how ingest order
+  differs across nodes.  The equivalence suites pin this,
   and ``tests/analytics/test_aggregate_kernels.py`` holds the kernels
   to the per-offset loop they replaced.
 """
@@ -37,38 +39,22 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analytics.encoding import DictVector, Span, span_offsets
 from repro.errors import ExecutionError
-from repro.sql.ast_nodes import SelectItem
-from repro.sql.expressions import (
-    _compare,
-    _like_to_regex,
-    compare_values,
+from repro.sql.aggregate import (
+    EMPTY, FOLD_BUFFER, FOLD_COUNT, FOLD_MAX, FOLD_MIN, extend_buffer,
+    extreme, finish_fold, fold, fold_mode, group_ids, new_fold_state,
+    non_null, split_groups,
 )
+from repro.sql.ast_nodes import SelectItem
+from repro.sql.expressions import _compare, _like_to_regex
 from repro.sql.plan import (
-    EMPTY,
-    FOLD_BUFFER,
-    FOLD_COUNT,
-    FOLD_MAX,
-    FOLD_MIN,
-    PlanNode,
-    Runtime,
-    Sarg,
-    ScanRow,
-    SeqScan,
-    _by_content,
-    _order_note,
-    _scan_target,
-    bucket_key,
-    expr_sql,
-    finish_fold,
-    fold_mode,
-    new_fold_state,
+    PlanNode, Runtime, Sarg, SeqScan, _order_note, _scan_target, expr_sql,
+    row_content_key,
 )
 
 __all__ = ["ColumnarAggregate", "ColumnarScan"]
@@ -108,19 +94,17 @@ class ColumnarScan(SeqScan):
         yield from rt.db.columnstore.scan(rt.db, self.table, height,
                                           bounds)
 
-    def scan_rows(self, rt: Runtime) -> List[ScanRow]:
+    def scan_rows(self, rt: Runtime) -> List[Dict[str, Any]]:
         columns = rt.db.catalog.schema_of(self.table).column_names()
-        rows: List[ScanRow] = []
+        rows: List[Dict[str, Any]] = []
         for chunk, spans in self.chunk_selections(rt):
             data = chunk.data
             for offset in span_offsets(spans):
-                rows.append(ScanRow(
-                    values={col: data[col][offset] for col in columns},
-                    version=None))
+                rows.append({col: data[col][offset] for col in columns})
         # Same content order as the heap scan: results must not depend
         # on which replica (or which store) served the read.
         if self.ordered or rt.content_order:
-            rows.sort(key=_by_content)
+            rows.sort(key=row_content_key)
         return rows
 
     def recost(self, db) -> None:
@@ -268,49 +252,6 @@ def _decoded(stored, dense):
     return list(map((stored.dictionary + [None]).__getitem__, dense))
 
 
-def _non_null(stored, values):
-    """``values`` — rows of a column the chunk holds as ``stored`` —
-    without the NULLs; a typed array has none."""
-    return values if type(stored) is array \
-        else [v for v in values if v is not None]
-
-
-def _extend_buffer(buffer, stored, values):
-    """A sum / avg buffer with ``values`` — non-NULL rows of a column
-    the chunk holds as ``stored`` — appended.  It is a typed array for
-    as long as every contribution came from typed storage of one
-    typecode — ``fold_sum`` then needs no type scan, and 8 bytes a value
-    are all it holds — and a list from the first one that did not."""
-    if type(stored) is array:
-        typecode = stored.typecode
-        if type(buffer) is array:
-            if buffer.typecode == typecode:
-                if type(values) is list:
-                    buffer.fromlist(values)     # half extend()'s cost
-                else:
-                    buffer.extend(values)
-                return buffer
-        elif not buffer:
-            return array(typecode, values)
-    if type(buffer) is array:
-        buffer = buffer.tolist()
-    buffer.extend(values)
-    return buffer
-
-
-def _extreme(mode: int, values) -> Any:
-    """``min`` / ``max`` of non-NULL ``values`` under ``compare_values``
-    (mixed numeric classes, NaN), the first of equals winning as the
-    builtins have it."""
-    values = iter(values)
-    best = next(values)
-    for value in values:
-        c = compare_values(value, best)
-        if c < 0 if mode == FOLD_MIN else c > 0:
-            best = value
-    return best
-
-
 @dataclass
 class AggSpec:
     """One aggregate call: ``count(*)`` or ``fn(plain column)``."""
@@ -352,6 +293,7 @@ class ColumnarAggregate(PlanNode):
         self._columns = list(dict.fromkeys(
             [sarg.column for sarg in scan.sargs] + self.group_columns
             + self._arg_columns))
+        self._fold_columns = [spec.column for spec in agg_specs]
 
     # ------------------------------------------------------------------
 
@@ -389,7 +331,7 @@ class ColumnarAggregate(PlanNode):
                 group = groups.get(bucket)
                 if group is None:
                     group = groups[bucket] = (key, new_states())
-                self._fold(chunk, specs, modes, group[1], count, values)
+                self._fold(chunk, modes, group[1], count, values)
 
         if not groups and not self.group_columns:
             groups[()] = ((), new_states())  # global aggregate, no input
@@ -532,7 +474,7 @@ class ColumnarAggregate(PlanNode):
 
         if not group_cols:
             return [((), (), count, {
-                name: _non_null(data[name], values)
+                name: non_null(data[name], values)
                 for name, values in values_of.items()})]
 
         # Every group gets a small integer: its dictionary code, or its
@@ -547,59 +489,18 @@ class ColumnarAggregate(PlanNode):
         else:
             raw = list(zip(*[_decoded(data[name], cols[name])
                              for name in group_cols]))
-            # bucket_key only ever rewrites a NaN, and neither a
-            # dictionary nor an ordered typed column holds one.
-            buckets = raw if all(
-                type(data[name]) is DictVector or _ordered(chunk, name)
-                for name in group_cols) else map(bucket_key, raw)
-            rank: Dict[Tuple, int] = {}
-            ids = [rank.setdefault(bucket, len(rank)) for bucket in buckets]
-            bucket_of = list(rank)
-            # Its first row names a group (1 and 1.0 are one key).
-            key_of = dict(zip(reversed(ids), reversed(raw)))
-            members = range(len(rank))
+            ids, bucket_of, firsts = group_ids(raw)
+            key_of = {i: raw[first] for i, first in firsts.items()}
+            members = range(len(bucket_of))
 
-        parts = {}
-        counts: Any = None
-        for name, values in values_of.items():
-            part = parts[name] = [[] for _ in bucket_of]
-            put = [rows.append for rows in part]
-            for i, value in zip(ids, values):
-                put[i](value)
-            if counts is None:
-                counts = list(map(len, part))
-            if type(data[name]) is not array:
-                part[:] = [_non_null(data[name], rows) for rows in part]
-        if counts is None:                      # count(*) alone
-            counts = Counter(ids)
+        counts, parts = split_groups(ids, len(bucket_of), values_of, data)
         return [(bucket_of[i], key_of[i], counts[i],
                  {name: parts[name][i] for name in names})
                 for i in members if counts[i]]
 
-    @staticmethod
-    def _fold(chunk, specs, modes, states, count: int, values_of) -> None:
-        """Fold one group's rows of ``chunk`` into its states: a count
-        is a length, a buffer extends, ``min`` / ``max`` are the
-        builtins where the column is typed and NaN-free and
-        ``compare_values`` folds elsewhere."""
-        for j, mode in enumerate(modes):
-            column = specs[j].column
-            if column is None:                  # count(*)
-                states[j] += count
-                continue
-            values = values_of[column]
-            if mode == FOLD_COUNT:
-                states[j] += len(values)
-            elif mode == FOLD_BUFFER:
-                states[j] = _extend_buffer(states[j], chunk.data[column],
-                                           values)
-            elif values:
-                if _ordered(chunk, column):
-                    best = min(values) if mode == FOLD_MIN else max(values)
-                else:
-                    best = _extreme(mode, values)
-                states[j] = best if states[j] is EMPTY \
-                    else _extreme(mode, (states[j], best))
+    def _fold(self, chunk, modes, states, count: int, values_of) -> None:
+        fold(states, modes, self._fold_columns, count, values_of,
+             chunk.data, lambda column: _ordered(chunk, column))
 
     def _finalize_groups(self, groups, specs, modes
                          ) -> Iterator[Tuple[Tuple, Tuple]]:
@@ -640,7 +541,7 @@ class ColumnarAggregate(PlanNode):
             for _, _, count, values in self._partition(
                     chunk, *self._dense(chunk, chunk.visible_spans(height)),
                     store):
-                self._fold(chunk, specs, modes, states, count, values)
+                self._fold(chunk, modes, states, count, values)
         yield from self._finalize_groups([((), states)], specs, modes)
 
     def _zone_accumulate(self, chunk, height: int, specs, modes,
@@ -666,14 +567,14 @@ class ColumnarAggregate(PlanNode):
                 vector = chunk.data[spec.column]
                 if type(vector) is not array:
                     folded = store._rows_folded_generic
-                states[j] = _extend_buffer(states[j], vector,
-                                           _non_null(vector, vector))
+                states[j] = extend_buffer(states[j], vector,
+                                          non_null(vector, vector))
             else:
                 zone = chunk.zones.get(spec.column)
                 if zone is not None:    # else all NULL: nothing to fold
                     best = zone[mode == FOLD_MAX]
                     states[j] = best if states[j] is EMPTY \
-                        else _extreme(mode, (states[j], best))
+                        else extreme(mode, (states[j], best))
         if folded is not None:
             folded.inc(n)
         return True

@@ -206,7 +206,7 @@ class Database:
             batch.committed.append(tx)
         for table in tx.tables_written:
             if self.catalog.has_table(table):
-                self.catalog.heap_of(table).note_commit_stamp()
+                self.catalog.heap_of(table).note_commit_stamp(stamp)
         self.statuses.commit(tx.xid, block_number=stamp)
         tx.state = TxState.COMMITTED
         tx.block_number = stamp
@@ -263,7 +263,7 @@ class Database:
         for table in tables:
             if self.catalog.has_table(table):
                 heap = self.catalog.heap_of(table)
-                heap.note_commit_stamp()
+                heap.note_commit_stamp(stamp)
                 heap.merge_pending_indexes()
 
     def apply_abort(self, tx: TransactionContext, reason: str = "") -> None:
@@ -435,11 +435,3 @@ class Database:
             heap = self.catalog.heap_of(table)
             for version in versions:
                 heap.remove_version(version.version_id)
-
-    # ------------------------------------------------------------------
-
-    def current_snapshot(self) -> SeqSnapshot:
-        return SeqSnapshot(self.statuses.current_commit_seq)
-
-    def height_snapshot(self) -> BlockSnapshot:
-        return BlockSnapshot(self.committed_height)

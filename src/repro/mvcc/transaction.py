@@ -31,13 +31,14 @@ class TxState(Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PredicateRead:
     """An index-range (or whole-table) read — the SIREAD lock analogue.
 
     ``columns = ()`` denotes a full-table predicate (matches any write).
     ``low_key``/``high_key`` are normalized index keys or None for
-    unbounded ends.
+    unbounded ends.  Never written once made (not frozen: a frozen
+    ``__init__`` costs 4x, and a nested-loop join makes one per probe).
     """
 
     table: str

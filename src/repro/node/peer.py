@@ -156,6 +156,9 @@ class DatabaseNode:
             for stmt in parse_sql(schema_sql):
                 executor.execute(stmt)
             self.db.apply_commit(tx, block_number=0)
+            # A seed is a bulk load: fold its index tails once.
+            for table in tx.tables_written:
+                self.db.catalog.heap_of(table).merge_pending_indexes()
         for contract_sql in metadata.get("contracts", ()):
             self.install_contract(contract_sql)
 

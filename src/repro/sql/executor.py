@@ -61,6 +61,7 @@ from repro.sql.plan import (
     PROVENANCE_COLUMNS,
     Runtime,
     deinstrument_plan,
+    execute_scan,
     instrument_plan,
     recost_plan,
     render_plan,
@@ -620,7 +621,7 @@ class Executor:
 
     def _plan_target_scan(self, stmt, ctx: EvalContext):
         """Plan + run the access path for an UPDATE/DELETE target table,
-        returning (schema, heap, scan rows with versions)."""
+        returning (schema, heap, ``(values, version)`` per target row)."""
         table = stmt.table
         schema = self.db.catalog.schema_of(table)
         heap = self.db.catalog.heap_of(table)
@@ -629,8 +630,9 @@ class Executor:
             scan, _hit, scan_bounds = \
                 self._plan_dml_scan_cached(stmt, ctx)
         with timed() as exec_t:
-            targets = scan.scan_rows(
-                self._runtime(ctx, alias_columns, scan_bounds))
+            rt = self._runtime(ctx, alias_columns, scan_bounds)
+            targets = execute_scan(rt, table, table, scan.bounds(rt),
+                                   scan.ordered, pairs=True)
         self.db.sql_plan_seconds.observe(plan_t.seconds)
         self.db.sql_exec_seconds.observe(exec_t.seconds)
         return schema, heap, targets
@@ -647,22 +649,22 @@ class Executor:
                    for clause in stmt.sets]
         updated = 0
         row_ctx = ctx.row_context()
-        for row in targets:
-            row_ctx.env = {stmt.table: row.values}
+        for values, version in targets:
+            row_ctx.env = {stmt.table: values}
             if not where_fn(row_ctx):
                 continue
-            new_values = dict(row.values)
+            new_values = dict(values)
             for column, value_fn in set_fns:
                 schema.column(column)  # validates existence, per old path
                 new_values[column] = value_fn(row_ctx)
             self._apply_defaults_and_validate(schema, new_values, ctx)
             self._check_unique(schema, heap, new_values,
-                               exclude_row=row.version.row_id)
-            new_version = heap.update_version(row.version, new_values,
+                               exclude_row=version.row_id)
+            new_version = heap.update_version(version, new_values,
                                               self.tx.xid)
             self.tx.record_write(WriteSetEntry(
                 table=stmt.table, kind="update",
-                old_version=row.version, new_version=new_version))
+                old_version=version, new_version=new_version))
             updated += 1
         return Result(rowcount=updated)
 
@@ -676,13 +678,13 @@ class Executor:
         where_fn = compiled_predicate(stmt.where)
         deleted = 0
         row_ctx = ctx.row_context()
-        for row in targets:
-            row_ctx.env = {stmt.table: row.values}
+        for values, version in targets:
+            row_ctx.env = {stmt.table: values}
             if not where_fn(row_ctx):
                 continue
-            heap.delete_version(row.version, self.tx.xid)
+            heap.delete_version(version, self.tx.xid)
             self.tx.record_write(WriteSetEntry(
-                table=stmt.table, kind="delete", old_version=row.version))
+                table=stmt.table, kind="delete", old_version=version))
             deleted += 1
         return Result(rowcount=deleted)
 

@@ -1,8 +1,9 @@
 """Physical query plan: Volcano-style operators.
 
 The planner (:mod:`repro.sql.planner`) turns a parsed statement into a tree
-of these operators; each node implements ``rows(rt)`` returning an iterator
-so upper operators stream instead of materializing intermediate lists.
+of these operators; each node's ``rows(rt)`` returns a batch (a list or
+:class:`Batch`) or, where rows stream, an iterator — see "The read path"
+in docs/sql_engine.md.
 Scans materialize their own output and sort it by content wherever row
 order can reach a result (physical order differs across nodes); a scan
 the planner marked ``ordered = False`` skips that sort — see "Row order:
@@ -15,7 +16,7 @@ cache, the executor and the columnar operators (docs/sql_engine.md,
 plan time (:class:`Sarg`, under the constancy rule of
 :func:`is_constant`), :func:`bounds_of` evaluates the normalized list per
 execution or per outer row, :func:`index_signature` picks the index,
-:func:`scan_cost` prices it, and :func:`begin_scan` is the SSI prologue
+:func:`scan_cost` prices it, and :func:`scan_reader` is the SSI prologue
 of every heap scan:
 
 * **SIREAD recording** — every scan records one :class:`PredicateRead`
@@ -26,9 +27,10 @@ of every heap scan:
   committed height inspect the window over their *candidate* versions and
   abort on the section 3.4.1 rules.
 
-Join operators therefore never bypass :func:`begin_scan`: a
+Join operators therefore never bypass :func:`scan_reader`: a
 :class:`NestedLoopJoin` derives index bounds per outer row (recording
-narrow per-probe predicate reads), while a :class:`HashJoin` scans its
+narrow per-probe predicate reads through one prologue), while a
+:class:`HashJoin` scans its
 build side once (recording that scan's — wider but conservative —
 predicate read).
 """
@@ -36,17 +38,18 @@ predicate read).
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import time
-from array import array
+from operator import itemgetter
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
-from itertools import groupby, islice
+from itertools import groupby, islice, repeat
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -62,6 +65,10 @@ from repro.errors import (
 )
 from repro.mvcc.transaction import PredicateRead, TransactionContext
 from repro.sql import functions
+from repro.sql.aggregate import (  # noqa: F401 -- fold_sum re-exported
+    FOLD_COUNT, bucket_key, finish_fold, fold, fold_mode, fold_sum,
+    group_ids, new_fold_state, non_null, split_groups,
+)
 from repro.sql.ast_nodes import (
     Between, BinaryOp, CaseExpr, ColumnRef, Expr, FunctionCall, InList,
     IntervalLiteral, IsNull, Join, Like, Literal, OrderItem, Param,
@@ -97,18 +104,26 @@ PROVENANCE_COLUMNS = ("xmin", "xmax", "creator", "deleter", "row_id")
 Env = Dict[str, Dict[str, Any]]
 
 
-class ScanRow:
-    """One visible row produced by a scan (version kept for DML).
+class Batch:
+    """Scan and nested-loop output: per alias one list of value dicts,
+    row ``k`` being item ``k`` of each.  Iterating builds each row's
+    environment ``{alias: values}``; HashAggregate reads the lists."""
 
-    ``values`` is the version's own dict, not a copy: no operator may
-    mutate a row it was handed (tests/sql/test_no_mutation.py)."""
+    __slots__ = ("columns",)
 
-    __slots__ = ("values", "version")
+    def __init__(self, columns: Dict[str, List[Dict[str, Any]]]):
+        self.columns = columns
 
-    def __init__(self, values: Dict[str, Any],
-                 version: Optional[RowVersion]):
-        self.values = values
-        self.version = version
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __iter__(self) -> Iterator[Env]:
+        aliases = list(self.columns)
+        return (dict(zip(aliases, row))
+                for row in zip(*self.columns.values()))
+
+    def __getitem__(self, k: int) -> Env:
+        return {alias: rows[k] for alias, rows in self.columns.items()}
 
 
 @dataclass
@@ -411,18 +426,18 @@ def key_range(schema, columns: Sequence[str], n_eq: int, has_range: bool,
         return parts
 
     low_vals = [bounds[col]["eq"] for col in columns[:n_eq]]
+    if not has_range:           # an equality prefix: one key, both ends
+        point = key(low_vals) if low_vals else None
+        return None if point is None else (point, point, True, True)
     high_vals = list(low_vals)
     low_incl = high_incl = True
-    if has_range:
-        slot = bounds[columns[n_eq]]
-        if "low" in slot:
-            value, low_incl = slot["low"]
-            low_vals.append(value)
-        if "high" in slot:
-            value, high_incl = slot["high"]
-            high_vals.append(value)
-    if not low_vals and not high_vals:
-        return None
+    slot = bounds[columns[n_eq]]
+    if "low" in slot:
+        value, low_incl = slot["low"]
+        low_vals.append(value)
+    if "high" in slot:
+        value, high_incl = slot["high"]
+        high_vals.append(value)
     return (key(low_vals) if low_vals else None,
             key(high_vals) if high_vals else None,
             low_incl, high_incl)
@@ -513,113 +528,121 @@ def row_content_key(values: Dict[str, Any]) -> str:
     return repr(sorted(values.items(), key=lambda kv: kv[0]))
 
 
-def _by_content(row: "ScanRow") -> str:
-    return row_content_key(row.values)
-
-
-def begin_scan(rt: Runtime, table_name: str, index: Optional[Index] = None,
-               keys: Optional[Tuple] = None, key_order: bool = False
-               ) -> Tuple[List[RowVersion], Any, Optional[int]]:
-    """The SSI prologue of every heap scan — the access check, the
-    section 4.3 missing-index abort, the predicate read (SIREAD range)
-    and the section 3.4.1 window checks over the *candidate* versions —
-    so an SSI fix lands once.  Returns ``(candidates, snapshot,
-    own_xid)``: the versions to test for visibility (all inside the
-    predicate read) and what to test them against.
-
-    ``keys`` is a :func:`key_range` over ``index``; None reads the
-    whole table — every heap version, or, when an ``index`` is given
-    anyway, that index walked end to end.  ``key_order`` asks for the
-    candidates in full key order (index-order pipelines).
-
-    Time-travel executions (``rt.ctx.as_of_height`` set) read the
-    immutable state at that height instead: visibility pins to
-    ``BlockSnapshot(height)`` and *no* SSI bookkeeping happens — no
-    SIREAD recording, no phantom/stale window checks.  State at or
-    below the committed height can never change, so there is nothing
-    for SSI to validate against (the transaction is read-only by
-    construction; the executor enforces that)."""
+def scan_reader(rt: Runtime, table_name: str, index: Optional[Index] = None,
+                key_order: bool = False
+                ) -> Tuple[Callable[[Optional[Tuple]], List[RowVersion]],
+                           Any, Optional[int]]:
+    """The SSI prologue of every heap scan, split at the key range so an
+    SSI fix lands once (docs/sql_engine.md, "The read path"): the access
+    check, catalog lookups and missing-index / as-of / provenance /
+    window tests are paid here, once.  ``read(keys)`` of the returned
+    ``(read, snapshot, own_xid)`` pays the index slice, the version
+    lookup, the predicate read (SIREAD range) and, below the committed
+    height, the section 3.4.1 window checks over the candidates it
+    returns.  ``keys`` None reads the whole table (or ``index`` end to
+    end) and raises the section 4.3 :class:`MissingIndexError` under
+    ``tx.require_index``; ``key_order`` asks for full key order.  An AS
+    OF execution pins visibility to ``BlockSnapshot(height)`` and keeps
+    no SSI books: that state never changes, and the executor makes the
+    transaction read-only."""
     rt.check_read(table_name)
     schema = rt.db.catalog.schema_of(table_name)
     heap = rt.db.catalog.heap_of(table_name)
     tx = rt.tx
-    if keys is None:
-        if tx.require_index and not schema.system and not tx.provenance:
-            raise MissingIndexError(
-                f"no index supports the predicate on {table_name!r}; "
-                f"the execute-order-in-parallel flow requires "
-                f"index-backed predicate reads")
-        candidates = heap.all_versions() if index is None \
-            else heap.resolve(index.scan_all())
-        predicate = PredicateRead(table=table_name, columns=())
-    else:
-        low_key, high_key, low_incl, high_incl = keys
-        depth = max(key_depth(low_key), key_depth(high_key), 1)
-        if key_order:
-            candidate_ids = index.ordered_scan(low_key, high_key,
-                                               low_incl, high_incl)
+    missing_index = tx.require_index and not schema.system \
+        and not tx.provenance
+    as_of = rt.ctx.as_of_height is not None and not tx.provenance
+    snapshot = tx.snapshot
+    windowed = not as_of and isinstance(snapshot, BlockSnapshot) and \
+        not tx.provenance and rt.db.committed_height > snapshot.height
+    record = tx.record_predicate_read
+
+    def read(keys: Optional[Tuple]) -> List[RowVersion]:
+        if keys is None:
+            if missing_index:
+                raise MissingIndexError(
+                    f"no index supports the predicate on {table_name!r}; "
+                    f"the execute-order-in-parallel flow requires "
+                    f"index-backed predicate reads")
+            candidates = heap.all_versions() if index is None \
+                else heap.resolve(index.scan_all())
+            predicate = PredicateRead(table=table_name, columns=())
         else:
-            candidate_ids = index._scan(low_key, high_key, low_incl,
-                                        high_incl, depth)
-        candidates = heap.resolve(candidate_ids)
-        predicate = PredicateRead(
-            table=table_name, columns=index.columns[:depth],
-            low_key=low_key, high_key=high_key,
-            low_inclusive=low_incl, high_inclusive=high_incl)
-    if rt.ctx.as_of_height is not None and not tx.provenance:
-        # pure committed-height semantics
-        return candidates, BlockSnapshot(rt.ctx.as_of_height), None
-    tx.record_predicate_read(predicate)
-    window_checks(rt, table_name, candidates)
-    return candidates, tx.snapshot, tx.xid
+            low_key, high_key, low_incl, high_incl = keys
+            depth = max(key_depth(low_key), key_depth(high_key), 1)
+            if key_order:
+                candidate_ids = index.ordered_scan(low_key, high_key,
+                                                   low_incl, high_incl)
+            else:
+                candidate_ids = index._scan(low_key, high_key, low_incl,
+                                            high_incl, depth)
+            candidates = heap.resolve(candidate_ids)
+            predicate = PredicateRead(
+                table=table_name, columns=index.columns[:depth],
+                low_key=low_key, high_key=high_key,
+                low_inclusive=low_incl, high_inclusive=high_incl)
+        if not as_of:
+            record(predicate)
+            if windowed:
+                window_checks(rt, table_name, candidates)
+        return candidates
+
+    if as_of:                   # pure committed-height semantics
+        return read, BlockSnapshot(rt.ctx.as_of_height), None
+    return read, snapshot, tx.xid
+
+
+def visible_rows(rt: Runtime, candidates: List[RowVersion], snapshot,
+                 own_xid: Optional[int], ordered: bool,
+                 pairs: bool = False) -> List[Any]:
+    """What a heap scan hands up: the value dicts of the versions of
+    ``candidates`` it sees, each the version's own (no operator may
+    mutate one: tests/sql/test_no_mutation.py) — or, in a provenance
+    session, every *committed* version (section 4.2) as a copy carrying
+    its pseudo-columns; ``(values, version)`` pairs with ``pairs``
+    (UPDATE / DELETE).  Content order unless ``ordered`` is False and
+    this is not a content-order repeat."""
+    if rt.tx.provenance:
+        is_committed = rt.db.statuses.is_committed
+        versions = [v for v in candidates if is_committed(v.xmin)]
+        rows: List[Any] = [{**v.provenance_header(), **v.values}
+                           for v in versions]
+    else:
+        versions = visible_versions(candidates, snapshot, rt.db.statuses,
+                                    own_xid)
+        rows = [version.values for version in versions]
+    if pairs:
+        rows = list(zip(rows, versions))
+    if ordered or rt.content_order:
+        rows.sort(key=(lambda pair: row_content_key(pair[0])) if pairs
+                  else row_content_key)
+    return rows
 
 
 def execute_scan(rt: Runtime, table_name: str, alias: str,
                  bounds: Dict[str, Dict[str, Any]],
-                 ordered: bool = True) -> List[ScanRow]:
+                 ordered: bool = True, pairs: bool = False) -> List[Any]:
     """Scan ``table_name`` through the index :func:`index_signature`
-    picks for ``bounds`` (the whole heap when none), returning its
-    visible rows.  Rows come back in content order unless the planner
-    proved order unobservable for this scan (``ordered=False``)."""
+    picks for ``bounds`` (the whole heap when none), returning what
+    :func:`visible_rows` hands up."""
     heap = rt.db.catalog.heap_of(table_name)
     return signature_scan(rt, table_name, heap, index_signature(heap, bounds),
-                          bounds, ordered)
+                          bounds, ordered, pairs)
 
 
 def signature_scan(rt: Runtime, table_name: str, heap,
                    signature: ScanSignature, bounds: Dict[str, Dict[str, Any]],
-                   ordered: bool) -> List[ScanRow]:
-    """:func:`execute_scan` once ``signature`` is chosen: :func:`begin_scan`
-    over the key range of ``bounds`` on that index (the whole heap for
-    None), then :func:`visible_versions`."""
+                   ordered: bool, pairs: bool = False) -> List[Any]:
+    """:func:`execute_scan` once ``signature`` is chosen: the key range
+    of ``bounds`` on that index (the whole heap for None) through
+    :func:`scan_reader`, then :func:`visible_rows`."""
     index = keys = None
     if signature is not None:
         index = heap.indexes[signature[0]]
         keys = key_range(rt.db.catalog.schema_of(table_name), index.columns,
                          signature[1], signature[2], bounds)
-    candidates, snapshot, own_xid = begin_scan(rt, table_name, index, keys)
-    if rt.tx.provenance:
-        rows: List[ScanRow] = []
-        for version in candidates:
-            if not _provenance_visible(rt, version):
-                continue
-            values = dict(version.values)
-            for key, val in version.provenance_header().items():
-                values.setdefault(key, val)
-            rows.append(ScanRow(values, version))
-    else:
-        rows = [ScanRow(version.values, version)
-                for version in visible_versions(
-                    candidates, snapshot, rt.db.statuses, own_xid)]
-    if ordered or rt.content_order:
-        rows.sort(key=_by_content)
-    return rows
-
-
-def _provenance_visible(rt: Runtime, version: RowVersion) -> bool:
-    """Provenance queries see every *committed* version, active or dead
-    (section 4.2)."""
-    return rt.db.statuses.is_committed(version.xmin)
+    read, snapshot, own_xid = scan_reader(rt, table_name, index)
+    return visible_rows(rt, read(keys), snapshot, own_xid, ordered, pairs)
 
 
 def window_checks(rt: Runtime, table_name: str,
@@ -732,7 +755,8 @@ class PlanNode:
     est_rows: float = 0.0
     est_cost: float = 0.0
 
-    def rows(self, rt: Runtime) -> Iterator:
+    def rows(self, rt: Runtime) -> Iterable:
+        """This execution's rows: a list (a batch) or an iterator."""
         raise NotImplementedError
 
     def children(self) -> List["PlanNode"]:
@@ -805,19 +829,27 @@ def instrument_plan(root: PlanNode) -> Dict[int, OpStats]:
     also where a HashJoin pulls its build side (an IndexOrderScan has
     ``rows`` alone), and a DynamicProbe never runs at all
     (NestedLoopJoin drives it per outer row and reports through
-    ``Runtime.probe_stats``).  Timing covers
-    time spent *inside* the operator's iterator (children inclusive,
-    consumers exclusive), Postgres-style.
+    ``Runtime.probe_stats``).  Timing covers time spent *inside* the
+    operator (children inclusive, consumers exclusive), Postgres-style:
+    per call for a batch, per step for a stream.
     """
     stats: Dict[int, OpStats] = {}
 
-    def wrap_iter(node: PlanNode, attr: str) -> None:
+    def wrap(node: PlanNode, attr: str) -> None:
         inner = getattr(node, attr)
         st = stats[id(node)]
 
         def counted(rt):
             st.loops += 1
-            it = inner(rt)
+            t0 = time.perf_counter()
+            out = inner(rt)
+            st.seconds += time.perf_counter() - t0
+            if isinstance(out, (list, Batch)):
+                st.rows += len(out)
+                return out
+            return stepped(out)
+
+        def stepped(it):
             while True:
                 t0 = time.perf_counter()
                 try:
@@ -831,29 +863,15 @@ def instrument_plan(root: PlanNode) -> Dict[int, OpStats]:
 
         node.__dict__[attr] = counted
 
-    def wrap_list(node: PlanNode, attr: str) -> None:
-        inner = getattr(node, attr)
-        st = stats[id(node)]
-
-        def counted(rt):
-            st.loops += 1
-            t0 = time.perf_counter()
-            out = inner(rt)
-            st.seconds += time.perf_counter() - t0
-            st.rows += len(out)
-            return out
-
-        node.__dict__[attr] = counted
-
     def visit(node: PlanNode) -> None:
         stats[id(node)] = OpStats()
         if isinstance(node, DynamicProbe):
             pass    # counted by NestedLoopJoin via rt.probe_stats
         elif isinstance(node, SeqScan) and \
                 not isinstance(node, IndexOrderScan):
-            wrap_list(node, "scan_rows")
+            wrap(node, "scan_rows")
         else:
-            wrap_iter(node, "rows")
+            wrap(node, "rows")
         for child in node.children():
             visit(child)
 
@@ -934,14 +952,12 @@ class SeqScan(PlanNode):
             bounds = bounds_of(self.sargs, rt.ctx)
         return bounds
 
-    def scan_rows(self, rt: Runtime) -> List[ScanRow]:
+    def scan_rows(self, rt: Runtime) -> List[Dict[str, Any]]:
         return execute_scan(rt, self.table, self.alias, self.bounds(rt),
                             self.ordered)
 
-    def rows(self, rt: Runtime) -> Iterator[Env]:
-        alias = self.alias
-        for row in self.scan_rows(rt):
-            yield {alias: row.values}
+    def rows(self, rt: Runtime) -> Batch:
+        return Batch({self.alias: self.scan_rows(rt)})
 
     def recost(self, db) -> None:
         self.est_rows, self.est_cost = scan_cost(
@@ -1037,9 +1053,6 @@ class DynamicProbe(PlanNode):
             else (index_name, cost_sig[0], cost_sig[1])
         self.exact = list(exact)
 
-    def rows(self, rt: Runtime) -> Iterator:  # pragma: no cover
-        raise ExecutionError("DynamicProbe is driven by NestedLoopJoin")
-
     def recost(self, db) -> None:
         self.est_rows, self.est_cost = scan_cost(
             db, self.table, self.cost_sig, ordered=self.ordered)
@@ -1055,11 +1068,13 @@ class DynamicProbe(PlanNode):
 
 
 class NestedLoopJoin(PlanNode):
-    """Per-outer-row inner scan with narrow per-probe predicate reads.
-    Each outer row's bounds pick the signature of its one scan; while
-    that is the planned one, only the ON conjuncts ``probe.exact``
-    leaves are evaluated (none: no closure at all), else (a NULL outer
-    key bounds nothing) the full ON, counting ``sql.probe_fallbacks``."""
+    """Per-outer-row inner scan with narrow per-probe predicate reads;
+    the probe's :func:`scan_reader` prologue is paid once, at the first
+    outer row.  Each outer row's bounds pick its signature; while that
+    is the planned one, only the ON conjuncts ``probe.exact`` leaves are
+    evaluated (none: no closure at all), else (a NULL outer key bounds
+    nothing) the full ON over a scan of its own, counting
+    ``sql.probe_fallbacks``."""
 
     def __init__(self, outer: PlanNode, join: Join, probe: DynamicProbe,
                  est_rows: float = 0.0, binder: Optional[Binder] = None):
@@ -1072,20 +1087,27 @@ class NestedLoopJoin(PlanNode):
             else compile_predicate(residual, binder)
         self.est_rows = est_rows
 
-    def rows(self, rt: Runtime) -> Iterator[Env]:
+    def rows(self, rt: Runtime) -> Batch:
         join = self.join
         alias = join.table.alias
         table = join.table.name
         left = join.kind == "LEFT"
-        schema = rt.db.catalog.schema_of(table)
-        null_row = {col: None for col in schema.column_names()}
-        heap = rt.db.catalog.heap_of(table)
         probe = self.probe
         sargs, ordered, planned = probe.sargs, probe.ordered, probe.signature
         fallbacks = rt.db.sql_probe_fallbacks
         row_ctx = rt.ctx.row_context()
         probe_st = (rt.probe_stats or {}).get(id(probe))
+        schema = rt.db.catalog.schema_of(table)
+        null_row = {col: None for col in schema.column_names()}
+        heap = rt.db.catalog.heap_of(table)
+        read = None
+        out: Dict[str, List[Dict[str, Any]]] = {}   # the output columns
         for env in self.outer.rows(rt):
+            if read is None:        # the prologue, once
+                index = None if planned is None \
+                    else heap.indexes[planned[0]]
+                read, snapshot, own_xid = scan_reader(rt, table, index)
+                out = {name: [] for name in [*env, alias]}
             row_ctx.env = env
             bounds = bounds_of(sargs, row_ctx)
             if probe_st is not None:
@@ -1093,24 +1115,33 @@ class NestedLoopJoin(PlanNode):
             signature = index_signature(heap, bounds)
             if signature == planned:
                 on = self._residual_on
+                keys = None if index is None else key_range(
+                    schema, index.columns, planned[1], planned[2], bounds)
+                inner_rows = visible_rows(rt, read(keys), snapshot, own_xid,
+                                          ordered)
             else:
                 fallbacks.inc()
                 on = self._on
-            inner_rows = signature_scan(rt, table, heap, signature, bounds,
-                                        ordered)
+                inner_rows = signature_scan(rt, table, heap, signature,
+                                            bounds, ordered)
             if probe_st is not None:
                 probe_st.loops += 1
                 probe_st.rows += len(inner_rows)
                 probe_st.seconds += time.perf_counter() - t0
-            matched = False
-            for inner in inner_rows:
-                candidate_env = {**env, alias: inner.values}
-                row_ctx.env = candidate_env
-                if on is None or on(row_ctx):
-                    matched = True
-                    yield candidate_env
+            if on is None:
+                matched = inner_rows
+            else:
+                matched = []
+                for values in inner_rows:
+                    row_ctx.env = {**env, alias: values}
+                    if on(row_ctx):
+                        matched.append(values)
             if left and not matched:
-                yield {**env, alias: dict(null_row)}
+                matched = [dict(null_row)]
+            for name, values in env.items():
+                out[name] += repeat(values, len(matched))
+            out[alias] += matched
+        return Batch(out)
 
     def children(self) -> List[PlanNode]:
         return [self.outer, self.probe]
@@ -1190,14 +1221,13 @@ class HashJoin(PlanNode):
         inner_cols = [col for col, _ in self.keys]
         probe_fns = self._probe_fns
 
-        table: Dict[Tuple, List[ScanRow]] = {}
-        for inner in self.build.scan_rows(rt):
+        table: Dict[Tuple, List[Dict[str, Any]]] = {}
+        for values in self.build.scan_rows(rt):
             try:
-                key = normalize_key([inner.values.get(c)
-                                     for c in inner_cols])
+                key = normalize_key([values.get(c) for c in inner_cols])
             except TypeMismatchError:
                 continue  # unindexable key value can never equal a probe
-            table.setdefault(key, []).append(inner)
+            table.setdefault(key, []).append(values)
 
         row_ctx = rt.ctx.row_context()
         for env in self.outer.rows(rt):
@@ -1208,8 +1238,8 @@ class HashJoin(PlanNode):
             except TypeMismatchError:
                 candidates = ()
             matched = False
-            for inner in candidates:
-                candidate_env = {**env, alias: inner.values}
+            for values in candidates:
+                candidate_env = {**env, alias: values}
                 row_ctx.env = candidate_env
                 if on(row_ctx):
                     matched = True
@@ -1232,89 +1262,15 @@ class HashJoin(PlanNode):
         return f"HashJoin {self.join.kind} ({conds})"
 
 
-def bucket_key(values: Sequence[Any]) -> Tuple:
-    """Hashable bucket key for GROUP BY and DISTINCT, consistent with
-    the ``=`` comparator: Python already hashes and compares ``2``,
-    ``2.0``, ``Decimal(2)`` and (``TRUE``, ``1``) alike, which is what
-    ``compare_values`` says of them; NaN, which ``compare_values`` makes
-    equal to itself and Python does not, is the one value that needs a
-    stand-in so that it forms a single group."""
-    return tuple(v if v == v else _NAN_BUCKET for v in values)
-
-
-_NAN_BUCKET = ("NaN",)
-
-
-def group_key_fn(fns: Sequence[Callable]) -> Callable[[Any], Any]:
-    """The GROUP BY key function of compiled group expressions, chosen
-    once: ``()``, the one value (NaN as :func:`bucket_key` has it), or
-    :func:`bucket_key` of several."""
-    if not fns:
-        return lambda row_ctx: ()
-    if len(fns) == 1:
-        fn = fns[0]
-
-        def single(row_ctx):
-            value = fn(row_ctx)
-            return value if value == value else _NAN_BUCKET
-        return single
-    return lambda row_ctx: bucket_key([fn(row_ctx) for fn in fns])
-
-# How one aggregate folds its non-NULL argument values.
-FOLD_COUNT = 0     # int state
-FOLD_BUFFER = 1    # list state: sum / avg / DISTINCT, folded at the end
-FOLD_MIN = 2       # running compare_values fold; EMPTY until a value
-FOLD_MAX = 3
-EMPTY = object()
-
-
-def fold_mode(name: str, distinct: bool = False) -> int:
-    if name == "min":
-        return FOLD_MIN
-    if name == "max":
-        return FOLD_MAX
-    if name == "count" and not distinct:
-        return FOLD_COUNT
-    if name in ("count", "sum", "avg"):
-        return FOLD_BUFFER
-    raise ExecutionError(f"unknown aggregate {name!r}")
-
-
-def new_fold_state(mode: int) -> Any:
-    return 0 if mode == FOLD_COUNT else [] if mode == FOLD_BUFFER else EMPTY
-
-
-def finish_fold(name: str, mode: int, state: Any,
-                distinct: bool = False) -> Any:
-    """An aggregate's value from its final fold state."""
-    if mode == FOLD_COUNT:
-        return state
-    if mode != FOLD_BUFFER:
-        return None if state is EMPTY else state
-    if distinct:
-        unique: List[Any] = []
-        for value in state:
-            if not any(compare_values(value, u) == 0 for u in unique):
-                unique.append(value)
-        state = unique
-    if name == "count":
-        return len(state)
-    if not state:
-        return None
-    total = fold_sum(state)
-    return total if name == "sum" else total / len(state)
-
-
 class HashAggregate(PlanNode):
     """GROUP BY / global aggregation, HAVING, and grouped projection.
 
     Emits ``(order_keys, output_row)`` pairs for Sort/Distinct/Limit.
-    One pass over the child: each row is bucketed by its group key —
-    :func:`bucket_key`'s notion of equal, through a key function chosen
-    once per plan (:func:`group_key_fn`) — and folded into its group's
-    per-aggregate states by fold steps built when the first group forms.
-    Groups emit in first-encounter order, and a group's non-aggregate
-    expressions evaluate against its first row.
+    The child is materialised once, each group key and aggregate
+    argument gathered as a column (:meth:`_gather`), and the columns
+    grouped and folded by the kernels ``ColumnarAggregate`` uses
+    (:mod:`repro.sql.aggregate`).  A group's non-aggregate expressions
+    evaluate against its first row.
     """
 
     def __init__(self, child: PlanNode, group_by: Sequence[Expr],
@@ -1328,16 +1284,21 @@ class HashAggregate(PlanNode):
         self.items = list(items)
         self.order_items = list(order_items)
         self.est_rows = est_rows
-        self._group_key = group_key_fn(
-            [compile_expr(g, binder) for g in self.group_by])
-        # (fingerprint, call, compiled single argument or None) — the
-        # arity/star errors stay runtime errors, raised when the first
-        # group forms, not while planning.
-        self._agg_specs = [
-            (expr_fingerprint(call), call,
-             compile_expr(call.args[0], binder)
-             if not call.star and len(call.args) == 1 else None)
-            for call in self.aggregates]
+        # (fingerprint, call, its one argument's fingerprint or None):
+        # arity/star errors are raised when the first group forms.
+        args: Dict[str, Expr] = {}
+        self._agg_specs = []
+        for call in self.aggregates:
+            arg = None
+            if not call.star and len(call.args) == 1:
+                arg = expr_fingerprint(call.args[0])
+                args.setdefault(arg, call.args[0])
+            self._agg_specs.append((expr_fingerprint(call), call, arg))
+        self._arg_names = list(args)    # gathered after the group keys
+        exprs = self.group_by + list(args.values())
+        self._fns = [compile_expr(expr, binder) for expr in exprs]
+        refs = [_bound_ref(expr, binder) for expr in exprs]
+        self._refs = None if None in refs else refs
         self._having = (None if having is None
                         else compile_predicate(having, binder))
         self._item_fns = [_compile_grouped_item(item, binder)
@@ -1345,74 +1306,85 @@ class HashAggregate(PlanNode):
         self._order_fns = [compile_expr(o.expr, binder)
                            for o in self.order_items]
 
-    def _folds(self) -> List[Tuple[int, int, Any]]:
-        """The fold steps: (state slot, mode, argument closure or None
-        for ``count(*)``) per aggregate; raises the call-shape errors."""
-        folds = []
-        for slot, (_, call, arg_fn) in enumerate(self._agg_specs, 1):
-            if call.star:
-                if call.name != "count":
-                    raise ExecutionError(f"{call.name}(*) is not valid")
-                folds.append((slot, FOLD_COUNT, None))
-                continue
-            if arg_fn is None:
+    def _folds(self) -> Tuple[List[int], List[Optional[str]]]:
+        """Per aggregate its fold mode and the gathered column it reads
+        (None for ``count(*)``); raises the call-shape errors."""
+        modes, columns = [], []
+        for _, call, arg in self._agg_specs:
+            if call.star and call.name != "count":
+                raise ExecutionError(f"{call.name}(*) is not valid")
+            if not call.star and arg is None:
                 raise ExecutionError(
                     f"aggregate {call.name}() takes exactly one argument")
-            folds.append((slot, fold_mode(call.name, call.distinct), arg_fn))
-        return folds
+            modes.append(FOLD_COUNT if call.star
+                         else fold_mode(call.name, call.distinct))
+            columns.append(arg)
+        return modes, columns
 
-    def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
-        row_ctx = rt.ctx.row_context()
-        group_key = self._group_key
-        folds: List[Tuple[int, int, Any]] = []
-        # group key -> [first env, one fold state per aggregate]
-        groups: Dict[Any, List[Any]] = {}
-        for env in self.child.rows(rt):
+    def _gather(self, rows, row_ctx: EvalContext) -> List[Sequence[Any]]:
+        """Each group key and aggregate argument as a column over
+        ``rows``: by the lookup a bound column's closure tries first,
+        else (or when a row lacks the column) by one pass of the
+        closures in row order, so the first error is a per-row fold's."""
+        if self._refs is not None:
+            try:
+                return [list(map(itemgetter(name),
+                                 rows.columns[alias] if type(rows) is Batch
+                                 else map(itemgetter(alias), rows)))
+                        for alias, name in self._refs]
+            except KeyError:
+                pass
+        fns = self._fns
+        out = []
+        for env in rows:
             row_ctx.env = env
-            key = group_key(row_ctx)
-            group = groups.get(key)
-            if group is None:
-                if not groups:
-                    folds = self._folds()
-                group = groups[key] = [env]
-                group.extend(new_fold_state(mode) for _, mode, _ in folds)
-            for slot, mode, arg_fn in folds:
-                if arg_fn is None:                  # count(*)
-                    group[slot] += 1
-                    continue
-                value = arg_fn(row_ctx)
-                if value is None:
-                    continue
-                if mode == FOLD_COUNT:
-                    group[slot] += 1
-                elif mode == FOLD_BUFFER:
-                    group[slot].append(value)
-                else:
-                    current = group[slot]
-                    if current is EMPTY:
-                        group[slot] = value
-                    else:
-                        c = compare_values(value, current)
-                        if c < 0 if mode == FOLD_MIN else c > 0:
-                            group[slot] = value
-        if not groups and not self.group_by:
-            # Global aggregate over empty input.
-            folds = self._folds()
-            groups[()] = [{}] + [new_fold_state(mode) for _, mode, _ in folds]
+            out.append([fn(row_ctx) for fn in fns])
+        return list(zip(*out)) if out else [()] * len(fns)
+
+    def rows(self, rt: Runtime) -> List[Tuple[Tuple, Tuple]]:
+        row_ctx = rt.ctx.row_context()
+        rows = self.child.rows(rt)
+        if type(rows) is not Batch:
+            rows = list(rows)
+        n_rows = len(rows)
+        n_keys = len(self.group_by)
+        groups: List[Tuple[Env, int, Dict[str, Any]]] = []
+        modes: List[int] = []
+        if n_rows or not n_keys:    # else: no group, so no fold either
+            modes, columns = self._folds()
+            gathered = self._gather(rows, row_ctx)
+            keys = gathered[:n_keys]
+            values_of = dict(zip(self._arg_names, gathered[n_keys:]))
+            if not n_keys:
+                groups.append((rows[0] if n_rows else {}, n_rows, {
+                    name: non_null(None, values)
+                    for name, values in values_of.items()}))
+            else:
+                ids, order, firsts = group_ids(
+                    keys[0] if n_keys == 1 else list(zip(*keys)))
+                counts, parts = split_groups(ids, len(order), values_of, {})
+                groups = [(rows[firsts[i]], counts[i],
+                           {name: part[i] for name, part in parts.items()})
+                          for i in range(len(order))]
 
         specs = self._agg_specs
-        for group in groups.values():
-            row_ctx.env = group[0]
+        having, item_fns, order_fns = \
+            self._having, self._item_fns, self._order_fns
+        out = []
+        for first, count, values in groups:
+            states = [new_fold_state(mode) for mode in modes]
+            fold(states, modes, columns, count, values, {})
+            row_ctx.env = first
             row_ctx.aggregate_values = {
                 fingerprint: finish_fold(call.name, mode, state,
                                          call.distinct)
-                for (fingerprint, call, _), (_, mode, _), state
-                in zip(specs, folds, group[1:])}
-            if self._having is not None and not self._having(row_ctx):
+                for (fingerprint, call, _), mode, state
+                in zip(specs, modes, states)}
+            if having is not None and not having(row_ctx):
                 continue
-            output = tuple(fn(row_ctx) for fn in self._item_fns)
-            order_keys = tuple(fn(row_ctx) for fn in self._order_fns)
-            yield (order_keys, output)
+            out.append((tuple([fn(row_ctx) for fn in order_fns]),
+                        tuple([fn(row_ctx) for fn in item_fns])))
+        return out
 
     def children(self) -> List[PlanNode]:
         return [self.child]
@@ -1429,60 +1401,26 @@ class HashAggregate(PlanNode):
         return "HashAggregate (global)"
 
 
+def _bound_ref(expr: Expr, binder: Optional[Binder]
+               ) -> Optional[Tuple[str, str]]:
+    """``(alias, column)`` of a column reference qualified or bound to
+    one alias by ``binder``: the lookup its closure tries first."""
+    if type(expr) is not ColumnRef:
+        return None
+    if expr.table is not None:
+        return expr.table, expr.name
+    if binder is None:
+        return None
+    owners = [alias for alias, cols in binder.items() if expr.name in cols]
+    return (owners[0], expr.name) if len(owners) == 1 else None
+
+
 def _compile_grouped_item(item: SelectItem, binder) -> Any:
     if isinstance(item.expr, Star):
         def run_star(row_ctx):
             raise ExecutionError("'*' is not valid with GROUP BY")
         return run_star
     return compile_expr(item.expr, binder)
-
-
-def fold_sum(values: Sequence[Any]) -> Any:
-    """Order-independent SUM fold shared by the row-store and columnar
-    aggregate paths.
-
-    All-float inputs use ``math.fsum`` — exactly rounded, so the total
-    does not depend on fold order (scan order here, physical ingest
-    order in the column store, either across nodes).  ``fsum`` gives up
-    on an *intermediate* overflow, which does depend on order; the
-    exact rational sum decides those cases, so the outcome — a float, or
-    "out of range" — is a function of the values alone.  Exact types
-    (int/Decimal) and mixed inputs fold sequentially, where order cannot
-    change the result (or, for text concatenation and int/float mixes,
-    where the planner keeps scans in content order).
-
-    A typed ``array`` buffer (what ``ColumnarAggregate`` hands over
-    while every chunk it read stored the column typed) is of one exact
-    type by construction and skips the per-value type scan: ``'d'`` goes
-    straight to ``fsum``, ``'q'`` to the exact integer ``sum``.  A
-    ``list`` is scanned."""
-    if not values:
-        return None
-    if type(values) is array:
-        return _float_sum(values) if values.typecode == "d" \
-            else sum(values)
-    if all(type(v) is float for v in values):
-        return _float_sum(values)
-    total = values[0]
-    for value in values[1:]:
-        total = total + value
-    return total
-
-
-def _float_sum(values: Sequence[float]) -> float:
-    try:
-        return math.fsum(values)
-    except ValueError:
-        return math.nan             # inf + -inf, IEEE's answer
-    except OverflowError:
-        special = [v for v in values if not math.isfinite(v)]
-        if special:
-            return _float_sum(special)
-        try:
-            return float(sum(map(Fraction, values)))
-        except OverflowError:
-            raise ExecutionError(
-                "float sum is out of range") from None
 
 
 class Project(PlanNode):
@@ -1551,14 +1489,22 @@ def _expand_star(star: Star, env: Env, rt: Runtime) -> List[Any]:
 
 class Sort(PlanNode):
     """ORDER BY over decorated ``(order_keys, output)`` pairs;
-    NULLS LAST, stable."""
+    NULLS LAST, stable.  Under a Limit whose ``limit`` / ``offset`` are
+    absent, literals or parameters (same value twice, no side effect) it
+    keeps the first ``offset + limit`` by :func:`heapq.nsmallest`, which
+    is ``sorted(...)[:k]``."""
 
-    def __init__(self, child: PlanNode, order_items: Sequence[OrderItem]):
+    def __init__(self, child: PlanNode, order_items: Sequence[OrderItem],
+                 limit: Optional[Expr] = None, offset: Optional[Expr] = None):
         self.child = child
         self.order_items = list(order_items)
         self.est_rows = child.est_rows
+        cheap = all(expr is None or type(expr) in (Literal, Param)
+                    for expr in (limit, offset))
+        self._keep = (limit, offset) if cheap and limit is not None \
+            else None
 
-    def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
+    def rows(self, rt: Runtime) -> List[Tuple[Tuple, Tuple]]:
         order_items = self.order_items
 
         def cmp_rows(a, b):
@@ -1574,8 +1520,14 @@ class Sort(PlanNode):
                     return c if spec.ascending else -c
             return 0
 
-        yield from sorted(self.child.rows(rt),
-                          key=functools.cmp_to_key(cmp_rows))
+        key = functools.cmp_to_key(cmp_rows)
+        if self._keep is not None:
+            limit, offset = self._keep
+            count = _row_count("LIMIT", limit, rt.ctx)
+            if count is not None:
+                count += _row_count("OFFSET", offset, rt.ctx) or 0
+                return heapq.nsmallest(count, self.child.rows(rt), key=key)
+        return sorted(self.child.rows(rt), key=key)
 
     def children(self) -> List[PlanNode]:
         return [self.child]
@@ -1653,10 +1605,9 @@ class Limit(PlanNode):
         self.offset = offset
         self.est_rows = child.est_rows
 
-    def rows(self, rt: Runtime) -> Iterator[Tuple[Tuple, Tuple]]:
+    def rows(self, rt: Runtime) -> List[Tuple[Tuple, Tuple]]:
         start, stop = self._slice_bounds(rt)
-        output = list(self.child.rows(rt))
-        yield from islice(output, start, stop)
+        return list(self.child.rows(rt))[start:stop]
 
     def children(self) -> List[PlanNode]:
         return [self.child]
@@ -1736,11 +1687,11 @@ class IndexOrderScan(SeqScan):
         # Only bounds on the leading (order) column narrow the walk.
         bounds = self.bounds(rt)
         n_eq, has_range, _, _ = ordered_scan_sig(bounds, self.order_column)
-        state = begin_scan(
-            rt, self.table, index,
-            key_range(rt.db.catalog.schema_of(self.table),
-                      (self.order_column,), n_eq, has_range, bounds),
-            key_order=True)
+        read, snapshot, own_xid = scan_reader(rt, self.table, index,
+                                              key_order=True)
+        state = (read(key_range(rt.db.catalog.schema_of(self.table),
+                                (self.order_column,), n_eq, has_range,
+                                bounds)), snapshot, own_xid)
         rt.prepared_scans[id(self)] = state
         return state
 

@@ -697,7 +697,7 @@ class Planner:
             if fast is not None:
                 top: PlanNode = fast
                 if stmt.order_by:
-                    top = Sort(top, order_items)
+                    top = Sort(top, order_items, stmt.limit, stmt.offset)
                 if stmt.limit is not None or stmt.offset is not None:
                     top = Limit(top, stmt.limit, stmt.offset)
                 return self._finish(top, columns, alias_columns)
@@ -736,7 +736,8 @@ class Planner:
             top = Project(source, stmt.items, order_items, columns,
                           est_rows=source.est_rows, binder=binder)
         if stmt.order_by:
-            top = Sort(top, order_items)
+            top = Sort(top, order_items,
+                       *(() if stmt.distinct else (stmt.limit, stmt.offset)))
         if stmt.distinct:
             top = Distinct(top)
         if stmt.limit is not None or stmt.offset is not None:

@@ -24,17 +24,17 @@ predicate.  Range predicates have no statistic: they cost at the fixed
 1/3 (``plan.scan_estimate``).
 
 Caching: statistics are memoized per (table, columns) under a freshness
-token of ``(catalog version, anchor, heap.commit_stamps)``.  The heap
-bumps ``commit_stamps`` wherever its versions are commit-stamped or
-un-stamped — every commit that wrote it (inside a block or not), the
-block's deferred creator stamping, recovery rollback, vacuum and horizon
-reclaim — so the token is never *under*-sensitive: anything that can
-change the committed-at-anchor state moves at least one component.
-Uncommitted inserts, updates, deletes and aborts move none, so the
-memo survives a block's write churn.  The same-block commits do bump
-it (their stamps sit above the anchor, so the recompute returns the
-same values): planning happens at most once per statement shape per
-height, which keeps that over-sensitivity off the execution path.
+token of ``(catalog version, min(anchor, heap.stamped_height),
+heap.commit_stamps)``.  The heap bumps ``commit_stamps`` wherever its
+versions are commit-stamped or un-stamped — every commit that wrote it,
+a block's deferred creator stamping, recovery rollback, vacuum and
+horizon reclaim — and ``stamped_height`` is the highest block that
+stamped it.  The token is never *under*-sensitive: a version created or
+deleted between anchors ``a < a'`` was stamped above ``a``, which moves
+the middle component.  A new height alone does not move it, so a table
+no block writes is counted once; nor do uncommitted writes and aborts,
+so the memo survives a block's write churn.  A same-block commit
+stamped above the anchor recounts to the anchor's values.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class StatisticsManager:
 
     def _token(self, table: str) -> Tuple:
         heap = self.db.catalog.heap_of(table)
-        return (self.db.catalog.version, self.anchor, heap.commit_stamps)
+        return (self.db.catalog.version,
+                min(self.anchor, heap.stamped_height), heap.commit_stamps)
 
     def _cached(self, table: str,
                 columns: Optional[Tuple[str, ...]], compute):
@@ -121,14 +122,10 @@ class StatisticsManager:
         """Committed-row count for ``table`` at the current anchor."""
         self.db.catalog.schema_of(table)  # raises CatalogError on typos
         anchor = self.anchor
-
-        def compute() -> AnchoredTableStats:
-            count = self.db.columnstore.committed_rows(self.db, table,
-                                                       anchor)
-            return AnchoredTableStats(table=table, anchor=anchor,
-                                      row_count=count)
-
-        return self._cached(table, None, compute)
+        count = self._cached(table, None, lambda: (
+            self.db.columnstore.committed_rows(self.db, table, anchor)))
+        return AnchoredTableStats(table=table, anchor=anchor,
+                                  row_count=count)
 
     # ------------------------------------------------------------------
     # Distinct-key counts

@@ -112,10 +112,6 @@ class RowVersion:
         """True once a deleter has committed (version superseded)."""
         return self.xmax_winner is not None and self.deleter_block is not None
 
-    def snapshot_values(self) -> Dict[str, Any]:
-        """A defensive copy of the column values."""
-        return dict(self.values)
-
     def provenance_header(self) -> Dict[str, Any]:
         """The pseudo-columns exposed to provenance queries (section 4.2)."""
         return {

@@ -43,11 +43,12 @@ class HeapTable:
         # deletes and abort cleanups decrement — see Database.apply_*),
         # versions physically reclaimed by vacuum, and how many times the
         # heap's *committed* state may have moved (commit stamping and
-        # un-stamping, reclaim) — the anchored statistics' freshness
-        # token (sql/stats.py), which uncommitted writes never touch.
+        # un-stamping, reclaim) and up to which block — the anchored
+        # statistics' freshness token (sql/stats.py).
         self.live_rows = 0
         self.vacuumed_versions = 0
         self.commit_stamps = 0
+        self.stamped_height = 0
 
     # ------------------------------------------------------------------
     # Index management
@@ -71,19 +72,9 @@ class HeapTable:
             merged += index.merge_pending()
         return merged
 
-    def drop_index(self, name: str) -> None:
-        self._indexes.pop(name, None)
-
     @property
     def indexes(self) -> Dict[str, Index]:
         return self._indexes
-
-    def find_index_for(self, columns: Iterable[str]) -> Optional[Index]:
-        """First index whose leading columns cover ``columns``."""
-        for index in self._indexes.values():
-            if index.covers_columns(columns):
-                return index
-        return None
 
     # ------------------------------------------------------------------
     # Version access
@@ -103,9 +94,6 @@ class HeapTable:
     def all_versions(self) -> List[RowVersion]:
         """All versions in insertion (version id) order — deterministic."""
         return [version for version in self._versions if version is not None]
-
-    def versions_of_row(self, row_id: int) -> List[RowVersion]:
-        return [v for v in self.all_versions() if v.row_id == row_id]
 
     def __len__(self) -> int:
         return self._live
@@ -166,10 +154,11 @@ class HeapTable:
         """Recovery undid a committed delete: the row is live again."""
         self.live_rows += 1
 
-    def note_commit_stamp(self) -> None:
+    def note_commit_stamp(self, height: int) -> None:
         """A commit (or a block's deferred creator stamping) touched
-        versions of this heap."""
+        versions of this heap, stamping them with block ``height``."""
         self.commit_stamps += 1
+        self.stamped_height = max(self.stamped_height, height)
 
     def remove_version(self, version_id: int) -> bool:
         """Physically reclaim one version together with its index

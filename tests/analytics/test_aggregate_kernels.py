@@ -30,17 +30,17 @@ from repro.errors import ReproError
 from repro.mvcc.database import Database
 from repro.sql.executor import run_sql
 from repro.sql.expressions import _compare, _like_to_regex, compare_values
-from repro.sql.plan import (
+from repro.sql.aggregate import (
     EMPTY,
     FOLD_BUFFER,
     FOLD_COUNT,
     FOLD_MAX,
     FOLD_MIN,
-    Runtime,
     bucket_key,
     fold_mode,
     new_fold_state,
 )
+from repro.sql.plan import Runtime
 from tests.conftest import counter
 
 # ---------------------------------------------------------------------------

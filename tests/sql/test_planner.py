@@ -243,11 +243,12 @@ class TestExplainAnalyzeGolden:
         ]
 
     def test_fig7_limit_truncates_sorted_groups(self, db):
+        """The Sort under LIMIT 1 keeps one of the 4 groups."""
         assert masked(explain_analyze(db, FIG7_SQL, params=("org1",))) == [
             "Limit (limit=1) (cost~84 rows~12) "
             "(actual rows=1 loops=1 time=<t>)",
             "  -> Sort (sum(amount) DESC, acc_id ASC) (cost~84 rows~12) "
-            "(actual rows=4 loops=1 time=<t>)",
+            "(actual rows=1 loops=1 time=<t>)",
             "    -> HashAggregate (group by acc_id) (cost~41 rows~12) "
             "(actual rows=4 loops=1 time=<t>)",
             "      -> IndexScan on invoices using invoices_org_idx "

@@ -388,3 +388,85 @@ class TestMemoNeverStale:
             churn.step(("insert", "update", "delete", "abort")[k % 4], k)
         assert counter(churn.db, "stats.computations") == \
             before + len(PROBES) * 30
+
+
+# ---------------------------------------------------------------------------
+# Tables no block writes are not recounted
+# ---------------------------------------------------------------------------
+
+class TestUntouchedTables:
+    """The memo is keyed on the highest block that stamped the table,
+    not on the node's height: blocks that write only ``summaries`` leave
+    ``readings``' statistics where they were."""
+
+    @pytest.fixture
+    def db(self):
+        db = build_db()
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "CREATE TABLE summaries (k INT PRIMARY KEY, "
+                        "total FLOAT)")
+        db.apply_commit(tx, block_number=1)
+        return db
+
+    @staticmethod
+    def block(db, sql, params=()):
+        """One block at the next height, the block processor's way."""
+        height = db.committed_height + 1
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, sql, params=params)
+        batch = db.begin_block_apply(height)
+        db.apply_commit(tx, block_number=height, batch=batch)
+        db.apply_block(batch)
+        db.committed_height = height
+        db.columnstore.on_block(db, height)
+        return height
+
+    @staticmethod
+    def probe_all(db):
+        return [probe(db.stats, columns) for columns in PROBES]
+
+    def test_blocks_writing_other_tables_recount_nothing(self, db):
+        first = self.probe_all(db)
+        before = counter(db, "stats.computations")
+        for k in range(5):
+            height = self.block(
+                db, "INSERT INTO summaries (k, total) VALUES ($1, 1.0)",
+                (k,))
+            assert db.stats.table_stats("readings").anchor == height
+            assert [v.row_count if i == 0 else v for i, v in
+                    enumerate(self.probe_all(db))] == \
+                [first[0].row_count] + first[1:]
+        assert counter(db, "stats.computations") == before
+
+    def test_a_block_writing_the_table_recounts(self, db):
+        self.probe_all(db)
+        before = counter(db, "stats.computations")
+        self.block(db, "DELETE FROM readings WHERE sensor < 5")
+        stats = db.stats.table_stats("readings")
+        assert stats.row_count == 25
+        assert counter(db, "stats.computations") == before + 1
+
+    def test_a_stamp_ahead_of_the_anchor_keeps_the_anchors_value(self, db):
+        assert db.stats.table_stats("readings").row_count == 30
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "DELETE FROM readings WHERE sensor < 10")
+        db.apply_commit(tx, block_number=2)     # anchor still 1
+        stats = db.stats.table_stats("readings")
+        assert (stats.anchor, stats.row_count) == (1, 30)
+        assert db.stats.ndv("readings", ("sensor",)) == 30
+        db.committed_height = 2
+        db.columnstore.on_block(db, 2)
+        assert db.stats.table_stats("readings").row_count == 20
+        assert db.stats.ndv("readings", ("sensor",)) == 20
+
+    def test_every_anchor_matches_the_heap_oracle(self, db):
+        self.block(db, "INSERT INTO summaries (k, total) VALUES (1, 1.0)")
+        self.block(db, "UPDATE readings SET amount = 7.0 "
+                       "WHERE sensor >= 20")
+        self.block(db, "INSERT INTO summaries (k, total) VALUES (2, 1.0)")
+        self.block(db, "DELETE FROM readings WHERE sensor < 3")
+        self.block(db, "INSERT INTO summaries (k, total) VALUES (3, 1.0)")
+        top = db.committed_height
+        for anchor in [*range(1, top + 1), *range(top, 0, -1)]:
+            db.committed_height = anchor
+            assert_memo_fresh(db)
