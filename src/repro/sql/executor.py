@@ -61,10 +61,12 @@ from repro.sql.plan import (
     PROVENANCE_COLUMNS,
     Runtime,
     deinstrument_plan,
-    execute_scan,
+    index_signature,
     instrument_plan,
     recost_plan,
     render_plan,
+    row_content_key,
+    scan_candidates,
     window_checks,
 )
 from repro.sql.plancache import PlanCache, PlanEntry
@@ -621,7 +623,7 @@ class Executor:
 
     def _plan_target_scan(self, stmt, ctx: EvalContext):
         """Plan + run the access path for an UPDATE/DELETE target table,
-        returning (schema, heap, ``(values, version)`` per target row)."""
+        returning (schema, heap, the target versions it sees)."""
         table = stmt.table
         schema = self.db.catalog.schema_of(table)
         heap = self.db.catalog.heap_of(table)
@@ -631,8 +633,13 @@ class Executor:
                 self._plan_dml_scan_cached(stmt, ctx)
         with timed() as exec_t:
             rt = self._runtime(ctx, alias_columns, scan_bounds)
-            targets = execute_scan(rt, table, table, scan.bounds(rt),
-                                   scan.ordered, pairs=True)
+            bounds = scan.bounds(rt)
+            candidates, snapshot, own_xid = scan_candidates(
+                rt, table, heap, index_signature(heap, bounds), bounds)
+            targets = visible_versions(candidates, snapshot,
+                                       self.db.statuses, own_xid)
+            if scan.ordered or rt.content_order:
+                targets.sort(key=lambda v: row_content_key(v.values))
         self.db.sql_plan_seconds.observe(plan_t.seconds)
         self.db.sql_exec_seconds.observe(exec_t.seconds)
         return schema, heap, targets
@@ -649,11 +656,11 @@ class Executor:
                    for clause in stmt.sets]
         updated = 0
         row_ctx = ctx.row_context()
-        for values, version in targets:
-            row_ctx.env = {stmt.table: values}
+        for version in targets:
+            row_ctx.env = {stmt.table: version.values}
             if not where_fn(row_ctx):
                 continue
-            new_values = dict(values)
+            new_values = dict(version.values)
             for column, value_fn in set_fns:
                 schema.column(column)  # validates existence, per old path
                 new_values[column] = value_fn(row_ctx)
@@ -678,8 +685,8 @@ class Executor:
         where_fn = compiled_predicate(stmt.where)
         deleted = 0
         row_ctx = ctx.row_context()
-        for values, version in targets:
-            row_ctx.env = {stmt.table: values}
+        for version in targets:
+            row_ctx.env = {stmt.table: version.values}
             if not where_fn(row_ctx):
                 continue
             heap.delete_version(version, self.tx.xid)

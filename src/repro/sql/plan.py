@@ -534,17 +534,17 @@ def scan_reader(rt: Runtime, table_name: str, index: Optional[Index] = None,
                            Any, Optional[int]]:
     """The SSI prologue of every heap scan, split at the key range so an
     SSI fix lands once (docs/sql_engine.md, "The read path"): the access
-    check, catalog lookups and missing-index / as-of / provenance /
-    window tests are paid here, once.  ``read(keys)`` of the returned
-    ``(read, snapshot, own_xid)`` pays the index slice, the version
-    lookup, the predicate read (SIREAD range) and, below the committed
-    height, the section 3.4.1 window checks over the candidates it
-    returns.  ``keys`` None reads the whole table (or ``index`` end to
-    end) and raises the section 4.3 :class:`MissingIndexError` under
-    ``tx.require_index``; ``key_order`` asks for full key order.  An AS
-    OF execution pins visibility to ``BlockSnapshot(height)`` and keeps
-    no SSI books: that state never changes, and the executor makes the
-    transaction read-only."""
+    check, catalog lookups and missing-index / as-of / provenance tests
+    are paid here, once.  ``read(keys)`` of the returned ``(read,
+    snapshot, own_xid)`` pays the index slice, the version lookup, the
+    predicate read (SIREAD range) and the section 3.4.1
+    :func:`window_checks` over the candidates it returns.  ``keys`` None
+    reads the whole table (or ``index`` end to end) and raises the
+    section 4.3 :class:`MissingIndexError` under ``tx.require_index``;
+    ``key_order`` asks for full key order.  An AS OF execution pins
+    visibility to ``BlockSnapshot(height)`` and keeps no SSI books: that
+    state never changes, and the executor makes the transaction
+    read-only."""
     rt.check_read(table_name)
     schema = rt.db.catalog.schema_of(table_name)
     heap = rt.db.catalog.heap_of(table_name)
@@ -553,8 +553,6 @@ def scan_reader(rt: Runtime, table_name: str, index: Optional[Index] = None,
         and not tx.provenance
     as_of = rt.ctx.as_of_height is not None and not tx.provenance
     snapshot = tx.snapshot
-    windowed = not as_of and isinstance(snapshot, BlockSnapshot) and \
-        not tx.provenance and rt.db.committed_height > snapshot.height
     record = tx.record_predicate_read
 
     def read(keys: Optional[Tuple]) -> List[RowVersion]:
@@ -583,8 +581,7 @@ def scan_reader(rt: Runtime, table_name: str, index: Optional[Index] = None,
                 low_inclusive=low_incl, high_inclusive=high_incl)
         if not as_of:
             record(predicate)
-            if windowed:
-                window_checks(rt, table_name, candidates)
+            window_checks(rt, table_name, candidates)
         return candidates
 
     if as_of:                   # pure committed-height semantics
@@ -593,56 +590,49 @@ def scan_reader(rt: Runtime, table_name: str, index: Optional[Index] = None,
 
 
 def visible_rows(rt: Runtime, candidates: List[RowVersion], snapshot,
-                 own_xid: Optional[int], ordered: bool,
-                 pairs: bool = False) -> List[Any]:
+                 own_xid: Optional[int], ordered: bool) -> List[Any]:
     """What a heap scan hands up: the value dicts of the versions of
     ``candidates`` it sees, each the version's own (no operator may
     mutate one: tests/sql/test_no_mutation.py) — or, in a provenance
     session, every *committed* version (section 4.2) as a copy carrying
-    its pseudo-columns; ``(values, version)`` pairs with ``pairs``
-    (UPDATE / DELETE).  Content order unless ``ordered`` is False and
+    its pseudo-columns.  Content order unless ``ordered`` is False and
     this is not a content-order repeat."""
     if rt.tx.provenance:
         is_committed = rt.db.statuses.is_committed
-        versions = [v for v in candidates if is_committed(v.xmin)]
-        rows: List[Any] = [{**v.provenance_header(), **v.values}
-                           for v in versions]
+        rows = [{**v.provenance_header(), **v.values}
+                for v in candidates if is_committed(v.xmin)]
     else:
-        versions = visible_versions(candidates, snapshot, rt.db.statuses,
-                                    own_xid)
-        rows = [version.values for version in versions]
-    if pairs:
-        rows = list(zip(rows, versions))
+        rows = [version.values for version in visible_versions(
+            candidates, snapshot, rt.db.statuses, own_xid)]
     if ordered or rt.content_order:
-        rows.sort(key=(lambda pair: row_content_key(pair[0])) if pairs
-                  else row_content_key)
+        rows.sort(key=row_content_key)
     return rows
 
 
 def execute_scan(rt: Runtime, table_name: str, alias: str,
                  bounds: Dict[str, Dict[str, Any]],
-                 ordered: bool = True, pairs: bool = False) -> List[Any]:
+                 ordered: bool = True) -> List[Any]:
     """Scan ``table_name`` through the index :func:`index_signature`
     picks for ``bounds`` (the whole heap when none), returning what
     :func:`visible_rows` hands up."""
     heap = rt.db.catalog.heap_of(table_name)
-    return signature_scan(rt, table_name, heap, index_signature(heap, bounds),
-                          bounds, ordered, pairs)
+    return visible_rows(rt, *scan_candidates(
+        rt, table_name, heap, index_signature(heap, bounds), bounds), ordered)
 
 
-def signature_scan(rt: Runtime, table_name: str, heap,
-                   signature: ScanSignature, bounds: Dict[str, Dict[str, Any]],
-                   ordered: bool, pairs: bool = False) -> List[Any]:
-    """:func:`execute_scan` once ``signature`` is chosen: the key range
-    of ``bounds`` on that index (the whole heap for None) through
-    :func:`scan_reader`, then :func:`visible_rows`."""
+def scan_candidates(rt: Runtime, table_name: str, heap,
+                    signature: ScanSignature,
+                    bounds: Dict[str, Dict[str, Any]]) -> Tuple:
+    """``(candidates, snapshot, own_xid)``: the key range of ``bounds``
+    on the ``signature`` index (the whole heap for None) read through
+    :func:`scan_reader`."""
     index = keys = None
     if signature is not None:
         index = heap.indexes[signature[0]]
         keys = key_range(rt.db.catalog.schema_of(table_name), index.columns,
                          signature[1], signature[2], bounds)
     read, snapshot, own_xid = scan_reader(rt, table_name, index)
-    return visible_rows(rt, read(keys), snapshot, own_xid, ordered, pairs)
+    return read(keys), snapshot, own_xid
 
 
 def window_checks(rt: Runtime, table_name: str,
@@ -1122,8 +1112,8 @@ class NestedLoopJoin(PlanNode):
             else:
                 fallbacks.inc()
                 on = self._on
-                inner_rows = signature_scan(rt, table, heap, signature,
-                                            bounds, ordered)
+                inner_rows = visible_rows(rt, *scan_candidates(
+                    rt, table, heap, signature, bounds), ordered)
             if probe_st is not None:
                 probe_st.loops += 1
                 probe_st.rows += len(inner_rows)
@@ -1492,7 +1482,8 @@ class Sort(PlanNode):
     NULLS LAST, stable.  Under a Limit whose ``limit`` / ``offset`` are
     absent, literals or parameters (same value twice, no side effect) it
     keeps the first ``offset + limit`` by :func:`heapq.nsmallest`, which
-    is ``sorted(...)[:k]``."""
+    is ``sorted(...)[:k]`` (LIMIT 0 sorts all: the scans beneath must
+    still run, and ``nsmallest(0, ...)`` never reads its input)."""
 
     def __init__(self, child: PlanNode, order_items: Sequence[OrderItem],
                  limit: Optional[Expr] = None, offset: Optional[Expr] = None):
@@ -1524,7 +1515,7 @@ class Sort(PlanNode):
         if self._keep is not None:
             limit, offset = self._keep
             count = _row_count("LIMIT", limit, rt.ctx)
-            if count is not None:
+            if count:   # nsmallest(0, ...) would never run the scans
                 count += _row_count("OFFSET", offset, rt.ctx) or 0
                 return heapq.nsmallest(count, self.child.rows(rt), key=key)
         return sorted(self.child.rows(rt), key=key)

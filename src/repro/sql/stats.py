@@ -34,7 +34,9 @@ deleted between anchors ``a < a'`` was stamped above ``a``, which moves
 the middle component.  A new height alone does not move it, so a table
 no block writes is counted once; nor do uncommitted writes and aborts,
 so the memo survives a block's write churn.  A same-block commit
-stamped above the anchor recounts to the anchor's values.
+stamped above the anchor recounts to the anchor's values.  A hit at a
+new anchor still syncs the replica, as the recount would have, so when
+the replica ingests does not depend on the memo.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ class StatisticsManager:
 
     def __init__(self, db):
         self.db = db
-        # (table, columns-or-None) -> (freshness token, value)
+        # (table, columns-or-None) -> (freshness token, anchor, value)
         self._cache: Dict[Tuple[str, Optional[Tuple[str, ...]]],
-                          Tuple[Tuple, Any]] = {}
+                          Tuple[Tuple, int, Any]] = {}
         # Observability, on the database's registry scope: memo misses.
         self._computations = db.metrics.counter("stats.computations")
 
@@ -101,13 +103,16 @@ class StatisticsManager:
 
     def _cached(self, table: str,
                 columns: Optional[Tuple[str, ...]], compute):
-        token = self._token(table)
+        token, anchor = self._token(table), self.anchor
         key = (table, columns)
         entry = self._cache.get(key)
         if entry is not None and entry[0] == token:
-            return entry[1]
+            if entry[1] != anchor:      # a recount would have synced
+                self.db.columnstore.ensure_synced(self.db)
+                self._cache[key] = (token, anchor, entry[2])
+            return entry[2]
         value = compute()
-        self._cache[key] = (token, value)
+        self._cache[key] = (token, anchor, value)
         self._computations.inc()
         return value
 

@@ -10,7 +10,8 @@
   predicate read per outer row, in outer order, and a concurrent insert
   into one probed range still aborts the reader;
 * a Sort under ``LIMIT k`` keeps the first ``k`` rows of the full sort,
-  ties, NULLs and NaN included.
+  ties, NULLs and NaN included, and under LIMIT 0 still runs the scans
+  beneath it.
 """
 
 from math import inf, nan
@@ -20,7 +21,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.sql.plan as plan_module
-from repro.errors import ReproError, SerializationFailure
+from repro.errors import (MissingIndexError, ReproError,
+                          SerializationFailure)
 from repro.mvcc.database import Database
 from repro.mvcc.ssi import AbortDuringCommitSSI
 from repro.mvcc.transaction import PredicateRead, WriteSetEntry
@@ -357,7 +359,28 @@ class TestSortUnderLimit:
         rows, kept = sort_rows(sort_db, f"{base} LIMIT {limit} "
                                         f"OFFSET {offset}")
         assert rows == full[offset:offset + limit]
-        assert kept == min(offset + limit, 12)
+        assert kept == (min(offset + limit, 12) if limit else 12)
+
+    @pytest.mark.parametrize("tail, params", [(" LIMIT 0", ()),
+                                              (" LIMIT $1", (0,))])
+    def test_limit_zero_still_runs_the_scan(self, appendix_a_db, tail,
+                                            params):
+        """A Sort under LIMIT 0 keeps no row but drains its input: the
+        scan beneath still records its predicate read, and under
+        ``require_index`` an unindexed predicate still aborts."""
+        db = appendix_a_db
+        tx = db.begin(allow_nondeterministic=True)
+        sql = "SELECT * FROM invoices WHERE org = 'org1' ORDER BY amount"
+        assert run_sql(db, tx, sql + tail, params=params).rows == []
+        db.apply_abort(tx, reason="test")
+        org1 = (3, "org1")
+        assert tx.predicate_reads == [
+            PredicateRead("invoices", ("org",), org1, org1, True, True)]
+        tx = db.begin(allow_nondeterministic=True, require_index=True)
+        with pytest.raises(MissingIndexError):
+            run_sql(db, tx, "SELECT * FROM invoices WHERE amount > 5.0 "
+                            "ORDER BY amount" + tail, params=params)
+        db.apply_abort(tx, reason="test")
 
     def test_a_parameter_limit_keeps_k_rows(self, sort_db):
         base = "SELECT id FROM s ORDER BY x"

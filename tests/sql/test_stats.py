@@ -459,6 +459,21 @@ class TestUntouchedTables:
         assert db.stats.table_stats("readings").row_count == 20
         assert db.stats.ndv("readings", ("sensor",)) == 20
 
+    def test_a_hit_at_a_new_anchor_syncs_the_replica(self, db):
+        """The replica ingests where a recount at each new anchor would
+        have synced it, so its counters do not depend on the memo."""
+        self.probe_all(db)
+        tx = db.begin(allow_nondeterministic=True)
+        run_sql(db, tx, "INSERT INTO summaries (k, total) VALUES (1, 1.0)")
+        db.apply_commit(tx, block_number=2)
+        db.committed_height = 2         # no on_block: the insert is queued
+        before = [counter(db, name) for name in
+                  ("stats.computations", "columnstore.ingested_versions")]
+        self.probe_all(db)
+        assert [counter(db, name) for name in
+                ("stats.computations", "columnstore.ingested_versions")] \
+            == [before[0], before[1] + 1]
+
     def test_every_anchor_matches_the_heap_oracle(self, db):
         self.block(db, "INSERT INTO summaries (k, total) VALUES (1, 1.0)")
         self.block(db, "UPDATE readings SET amount = 7.0 "
