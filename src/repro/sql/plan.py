@@ -60,6 +60,7 @@ from typing import (
 from repro.errors import (
     ExecutionError,
     MissingIndexError,
+    SerializationFailure,
     SQLError,
     TypeMismatchError,
 )
@@ -640,8 +641,6 @@ def window_checks(rt: Runtime, table_name: str,
     """Paper section 3.4.1: when executing below the node's committed
     height, a predicate-matching row created (phantom) or deleted
     (stale) in the window aborts the transaction."""
-    from repro.errors import SerializationFailure
-
     snapshot = rt.tx.snapshot
     if not isinstance(snapshot, BlockSnapshot) or rt.tx.provenance:
         return
